@@ -39,12 +39,6 @@ from .process_models import GbmModel, GbmParams, simulate_training_paths
 from .stopping_rules import basis_size, train_committee, train_tvr
 
 
-def _assert_stream_separation() -> None:
-    # training draws live in their own key namespace, so a testing stream
-    # can never collide with a training one even if the two seeds coincide
-    assert rng.NS_TRAINING != rng.NS_TESTING
-
-
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     """Shared knobs for the experiment drivers.
@@ -149,7 +143,6 @@ def param_uncertainty_study(cfg: ExperimentConfig) -> list[Table1Row]:
     """
     if not cfg.sigma_hats:
         raise ValueError("sigma_hats must be nonempty")
-    _assert_stream_separation()
     p = cfg.params
     model = GbmModel(p)
     ruleA = train_tvr(simulate_training_paths(p, cfg.training_paths, cfg.seed_training), p)
@@ -243,7 +236,6 @@ def qcv_estimate(cfg: ExperimentConfig) -> QcvReport:
     """
     if cfg.budget is None:
         raise ValueError("qcv_estimate needs a work budget")
-    _assert_stream_separation()
     p = cfg.params
     model = GbmModel(p)
     pool = simulate_training_paths(p, cfg.training_paths, cfg.seed_training)
@@ -380,7 +372,6 @@ def multilevel_estimate(cfg: ExperimentConfig) -> MultilevelReport:
         raise ValueError("multilevel_estimate needs a work budget")
     if not cfg.ladder:
         raise ValueError("ladder must be nonempty")
-    _assert_stream_separation()
     p = cfg.params
     model = GbmModel(p)
     pool = simulate_training_paths(p, cfg.training_paths, cfg.seed_training)

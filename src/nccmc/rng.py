@@ -31,6 +31,7 @@ replication, independent draws for ad-hoc continuations.
 
 from __future__ import annotations
 
+import threading
 import zlib
 from dataclasses import dataclass
 
@@ -84,6 +85,33 @@ def _counters_per_point(width: int) -> int:
     return -(-width // _WORDS_PER_COUNTER)
 
 
+_local = threading.local()
+
+
+def _philox_at(key: np.ndarray, counter: int) -> Philox:
+    """This thread's Philox generator, set to (key, counter) with an empty buffer.
+
+    Setting the state of one generator per thread gives the same words as
+    building ``Philox(counter=0, key=key)`` and advancing it by ``counter``,
+    without the fresh OS-entropy seed sequence every build draws.
+    """
+    bg = getattr(_local, "philox", None)
+    if bg is None:
+        bg = _local.philox = Philox(counter=0, key=key)
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([(counter >> s) & _MASK64 for s in (0, 64, 128, 192)], dtype=np.uint64),
+            "key": key,
+        },
+        "buffer": np.zeros(_WORDS_PER_COUNTER, dtype=np.uint64),
+        "buffer_pos": _WORDS_PER_COUNTER,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bg
+
+
 def raw_words(
     seed: int,
     namespace: int,
@@ -108,9 +136,7 @@ def raw_words(
     out = np.empty((n_points, width), dtype=np.uint64)
     if n_points == 0:
         return out
-    bg = Philox(counter=0, key=_pack_key(seed, namespace, stream_class, index, date))
-    if first_point:
-        bg.advance(first_point * cpp)
+    bg = _philox_at(_pack_key(seed, namespace, stream_class, index, date), first_point * cpp)
     raw = bg.random_raw(n_points * words)
     out[:] = raw.reshape(n_points, words)[:, :width]
     return out

@@ -2,7 +2,8 @@
 
 A stopping rule maps (date, state, payoff) to a stop/continue decision.  The
 engine only consults rules at dates 0..J-1 and stops everything at J, so a
-rule never has to special-case maturity, though all of them do as a guard.
+rule never has to special-case maturity, though all but the fixed-date
+rule guard it anyway.
 
 Rules carry an ``eval_cost``: the number of elementary predictor evaluations
 one decision costs.  Fixed-date rules cost nothing, a single regression rule
@@ -18,9 +19,13 @@ stops against a strictly negative prediction.  Far out of the money the
 quadratic fit routinely dips below zero while the true continuation value
 is merely small, and cashing out a worthless position on that artifact
 would distort stopping times badly.  Committees bag that construction over
-bootstrap resamples and aggregate member predictions by median; the median
-keeps members from collapsing into one linear predictor, so the committee is
-genuinely M times as expensive to consult.
+bootstrap resamples, and their continuation value is the median of the
+member predictions; the median keeps members from collapsing into one
+linear predictor.  A committee decision is computed without forming that
+median: it counts the member predictions at or below the payoff and below
+zero, block by block, and takes the exact median only for the rare rows
+the counts leave open.  The decisions are the median rule's, bit for bit,
+and every decision still evaluates all M members, so eval_cost stays M.
 """
 
 from __future__ import annotations
@@ -94,7 +99,36 @@ def _stop_mask(payoffs: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     return stop
 
 
-class RegressionRule(StoppingRule):
+def _shifted(values: np.ndarray, shifts: tuple[float, ...]) -> np.ndarray:
+    # one rounded addition per shift, innermost first, as nested ShiftedRules add them
+    for eps in shifts:
+        values = values + eps
+    return values
+
+
+class ContinuationRule(StoppingRule):
+    """Stops when the payoff reaches a continuation value (ties stop).
+
+    Subclasses set ``n_dates`` and define ``continuation_batch``.  Every
+    decision goes through ``_stops``, which receives the shifts of any
+    ``ShiftedRule`` wrappers so that a shifted rule decides through its base.
+    """
+
+    n_dates: int
+
+    def continuation_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def decide_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+        if j >= self.n_dates - 1:
+            return np.ones(len(payoffs), dtype=bool)
+        return self._stops(j, states, payoffs, ())
+
+    def _stops(self, j: int, states: np.ndarray, payoffs: np.ndarray, shifts: tuple[float, ...]) -> np.ndarray:
+        return _stop_mask(payoffs, _shifted(self.continuation_batch(j, states, payoffs), shifts))
+
+
+class RegressionRule(ContinuationRule):
     """Stop when payoff >= fitted continuation value at the current date."""
 
     eval_cost = 1
@@ -111,19 +145,47 @@ class RegressionRule(StoppingRule):
     def continuation_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
         return basis_matrix(states, payoffs, self.y0) @ self.coeffs[j]
 
-    def decide_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        if j >= self.n_dates - 1:
-            return np.ones(len(payoffs), dtype=bool)
-        return _stop_mask(payoffs, self.continuation_batch(j, states, payoffs))
+
+# Members per prediction block of a committee decision.  Counts are integer
+# sums, so the block size changes memory and speed, never a decision.
+_MEMBER_BLOCK = 64
+
+# Rows whose predictions may exceed half the largest double go to the exact
+# median: an even committee's median adds two of them, which could overflow.
+# A quarter leaves room for the rounding of the bound itself.
+_PRED_LIMIT = np.finfo(float).max / 4
 
 
-class CommitteeRule(StoppingRule):
+def _member_blocks(M: int) -> list[slice]:
+    # near-equal blocks, none of a single member unless M is 1: a one-column
+    # product runs through BLAS's matrix-vector kernel, which rounds
+    # differently from the matrix-matrix kernel of the whole committee
+    nb = -(-M // _MEMBER_BLOCK)
+    edges = [M * i // nb for i in range(nb + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+class CommitteeRule(ContinuationRule):
     """Median-aggregated committee of regression rules.
 
-    member_coeffs has shape (M, J, B).  A decision evaluates all M members,
-    so eval_cost is M.  ``prefix(m)`` views the first m members as their own
-    committee; nested prefixes reuse the same coefficient storage, which the
-    multilevel estimator relies on for coupling.
+    member_coeffs has shape (M, J, B).  The continuation value is the median
+    of the M member predictions, and a decision still evaluates all M
+    members, so eval_cost is M.  ``prefix(m)`` views the first m members as
+    their own committee; nested prefixes reuse the same coefficient storage,
+    which the multilevel estimator relies on for coupling.
+
+    A decision needs only where the payoff falls among the member
+    predictions, so it counts instead of taking the median: predictions are
+    made in blocks of members, and each row tallies the members at or below
+    its payoff and the members below zero.  With k = M // 2, the median is
+    at or below the payoff exactly when at least k + 1 predictions are, and
+    it is negative exactly when more than k are.  A shift x -> x + eps is
+    monotone in floating point, so the same counts decide a shifted
+    committee.  For odd M the counts decide every row.  For even M the
+    median averages the k-th and (k+1)-th predictions, so rows with a count
+    of exactly k take the exact median, as do rows whose predictions might
+    not be finite or might overflow when two are averaged.  Decisions equal
+    the median rule's bit for bit.
     """
 
     def __init__(self, member_coeffs: np.ndarray, y0: float, d: int):
@@ -147,27 +209,55 @@ class CommitteeRule(StoppingRule):
             raise ValueError(f"prefix size {m} outside 1..{self.members}")
         return CommitteeRule(self.member_coeffs[:m], self.y0, self.d)
 
-    def continuation_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        A = basis_matrix(states, payoffs, self.y0)
+    def _median(self, A: np.ndarray, j: int) -> np.ndarray:
         # (n, M) member predictions, reduced by median across members
-        preds = A @ self.member_coeffs[:, j, :].T
-        return np.median(preds, axis=1)
+        return np.median(A @ self.member_coeffs[:, j, :].T, axis=1)
 
-    def decide_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        if j >= self.n_dates - 1:
-            return np.ones(len(payoffs), dtype=bool)
-        return _stop_mask(payoffs, self.continuation_batch(j, states, payoffs))
+    def continuation_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+        return self._median(basis_matrix(states, payoffs, self.y0), j)
+
+    def _stops(self, j: int, states: np.ndarray, payoffs: np.ndarray, shifts: tuple[float, ...]) -> np.ndarray:
+        pay = np.asarray(payoffs)
+        n = len(pay)
+        if n < 2:
+            # a one-row product takes the matrix-vector kernel, as the median did
+            return super()._stops(j, states, pay, shifts)
+        A = basis_matrix(states, pay, self.y0)
+        coeffs = self.member_coeffs[:, j, :]
+        le = np.zeros(n, dtype=np.intp)
+        neg = np.zeros(n, dtype=np.intp)
+        col = pay[:, None]
+        for blk in _member_blocks(self.members):
+            preds = _shifted(A @ coeffs[blk].T, shifts)
+            le += np.count_nonzero(preds <= col, axis=1)
+            neg += np.count_nonzero(preds < 0.0, axis=1)
+        k, odd = divmod(self.members, 2)
+        stop = (le > k) & ((pay > 0.0) | (neg < k + odd))
+        # |A_i . c| <= sum|A_i| * max|c|; NaN or inf anywhere fails the test too
+        with np.errstate(over="ignore", invalid="ignore"):
+            unsure = ~(np.abs(A).sum(axis=1) * np.abs(coeffs).max() <= _PRED_LIMIT)
+        if not odd:
+            unsure |= (le == k) | (neg == k)
+        rows = np.flatnonzero(unsure)
+        if rows.size:
+            # pad a lone row so the exact product stays matrix-matrix
+            take = rows if rows.size > 1 else np.append(rows, (rows[0] + 1) % n)
+            thr = self._median(A[take], j)[: rows.size]
+            stop[rows] = _stop_mask(pay[rows], _shifted(thr, shifts))
+        return stop
 
 
-class ShiftedRule(StoppingRule):
+class ShiftedRule(ContinuationRule):
     """A continuation-value rule with its threshold shifted by epsilon.
 
     Stops when payoff >= continuation + epsilon.  Larger epsilon means a
-    later stopper; epsilon 0 reproduces the base rule exactly.
+    later stopper; epsilon 0 reproduces the base rule exactly.  Decisions
+    go through the base rule with the shift, so a shifted committee counts
+    members like a bare one.
     """
 
     def __init__(self, base: StoppingRule, epsilon: float):
-        if not hasattr(base, "continuation_batch"):
+        if not isinstance(base, ContinuationRule):
             raise TypeError("shift requires a rule with a continuation value")
         self.base = base
         self.epsilon = float(epsilon)
@@ -177,10 +267,8 @@ class ShiftedRule(StoppingRule):
     def continuation_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
         return self.base.continuation_batch(j, states, payoffs) + self.epsilon
 
-    def decide_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        if j >= self.n_dates - 1:
-            return np.ones(len(payoffs), dtype=bool)
-        return _stop_mask(payoffs, self.continuation_batch(j, states, payoffs))
+    def _stops(self, j: int, states: np.ndarray, payoffs: np.ndarray, shifts: tuple[float, ...]) -> np.ndarray:
+        return self.base._stops(j, states, payoffs, (self.epsilon,) + shifts)
 
 
 class TreeRule(StoppingRule):

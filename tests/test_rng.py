@@ -1,7 +1,11 @@
 """Stream addressing: determinism, block stability, and key separation."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from numpy.random import Philox
 from scipy.special import ndtri
 
 from nccmc import rng
@@ -101,3 +105,46 @@ def test_stream_key_replications_distinct():
     assert not np.array_equal(key0.draw_uniforms(3, 4), key1.draw_uniforms(3, 4))
     with pytest.raises(ValueError):
         rng.StreamKey(seed=1, path=-1)
+
+
+def fresh_words(seed, namespace, stream_class, index, date, n_points, width, first_point):
+    """raw_words as a freshly built Philox generator produces them."""
+    cpp = -(-width // 4)
+    bg = Philox(counter=0, key=rng._pack_key(seed, namespace, stream_class, index, date))
+    bg.advance(first_point * cpp)
+    return bg.random_raw(n_points * cpp * 4).reshape(n_points, cpp * 4)[:, :width]
+
+
+REUSE_CASES = [
+    (7, rng.NS_TESTING, rng.TRUNK, 0, 3, 0, 1),
+    (7, rng.NS_TESTING, rng.TRUNK, 0, 3, 1, 4),
+    (2**64 - 1, rng.NS_TRAINING, rng.SUB, 2**40 - 1, 2**16 - 1, 12345, 5),
+    (99, rng.NS_TESTING, rng.SUB, 17, 0, 2**50, 9),
+]
+
+
+@pytest.mark.parametrize("case", REUSE_CASES)
+def test_reused_generator_matches_fresh_philox(case):
+    *key, first_point, width = case
+    for n_points in (0, 1, 33):
+        got = rng.raw_words(*key, n_points, width, first_point=first_point)
+        assert np.array_equal(got, fresh_words(*key, n_points, width, first_point))
+
+
+def test_reused_generator_is_per_thread():
+    # more threads than cores and a short switch interval, so that a
+    # generator shared between threads would be reset under another's draw
+    def draw_all(_):
+        return [rng.raw_words(*key, 200, width, first_point=fp) for *key, fp, width in REUSE_CASES * 25]
+
+    want = [fresh_words(*key, 200, width, fp) for *key, fp, width in REUSE_CASES * 25]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(draw_all, i) for i in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))

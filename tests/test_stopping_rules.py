@@ -1,5 +1,7 @@
 """Rule semantics: tie handling, shifts, committees, training, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,179 @@ def test_committee_training_validation(small_paths, d2_params):
         train_committee(small_paths, d2_params, members=0, member_size=100, seed=1)
     with pytest.raises(ValueError):
         train_committee(small_paths, d2_params, members=2, member_size=3, seed=1)
+
+
+# --- committee decisions against the median definition ----------------------------
+
+def median_threshold(rule, j, states, payoffs):
+    """The committee's stop threshold by definition: median of all member
+    predictions, plus the shifts of any ShiftedRule wrappers, innermost first."""
+    shifts = []
+    while isinstance(rule, ShiftedRule):
+        shifts.insert(0, rule.epsilon)
+        rule = rule.base
+    preds = basis_matrix(states, payoffs, rule.y0) @ rule.member_coeffs[:, j, :].T
+    thr = np.median(preds, axis=1)
+    for eps in shifts:
+        thr = thr + eps
+    return thr
+
+
+def assert_matches_median(rule, states, payoffs):
+    pay = np.asarray(payoffs)
+    for j in range(rule.n_dates - 1):
+        thr = median_threshold(rule, j, states, pay)
+        want = (pay >= thr) & ((pay > 0.0) | (thr >= 0.0))
+        got = rule.decide_batch(j, states, pay)
+        assert got.dtype == bool
+        assert np.array_equal(got, want), (j, len(pay))
+    assert rule.decide_batch(rule.n_dates - 1, states, pay).all()
+
+
+def random_committee(gen, members, J=3, payoff_blind=False):
+    coeffs = gen.normal(scale=3.0, size=(members, J, basis_size(2)))
+    coeffs[:, :, 0] += 0.5  # member medians straddle zero
+    if payoff_blind:
+        # predictions ignore the payoff column, so a payoff can sit exactly on them
+        coeffs[:, :, -1] = 0.0
+    return CommitteeRule(coeffs, y0=90.0, d=2)
+
+
+def random_states(gen, n):
+    states = 90.0 * np.exp(gen.normal(scale=0.3, size=(n, 2)))
+    return states, np.maximum(states.max(axis=1) - 100.0, 0.0)
+
+
+def at_threshold(rule, states):
+    """Payoffs exactly at each row's date-0 threshold, and one ulp either side."""
+    thr = median_threshold(rule, 0, states, np.zeros(len(states)))
+    return thr, np.nextafter(thr, -np.inf), np.nextafter(thr, np.inf)
+
+
+@pytest.mark.parametrize("members", [1, 2, 3, 10, 65, 2000])
+def test_committee_counting_equals_median(members):
+    gen = np.random.default_rng(members)
+    rule = random_committee(gen, members)
+    states, payoffs = random_states(gen, 400)
+    assert_matches_median(rule, states, payoffs)
+    assert_matches_median(rule, states, np.zeros(len(states)))  # zero payoffs meet the guard
+    for n in (0, 1, 2, 3):
+        assert_matches_median(rule, states[:n], payoffs[:n])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 64, 65, 129, 2000])
+def test_committee_prefix_ties_at_median(m):
+    gen = np.random.default_rng(11)
+    rule = random_committee(gen, 2000, J=1, payoff_blind=True).prefix(m)
+    states, _ = random_states(gen, 300)
+    for payoffs in at_threshold(rule, states):
+        assert_matches_median(rule, states, payoffs)
+        for n in (1, 2):
+            assert_matches_median(rule, states[:n], payoffs[:n])
+        lone = np.where(np.arange(len(payoffs)) == 5, payoffs, 1e6)  # one tied row among clear stops
+        assert_matches_median(rule, states, lone)
+
+
+def constant_committee(values):
+    """Members whose predictions are exactly the given constants."""
+    coeffs = np.zeros((len(values), 1, basis_size(1)))
+    coeffs[:, 0, 0] = values
+    return CommitteeRule(coeffs, y0=90.0, d=1)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [-1.0] * 5 + [1.0] * 5,  # even: median 0 from half the members below it
+        [-1.0] * 5 + [0.0] + [1.0] * 5,
+        [-2.0] * 3 + [-0.0] * 4 + [3.0] * 3,
+        [1.0] * 1000 + [2.0] * 1000,  # half the members tied at the payoff
+        [-1.0] * 1000 + [0.0] * 1000,
+        [-3.0] * 1001 + [-1.0] * 999,
+        [-5e-324] * 5 + [0.0] * 5,  # the median halves a subnormal to -0.0
+        [0.0, 0.0],
+        [-0.0],
+        [2.5],
+    ],
+)
+def test_committee_ties_and_negative_medians(values):
+    rule = constant_committee(values)
+    pay = np.array([-1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    states = np.full((len(pay), 1), 80.0)
+    assert_matches_median(rule, states, pay)
+    for shifted in (ShiftedRule(rule, 1e-17), ShiftedRule(rule, -1.0), ShiftedRule(rule, 0.5)):
+        assert_matches_median(shifted, states, pay)
+
+
+def test_shifted_median_rounds_onto_zero():
+    # the mean of adjacent a < b rounds up to b, and the shift takes b to 0
+    # while a stays below it: k members below zero, yet the threshold is 0
+    a, b = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+    rule = ShiftedRule(constant_committee([a] * 3 + [b] * 3), -b)
+    pay = np.array([-0.0, 0.0, 1e-300])
+    assert_matches_median(rule, np.full((3, 1), 80.0), pay)
+    assert rule.decide_batch(0, np.full((3, 1), 80.0), pay).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_committee_median_overflow():
+    # two finite predictions whose mean overflows to inf: no payoff reaches it
+    coeffs = np.zeros((2, 1, basis_size(1)))
+    coeffs[:, 0, 0] = 9e307
+    rule = CommitteeRule(coeffs, y0=1e308, d=1)
+    pay = np.array([9e307, 1.7e308])
+    assert_matches_median(rule, np.zeros((2, 1)), pay)
+    assert not rule.decide_batch(0, np.zeros((2, 1)), pay).any()
+
+
+@pytest.mark.parametrize("eps", [1e-17, -1e-17, 2.0**-53, 2.0**-52, 3e-16, 1e-300, 1e-9, 0.25])
+@pytest.mark.parametrize("members", [3, 10, 2000])
+def test_shifted_committee_counting_equals_median(eps, members):
+    # from shifts that vanish in fl(median + eps) to ones that move every threshold
+    gen = np.random.default_rng(members)
+    base = random_committee(gen, members, J=1, payoff_blind=True)
+    states, payoffs = random_states(gen, 200)
+    for rule in (ShiftedRule(base, eps), ShiftedRule(ShiftedRule(base, eps), 1.0 + eps)):
+        assert_matches_median(rule, states, payoffs)
+        for pay in at_threshold(rule, states):
+            assert_matches_median(rule, states, pay)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("members", [1, 2, 3, 10])
+def test_committee_non_finite_predictions(members):
+    gen = np.random.default_rng(7)
+    rule = random_committee(gen, members)
+    states, payoffs = random_states(gen, 12)
+    states[1, 0] = np.inf
+    states[2, 1] = -np.inf
+    states[3, 0] = np.nan
+    states[4] = 1e300  # finite states whose predictions overflow
+    payoffs[5] = np.inf
+    payoffs[6] = np.nan
+    assert_matches_median(rule, states, payoffs)
+    for bad in (np.inf, -np.inf, np.nan, 1e308):
+        coeffs = rule.member_coeffs.copy()
+        coeffs[0, :, 0] = bad  # one member's predictions are non-finite or huge on every row
+        assert_matches_median(CommitteeRule(coeffs, 90.0, 2), states, payoffs)
+
+
+def test_committee_decision_never_builds_the_prediction_matrix():
+    M, n = 2000, 16384
+    gen = np.random.default_rng(3)
+    rule = CommitteeRule(gen.normal(size=(M, 1, basis_size(3))), y0=90.0, d=3)
+    states = 90.0 * np.exp(gen.normal(scale=0.3, size=(n, 3)))
+    payoffs = np.maximum(states.max(axis=1) - 100.0, 0.0)
+    full_mb = n * M * 8 / 2**20  # 250 MB, and np.median copies it once more
+    tracemalloc.start()
+    try:
+        rule.decide_batch(0, states, payoffs)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    # measured 17 MB: one 8 MB block of 64 members plus the next being made;
+    # the bound, a tenth of the full matrix, leaves a margin of about 1.5x
+    assert peak_mb < full_mb / 10, peak_mb
 
 
 # --- serialization ------------------------------------------------------------------
