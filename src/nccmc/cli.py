@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -200,6 +201,9 @@ def _run_settings(r: ConfigReader, args) -> RunSettings:
             raise ConfigError(
                 f"config key run.replications must be 'auto' or an integer, got {reps_raw!r}"
             ) from None
+    budget = r.float("run.budget")
+    if budget is not None and not (math.isfinite(budget) and budget > 0):
+        raise ConfigError(f"config key run.budget must be a positive finite number, got {budget!r}")
     return RunSettings(
         seed_training=seed_training,
         seed_testing=seed_testing,
@@ -208,7 +212,7 @@ def _run_settings(r: ConfigReader, args) -> RunSettings:
         n_pilot=r.int("run.n_pilot", 2000),
         r_pilot=r.int("run.r_pilot", 64),
         replications=replications,
-        budget=r.float("run.budget"),
+        budget=budget,
         threads=args.threads,
     )
 
@@ -574,13 +578,13 @@ def cmd_vprofile(args) -> int:
     model, ruleA, ruleB, rs, _ = _build_problem(r, args)
     r_max = r.int("vprofile.r_max", 0)
     points = r.int("vprofile.points", 64)
+    if points < 2:
+        raise ConfigError("vprofile.points must be >= 2")
     r.finish()
     out = Outputs(args, raw)
     cal, rep = _run_pilot(model, ruleA, ruleB, rs)
     if r_max < 1:
         r_max = 4 * (rep.R_rounded if rep is not None else 64)
-    if points < 2:
-        raise ConfigError("vprofile.points must be >= 2")
     grid: list[int] = []
     for k in range(points):
         x = round(r_max ** (k / (points - 1)))

@@ -34,7 +34,7 @@ from .calibration import (
     qcv_allocation,
     v_profile,
 )
-from .nested_cmc import NestedEstimate, ValueEstimate, estimate, estimate_value, pilot
+from .nested_cmc import NestedEstimate, ValueEstimate, estimate, estimate_value, floored_params, pilot
 from .process_models import GbmModel, GbmParams, simulate_training_paths
 from .stopping_rules import basis_size, train_committee, train_tvr
 
@@ -89,22 +89,6 @@ class ExperimentConfig:
             raise ValueError("member_size smaller than the regression basis")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-
-
-def _floored_params(est: NestedEstimate, R: int) -> CalibParams:
-    """Calibration parameters re-measured from a finished main run."""
-    v1 = est.v1_hat
-    v2 = est.v2_hat if est.v2_hat is not None else 0.0
-    scale = max(v1, v2, 1.0)
-    degenerate = v1 <= 0.0 or v2 <= 0.0
-    return CalibParams(
-        v1=max(v1, 1e-12 * scale),
-        v2=max(v2, 1e-12 * scale),
-        rho1=est.work_trunk.units() / est.N,
-        rho2=max(est.work_sub.units() / (est.N * R), 1e-12),
-        p_differ=est.p_differ,
-        degenerate=degenerate,
-    )
 
 
 # --- parameter-uncertainty study -------------------------------------------
@@ -289,7 +273,7 @@ def qcv_estimate(cfg: ExperimentConfig) -> QcvReport:
     baser, corrr, allocr = corrected(R, "rstar")
 
     if R >= 2 and not cal.degenerate:
-        run_params = _floored_params(corrr, R)
+        run_params = floored_params(corrr)
         measured_gain = v_profile(run_params, R) / v_profile(run_params, 1)
     else:
         measured_gain = 1.0

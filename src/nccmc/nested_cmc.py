@@ -27,6 +27,7 @@ import numpy as np
 
 from .calibration import CalibParams
 from .rng import NS_TESTING, SUB, TRUNK
+from .stopping_rules import FixedDateRule
 
 # Paths per scheduling unit.  Fixed: results must not depend on it.
 CHUNK_SIZE = 16384
@@ -55,18 +56,6 @@ class WorkMeter:
     def merge(self, other: "WorkMeter") -> None:
         self.steps += other.steps
         self.rule_evals += other.rule_evals
-
-
-@dataclass(frozen=True, slots=True)
-class TrunkRecord:
-    """One stage-one path frozen at the earlier stopping date."""
-
-    i: int
-    tau_wedge: int
-    S: int
-    x_wedge: float
-    resume_state: object
-    surviving_rule: Optional[str] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,16 +102,18 @@ def _trunk_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int, n: int
     evals = 0
     cost_both = ruleA.eval_cost + ruleB.eval_cost
     for j in range(J + 1):
+        live = np.nonzero(alive)[0]
+        live_states = states[live]
         if j > 0:
             draws = model.draw(seed, namespace, TRUNK, 0, j, n, first_point=p0)
-            live = np.nonzero(alive)[0]
-            states[live] = model.step_batch(j, states[live], draws[live])
-            payoff[live] = model.payoff_batch(j, states[live])
+            live_states = model.step_batch(j, live_states, draws[live])
+            states[live] = live_states
+            payoff[live] = model.payoff_batch(j, live_states)
             steps += live.size * model.step_units
-        live = np.nonzero(alive)[0]
         if j < J:
-            sA = ruleA.decide_batch(j, states[live], payoff[live])
-            sB = ruleB.decide_batch(j, states[live], payoff[live])
+            live_payoff = payoff[live]
+            sA = ruleA.decide_batch(j, live_states, live_payoff)
+            sB = ruleB.decide_batch(j, live_states, live_payoff)
             evals += live.size * cost_both
         else:
             sA = sB = np.ones(live.size, dtype=bool)
@@ -225,36 +216,6 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
     return means, variances, steps, evals
 
 
-def _value_block(model, rule, seed: int, namespace: int, p0: int, n: int):
-    """Single-rule paths [p0, p0+n): payoff at the rule's stopping date."""
-    J = model.J
-    states = model.init_states(n)
-    payoff = np.asarray(model.payoff_batch(0, states), dtype=float)
-    value = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    steps = 0
-    evals = 0
-    for j in range(J + 1):
-        if j > 0:
-            draws = model.draw(seed, namespace, TRUNK, 0, j, n, first_point=p0)
-            live = np.nonzero(alive)[0]
-            states[live] = model.step_batch(j, states[live], draws[live])
-            payoff[live] = model.payoff_batch(j, states[live])
-            steps += live.size * model.step_units
-        live = np.nonzero(alive)[0]
-        if j < J:
-            st = rule.decide_batch(j, states[live], payoff[live])
-            evals += live.size * rule.eval_cost
-        else:
-            st = np.ones(live.size, dtype=bool)
-        idx = live[st]
-        value[idx] = payoff[idx]
-        alive[idx] = False
-        if not alive.any():
-            break
-    return value, steps, evals
-
-
 def _chunks(N: int):
     for start in range(0, N, CHUNK_SIZE):
         yield start, min(CHUNK_SIZE, N - start)
@@ -275,43 +236,6 @@ def _run_chunked(task, N: int, threads: int):
         for fut, k in futures.items():
             out[k] = fut.result()
     return out
-
-
-def run_trunk(model, ruleA, ruleB, i: int, seed: int,
-              namespace: int = NS_TESTING, meter: Optional[WorkMeter] = None) -> TrunkRecord:
-    """Stage one for the single path with index i."""
-    tau, sign, xw, resume, steps, evals = _trunk_block(model, ruleA, ruleB, seed, namespace, i, 1)
-    if meter is not None:
-        meter.steps += steps
-        meter.rule_evals += evals
-    s = int(sign[0])
-    survivor = None if s == 0 else ("A" if s > 0 else "B")
-    state = model.freeze_state(int(tau[0]), resume, 0, float(xw[0]))
-    return TrunkRecord(i=i, tau_wedge=int(tau[0]), S=s, x_wedge=float(xw[0]),
-                       resume_state=state, surviving_rule=survivor)
-
-
-def run_subsamples(trunk: TrunkRecord, model, ruleA, ruleB, R: int, seed: int,
-                   namespace: int = NS_TESTING, meter: Optional[WorkMeter] = None) -> np.ndarray:
-    """Stage two for one trunk: R replication values S*(X_stop - x_wedge).
-
-    Coinciding trunks (S = 0) return R zeros without simulating anything.
-    """
-    if R < 1:
-        raise ValueError("R must be >= 1")
-    if trunk.S == 0:
-        return np.zeros(R)
-    # Single-trunk lane run on the same SUB stream a full estimate() with
-    # this trunk index would use, so the two agree value for value.
-    vals, steps, evals = _sub_lanes(
-        model, ruleA, ruleB, seed, namespace,
-        np.array([trunk.i]), np.array([trunk.tau_wedge]),
-        np.array([trunk.S], dtype=np.int8), np.array([trunk.x_wedge]),
-        model.resume_states(trunk.resume_state, 1), R)
-    if meter is not None:
-        meter.steps += steps
-        meter.rule_evals += evals
-    return vals[0]
 
 
 def estimate(model, ruleA, ruleB, N: int, R: int, seed: int,
@@ -370,14 +294,20 @@ def estimate(model, ruleA, ruleB, N: int, R: int, seed: int,
 
 def estimate_value(model, rule, N: int, seed: int,
                    namespace: int = NS_TESTING, threads: int = 1) -> ValueEstimate:
-    """Plain Monte Carlo for E[X_tau] of one rule over N paths."""
+    """Plain Monte Carlo for E[X_tau] of one rule over N paths.
+
+    Runs stage one against a rule that holds to maturity: it costs nothing
+    and never stops first, so each path's x_wedge is its payoff at the
+    rule's stopping date.
+    """
     if N < 2:
         raise ValueError("N must be >= 2")
+    hold = FixedDateRule(model.J)
     values = np.empty(N)
 
     def task(start: int, n: int):
-        v, steps, evals = _value_block(model, rule, seed, namespace, start, n)
-        values[start:start + n] = v
+        _, _, x_wedge, _, steps, evals = _trunk_block(model, rule, hold, seed, namespace, start, n)
+        values[start:start + n] = x_wedge
         return steps, evals
 
     counters = _run_chunked(task, N, threads)
@@ -390,24 +320,17 @@ def estimate_value(model, rule, N: int, seed: int,
                          stderr=float(np.sqrt(var_hat / N)), N=N, work=work)
 
 
-def pilot(model, ruleA, ruleB, N_pilot: int, R_pilot: int, seed: int,
-          namespace: int = NS_TESTING, threads: int = 1) -> CalibParams:
-    """Estimate (v1, v2, rho1, rho2) from a small two-stage run.
+def floored_params(est: NestedEstimate) -> CalibParams:
+    """Calibration parameters (v1, v2, rho1, rho2) measured from a finished run.
 
     rho1 is trunk work per trunk; rho2 is subsample work per replication slot
     (averaged over all N*R slots, so coinciding trunks dilute it, exactly as
-    they dilute realized cost).  Estimates that come out exactly zero (the
-    rules never disagreed, or a variance vanished) are floored at a tiny
-    positive value and the result is flagged degenerate.
+    they dilute realized cost).  Estimates at or below zero (the rules never
+    disagreed, or a variance vanished) are floored at a tiny positive value
+    and the result is flagged degenerate.
     """
-    if N_pilot < 100:
-        raise ValueError("N_pilot must be >= 100")
-    if R_pilot < 2:
-        raise ValueError("R_pilot must be >= 2")
-    est = estimate(model, ruleA, ruleB, N_pilot, R_pilot, seed,
-                   namespace=namespace, threads=threads)
-    rho1 = est.work_trunk.units() / N_pilot
-    rho2 = est.work_sub.units() / (N_pilot * R_pilot)
+    rho1 = est.work_trunk.units() / est.N
+    rho2 = est.work_sub.units() / (est.N * est.R)
     v1 = est.v1_hat
     v2 = est.v2_hat if est.v2_hat is not None else 0.0
     degenerate = False
@@ -425,3 +348,19 @@ def pilot(model, ruleA, ruleB, N_pilot: int, R_pilot: int, seed: int,
         degenerate = True
     return CalibParams(v1=v1, v2=v2, rho1=rho1, rho2=rho2,
                        p_differ=est.p_differ, degenerate=degenerate)
+
+
+def pilot(model, ruleA, ruleB, N_pilot: int, R_pilot: int, seed: int,
+          namespace: int = NS_TESTING, threads: int = 1) -> CalibParams:
+    """Estimate (v1, v2, rho1, rho2) from a small two-stage run.
+
+    The parameters are those of ``floored_params``: a component that comes
+    out at or below zero is floored and the result flagged degenerate.
+    """
+    if N_pilot < 100:
+        raise ValueError("N_pilot must be >= 100")
+    if R_pilot < 2:
+        raise ValueError("R_pilot must be >= 2")
+    est = estimate(model, ruleA, ruleB, N_pilot, R_pilot, seed,
+                   namespace=namespace, threads=threads)
+    return floored_params(est)

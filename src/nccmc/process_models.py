@@ -25,7 +25,6 @@ from typing import Union
 import numpy as np
 
 from . import rng
-from .rng import StreamKey
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,30 +73,6 @@ class GbmParams:
 
 
 @dataclass(frozen=True, slots=True)
-class PathState:
-    """A path frozen at one date: everything needed to continue it."""
-
-    j: int
-    assets: np.ndarray
-    payoff: float
-
-
-@dataclass(frozen=True, slots=True)
-class Trajectory:
-    """States and payoffs along dates j0..J (row k is date j0 + k)."""
-
-    j0: int
-    assets: np.ndarray  # (n_dates, d)
-    payoffs: np.ndarray  # (n_dates,)
-
-    def state(self, j: int) -> PathState:
-        k = j - self.j0
-        if not 0 <= k < len(self.payoffs):
-            raise ValueError(f"date {j} outside trajectory range")
-        return PathState(j=j, assets=self.assets[k].copy(), payoff=float(self.payoffs[k]))
-
-
-@dataclass(frozen=True, slots=True)
 class TrainingPaths:
     """A bundle of full paths used to fit regression stopping rules."""
 
@@ -134,49 +109,13 @@ def gbm_step(
     return assets * np.exp(drift + params.sigma * np.sqrt(dt) * z)
 
 
-def simulate_full_path(params: GbmParams, stream: StreamKey) -> Trajectory:
-    """Simulate one path over all dates under the given stream key."""
-    J = params.J
-    assets = np.empty((params.n_dates, params.d))
-    payoffs = np.empty(params.n_dates)
-    assets[0] = params.y0
-    payoffs[0] = max_call_payoff(0, assets[0], params)
-    for j in range(1, J + 1):
-        z = stream.draw_normals(j, params.d)
-        assets[j] = gbm_step(assets[j - 1], params.dt, params, z)
-        payoffs[j] = max_call_payoff(j, assets[j], params)
-    return Trajectory(j0=0, assets=assets, payoffs=payoffs)
-
-
-def continue_path(state: PathState, params: GbmParams, stream: StreamKey) -> Trajectory:
-    """Continue a frozen path to maturity.
-
-    With replication 0 the continuation re-uses the path's own trunk stream,
-    so it reproduces the tail of ``simulate_full_path`` for the same path
-    index; replications r >= 1 give continuations that are conditionally
-    independent given the state.
-    """
-    if not 0 <= state.j < params.J:
-        raise ValueError("cannot continue from maturity or outside the grid")
-    n_left = params.J - state.j
-    assets = np.empty((n_left + 1, params.d))
-    payoffs = np.empty(n_left + 1)
-    assets[0] = np.asarray(state.assets, dtype=float)
-    payoffs[0] = state.payoff
-    for k, j in enumerate(range(state.j + 1, params.J + 1), start=1):
-        z = stream.draw_normals(j, params.d)
-        assets[k] = gbm_step(assets[k - 1], params.dt, params, z)
-        payoffs[k] = max_call_payoff(j, assets[k], params)
-    return Trajectory(j0=state.j, assets=assets, payoffs=payoffs)
-
-
 def simulate_training_paths(
     params: GbmParams, n: int, seed: int, namespace: int = rng.NS_TRAINING
 ) -> TrainingPaths:
     """Simulate n full paths in one batch, by default in the training namespace.
 
-    Path p here sees exactly the draws of ``simulate_full_path`` with
-    StreamKey(seed, namespace, path=p).
+    Path p draws point p of each date's TRUNK stream, the same noise the
+    estimator's stage one gives its path p under that seed and namespace.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -215,21 +154,6 @@ class GbmModel:
 
     def step_batch(self, j: int, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
         return gbm_step(states, self.params.dt, self.params, draws)
-
-    def freeze_state(self, j: int, states: np.ndarray, row: int, payoff: float) -> PathState:
-        return PathState(j=j, assets=states[row].copy(), payoff=payoff)
-
-    def resume_states(self, state: PathState, n: int) -> np.ndarray:
-        return np.tile(np.asarray(state.assets, dtype=float), (n, 1))
-
-
-@dataclass(frozen=True, slots=True)
-class TreeState:
-    """A tree path frozen at one date."""
-
-    j: int
-    node: int
-    payoff: float
 
 
 class TreeModel:
@@ -324,12 +248,6 @@ class TreeModel:
         u = np.asarray(draws).reshape(-1, 1)
         pick = (u > self._cum_table[states]).sum(axis=1)
         return self._id_table[states, pick]
-
-    def freeze_state(self, j: int, states: np.ndarray, row: int, payoff: float) -> TreeState:
-        return TreeState(j=j, node=int(states[row]), payoff=payoff)
-
-    def resume_states(self, state: TreeState, n: int) -> np.ndarray:
-        return np.full(n, state.node, dtype=np.int64)
 
 
 def load_tree(source: Union[str, dict]) -> TreeModel:

@@ -21,26 +21,22 @@ variates owns ``ceil(width / 4)`` counter units; ``advance`` then jumps
 straight to any point without generating its predecessors.
 
 Trunk streams are keyed per date and addressed by path index.  Subsample
-streams come in two layouts that never collide because they use disjoint
-date keys: the estimator keys one stream per trunk (class SUB, date key 0)
-and addresses point (j - 1) * R + (r - 1) for replication r's date-j draw,
-which lets a trunk fetch all its continuation noise in one call; the
-single-path StreamKey API keys (class SUB, date key j >= 1) addressed by
-replication, independent draws for ad-hoc continuations.
+streams are keyed one per trunk (class SUB, index the trunk's path, date
+key 0) and address point (j - 1) * R + (r - 1) for replication r's date-j
+draw, which lets a trunk fetch all its continuation noise in one call.
 """
 
 from __future__ import annotations
 
 import threading
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-# Stream classes.  TRUNK streams are indexed by date and addressed by path;
-# SUB streams are indexed by (trunk path, date) and addressed by replication.
+# Stream classes.  TRUNK streams are keyed by date and addressed by path;
+# SUB streams are keyed by trunk path and addressed by (date, replication).
 TRUNK = 0
 SUB = 1
 
@@ -170,43 +166,3 @@ def normals(
 ) -> np.ndarray:
     """Standard normal variates via inverse-CDF, shape (n_points, width)."""
     return ndtri(uniforms(seed, namespace, stream_class, index, date, n_points, width, first_point))
-
-
-@dataclass(frozen=True, slots=True)
-class StreamKey:
-    """Addresses the randomness of one path or one continuation.
-
-    ``replication`` 0 denotes the path's own (trunk) stream; replication
-    r >= 1 denotes the r-th conditionally independent continuation hanging
-    off that path.  Two keys differing in any field index disjoint counter
-    blocks, hence independent variates.
-    """
-
-    seed: int
-    namespace: int = NS_TESTING
-    path: int = 0
-    replication: int = 0
-
-    def __post_init__(self) -> None:
-        if self.path < 0 or self.replication < 0:
-            raise ValueError("path and replication must be non-negative")
-
-    def draw_normals(self, date: int, width: int) -> np.ndarray:
-        """Normals for this key at one date, shape (width,)."""
-        if self.replication == 0:
-            block = normals(self.seed, self.namespace, TRUNK, 0, date, 1, width, first_point=self.path)
-        else:
-            block = normals(
-                self.seed, self.namespace, SUB, self.path, date, 1, width, first_point=self.replication - 1
-            )
-        return block[0]
-
-    def draw_uniforms(self, date: int, width: int) -> np.ndarray:
-        """Uniforms for this key at one date, shape (width,)."""
-        if self.replication == 0:
-            block = uniforms(self.seed, self.namespace, TRUNK, 0, date, 1, width, first_point=self.path)
-        else:
-            block = uniforms(
-                self.seed, self.namespace, SUB, self.path, date, 1, width, first_point=self.replication - 1
-            )
-        return block[0]

@@ -30,11 +30,9 @@ and every decision still evaluates all M members, so eval_cost stays M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .process_models import GbmParams, TrainingPaths, Trajectory, TreeModel
+from .process_models import GbmParams, TrainingPaths, TreeModel
 from .rng import derive_seed
 
 
@@ -353,105 +351,3 @@ def train_committee(
         idx = gen.integers(0, n, size=member_size)
         coeffs[m] = _fit_backward(paths.assets[idx], paths.payoffs[idx], params.y0, rcond)
     return CommitteeRule(coeffs, params.y0, params.d)
-
-
-def evaluate_rule(rule: StoppingRule, trajectory: Trajectory, start: int = 0) -> int:
-    """First date >= start at which the rule stops along the trajectory."""
-    J = trajectory.j0 + len(trajectory.payoffs) - 1
-    if start < trajectory.j0:
-        raise ValueError("start precedes the trajectory")
-    for j in range(start, J):
-        k = j - trajectory.j0
-        if rule.decide(j, trajectory.assets[k], float(trajectory.payoffs[k])):
-            return j
-    return J
-
-
-# --- flat text serialization ----------------------------------------------
-
-def save_rule(rule: StoppingRule, path: str) -> None:
-    """Write a trained rule as flat text: header key/value lines, then one
-    line per date (committees: member index, date index, coefficients)."""
-    lines: list[str] = []
-
-    def emit(r: StoppingRule) -> None:
-        if isinstance(r, ShiftedRule):
-            lines.append("kind shifted")
-            lines.append(f"epsilon {float(r.epsilon)!r}")
-            emit(r.base)
-        elif isinstance(r, RegressionRule):
-            lines.append("kind regression")
-            lines.append(f"d {r.d}")
-            lines.append(f"y0 {float(r.y0)!r}")
-            lines.append(f"dates {r.n_dates}")
-            for j in range(r.n_dates - 1):
-                row = " ".join(repr(float(c)) for c in r.coeffs[j])
-                lines.append(f"{j} {row}")
-        elif isinstance(r, CommitteeRule):
-            lines.append("kind committee")
-            lines.append(f"d {r.d}")
-            lines.append(f"y0 {float(r.y0)!r}")
-            lines.append(f"dates {r.n_dates}")
-            lines.append(f"members {r.members}")
-            for m in range(r.members):
-                for j in range(r.n_dates - 1):
-                    row = " ".join(repr(float(c)) for c in r.member_coeffs[m, j])
-                    lines.append(f"{m} {j} {row}")
-        else:
-            raise TypeError(f"cannot serialize rule of type {type(r).__name__}")
-
-    emit(rule)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_rule(path: str) -> StoppingRule:
-    """Read back a rule written by save_rule."""
-    with open(path) as fh:
-        toks = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
-    pos = 0
-
-    def parse() -> StoppingRule:
-        nonlocal pos
-        if toks[pos][0] != "kind":
-            raise ValueError(f"expected 'kind', got {toks[pos][0]!r}")
-        kind = toks[pos][1]
-        pos += 1
-        if kind == "shifted":
-            if toks[pos][0] != "epsilon":
-                raise ValueError("shifted rule missing epsilon")
-            eps = float(toks[pos][1])
-            pos += 1
-            return ShiftedRule(parse(), eps)
-        header = {}
-        want = {"regression": ("d", "y0", "dates"), "committee": ("d", "y0", "dates", "members")}
-        if kind not in want:
-            raise ValueError(f"unknown rule kind {kind!r}")
-        for key in want[kind]:
-            if toks[pos][0] != key:
-                raise ValueError(f"expected header {key!r}, got {toks[pos][0]!r}")
-            header[key] = float(toks[pos][1])
-            pos += 1
-        d = int(header["d"])
-        y0 = header["y0"]
-        J = int(header["dates"]) - 1
-        B = basis_size(d)
-        if kind == "regression":
-            coeffs = np.empty((J, B))
-            for _ in range(J):
-                row = toks[pos]
-                pos += 1
-                coeffs[int(row[0])] = [float(x) for x in row[1:]]
-            return RegressionRule(coeffs, y0, d)
-        M = int(header["members"])
-        coeffs = np.empty((M, J, B))
-        for _ in range(M * J):
-            row = toks[pos]
-            pos += 1
-            coeffs[int(row[0]), int(row[1])] = [float(x) for x in row[2:]]
-        return CommitteeRule(coeffs, y0, d)
-
-    rule = parse()
-    if pos != len(toks):
-        raise ValueError("trailing content in rule file")
-    return rule

@@ -98,6 +98,16 @@ def test_bad_thread_env_exits_2(tmp_path, monkeypatch, capsys):
     assert "NCCMC_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["-5", "0", "nan", "inf"])
+def test_bad_budget_exits_2(tmp_path, capsys, budget):
+    out = tmp_path / "o"
+    cfg = config(tmp_path, TREE_AB + f"run.budget={budget}\n")
+    rc = cli.main(["estimate", "--config", cfg, "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert "run.budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_3(tmp_path, capsys):
     # too few training paths for the regression basis: fails inside training
     cfg = config(tmp_path, "rules.a.training_paths=5\nrun.testing_paths=100\n")
@@ -311,3 +321,12 @@ def test_vprofile_grid(tmp_path):
     assert rs[0] == 1 and rs[-1] == 64
     assert rs == sorted(set(rs))
     assert all(v > 0 for _, v in rows)
+
+
+def test_vprofile_rejects_one_point_before_any_output(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = config(tmp_path, TREE_AB + "vprofile.points=1\n")
+    rc = cli.main(["vprofile", "--config", cfg, "--seed", "6", "--out", str(out)])
+    assert rc == 2
+    assert "vprofile.points" in capsys.readouterr().err
+    assert not out.exists()

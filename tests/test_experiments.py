@@ -11,6 +11,8 @@ from nccmc.experiments import (
     param_uncertainty_study,
     qcv_estimate,
 )
+from nccmc.calibration import v_profile
+from nccmc.nested_cmc import estimate, floored_params
 from nccmc.process_models import GbmParams
 
 
@@ -135,6 +137,30 @@ def test_qcv_gain_fields_coherent(qcv_report):
     assert r.measured_gain > 0
     if r.R_used >= 2:
         assert r.calibration.gamma_star <= 1.0
+
+
+def test_qcv_measured_gain_floors_a_zero_component(d2_params, monkeypatch):
+    # the main runs' v1 is forced to zero: measured_gain floors it as the
+    # pilot would, at 1e-12 times max(v1, v2, 1)
+    from nccmc import experiments
+
+    runs = []
+
+    def zero_v1(*args, **kwargs):
+        est = dataclasses.replace(estimate(*args, **kwargs), v1_hat=0.0)
+        runs.append(est)
+        return est
+
+    monkeypatch.setattr(experiments, "estimate", zero_v1)
+    cfg = small_config(d2_params, r_pilot=16, committee_members=8, replications=3, budget=3e5)
+    rep = qcv_estimate(cfg)
+    assert not rep.pilot_params.degenerate  # else measured_gain is not measured
+    main = runs[-1]
+    assert main.R == rep.R_used == 3
+    run_params = floored_params(main)
+    assert run_params.v1 == 1e-12 * max(main.v2_hat, 1.0)
+    assert run_params.degenerate
+    assert rep.measured_gain == v_profile(run_params, 3) / v_profile(run_params, 1)
 
 
 def test_qcv_requires_budget(d2_params):

@@ -1,94 +1,126 @@
-"""Two-stage engine: trunk records, replication values, variance accounting."""
+"""Two-stage engine: stage-one and stage-two kernels, variance accounting."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from nccmc.nested_cmc import (
     WorkMeter,
+    _sub_block,
+    _sub_lanes,
+    _trunk_block,
     estimate,
     estimate_value,
+    floored_params,
     pilot,
-    run_subsamples,
-    run_trunk,
 )
 from nccmc.oracle import exact_delta
 from nccmc.process_models import GbmModel, GbmParams
+from nccmc.rng import NS_TESTING
 from nccmc.stopping_rules import FixedDateRule, TreeRule
+
+
+def trunk(model, A, B, i, seed):
+    """Stage one for path i alone: (tau, sign, x_wedge, resume, steps, evals)."""
+    tau, sign, xw, resume, steps, evals = _trunk_block(model, A, B, seed, NS_TESTING, i, 1)
+    return int(tau[0]), int(sign[0]), float(xw[0]), resume, steps, evals
 
 
 # --- trunk stage ---------------------------------------------------------------
 
 def test_equal_fixed_rules_coincide(tree2):
-    trunk = run_trunk(tree2, FixedDateRule(2), FixedDateRule(2), 0, seed=1)
-    assert trunk.tau_wedge == tree2.J
-    assert trunk.S == 0
-    assert trunk.surviving_rule is None
+    tau, sign, _, _, _, _ = trunk(tree2, FixedDateRule(2), FixedDateRule(2), 0, seed=1)
+    assert tau == tree2.J
+    assert sign == 0
 
 
 def test_sign_convention(tree2):
     # A stops first: S is negative and B survives
-    trunk = run_trunk(tree2, FixedDateRule(0), FixedDateRule(2), 0, seed=1)
-    assert trunk.tau_wedge == 0
-    assert trunk.S == -1
-    assert trunk.surviving_rule == "B"
-    trunk = run_trunk(tree2, FixedDateRule(2), FixedDateRule(0), 0, seed=1)
-    assert trunk.S == 1
-    assert trunk.surviving_rule == "A"
+    tau, sign, _, _, _, _ = trunk(tree2, FixedDateRule(0), FixedDateRule(2), 0, seed=1)
+    assert tau == 0
+    assert sign == -1
+    _, sign, _, _, _, _ = trunk(tree2, FixedDateRule(2), FixedDateRule(0), 0, seed=1)
+    assert sign == 1
 
 
 def test_trunk_on_one_period_tree(tree1):
-    trunk = run_trunk(tree1, FixedDateRule(0), FixedDateRule(1), 0, seed=1)
-    assert trunk.S == -1
-    assert trunk.x_wedge == 1.0
+    _, sign, xw, resume, _, _ = trunk(tree1, FixedDateRule(0), FixedDateRule(1), 0, seed=1)
+    assert sign == -1
+    assert xw == 1.0
+    assert resume[0] == tree1.label_to_id["root"]
 
 
 def test_trunk_meter_counts_steps(tree2):
-    meter = WorkMeter()
-    run_trunk(tree2, FixedDateRule(0), FixedDateRule(2), 0, seed=1, meter=meter)
-    assert meter.steps == 0  # stopped at the root, nothing simulated
-    meter2 = WorkMeter()
-    run_trunk(tree2, FixedDateRule(1), FixedDateRule(2), 0, seed=1, meter=meter2)
-    assert meter2.steps == 1
+    steps = trunk(tree2, FixedDateRule(0), FixedDateRule(2), 0, seed=1)[4]
+    assert steps == 0  # stopped at the root, nothing simulated
+    steps = trunk(tree2, FixedDateRule(1), FixedDateRule(2), 0, seed=1)[4]
+    assert steps == 1
+
+
+def test_path_alone_equals_its_batch_row(tree2, tree2_rules, d2_params, small_rule_pair):
+    p0, n = 37, 40
+    for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
+        tau, sign, xw, resume, _, _ = _trunk_block(model, A, B, 5, NS_TESTING, p0, n)
+        assert np.count_nonzero(sign) > 0
+        for k in range(n):
+            t, s, x, r, _, _ = _trunk_block(model, A, B, 5, NS_TESTING, p0 + k, 1)
+            assert (t[0], s[0], x[0]) == (tau[k], sign[k], xw[k])
+            assert np.array_equal(r[0], resume[k])
 
 
 # --- replication stage -----------------------------------------------------------
 
 def test_coinciding_trunk_replicates_for_free(tree2):
-    trunk = run_trunk(tree2, FixedDateRule(2), FixedDateRule(2), 0, seed=1)
-    meter = WorkMeter()
-    vals = run_subsamples(trunk, tree2, FixedDateRule(2), FixedDateRule(2), 8, seed=1, meter=meter)
-    assert np.array_equal(vals, np.zeros(8))
-    assert meter.steps == 0 and meter.rule_evals == 0
+    A = B = FixedDateRule(2)
+    tau, sign, xw, resume, _, _ = _trunk_block(tree2, A, B, 1, NS_TESTING, 0, 1)
+    means, variances, steps, evals = _sub_block(tree2, A, B, 1, NS_TESTING, 0, tau, sign, xw, resume, 8)
+    assert np.array_equal(means, np.zeros(1)) and np.array_equal(variances, np.zeros(1))
+    assert steps == 0 and evals == 0
+
+
+def replication_values(model, A, B, n, R, seed):
+    """Stage two's (trunk, replication) values for the differing trunks of paths [0, n)."""
+    tau, sign, xw, resume, _, _ = _trunk_block(model, A, B, seed, NS_TESTING, 0, n)
+    diff = np.nonzero(sign)[0]
+    vals, _, _ = _sub_lanes(model, A, B, seed, NS_TESTING, diff, tau[diff], sign[diff],
+                            xw[diff], resume[diff], R)
+    return vals
 
 
 def test_one_period_tree_replication_values(tree1):
     # the survivor continues to X_1 in {3, 0}; against x_wedge 1 and S -1
     # each replication value is -2 or +1 and their long-run mean is the
     # exact difference -0.5
-    A, B = FixedDateRule(0), FixedDateRule(1)
-    values = []
-    for i in range(800):
-        trunk = run_trunk(tree1, A, B, i, seed=9)
-        values.extend(run_subsamples(trunk, tree1, A, B, 5, seed=9))
-    values = np.asarray(values)
+    values = replication_values(tree1, FixedDateRule(0), FixedDateRule(1), 800, 5, seed=9)
+    assert values.shape == (800, 5)
     assert set(np.unique(values)) == {-2.0, 1.0}
-    se = values.std(ddof=1) / np.sqrt(len(values))
+    se = values.std(ddof=1) / np.sqrt(values.size)
     assert abs(values.mean() - (-0.5)) < 4 * se
 
 
 def test_deterministic_model_replicates_identically():
     p = GbmParams(d=1, r=0.0, delta=0.05, sigma=0.0, K=100.0, y0=150.0, T=2.0, n_dates=5)
-    model = GbmModel(p)
-    trunk = run_trunk(model, FixedDateRule(0), FixedDateRule(4), 0, seed=3)
-    assert trunk.S == -1
-    vals = run_subsamples(trunk, model, FixedDateRule(0), FixedDateRule(4), 6, seed=3)
+    vals = replication_values(GbmModel(p), FixedDateRule(0), FixedDateRule(4), 3, 6, seed=3)
+    assert vals.shape == (3, 6)
     assert np.ptp(vals) == 0.0
+    # S = -1 times (X_4 - X_0) along the one deterministic path
+    assert vals[0, 0] == pytest.approx(-((150.0 * np.exp(-0.05 * 2.0) - 100.0) - 50.0), rel=1e-12)
 
 
-def test_replication_count_validated(tree1):
-    trunk = run_trunk(tree1, FixedDateRule(0), FixedDateRule(1), 0, seed=1)
-    with pytest.raises(ValueError):
-        run_subsamples(trunk, tree1, FixedDateRule(0), FixedDateRule(1), 0, seed=1)
+def test_continuations_start_after_the_frozen_date(tree2):
+    # trunks frozen at dates 0 and 1 continue from their own date on: the
+    # first costs two steps per replication, the second one; B stops only
+    # at maturity
+    A, B = FixedDateRule(0), TreeRule(tree2, [])
+    resume = np.array([tree2.label_to_id["root"], tree2.label_to_id["1"]])
+    R = 4
+    vals, steps, evals = _sub_lanes(tree2, A, B, 1, NS_TESTING, np.array([0, 1]), np.array([0, 1]),
+                                    np.array([-1, -1], dtype=np.int8), np.array([0.0, 0.0]), resume, R)
+    assert steps == R * 2 + R * 1
+    assert evals == R * 1  # B decides at date 1 for the date-0 trunk's lanes only
+    # the date-1 trunk sits on node 1, whose children pay 2 or 0
+    assert set(np.unique(-vals[1])) <= {2.0, 0.0}
 
 
 # --- full estimator ----------------------------------------------------------------
@@ -102,15 +134,24 @@ def test_identical_rules_give_exact_zero(tree2):
     assert est.p_differ == 0.0
 
 
-def test_estimate_matches_single_trunk_api(tree2, tree2_rules):
-    A, B = tree2_rules
+def test_estimate_matches_single_trunk_api(tree2, tree2_rules, d2_params, small_rule_pair):
+    # every trunk run alone through both kernels, then reduced as estimate does
     N, R = 64, 3
-    est = estimate(tree2, A, B, N, R, seed=21)
-    means = []
-    for i in range(N):
-        trunk = run_trunk(tree2, A, B, i, seed=21)
-        means.append(run_subsamples(trunk, tree2, A, B, R, seed=21).mean())
-    assert est.delta_hat == pytest.approx(np.mean(means), rel=1e-12)
+    for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
+        est = estimate(model, A, B, N, R, seed=21)
+        means, variances = np.empty(N), np.empty(N)
+        work_trunk, work_sub = WorkMeter(), WorkMeter()
+        for i in range(N):
+            tau, sign, xw, resume, steps, evals = _trunk_block(model, A, B, 21, NS_TESTING, i, 1)
+            work_trunk.merge(WorkMeter(steps, evals))
+            m, v, steps, evals = _sub_block(model, A, B, 21, NS_TESTING, i, tau, sign, xw, resume, R)
+            work_sub.merge(WorkMeter(steps, evals))
+            means[i], variances[i] = m[0], v[0]
+        assert est.delta_hat == float(np.mean(means))
+        assert est.v2_hat == float(np.mean(variances))
+        assert est.v1_hat == max(float(np.var(means, ddof=1)) - est.v2_hat / R, 0.0)
+        assert (est.work_trunk, est.work_sub) == (work_trunk, work_sub)
+        assert est.p_differ > 0
 
 
 def test_r1_reports_no_inner_variance(tree2, tree2_rules):
@@ -188,6 +229,28 @@ def test_pilot_flags_equal_rules(tree2):
     assert cal.degenerate
     assert cal.p_differ == 0.0
     assert cal.v1 > 0 and cal.v2 > 0  # floored, never zero
+
+
+def test_pilot_floors_zero_components(tree2):
+    # equal rules never differ: v1, v2 and rho2 all come out exactly zero,
+    # and each is floored at 1e-12 times its scale
+    rule = TreeRule(tree2, ["0"])
+    cal = pilot(tree2, rule, rule, 500, 8, seed=3)
+    assert (cal.v1, cal.v2) == (1e-12, 1e-12)  # scale max(v1, v2, 1) = 1
+    assert cal.rho1 > 1.0
+    assert cal.rho2 == 1e-12 * cal.rho1
+    assert cal == floored_params(estimate(tree2, rule, rule, 500, 8, seed=3))
+
+
+def test_floored_params_keeps_positive_components(tree2, tree2_rules):
+    # only a component at or below zero is floored; a tiny positive one stays
+    est = estimate(tree2, *tree2_rules, 400, 6, seed=5)
+    tiny = dataclasses.replace(est, v1_hat=1e-300)
+    cal = floored_params(tiny)
+    assert cal.v1 == 1e-300 and not cal.degenerate
+    assert cal.v2 == est.v2_hat
+    zero = floored_params(dataclasses.replace(est, v1_hat=0.0))
+    assert zero.v1 == 1e-12 * max(est.v2_hat, 1.0) and zero.degenerate
 
 
 def test_pilot_validates_sizes(tree2, tree2_rules):

@@ -5,20 +5,18 @@ import pytest
 from scipy import stats
 
 from nccmc import rng
+from nccmc.nested_cmc import _sub_lanes, _trunk_block
 from nccmc.process_models import (
     GbmModel,
     GbmParams,
-    PathState,
     TreeModel,
     bundled_tree,
-    continue_path,
     gbm_step,
     load_tree,
     max_call_payoff,
-    simulate_full_path,
     simulate_training_paths,
 )
-from nccmc.rng import StreamKey
+from nccmc.stopping_rules import FixedDateRule
 
 
 def params(**kw):
@@ -106,77 +104,88 @@ def test_discounted_drift_martingale():
 
 def test_full_path_deterministic():
     p = params()
-    a = simulate_full_path(p, StreamKey(seed=5, path=3))
-    b = simulate_full_path(p, StreamKey(seed=5, path=3))
+    a = simulate_training_paths(p, 5, 5)
+    b = simulate_training_paths(p, 5, 5)
     assert np.array_equal(a.assets, b.assets)
     assert np.array_equal(a.payoffs, b.payoffs)
 
 
 def test_full_path_zero_vol_closed_form():
     p = params(sigma=0.0)
-    traj = simulate_full_path(p, StreamKey(seed=5))
+    bundle = simulate_training_paths(p, 3, 5)
     growth = np.exp((p.r - p.delta) * p.dates)
-    assert np.allclose(traj.assets[:, 0], p.y0 * growth, rtol=1e-12)
-    expected = np.exp(-p.r * p.dates) * np.maximum(p.y0 * growth - p.K, 0.0)
-    assert np.allclose(traj.payoffs, expected, rtol=1e-12)
+    for path in range(3):
+        assert np.allclose(bundle.assets[path, :, 0], p.y0 * growth, rtol=1e-12)
+        expected = np.exp(-p.r * p.dates) * np.maximum(p.y0 * growth - p.K, 0.0)
+        assert np.allclose(bundle.payoffs[path], expected, rtol=1e-12)
 
 
 def test_stored_payoffs_recomputable():
     p = params()
-    traj = simulate_full_path(p, StreamKey(seed=8, path=1))
+    bundle = simulate_training_paths(p, 4, 8)
     for j in range(p.n_dates):
-        assert traj.payoffs[j] == max_call_payoff(j, traj.assets[j], p)
+        assert np.array_equal(bundle.payoffs[:, j], max_call_payoff(j, bundle.assets[:, j], p))
 
 
 def test_training_batch_matches_per_path_streams():
+    # stage one run alone on path p, holding to maturity, ends where the
+    # training batch's path p does
     p = params()
+    model = GbmModel(p)
+    hold = FixedDateRule(p.J)
     bundle = simulate_training_paths(p, 7, 21)
     for path in (0, 3, 6):
-        solo = simulate_full_path(p, StreamKey(seed=21, namespace=rng.NS_TRAINING, path=path))
-        assert np.array_equal(bundle.assets[path], solo.assets)
-        assert np.array_equal(bundle.payoffs[path], solo.payoffs)
+        _, _, xw, resume, _, _ = _trunk_block(model, hold, hold, 21, rng.NS_TRAINING, path, 1)
+        assert np.array_equal(resume[0], bundle.assets[path, p.J])
+        assert xw[0] == bundle.payoffs[path, p.J]
+
+
+def continuation_payoffs(p, tau, state, R, seed):
+    """Maturity payoffs of R stage-two continuations of one trunk frozen at tau.
+
+    The surviving rule holds to maturity; with S = -1 and x_wedge 0 each
+    replication value is minus its discounted maturity payoff.
+    """
+    vals, steps, _ = _sub_lanes(
+        GbmModel(p), FixedDateRule(0), FixedDateRule(p.J), seed, rng.NS_TESTING,
+        np.array([0]), np.array([tau]), np.array([-1], dtype=np.int8), np.array([0.0]),
+        np.asarray(state, dtype=float)[None], R)
+    assert steps == R * (p.J - tau) * p.d
+    return -vals[0]
 
 
 def test_continuation_zero_vol_matches_full_path_tail():
-    p = params(sigma=0.0)
-    full = simulate_full_path(p, StreamKey(seed=5))
-    cont = continue_path(full.state(4), p, StreamKey(seed=5, replication=1))
-    assert np.allclose(cont.assets, full.assets[4:], rtol=1e-12)
+    p = params(sigma=0.0, y0=150.0)
+    full = simulate_training_paths(p, 1, 5)
+    pays = continuation_payoffs(p, 4, full.assets[0, 4], 3, seed=5)
+    assert full.payoffs[0, p.J] > 0
+    assert np.allclose(pays, full.payoffs[0, p.J], rtol=1e-12)
 
 
 def test_continuations_distinct_across_replications():
-    p = params()
-    state = simulate_full_path(p, StreamKey(seed=5, path=2)).state(3)
-    c1 = continue_path(state, p, StreamKey(seed=5, path=2, replication=1))
-    c2 = continue_path(state, p, StreamKey(seed=5, path=2, replication=2))
-    assert not np.array_equal(c1.assets[1:], c2.assets[1:])
+    p = params(K=1e-9)  # every payoff positive, so no ties at zero
+    pays = continuation_payoffs(p, 3, [95.0, 101.0], 50, seed=5)
+    assert np.unique(pays).size == 50
 
 
-def test_continuation_from_maturity_rejected():
-    p = params()
-    traj = simulate_full_path(p, StreamKey(seed=5))
-    with pytest.raises(ValueError):
-        continue_path(traj.state(p.J), p, StreamKey(seed=5, replication=1))
+def test_continuation_from_maturity_rejected(d2_params, small_rule_pair):
+    # both rules stop at J, so a trunk that reaches it always has S = 0 and
+    # stage two never resumes a path there
+    A, B = small_rule_pair
+    tau, sign, *_ = _trunk_block(GbmModel(d2_params), A, B, 12, rng.NS_TESTING, 0, 4000)
+    assert np.any(tau == d2_params.J)
+    assert np.all(sign[tau == d2_params.J] == 0)
+    assert np.count_nonzero(sign) > 0
 
 
 def test_pooled_continuations_have_gbm_mean():
-    p = params(d=1)
-    state = PathState(j=4, assets=np.array([105.0]), payoff=0.0)
-    finals = np.array([
-        continue_path(state, p, StreamKey(seed=77, path=0, replication=r)).assets[-1, 0]
-        for r in range(1, 3001)
-    ])
+    # with a strike of ~0 the maturity payoff is linear in the asset
+    p = params(d=1, K=1e-9)
+    pays = continuation_payoffs(p, 4, [105.0], 3000, seed=77)
     horizon = p.T - p.dates[4]
-    expected = 105.0 * np.exp((p.r - p.delta) * horizon)
-    se = finals.std(ddof=1) / np.sqrt(len(finals))
-    assert abs(finals.mean() - expected) < 3 * se
-
-
-def test_trajectory_state_out_of_range():
-    p = params()
-    traj = simulate_full_path(p, StreamKey(seed=5))
-    with pytest.raises(ValueError):
-        traj.state(p.n_dates)
+    expected = np.exp(-p.r * p.T) * (105.0 * np.exp((p.r - p.delta) * horizon) - p.K)
+    se = pays.std(ddof=1) / np.sqrt(len(pays))
+    assert abs(pays.mean() - expected) < 3 * se
 
 
 # --- parameter validation ------------------------------------------------------

@@ -93,18 +93,13 @@ def test_derive_seed_stable_and_tag_sensitive():
     assert 0 <= s1 < 2**64
 
 
-def test_stream_key_trunk_matches_batch_addressing():
-    batch = rng.normals(42, rng.NS_TESTING, rng.TRUNK, 0, 4, 20, 3)
-    key = rng.StreamKey(seed=42, path=13)
-    assert np.array_equal(key.draw_normals(4, 3), batch[13])
-
-
 def test_stream_key_replications_distinct():
-    key0 = rng.StreamKey(seed=42, path=5, replication=1)
-    key1 = rng.StreamKey(seed=42, path=5, replication=2)
-    assert not np.array_equal(key0.draw_uniforms(3, 4), key1.draw_uniforms(3, 4))
+    # one trunk's SUB stream: replications 1 and 2 of date 3 are points 2R and 2R + 1
+    R = 2
+    u = rng.uniforms(42, rng.NS_TESTING, rng.SUB, 5, 0, R, 4, first_point=2 * R)
+    assert not np.array_equal(u[0], u[1])
     with pytest.raises(ValueError):
-        rng.StreamKey(seed=1, path=-1)
+        rng.uniforms(42, rng.NS_TESTING, rng.SUB, -1, 0, 1, 4)
 
 
 def fresh_words(seed, namespace, stream_class, index, date, n_points, width, first_point):

@@ -1,12 +1,13 @@
-"""Rule semantics: tie handling, shifts, committees, training, serialization."""
+"""Rule semantics: tie handling, shifts, committees, training."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from nccmc.process_models import GbmParams, TrainingPaths, simulate_full_path, simulate_training_paths
-from nccmc.rng import StreamKey
+from nccmc.nested_cmc import _trunk_block
+from nccmc.process_models import GbmModel, GbmParams, simulate_training_paths
+from nccmc.rng import NS_TESTING
 from nccmc.stopping_rules import (
     CommitteeRule,
     FixedDateRule,
@@ -15,9 +16,6 @@ from nccmc.stopping_rules import (
     TreeRule,
     basis_matrix,
     basis_size,
-    evaluate_rule,
-    load_rule,
-    save_rule,
     shift_rule,
     train_committee,
     train_tvr,
@@ -89,49 +87,40 @@ def test_tree_rule_rejects_unknown_label(tree2):
         TreeRule(tree2, ["nonexistent"])
 
 
-# --- evaluate_rule -------------------------------------------------------------
+# --- stopping dates in the stage-one kernel ------------------------------------
+
+def stop_dates(rule, p, n, seed):
+    """Each path's stopping date under rule, from stage one against itself."""
+    return _trunk_block(GbmModel(p), rule, rule, seed, NS_TESTING, 0, n)[0]
+
 
 def test_evaluate_fixed_maturity_and_stop_everywhere():
     p = params()
-    traj = simulate_full_path(p, StreamKey(seed=3))
-    assert evaluate_rule(FixedDateRule(p.J), traj) == p.J
-    assert evaluate_rule(FixedDateRule(0), traj) == 0
-    assert evaluate_rule(FixedDateRule(0), traj, start=4) == 4
-
-
-def test_evaluate_respects_start_bounds():
-    p = params()
-    traj = simulate_full_path(p, StreamKey(seed=3))
-    tail = traj.state(5)
-    from nccmc.process_models import continue_path
-
-    cont = continue_path(tail, p, StreamKey(seed=3, replication=1))
-    with pytest.raises(ValueError):
-        evaluate_rule(FixedDateRule(0), cont, start=2)
+    assert np.all(stop_dates(FixedDateRule(p.J), p, 20, seed=3) == p.J)
+    assert np.all(stop_dates(FixedDateRule(0), p, 20, seed=3) == 0)
+    assert np.all(stop_dates(FixedDateRule(4), p, 20, seed=3) == 4)
 
 
 def test_stopping_date_never_exceeds_maturity(small_rule_pair, d2_params):
     rule, _ = small_rule_pair
-    for path in range(50):
-        traj = simulate_full_path(d2_params, StreamKey(seed=91, path=path))
-        assert 0 <= evaluate_rule(rule, traj) <= d2_params.J
+    taus = stop_dates(rule, d2_params, 2000, seed=91)
+    assert np.all((0 <= taus) & (taus <= d2_params.J))
+    assert np.any(taus < d2_params.J)
 
 
-def test_decisions_depend_only_on_current_state(small_rule_pair, d2_params):
-    # two trajectories sharing a prefix get identical decisions on it
-    rule, _ = small_rule_pair
-    a = simulate_full_path(d2_params, StreamKey(seed=17, path=0))
-    b = simulate_full_path(d2_params, StreamKey(seed=17, path=1))
-    cut = 4
-    assets = np.vstack([a.assets[:cut], b.assets[cut:]])
-    payoffs = np.concatenate([a.payoffs[:cut], b.payoffs[cut:]])
-    from nccmc.process_models import Trajectory
-
-    spliced = Trajectory(j0=0, assets=assets, payoffs=payoffs)
-    tau_a = evaluate_rule(rule, a)
-    tau_s = evaluate_rule(rule, spliced)
-    if tau_a < cut or tau_s < cut:
-        assert tau_a == tau_s
+def test_decisions_depend_only_on_current_state(small_rule_pair, small_paths, d2_params):
+    # a row's decision is the same whatever rows share its batch
+    committee = train_committee(small_paths, d2_params, members=9, member_size=80, seed=2)
+    gen = np.random.default_rng(17)
+    for rule in (small_rule_pair[0], committee):
+        for j in range(d2_params.J):
+            states = small_paths.assets[:300, j]
+            payoffs = small_paths.payoffs[:300, j]
+            whole = rule.decide_batch(j, states, payoffs)
+            perm = gen.permutation(300)
+            assert np.array_equal(rule.decide_batch(j, states[perm], payoffs[perm]), whole[perm])
+            part = perm[:37]
+            assert np.array_equal(rule.decide_batch(j, states[part], payoffs[part]), whole[part])
 
 
 # --- training ------------------------------------------------------------------
@@ -151,8 +140,7 @@ def test_constant_process_stops_immediately():
     paths = simulate_training_paths(p, 50, 5)
     assert np.ptp(paths.payoffs) == 0.0  # degenerate by construction
     rule = train_tvr(paths, p)
-    traj = simulate_full_path(p, StreamKey(seed=6))
-    assert evaluate_rule(rule, traj) == 0
+    assert np.all(stop_dates(rule, p, 4, seed=6) == 0)
 
 
 def test_all_zero_payoffs_stop_at_first_date():
@@ -161,8 +149,7 @@ def test_all_zero_payoffs_stop_at_first_date():
     p = params(d=1, y0=50.0, r=0.0, delta=0.0, sigma=0.0, n_dates=4)
     paths = simulate_training_paths(p, 50, 5)
     rule = train_tvr(paths, p)
-    traj = simulate_full_path(p, StreamKey(seed=6))
-    assert evaluate_rule(rule, traj) == 0
+    assert np.all(stop_dates(rule, p, 4, seed=6) == 0)
 
 
 def test_training_needs_enough_paths():
@@ -193,9 +180,7 @@ def test_shift_requires_continuation_value():
 def test_huge_shift_behaves_like_fixed_maturity(small_rule_pair, d2_params):
     rule, _ = small_rule_pair
     shifted = shift_rule(rule, 1e9)
-    for path in range(20):
-        traj = simulate_full_path(d2_params, StreamKey(seed=55, path=path))
-        assert evaluate_rule(shifted, traj) == d2_params.J
+    assert np.all(stop_dates(shifted, d2_params, 500, seed=55) == d2_params.J)
 
 
 def batch_taus(rule, bundle):
@@ -427,52 +412,3 @@ def test_committee_decision_never_builds_the_prediction_matrix():
     # measured 17 MB: one 8 MB block of 64 members plus the next being made;
     # the bound, a tenth of the full matrix, leaves a margin of about 1.5x
     assert peak_mb < full_mb / 10, peak_mb
-
-
-# --- serialization ------------------------------------------------------------------
-
-def check_round_trip(rule, tmp_path, name):
-    path = str(tmp_path / name)
-    save_rule(rule, path)
-    loaded = load_rule(path)
-    assert type(loaded) is type(rule)
-    assert loaded.eval_cost == rule.eval_cost
-    inner = rule.base if isinstance(rule, ShiftedRule) else rule
-    states = np.linspace(40.0, 200.0, 11)[:, None] * np.ones((1, inner.d))
-    payoffs = np.maximum(states.max(axis=1) - 100.0, 0.0)
-    for j in range(inner.n_dates - 1):
-        assert np.array_equal(
-            rule.decide_batch(j, states, payoffs), loaded.decide_batch(j, states, payoffs)
-        )
-    return loaded
-
-
-def test_regression_rule_round_trip(small_rule_pair, tmp_path):
-    rule, _ = small_rule_pair
-    loaded = check_round_trip(rule, tmp_path, "reg.rule")
-    assert np.array_equal(loaded.coeffs, rule.coeffs)
-
-
-def test_committee_rule_round_trip(small_paths, d2_params, tmp_path):
-    rule = train_committee(small_paths, d2_params, members=4, member_size=80, seed=2)
-    loaded = check_round_trip(rule, tmp_path, "com.rule")
-    assert np.array_equal(loaded.member_coeffs, rule.member_coeffs)
-
-
-def test_shifted_rule_round_trip(small_rule_pair, tmp_path):
-    rule = shift_rule(small_rule_pair[0], 0.25)
-    loaded = check_round_trip(rule, tmp_path, "shift.rule")
-    assert loaded.epsilon == 0.25
-    assert np.array_equal(loaded.base.coeffs, rule.base.coeffs)
-
-
-def test_unserializable_rule_rejected(tmp_path):
-    with pytest.raises(TypeError):
-        save_rule(FixedDateRule(0), str(tmp_path / "x.rule"))
-
-
-def test_malformed_rule_file_rejected(tmp_path):
-    path = tmp_path / "bad.rule"
-    path.write_text("kind unknown\n")
-    with pytest.raises(ValueError):
-        load_rule(str(path))
