@@ -9,7 +9,8 @@ replication count R is V(R)/C with
 Everything here is closed form: the optimal R, the achievable variance
 ratio against plain Monte Carlo, how flat the optimum is (so pilot noise in
 R is harmless), and the path-count allocations for the control-variate and
-multilevel compositions.  All functions are pure.
+multilevel compositions.  All functions are pure.  ``choose_R`` is the one
+place that decides the R a run uses.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class CalibParams:
     All four components must be strictly positive.  ``degenerate`` marks
     parameter sets where a pilot had to floor an exactly-zero estimate (for
     instance when the two rules never disagreed); the algebra still runs,
-    but downstream code should treat R as meaningless there.
+    but R* means nothing there, so ``choose_R`` runs R = 1.
     """
 
     v1: float
@@ -108,6 +109,26 @@ def optimal_R(p: CalibParams) -> CalibReport:
         condition_holds=cond,
         n_star_per_budget=1.0 / (p.rho1 + p.rho2 * R_star),
     )
+
+
+def choose_R(p: CalibParams, override: Optional[int]) -> tuple[int, CalibReport]:
+    """The replication count to run, and the calibration behind it.
+
+    ``override`` wins when set.  A degenerate pilot cannot identify R*, so
+    its report is the no-nesting one (R* = 1, no gain) and R is 1;
+    otherwise the report is ``optimal_R``'s and R its rounded optimum.
+    """
+    if p.degenerate:
+        rep = CalibReport(R_star=1.0, R_rounded=1, gamma_star=1.0, gain_lower=1.0, gain_upper=1.0,
+                          condition_holds=False, n_star_per_budget=1.0 / (p.rho1 + p.rho2))
+    else:
+        rep = optimal_R(p)
+    return (rep.R_rounded if override is None else override), rep
+
+
+def trunks_for_budget(p: CalibParams, R: int, budget: float) -> int:
+    """Trunk count a work budget buys at R replications (at least two)."""
+    return max(2, int(budget / (p.rho1 + p.rho2 * R)))
 
 
 def robustness_bound(alpha: float) -> float:

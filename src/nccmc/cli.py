@@ -19,27 +19,23 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__, rng
-from .calibration import CalibParams, optimal_R, v_profile
+from .calibration import CalibParams, CalibReport, choose_R, trunks_for_budget, v_profile
 from .experiments import (
     ExperimentConfig,
+    MlLevelRow,
+    Table1Row,
     multilevel_estimate,
     param_uncertainty_study,
     qcv_estimate,
 )
-from .nested_cmc import estimate, estimate_value, pilot
+from .nested_cmc import estimate, pilot
 from .oracle import exact_components, exact_delta
 from .process_models import GbmModel, GbmParams, TreeModel, bundled_tree, load_tree, simulate_training_paths
-from .stopping_rules import (
-    FixedDateRule,
-    TreeRule,
-    shift_rule,
-    train_committee,
-    train_tvr,
-)
+from .stopping_rules import FixedDateRule, TreeRule, shift_rule, train_committee, train_tvr
 
 
 class ConfigError(Exception):
@@ -88,60 +84,38 @@ class ConfigReader:
         self.raw = raw
         self.seen: set[str] = set()
 
-    def has(self, key: str) -> bool:
-        return key in self.raw
-
-    def _take(self, key: str) -> Optional[str]:
-        if key in self.raw:
-            self.seen.add(key)
-            return self.raw[key]
-        return None
+    def parse(self, key: str, convert, what: str, default=None):
+        """convert(value) of key, or default when absent; a value convert
+        rejects with ValueError is a config error saying it must be what."""
+        if key not in self.raw:
+            return default
+        self.seen.add(key)
+        v = self.raw[key]
+        try:
+            return convert(v)
+        except ValueError:
+            raise ConfigError(f"config key {key} must be {what}, got {v!r}") from None
 
     def str(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        v = self._take(key)
-        return default if v is None else v
+        return self.parse(key, str, "a string", default)
 
     def int(self, key: str, default: Optional[int] = None) -> Optional[int]:
-        v = self._take(key)
-        if v is None:
-            return default
-        try:
-            return int(v)
-        except ValueError:
-            raise ConfigError(f"config key {key} must be an integer, got {v!r}") from None
+        return self.parse(key, int, "an integer", default)
 
     def float(self, key: str, default: Optional[float] = None) -> Optional[float]:
-        v = self._take(key)
-        if v is None:
-            return default
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"config key {key} must be a number, got {v!r}") from None
+        return self.parse(key, float, "a number", default)
 
     def floats(self, key: str, default: tuple[float, ...] = ()) -> tuple[float, ...]:
-        v = self._take(key)
-        if v is None:
-            return default
-        try:
-            return tuple(float(x) for x in v.split(",") if x.strip())
-        except ValueError:
-            raise ConfigError(f"config key {key} must be comma-separated numbers, got {v!r}") from None
+        return self.parse(key, lambda v: tuple(float(x) for x in v.split(",") if x.strip()),
+                          "comma-separated numbers", default)
 
     def ints(self, key: str, default: tuple[int, ...] = ()) -> tuple[int, ...]:
-        v = self._take(key)
-        if v is None:
-            return default
-        try:
-            return tuple(int(x) for x in v.split(",") if x.strip())
-        except ValueError:
-            raise ConfigError(f"config key {key} must be comma-separated integers, got {v!r}") from None
+        return self.parse(key, lambda v: tuple(int(x) for x in v.split(",") if x.strip()),
+                          "comma-separated integers", default)
 
     def labels(self, key: str) -> Optional[tuple[str, ...]]:
-        v = self._take(key)
-        if v is None:
-            return None
-        return tuple(x.strip() for x in v.split(",") if x.strip())
+        return self.parse(key, lambda v: tuple(x.strip() for x in v.split(",") if x.strip()),
+                          "comma-separated labels")
 
     def require(self, key: str, kind: str = "str"):
         v = getattr(self, kind)(key)
@@ -182,25 +156,15 @@ class RunSettings:
 
 
 def _run_settings(r: ConfigReader, args) -> RunSettings:
-    seed_training = r.int("run.seed_training")
-    seed_testing = r.int("run.seed_testing")
-    if args.seed is not None:
-        if seed_training is None:
-            seed_training = rng.derive_seed(args.seed, "training")
-        if seed_testing is None:
-            seed_testing = rng.derive_seed(args.seed, "testing")
+    def seed(kind: str) -> Optional[int]:
+        derived = None if args.seed is None else rng.derive_seed(args.seed, kind)
+        return r.int(f"run.seed_{kind}", derived)
+
+    seed_training, seed_testing = seed("training"), seed("testing")
     if seed_training is None or seed_testing is None:
         raise ConfigError("need --seed or run.seed_training and run.seed_testing")
-    reps_raw = r.str("run.replications", "auto")
-    if reps_raw == "auto":
-        replications = None
-    else:
-        try:
-            replications = int(reps_raw)
-        except ValueError:
-            raise ConfigError(
-                f"config key run.replications must be 'auto' or an integer, got {reps_raw!r}"
-            ) from None
+    replications = r.parse("run.replications", lambda v: None if v == "auto" else int(v),
+                           "'auto' or an integer")
     budget = r.float("run.budget")
     if budget is not None and not (math.isfinite(budget) and budget > 0):
         raise ConfigError(f"config key run.budget must be a positive finite number, got {budget!r}")
@@ -275,9 +239,7 @@ def _build_problem(r: ConfigReader, args):
             raise ConfigError(str(e)) from None
     params = _gbm_params(r)
     model = GbmModel(params)
-    ruleA = _build_gbm_rule(r, "a", params, rs)
-    ruleB = _build_gbm_rule(r, "b", params, rs)
-    return model, ruleA, ruleB, rs, False
+    return model, _build_gbm_rule(r, "a", params, rs), _build_gbm_rule(r, "b", params, rs), rs, False
 
 
 # --- output ------------------------------------------------------------------
@@ -288,13 +250,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(path: str, obj) -> None:
@@ -322,7 +277,9 @@ class Outputs:
         return p
 
     def csv(self, name: str, header: list[str], rows: list[list]) -> None:
-        _write_csv(self.path(name), header, rows)
+        lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
+        with open(self.path(name), "w") as fh:
+            fh.write("\n".join(lines) + "\n")
 
     def json(self, name: str, obj) -> None:
         _write_json(self.path(name), obj)
@@ -340,184 +297,149 @@ class Outputs:
         })
 
 
-def _calib_dict(cal: CalibParams, rep) -> dict:
-    out = {
-        "v1": cal.v1, "v2": cal.v2, "rho1": cal.rho1, "rho2": cal.rho2,
-        "p_differ": cal.p_differ, "degenerate": cal.degenerate,
-    }
-    if rep is None:
-        out.update({"R_star": 1.0, "R_rounded": 1, "gamma_star": 1.0, "speedup": 1.0})
-    else:
-        out.update({
-            "R_star": rep.R_star, "R_rounded": rep.R_rounded,
-            "gamma_star": rep.gamma_star, "speedup": 1.0 / rep.gamma_star,
-            "gain_lower": rep.gain_lower, "gain_upper": rep.gain_upper,
-            "condition_holds": rep.condition_holds,
-        })
+def _calib_dict(cal: CalibParams, rep: CalibReport) -> dict:
+    out = {**asdict(cal), **asdict(rep), "speedup": 1.0 / rep.gamma_star}
+    del out["n_star_per_budget"]
     return out
 
 
-def _run_pilot(model, ruleA, ruleB, rs: RunSettings) -> tuple[CalibParams, object]:
+def _run_pilot(model, ruleA, ruleB, rs: RunSettings) -> tuple[CalibParams, int, CalibReport]:
     cal = pilot(
         model, ruleA, ruleB, rs.n_pilot, rs.r_pilot,
         rng.derive_seed(rs.seed_testing, "pilot"), threads=rs.threads,
     )
-    rep = None if cal.degenerate else optimal_R(cal)
-    return cal, rep
+    return (cal, *choose_R(cal, rs.replications))
 
 
-def _resolve_R(rs: RunSettings, rep) -> int:
-    if rs.replications is not None:
-        return rs.replications
-    if rep is None:
-        return 1
-    return rep.R_rounded
-
-
-# --- subcommands --------------------------------------------------------------
-
-def cmd_pilot(args) -> int:
-    raw = _read_config(args.config)
-    r = ConfigReader(raw)
-    model, ruleA, ruleB, rs, is_tree = _build_problem(r, args)
-    r.finish()
-    out = Outputs(args, raw)
-    cal, rep = _run_pilot(model, ruleA, ruleB, rs)
-    info = _calib_dict(cal, rep)
-    print(f"v1={cal.v1:.6g} v2={cal.v2:.6g} rho1={cal.rho1:.6g} rho2={cal.rho2:.6g} "
-          f"P(differ)={cal.p_differ:.6g}")
-    print(f"R*={info['R_star']:.6g} R_rounded={info['R_rounded']} "
-          f"gamma*={info['gamma_star']:.6g} speedup={info['speedup']:.6g}"
-          + (" (degenerate)" if cal.degenerate else ""))
-    if is_tree:
-        delta = exact_delta(model, ruleA, ruleB)
-        v1x, v2x = exact_components(model, ruleA, ruleB)
-        info["oracle"] = {"delta": delta, "v1": v1x, "v2": v2x}
-        print(f"oracle: delta={delta:.6g} v1={v1x:.6g} v2={v2x:.6g}")
-    out.json("pilot.json", info)
-    out.manifest()
-    return 0
-
-
-def cmd_estimate(args) -> int:
-    raw = _read_config(args.config)
-    r = ConfigReader(raw)
-    model, ruleA, ruleB, rs, _ = _build_problem(r, args)
-    r.finish()
-    out = Outputs(args, raw)
-    cal = rep = None
-    if rs.replications is None or rs.budget is not None:
-        cal, rep = _run_pilot(model, ruleA, ruleB, rs)
-    R = _resolve_R(rs, rep)
-    if rs.budget is not None:
-        N = max(2, int(rs.budget / (cal.rho1 + cal.rho2 * R)))
-    else:
-        N = rs.testing_paths
-    est = estimate(
-        model, ruleA, ruleB, N, R,
-        rng.derive_seed(rs.seed_testing, "estimate"), threads=rs.threads,
-    )
-    work = est.work_trunk.units() + est.work_sub.units()
-    header = ["N", "R", "delta_hat", "stderr", "v1_hat", "v2_hat", "p_differ", "work_units"]
-    row = [est.N, est.R, est.delta_hat, est.stderr,
-           est.v1_hat, -1.0 if est.v2_hat is None else est.v2_hat, est.p_differ, work]
-    out.csv("estimate.csv", header, [row])
-    info = {
-        "N": est.N, "R": est.R, "delta_hat": est.delta_hat, "stderr": est.stderr,
-        "v1_hat": est.v1_hat, "v2_hat": est.v2_hat, "p_differ": est.p_differ,
-        "work_units": work,
-    }
-    if cal is not None:
-        info["pilot"] = _calib_dict(cal, rep)
-    out.json("estimate.json", info)
-    out.manifest()
-    print(f"delta_hat={est.delta_hat:.6g} stderr={est.stderr:.6g} N={est.N} R={est.R}")
-    return 0
-
-
-_TABLE1_COLS = [
-    "sigma_hat", "delta_hat", "stderr", "value_a", "value_a_stderr", "value_b",
-    "p_differ", "v1", "v2", "rho1", "rho2", "R_star", "R_used", "gamma_star",
-    "speedup", "N", "work_units", "degenerate",
-]
+def _rows_csv(cls, rows: list) -> tuple[list[str], list[list]]:
+    """One CSV column per field of the dataclass cls, one row per item."""
+    cols = [f.name for f in fields(cls)]
+    return cols, [[getattr(x, c) for c in cols] for x in rows]
 
 
 def _experiment_config(r: ConfigReader, args, **extra) -> ExperimentConfig:
     rs = _run_settings(r, args)
-    return ExperimentConfig(
-        params=_gbm_params(r),
-        seed_training=rs.seed_training,
-        seed_testing=rs.seed_testing,
-        training_paths=rs.training_paths,
-        testing_paths=rs.testing_paths,
-        n_pilot=rs.n_pilot,
-        r_pilot=rs.r_pilot,
-        replications=rs.replications,
-        budget=rs.budget,
-        threads=rs.threads,
-        **extra,
-    )
+    return ExperimentConfig(params=_gbm_params(r), **asdict(rs), **extra)
 
 
-def cmd_table1(args) -> int:
-    raw = _read_config(args.config)
-    r = ConfigReader(raw)
+_NO_BUDGET = "missing required config key run.budget"
+
+
+# --- subcommands --------------------------------------------------------------
+#
+# Each subcommand reads its config keys and returns a _Job; _run does the
+# rest.  A job's run() computes everything and returns the files to write and
+# the lines to print.
+
+class _Result(NamedTuple):
+    files: dict                     # name -> JSON object, or (header, rows) for .csv
+    lines: list[str]                # printed to stdout
+    failure: Optional[str] = None   # a failed check: exit 4 after the manifest
+
+
+class _Job(NamedTuple):
+    run: Callable[[], _Result]
+    error: Optional[str] = None     # config error reported after unknown keys
+
+
+def _pilot_job(r: ConfigReader, args) -> _Job:
+    model, ruleA, ruleB, rs, is_tree = _build_problem(r, args)
+
+    def run() -> _Result:
+        cal, _, rep = _run_pilot(model, ruleA, ruleB, rs)
+        info = _calib_dict(cal, rep)
+        lines = [
+            f"v1={cal.v1:.6g} v2={cal.v2:.6g} rho1={cal.rho1:.6g} rho2={cal.rho2:.6g} "
+            f"P(differ)={cal.p_differ:.6g}",
+            f"R*={rep.R_star:.6g} R_rounded={rep.R_rounded} "
+            f"gamma*={rep.gamma_star:.6g} speedup={info['speedup']:.6g}"
+            + (" (degenerate)" if cal.degenerate else ""),
+        ]
+        if is_tree:
+            delta = exact_delta(model, ruleA, ruleB)
+            v1x, v2x = exact_components(model, ruleA, ruleB)
+            info["oracle"] = {"delta": delta, "v1": v1x, "v2": v2x}
+            lines.append(f"oracle: delta={delta:.6g} v1={v1x:.6g} v2={v2x:.6g}")
+        return _Result({"pilot.json": info}, lines)
+
+    return _Job(run)
+
+
+def _estimate_job(r: ConfigReader, args) -> _Job:
+    model, ruleA, ruleB, rs, _ = _build_problem(r, args)
+
+    def run() -> _Result:
+        R, N, extra = rs.replications, rs.testing_paths, {}
+        if R is None or rs.budget is not None:
+            cal, R, rep = _run_pilot(model, ruleA, ruleB, rs)
+            extra["pilot"] = _calib_dict(cal, rep)
+            if rs.budget is not None:
+                N = trunks_for_budget(cal, R, rs.budget)
+        est = estimate(
+            model, ruleA, ruleB, N, R,
+            rng.derive_seed(rs.seed_testing, "estimate"), threads=rs.threads,
+        )
+        row = {
+            "N": est.N, "R": est.R, "delta_hat": est.delta_hat, "stderr": est.stderr,
+            "v1_hat": est.v1_hat, "v2_hat": est.v2_hat, "p_differ": est.p_differ,
+            "work_units": est.work_trunk.units() + est.work_sub.units(),
+        }
+        csv_row = [-1.0 if x is None else x for x in row.values()]  # v2_hat at R = 1
+        return _Result(
+            {"estimate.csv": (list(row), [csv_row]), "estimate.json": {**row, **extra}},
+            [f"delta_hat={est.delta_hat:.6g} stderr={est.stderr:.6g} N={est.N} R={est.R}"],
+        )
+
+    return _Job(run)
+
+
+def _table1_job(r: ConfigReader, args) -> _Job:
     sigma_hats = r.floats("study.sigma_hats")
     if not sigma_hats:
         raise ConfigError("missing required config key study.sigma_hats")
     cfg = _experiment_config(r, args, sigma_hats=sigma_hats)
-    r.finish()
-    out = Outputs(args, raw)
-    rows = param_uncertainty_study(cfg)
-    out.csv("table1.csv", _TABLE1_COLS, [[getattr(x, c) for c in _TABLE1_COLS] for x in rows])
-    out.json("table1.json", {"rows": [asdict(x) for x in rows]})
-    out.manifest()
-    for x in rows:
-        print(f"sigma_hat={x.sigma_hat:.6g} delta={x.delta_hat:.6g} stderr={x.stderr:.6g} "
-              f"P={x.p_differ:.6g} R*={x.R_star:.6g} speedup={x.speedup:.6g}")
-    return 0
+
+    def run() -> _Result:
+        rows = param_uncertainty_study(cfg)
+        return _Result(
+            {"table1.csv": _rows_csv(Table1Row, rows),
+             "table1.json": {"rows": [asdict(x) for x in rows]}},
+            [f"sigma_hat={x.sigma_hat:.6g} delta={x.delta_hat:.6g} stderr={x.stderr:.6g} "
+             f"P={x.p_differ:.6g} R*={x.R_star:.6g} speedup={x.speedup:.6g}" for x in rows],
+        )
+
+    return _Job(run)
 
 
-def cmd_qcv(args) -> int:
-    raw = _read_config(args.config)
-    r = ConfigReader(raw)
+def _qcv_job(r: ConfigReader, args) -> _Job:
     cfg = _experiment_config(
         r, args,
         committee_members=r.int("qcv.members", 1000),
         member_size=r.int("qcv.member_size", 4000),
     )
-    r.finish()
-    if cfg.budget is None:
-        raise ConfigError("missing required config key run.budget")
-    out = Outputs(args, raw)
-    rep = qcv_estimate(cfg)
-    header = ["estimator", "mu_hat", "variance", "work_units", "n_base", "n_trunks", "R"]
-    rows = [
-        ["simple", rep.mu_simple, rep.var_simple, rep.work_simple, 0, rep.n_simple, 0],
-        ["qcv", rep.mu_qcv, rep.var_qcv, rep.work_qcv, rep.alloc_qcv[0], rep.alloc_qcv[1], 1],
-        ["qcv_nested", rep.mu_qcv_nested, rep.var_qcv_nested, rep.work_qcv_nested,
-         rep.alloc_qcv_nested[0], rep.alloc_qcv_nested[1], rep.R_used],
-    ]
-    out.csv("qcv.csv", header, rows)
-    info = asdict(rep)
-    info["pilot_params"] = _calib_dict(rep.pilot_params, rep.calibration)
-    del info["calibration"]
-    out.json("qcv.json", info)
-    out.manifest()
-    print(f"mu_b={rep.mu_b:.6g} simple={rep.var_simple:.6g} qcv={rep.var_qcv:.6g} "
-          f"nested={rep.var_qcv_nested:.6g} measured_gain={rep.measured_gain:.6g}")
-    return 0
+
+    def run() -> _Result:
+        rep = qcv_estimate(cfg)
+        header = ["estimator", "mu_hat", "variance", "work_units", "n_base", "n_trunks", "R"]
+        rows = [
+            ["simple", rep.mu_simple, rep.var_simple, rep.work_simple, 0, rep.n_simple, 0],
+            ["qcv", rep.mu_qcv, rep.var_qcv, rep.work_qcv, rep.alloc_qcv[0], rep.alloc_qcv[1], 1],
+            ["qcv_nested", rep.mu_qcv_nested, rep.var_qcv_nested, rep.work_qcv_nested,
+             rep.alloc_qcv_nested[0], rep.alloc_qcv_nested[1], rep.R_used],
+        ]
+        info = asdict(rep)
+        info["pilot_params"] = _calib_dict(rep.pilot_params, rep.calibration)
+        del info["calibration"]
+        return _Result(
+            {"qcv.csv": (header, rows), "qcv.json": info},
+            [f"mu_b={rep.mu_b:.6g} simple={rep.var_simple:.6g} qcv={rep.var_qcv:.6g} "
+             f"nested={rep.var_qcv_nested:.6g} measured_gain={rep.measured_gain:.6g}"],
+        )
+
+    return _Job(run, _NO_BUDGET if cfg.budget is None else None)
 
 
-_ML_COLS = [
-    "level", "members", "N", "R", "estimate", "stderr",
-    "v1", "v2", "rho1", "rho2", "R_star", "gamma_star", "work_units",
-]
-
-
-def cmd_multilevel(args) -> int:
-    raw = _read_config(args.config)
-    r = ConfigReader(raw)
+def _multilevel_job(r: ConfigReader, args) -> _Job:
     ladder = r.ints("ml.ladder")
     if not ladder:
         raise ConfigError("missing required config key ml.ladder")
@@ -526,75 +448,86 @@ def cmd_multilevel(args) -> int:
         ladder=ladder,
         member_size=r.int("ml.member_size", 4000),
     )
-    r.finish()
-    if cfg.budget is None:
-        raise ConfigError("missing required config key run.budget")
-    out = Outputs(args, raw)
-    rep = multilevel_estimate(cfg)
-    out.csv("multilevel.csv", _ML_COLS, [[getattr(x, c) for c in _ML_COLS] for x in rep.rows])
-    info = asdict(rep)
-    out.json("multilevel.json", info)
-    out.manifest()
-    print(f"combined={rep.combined:.6g}+-{rep.combined_stderr:.6g} "
-          f"direct={rep.direct:.6g}+-{rep.direct_stderr:.6g} z={rep.telescoping_z:.3g}")
-    print(f"var simple={rep.var_simple:.6g} ml={rep.var_ml:.6g} nested={rep.var_ml_nested:.6g}")
-    return 0
+
+    def run() -> _Result:
+        rep = multilevel_estimate(cfg)
+        return _Result(
+            {"multilevel.csv": _rows_csv(MlLevelRow, rep.rows), "multilevel.json": asdict(rep)},
+            [f"combined={rep.combined:.6g}+-{rep.combined_stderr:.6g} "
+             f"direct={rep.direct:.6g}+-{rep.direct_stderr:.6g} z={rep.telescoping_z:.3g}",
+             f"var simple={rep.var_simple:.6g} ml={rep.var_ml:.6g} nested={rep.var_ml_nested:.6g}"],
+        )
+
+    return _Job(run, _NO_BUDGET if cfg.budget is None else None)
 
 
-def cmd_oracle_check(args) -> int:
-    raw = _read_config(args.config)
-    r = ConfigReader(raw)
+def _oracle_check_job(r: ConfigReader, args) -> _Job:
     model, ruleA, ruleB, rs, is_tree = _build_problem(r, args)
-    r.finish()
-    if not is_tree:
-        raise ConfigError("oracle-check needs a tree config (tree.name or tree.file)")
-    out = Outputs(args, raw)
-    R = rs.replications if rs.replications is not None else 5
-    delta = exact_delta(model, ruleA, ruleB)
-    est = estimate(
-        model, ruleA, ruleB, rs.testing_paths, R,
-        rng.derive_seed(rs.seed_testing, "oracle-check"), threads=rs.threads,
-    )
-    err = float(abs(est.delta_hat - delta))
-    # stderr 0 happens when the rules agree everywhere; then the estimate
-    # must be exact
-    ok = bool(err < 4.0 * est.stderr) if est.stderr > 0 else err == 0.0
-    info = {
-        "delta_exact": delta, "delta_hat": est.delta_hat, "stderr": est.stderr,
-        "abs_error": err, "N": est.N, "R": est.R, "passed": ok,
-    }
-    out.json("oracle_check.json", info)
-    out.manifest()
-    print(f"delta_exact={delta:.6g} delta_hat={est.delta_hat:.6g} stderr={est.stderr:.6g} "
-          f"{'PASS' if ok else 'FAIL'}")
-    if not ok:
-        raise CheckFailure(f"|delta_hat - delta| = {err:.6g} exceeds 4*stderr = {4 * est.stderr:.6g}")
-    return 0
+
+    def run() -> _Result:
+        R = rs.replications if rs.replications is not None else 5
+        delta = exact_delta(model, ruleA, ruleB)
+        est = estimate(
+            model, ruleA, ruleB, rs.testing_paths, R,
+            rng.derive_seed(rs.seed_testing, "oracle-check"), threads=rs.threads,
+        )
+        err = float(abs(est.delta_hat - delta))
+        # stderr 0 happens when the rules agree everywhere; then the estimate
+        # must be exact
+        ok = bool(err < 4.0 * est.stderr) if est.stderr > 0 else err == 0.0
+        info = {
+            "delta_exact": delta, "delta_hat": est.delta_hat, "stderr": est.stderr,
+            "abs_error": err, "N": est.N, "R": est.R, "passed": ok,
+        }
+        return _Result(
+            {"oracle_check.json": info},
+            [f"delta_exact={delta:.6g} delta_hat={est.delta_hat:.6g} stderr={est.stderr:.6g} "
+             f"{'PASS' if ok else 'FAIL'}"],
+            None if ok else
+            f"|delta_hat - delta| = {err:.6g} exceeds 4*stderr = {4 * est.stderr:.6g}",
+        )
+
+    return _Job(run, None if is_tree else "oracle-check needs a tree config (tree.name or tree.file)")
 
 
-def cmd_vprofile(args) -> int:
-    raw = _read_config(args.config)
-    r = ConfigReader(raw)
+def _vprofile_job(r: ConfigReader, args) -> _Job:
     model, ruleA, ruleB, rs, _ = _build_problem(r, args)
     r_max = r.int("vprofile.r_max", 0)
     points = r.int("vprofile.points", 64)
     if points < 2:
         raise ConfigError("vprofile.points must be >= 2")
+
+    def run() -> _Result:
+        cal, _, rep = _run_pilot(model, ruleA, ruleB, rs)
+        top = r_max if r_max >= 1 else 4 * (64 if cal.degenerate else rep.R_rounded)
+        grid = sorted({round(top ** (k / (points - 1))) for k in range(points)})
+        return _Result(
+            {"vprofile.csv": (["R", "V"], [[R, v_profile(cal, R)] for R in grid]),
+             "vprofile.json": {"pilot": _calib_dict(cal, rep), "r_max": top}},
+            [f"wrote {len(grid)} grid points up to R={top}"],
+        )
+
+    return _Job(run)
+
+
+def _run(args) -> int:
+    raw = _read_config(args.config)
+    r = ConfigReader(raw)
+    job = args.job(r, args)
     r.finish()
+    if job.error:
+        raise ConfigError(job.error)
     out = Outputs(args, raw)
-    cal, rep = _run_pilot(model, ruleA, ruleB, rs)
-    if r_max < 1:
-        r_max = 4 * (rep.R_rounded if rep is not None else 64)
-    grid: list[int] = []
-    for k in range(points):
-        x = round(r_max ** (k / (points - 1)))
-        if not grid or x > grid[-1]:
-            grid.append(x)
-    rows = [[R, v_profile(cal, R)] for R in grid]
-    out.csv("vprofile.csv", ["R", "V"], rows)
-    out.json("vprofile.json", {"pilot": _calib_dict(cal, rep), "r_max": r_max})
+    res = job.run()
+    for name, payload in res.files.items():
+        if name.endswith(".csv"):
+            out.csv(name, *payload)
+        else:
+            out.json(name, payload)
     out.manifest()
-    print(f"wrote {len(rows)} grid points up to R={r_max}")
+    print("\n".join(res.lines))
+    if res.failure:
+        raise CheckFailure(res.failure)
     return 0
 
 
@@ -626,13 +559,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
     cmds = {
-        "pilot": (cmd_pilot, "estimate variance components and calibrate R"),
-        "estimate": (cmd_estimate, "run the two-stage difference estimator"),
-        "table1": (cmd_table1, "parameter-uncertainty study over a sigma_hat grid"),
-        "qcv": (cmd_qcv, "control-variate pricing of a costly rule at matched budget"),
-        "multilevel": (cmd_multilevel, "fidelity-ladder telescoping at matched budget"),
-        "oracle-check": (cmd_oracle_check, "compare the estimator against exact tree enumeration"),
-        "vprofile": (cmd_vprofile, "export the V(R) variance-profile grid"),
+        "pilot": (_pilot_job, "estimate variance components and calibrate R"),
+        "estimate": (_estimate_job, "run the two-stage difference estimator"),
+        "table1": (_table1_job, "parameter-uncertainty study over a sigma_hat grid"),
+        "qcv": (_qcv_job, "control-variate pricing of a costly rule at matched budget"),
+        "multilevel": (_multilevel_job, "fidelity-ladder telescoping at matched budget"),
+        "oracle-check": (_oracle_check_job, "compare the estimator against exact tree enumeration"),
+        "vprofile": (_vprofile_job, "export the V(R) variance-profile grid"),
     }
     for name, (fn, help_) in cmds.items():
         q = sub.add_parser(name, help=help_, epilog=_COLUMN_DOCS,
@@ -643,7 +576,7 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--threads", type=int, default=None,
                        help="worker threads (default: NCCMC_THREADS or 1); never changes results")
         q.add_argument("--out", default=".", help="output directory (default: current)")
-        q.set_defaults(fn=fn)
+        q.set_defaults(job=fn)
     return p
 
 
@@ -660,7 +593,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        return _run(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

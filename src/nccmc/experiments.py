@@ -29,9 +29,10 @@ from . import rng
 from .calibration import (
     CalibParams,
     CalibReport,
+    choose_R,
     ml_allocation,
-    optimal_R,
     qcv_allocation,
+    trunks_for_budget,
     v_profile,
 )
 from .nested_cmc import NestedEstimate, ValueEstimate, estimate, estimate_value, floored_params, pilot
@@ -143,17 +144,8 @@ def param_uncertainty_study(cfg: ExperimentConfig) -> list[Table1Row]:
             model, ruleA, ruleB, cfg.n_pilot, cfg.r_pilot,
             rng.derive_seed(cfg.seed_testing, f"study-pilot-{i}"), threads=cfg.threads,
         )
-        if cal.degenerate:
-            # identical rules: R is meaningless, run plain coupled trunks
-            rep = None
-            R_used = cfg.replications if cfg.replications is not None else 1
-        else:
-            rep = optimal_R(cal)
-            R_used = cfg.replications if cfg.replications is not None else rep.R_rounded
-        if cfg.budget is None:
-            N = cfg.testing_paths
-        else:
-            N = max(2, int(cfg.budget / (cal.rho1 + cal.rho2 * R_used)))
+        R_used, rep = choose_R(cal, cfg.replications)
+        N = cfg.testing_paths if cfg.budget is None else trunks_for_budget(cal, R_used, cfg.budget)
         est = estimate(
             model, ruleA, ruleB, N, R_used,
             rng.derive_seed(cfg.seed_testing, f"study-main-{i}"), threads=cfg.threads,
@@ -170,10 +162,10 @@ def param_uncertainty_study(cfg: ExperimentConfig) -> list[Table1Row]:
             v2=cal.v2,
             rho1=cal.rho1,
             rho2=cal.rho2,
-            R_star=1.0 if rep is None else rep.R_star,
+            R_star=rep.R_star,
             R_used=R_used,
-            gamma_star=1.0 if rep is None else rep.gamma_star,
-            speedup=1.0 if rep is None else 1.0 / rep.gamma_star,
+            gamma_star=rep.gamma_star,
+            speedup=1.0 / rep.gamma_star,
             N=est.N,
             work_units=est.work_trunk.units() + est.work_sub.units(),
             degenerate=cal.degenerate,
@@ -238,13 +230,7 @@ def qcv_estimate(cfg: ExperimentConfig) -> QcvReport:
         model, ruleA, ruleB, cfg.n_pilot, cfg.r_pilot,
         rng.derive_seed(cfg.seed_testing, "qcv-pilot"), threads=cfg.threads,
     )
-    rep = optimal_R(cal)
-    if cfg.replications is not None:
-        R = cfg.replications
-    elif cal.degenerate:
-        R = 1
-    else:
-        R = rep.R_rounded
+    R, rep = choose_R(cal, cfg.replications)
 
     rhoA = probeA.work.units() / probeA.N
     vB = probeB.var_hat
@@ -374,22 +360,15 @@ def multilevel_estimate(cfg: ExperimentConfig) -> MultilevelReport:
     rho0 = probe0.work.units() / probe0.N
     rhoL = probeL.work.units() / probeL.N
 
-    pilots: list[CalibParams] = []
-    reps: list[Optional[CalibReport]] = []
-    Rs: list[int] = []
-    for i in range(1, L + 1):
-        cal = pilot(
+    pilots = [
+        pilot(
             model, rules[i], rules[i - 1], cfg.n_pilot, cfg.r_pilot,
             rng.derive_seed(cfg.seed_testing, f"ml-pilot-{i}"), threads=cfg.threads,
         )
-        pilots.append(cal)
-        if cal.degenerate:
-            reps.append(None)
-            Rs.append(1 if cfg.replications is None else cfg.replications)
-        else:
-            rep = optimal_R(cal)
-            reps.append(rep)
-            Rs.append(cfg.replications if cfg.replications is not None else rep.R_rounded)
+        for i in range(1, L + 1)
+    ]
+    calibrated = [choose_R(cal, cfg.replications) for cal in pilots]
+    Rs = [R for R, _ in calibrated]
 
     def run_ladder(R_list: list[int], tag: str):
         levels = [(probe0.var_hat, rho0)]
@@ -440,20 +419,20 @@ def multilevel_estimate(cfg: ExperimentConfig) -> MultilevelReport:
         work_units=base_n.work.units(),
     )]
     for i in range(1, L + 1):
-        cal, rep, e = pilots[i - 1], reps[i - 1], incs_n[i - 1]
+        cal, (R, rep), e = pilots[i - 1], calibrated[i - 1], incs_n[i - 1]
         rows.append(MlLevelRow(
             level=i,
             members=cfg.ladder[i],
             N=counts_n[i],
-            R=Rs[i - 1],
+            R=R,
             estimate=e.delta_hat,
             stderr=e.stderr,
             v1=cal.v1,
             v2=cal.v2,
             rho1=cal.rho1,
             rho2=cal.rho2,
-            R_star=1.0 if rep is None else rep.R_star,
-            gamma_star=1.0 if rep is None else rep.gamma_star,
+            R_star=rep.R_star,
+            gamma_star=rep.gamma_star,
             work_units=e.work_trunk.units() + e.work_sub.units(),
         ))
 

@@ -53,10 +53,6 @@ class WorkMeter:
     def units(self) -> float:
         return self.steps + RULE_EVAL_UNIT * self.rule_evals
 
-    def merge(self, other: "WorkMeter") -> None:
-        self.steps += other.steps
-        self.rule_evals += other.rule_evals
-
 
 @dataclass(frozen=True, slots=True)
 class NestedEstimate:
@@ -267,14 +263,9 @@ def estimate(model, ruleA, ruleB, N: int, R: int, seed: int,
         signs[start:start + n] = sign
         return t_steps, t_evals, s_steps, s_evals
 
-    counters = _run_chunked(task, N, threads)
-    work_trunk = WorkMeter()
-    work_sub = WorkMeter()
-    for t_steps, t_evals, s_steps, s_evals in counters:
-        work_trunk.steps += t_steps
-        work_trunk.rule_evals += t_evals
-        work_sub.steps += s_steps
-        work_sub.rule_evals += s_evals
+    t_steps, t_evals, s_steps, s_evals = map(sum, zip(*_run_chunked(task, N, threads)))
+    work_trunk = WorkMeter(t_steps, t_evals)
+    work_sub = WorkMeter(s_steps, s_evals)
 
     delta_hat = float(np.mean(means))
     var_means = float(np.var(means, ddof=1))
@@ -310,11 +301,7 @@ def estimate_value(model, rule, N: int, seed: int,
         values[start:start + n] = x_wedge
         return steps, evals
 
-    counters = _run_chunked(task, N, threads)
-    work = WorkMeter()
-    for steps, evals in counters:
-        work.steps += steps
-        work.rule_evals += evals
+    work = WorkMeter(*map(sum, zip(*_run_chunked(task, N, threads))))
     var_hat = float(np.var(values, ddof=1))
     return ValueEstimate(mean=float(np.mean(values)), var_hat=var_hat,
                          stderr=float(np.sqrt(var_hat / N)), N=N, work=work)
@@ -326,28 +313,20 @@ def floored_params(est: NestedEstimate) -> CalibParams:
     rho1 is trunk work per trunk; rho2 is subsample work per replication slot
     (averaged over all N*R slots, so coinciding trunks dilute it, exactly as
     they dilute realized cost).  Estimates at or below zero (the rules never
-    disagreed, or a variance vanished) are floored at a tiny positive value
-    and the result is flagged degenerate.
+    disagreed, a variance vanished, or every trunk stopped at date 0) are
+    floored at a tiny positive value and the result is flagged degenerate.
     """
     rho1 = est.work_trunk.units() / est.N
     rho2 = est.work_sub.units() / (est.N * est.R)
     v1 = est.v1_hat
     v2 = est.v2_hat if est.v2_hat is not None else 0.0
-    degenerate = False
-    floor = 1e-12
+    # each floor is 1e-12 times the scale of its kind (variance or cost)
     scale_v = max(v1, v2, 1.0)
-    scale_r = max(rho1, 1.0)
-    if v1 <= 0.0:
-        v1 = floor * scale_v
-        degenerate = True
-    if v2 <= 0.0:
-        v2 = floor * scale_v
-        degenerate = True
-    if rho2 <= 0.0:
-        rho2 = floor * scale_r
-        degenerate = True
-    return CalibParams(v1=v1, v2=v2, rho1=rho1, rho2=rho2,
-                       p_differ=est.p_differ, degenerate=degenerate)
+    scale_r = max(rho1, rho2, 1.0)
+    comps = ((v1, scale_v), (v2, scale_v), (rho1, scale_r), (rho2, scale_r))
+    v1, v2, rho1, rho2 = (1e-12 * scale if x <= 0.0 else x for x, scale in comps)
+    return CalibParams(v1=v1, v2=v2, rho1=rho1, rho2=rho2, p_differ=est.p_differ,
+                       degenerate=any(x <= 0.0 for x, _ in comps))
 
 
 def pilot(model, ruleA, ruleB, N_pilot: int, R_pilot: int, seed: int,

@@ -6,11 +6,13 @@ import pytest
 from nccmc.calibration import (
     CalibParams,
     DegenerateParamsError,
+    choose_R,
     gain,
     ml_allocation,
     optimal_R,
     qcv_allocation,
     robustness_bound,
+    trunks_for_budget,
     v_profile,
 )
 from tests.conftest import random_calib_params
@@ -73,6 +75,39 @@ def test_rounding_never_below_one():
     rep = optimal_R(p)
     assert rep.R_star == 1.0
     assert rep.R_rounded == 1
+
+
+# a pilot that floored v1: optimal_R would read R* = sqrt(16 * 4e12) = 8e6 from it
+DEGENERATE = CalibParams(v1=1e-12, v2=4.0, rho1=8.0, rho2=0.5, p_differ=0.1, degenerate=True)
+
+
+def test_choose_r_follows_optimal_r_on_a_sound_pilot():
+    for p in (COL4, COL1, CalibParams(v1=1.0, v2=1.0, rho1=1.0, rho2=1.0)):
+        assert choose_R(p, None) == (optimal_R(p).R_rounded, optimal_R(p))
+
+
+def test_choose_r_gives_no_nesting_on_a_degenerate_pilot():
+    assert optimal_R(DEGENERATE).R_star > 1e6
+    R, rep = choose_R(DEGENERATE, None)
+    assert R == 1
+    assert (rep.R_star, rep.R_rounded, rep.gamma_star) == (1.0, 1, 1.0)
+    assert (rep.gain_lower, rep.gain_upper) == (1.0, 1.0)
+    assert rep.condition_holds is False
+    assert rep.n_star_per_budget == 1.0 / (DEGENERATE.rho1 + DEGENERATE.rho2)
+
+
+def test_choose_r_override_wins():
+    for p in (COL4, DEGENERATE):
+        R, rep = choose_R(p, 7)
+        assert R == 7
+        assert rep == choose_R(p, None)[1]  # the report stays the calibration's
+
+
+def test_trunks_for_budget():
+    p = CalibParams(v1=1.0, v2=1.0, rho1=3.0, rho2=0.5)
+    assert trunks_for_budget(p, 4, 1000.0) == 200
+    assert trunks_for_budget(p, 4, 999.0) == 199  # rounds down
+    assert trunks_for_budget(p, 4, 1.0) == 2       # never below two
 
 
 def test_robustness_bound_values():

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, config validation, stable outputs."""
 
+import dataclasses
 import json
+import re
 import textwrap
 
 import pytest
 
 from nccmc import cli
+from nccmc.experiments import MlLevelRow, Table1Row
 
 GBM_SMALL = """
     rules.a.training_paths=3000
@@ -152,6 +155,9 @@ def test_pilot_flags_identical_rules(tmp_path):
     assert info["degenerate"] is True
     assert info["p_differ"] == 0.0
     assert info["R_rounded"] == 1
+    # the no-nesting calibration, with the same keys as a sound pilot's
+    assert (info["R_star"], info["gamma_star"], info["speedup"]) == (1.0, 1.0, 1.0)
+    assert (info["gain_lower"], info["gain_upper"], info["condition_holds"]) == (1.0, 1.0, False)
 
 
 def test_oracle_check_passes_on_bundled_trees(tmp_path):
@@ -244,6 +250,24 @@ def test_calibrated_r_beats_plain_coupling_at_equal_budget(tmp_path):
     assert se_tuned < se_plain
 
 
+@pytest.mark.parametrize("budget", ["", "run.budget=1e5\n"], ids=["paths", "budget"])
+def test_rule_stopping_at_date_0_runs_at_r1(tmp_path, budget):
+    # rule a stops at date 0 on every path and fixed rules cost nothing to
+    # evaluate, so stage one costs nothing (rho1 = 0): the pilot floors it,
+    # flags itself degenerate, and the run goes ahead without nesting
+    out = tmp_path / "o"
+    cfg = config(tmp_path, "rules.a.kind=fixed\nrules.a.stop_from=0\nrules.b.kind=fixed\n"
+                 "rules.b.stop_from=9\nrun.testing_paths=2000\nrun.n_pilot=500\n"
+                 "run.r_pilot=8\n" + budget)
+    rc = cli.main(["estimate", "--config", cfg, "--seed", "1", "--out", str(out)])
+    assert rc == 0
+    info = read_json(out, "estimate.json")
+    assert info["R"] == 1
+    assert info["p_differ"] == 1.0
+    assert info["pilot"]["degenerate"] is True
+    assert info["pilot"]["R_rounded"] == 1
+
+
 def test_r1_run_reports_no_inner_variance(tmp_path):
     out = run_estimate(tmp_path, "r1", extra="run.replications=1\n")
     info = read_json(out, "estimate.json")
@@ -304,6 +328,32 @@ def test_multilevel_command(tmp_path):
     info = read_json(out, "multilevel.json")
     assert len(info["rows"]) == 2
     assert info["budget"] == 1e5
+
+
+def test_csv_columns_match_the_rows_and_the_help(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    help_text = capsys.readouterr().out
+    runs = [
+        ("estimate", TREE_AB + "run.testing_paths=500\nrun.n_pilot=500\n", None),
+        ("table1", STUDY_BASE + "study.sigma_hats=0.23\nrun.n_pilot=500\n", Table1Row),
+        ("qcv", STUDY_BASE + "qcv.members=8\nqcv.member_size=300\nrun.n_pilot=500\n"
+         "run.budget=1e5\n", None),
+        ("multilevel", STUDY_BASE + "ml.ladder=2,4\nml.member_size=300\nrun.n_pilot=500\n"
+         "run.budget=1e5\n", MlLevelRow),
+        ("vprofile", TREE_AB + "run.n_pilot=500\nvprofile.points=4\n", None),
+    ]
+    for command, text, row_type in runs:
+        out = tmp_path / command
+        cfg = config(tmp_path, text, name=f"{command}.cfg")
+        assert cli.main([command, "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
+        written, = out.glob("*.csv")
+        header = written.read_text().split("\n", 1)[0].split(",")
+        if row_type is not None:
+            assert header == [f.name for f in dataclasses.fields(row_type)]
+        assert written.name in help_text
+        for col in header:
+            assert re.search(rf"\b{col}\b", help_text), (written.name, col)
 
 
 # --- profile export -------------------------------------------------------------------

@@ -139,6 +139,16 @@ def test_qcv_gain_fields_coherent(qcv_report):
         assert r.calibration.gamma_star <= 1.0
 
 
+def test_qcv_degenerate_pilot_reports_no_nesting(qcv_report):
+    # this fixture's pilot floors v1, so R* means nothing: the run uses R = 1
+    # and reports the no-nesting calibration, not optimal_R's huge R*
+    r = qcv_report
+    assert r.pilot_params.degenerate
+    assert r.R_used == 1
+    assert (r.calibration.R_star, r.calibration.R_rounded, r.calibration.gamma_star) == (1.0, 1, 1.0)
+    assert r.measured_gain == 1.0
+
+
 def test_qcv_measured_gain_floors_a_zero_component(d2_params, monkeypatch):
     # the main runs' v1 is forced to zero: measured_gain floors it as the
     # pilot would, at 1e-12 times max(v1, v2, 1)

@@ -140,17 +140,18 @@ def test_estimate_matches_single_trunk_api(tree2, tree2_rules, d2_params, small_
     for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
         est = estimate(model, A, B, N, R, seed=21)
         means, variances = np.empty(N), np.empty(N)
-        work_trunk, work_sub = WorkMeter(), WorkMeter()
+        t_steps = t_evals = s_steps = s_evals = 0
         for i in range(N):
             tau, sign, xw, resume, steps, evals = _trunk_block(model, A, B, 21, NS_TESTING, i, 1)
-            work_trunk.merge(WorkMeter(steps, evals))
+            t_steps, t_evals = t_steps + steps, t_evals + evals
             m, v, steps, evals = _sub_block(model, A, B, 21, NS_TESTING, i, tau, sign, xw, resume, R)
-            work_sub.merge(WorkMeter(steps, evals))
+            s_steps, s_evals = s_steps + steps, s_evals + evals
             means[i], variances[i] = m[0], v[0]
         assert est.delta_hat == float(np.mean(means))
         assert est.v2_hat == float(np.mean(variances))
         assert est.v1_hat == max(float(np.var(means, ddof=1)) - est.v2_hat / R, 0.0)
-        assert (est.work_trunk, est.work_sub) == (work_trunk, work_sub)
+        assert est.work_trunk == WorkMeter(t_steps, t_evals)
+        assert est.work_sub == WorkMeter(s_steps, s_evals)
         assert est.p_differ > 0
 
 
@@ -253,16 +254,24 @@ def test_floored_params_keeps_positive_components(tree2, tree2_rules):
     assert zero.v1 == 1e-12 * max(est.v2_hat, 1.0) and zero.degenerate
 
 
+def test_floored_params_floors_zero_trunk_cost(tree2):
+    # a rule that stops at date 0 ends every trunk before any step, and
+    # fixed-date rules cost nothing to evaluate: rho1 is exactly zero and is
+    # floored at 1e-12 times max(rho1, rho2, 1)
+    est = estimate(tree2, FixedDateRule(0), FixedDateRule(2), 400, 4, seed=5)
+    assert est.work_trunk.units() == 0.0 and est.p_differ == 1.0
+    rho2 = est.work_sub.units() / (est.N * est.R)
+    assert rho2 > 1.0
+    cal = floored_params(est)
+    assert cal.rho1 == 1e-12 * rho2
+    assert cal.rho2 == rho2
+    assert cal.degenerate
+    assert pilot(tree2, FixedDateRule(0), FixedDateRule(2), 400, 4, seed=5) == cal
+
+
 def test_pilot_validates_sizes(tree2, tree2_rules):
     A, B = tree2_rules
     with pytest.raises(ValueError):
         pilot(tree2, A, B, 99, 8, seed=1)
     with pytest.raises(ValueError):
         pilot(tree2, A, B, 500, 1, seed=1)
-
-
-def test_work_meter_merge():
-    a = WorkMeter(steps=3, rule_evals=10)
-    a.merge(WorkMeter(steps=4, rule_evals=5))
-    assert (a.steps, a.rule_evals) == (7, 15)
-    assert a.units() == pytest.approx(7 + 0.1 * 15)
