@@ -147,27 +147,16 @@ def qcv_allocation(
 ) -> tuple[int, int]:
     """Split a budget between baseline paths and correction trunks.
 
-    The baseline estimates E[X_{tau_B}] at per-path variance vB and cost
-    rhoB; the correction estimates the rule difference at per-trunk variance
-    v1 + v2/R and cost rho1 + R*rho2.  Returns (N_B, N) with
-    N_B/N = sqrt((vB/v(R)) * (rho(R)/rhoB)), which is budget-free; counts
-    are integers >= 1 and the leftover budget is less than one path's cost.
+    The two-level case of ``ml_allocation``: the baseline estimates
+    E[X_{tau_B}] at per-path variance vB and cost rhoB; the correction
+    estimates the rule difference at per-trunk variance v1 + v2/R and cost
+    rho1 + R*rho2.  Returns (N_B, N) with N_B/N near
+    sqrt((vB/v(R)) * (rho(R)/rhoB)), which is budget-free.
     """
-    if not (vB > 0 and rhoB > 0):
-        raise ValueError("vB and rhoB must be strictly positive")
     if R < 1:
         raise ValueError("R must be >= 1")
-    vR = p.v1 + p.v2 / R
-    rhoR = p.rho1 + p.rho2 * R
-    if budget < rhoR + rhoB:
-        raise ValueError(f"budget {budget!r} cannot afford one path of each kind")
-    ratio = math.sqrt((vB / vR) * (rhoR / rhoB))
-    n = budget / (ratio * rhoB + rhoR)
-    counts = [max(1, math.floor(ratio * n)), max(1, math.floor(n))]
-    variances = (vB, vR)
-    costs = (rhoB, rhoR)
-    _greedy_fill(counts, variances, costs, budget)
-    return counts[0], counts[1]
+    n_base, n = ml_allocation([(vB, rhoB), (p.v1 + p.v2 / R, p.rho1 + p.rho2 * R)], budget)
+    return n_base, n
 
 
 def ml_allocation(levels: Sequence[tuple[float, float]], budget: float) -> list[int]:

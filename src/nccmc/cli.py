@@ -168,7 +168,7 @@ def _run_settings(r: ConfigReader, args) -> RunSettings:
     budget = r.float("run.budget")
     if budget is not None and not (math.isfinite(budget) and budget > 0):
         raise ConfigError(f"config key run.budget must be a positive finite number, got {budget!r}")
-    return RunSettings(
+    rs = RunSettings(
         seed_training=seed_training,
         seed_testing=seed_testing,
         training_paths=r.int("run.training_paths", 100_000),
@@ -179,6 +179,12 @@ def _run_settings(r: ConfigReader, args) -> RunSettings:
         budget=budget,
         threads=args.threads,
     )
+    # the estimators' own lower bounds, checked before any output exists
+    for name, low in (("replications", 1), ("testing_paths", 2), ("n_pilot", 100), ("r_pilot", 2)):
+        value = getattr(rs, name)
+        if value is not None and value < low:
+            raise ConfigError(f"config key run.{name} must be >= {low}, got {value}")
+    return rs
 
 
 def _build_tree(r: ConfigReader) -> Optional[TreeModel]:

@@ -10,11 +10,19 @@ estimate is the double average; its variance decomposes as v1/N + v2/(R*N)
 with v1 the variance of the per-trunk conditional mean and v2 the expected
 within-trunk variance.
 
+Both stages run one date loop, the lane kernel ``_run_lanes``: each date it
+steps the live lanes, prices them, asks the rules each lane consults and
+retires the lanes that stop.  A stage supplies each lane's first decision
+date (0 for a trunk, tau + 1 for a continuation), its rules (both, or the
+survivor) and its noise.  Stage two fetches a trunk's noise only for dates
+tau+1..J and walks the differing trunks in sub-batches of at most
+NOISE_BUDGET variates, so its memory does not grow with N, R or P(differ).
+
 Everything is deterministic given (seed, namespace): paths and replications
 are addressed by counter-based streams, partial results land in preallocated
 index-addressed buffers, and reductions run in index order (numpy pairwise
-summation), so chunking and thread count cannot change a single bit of the
-result.
+summation), so chunking, sub-batching and thread count cannot change a
+single bit of the result.
 """
 
 from __future__ import annotations
@@ -31,6 +39,9 @@ from .stopping_rules import FixedDateRule
 
 # Paths per scheduling unit.  Fixed: results must not depend on it.
 CHUNK_SIZE = 16384
+
+# Stage-two noise variates held at once (32 MB).  Fixed: results must not depend on it.
+NOISE_BUDGET = 2**22
 
 # One rule evaluation costs a tenth of one asset-date simulation step.
 RULE_EVAL_UNIT = 0.1
@@ -80,120 +91,91 @@ class ValueEstimate:
     work: WorkMeter
 
 
-def _trunk_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int, n: int):
-    """Stage one for paths [p0, p0+n): runs to the earlier stopping date.
+def _run_lanes(model, rules, first, states, payoff, noise):
+    """The date loop of both stages: advance lanes until each one stops.
 
-    Returns (tau, sign, x_wedge, resume_states, steps, evals) with resume
-    states in a row buffer matching the model's state layout.
+    Lane i is first stepped and asked at date first[i] (date 0 takes no
+    step).  ``rules`` holds (rule, lanes) pairs, lanes a boolean mask of the
+    lanes that consult the rule or None for all; a lane stops at the first
+    date one of its rules says so, and at J in any case.  ``noise(j, rows)``
+    gives the draws that carry lanes ``rows`` to date j.  ``states`` and
+    ``payoff`` are advanced in place and end at each lane's stop date.
+    Returns (tau, votes, steps, evals): the stop dates and votes[i], rule i's
+    decision there (True at J).
     """
-    J = model.J
-    states = model.init_states(n)
-    payoff = np.asarray(model.payoff_batch(0, states), dtype=float)
+    J, n = model.J, len(first)
     tau = np.zeros(n, dtype=np.int64)
-    sign = np.zeros(n, dtype=np.int8)
-    x_wedge = np.zeros(n)
-    resume = states.copy()
+    votes = [np.zeros(n, dtype=bool) for _ in rules]
     alive = np.ones(n, dtype=bool)
-    steps = 0
-    evals = 0
-    cost_both = ruleA.eval_cost + ruleB.eval_cost
-    for j in range(J + 1):
-        live = np.nonzero(alive)[0]
-        live_states = states[live]
-        if j > 0:
-            draws = model.draw(seed, namespace, TRUNK, 0, j, n, first_point=p0)
-            live_states = model.step_batch(j, live_states, draws[live])
-            states[live] = live_states
-            payoff[live] = model.payoff_batch(j, live_states)
-            steps += live.size * model.step_units
-        if j < J:
-            live_payoff = payoff[live]
-            sA = ruleA.decide_batch(j, live_states, live_payoff)
-            sB = ruleB.decide_batch(j, live_states, live_payoff)
-            evals += live.size * cost_both
-        else:
-            sA = sB = np.ones(live.size, dtype=bool)
-        newly = sA | sB
-        idx = live[newly]
-        if idx.size:
-            tau[idx] = j
-            sign[idx] = np.where(sA[newly] & sB[newly], 0, np.where(sA[newly], -1, 1))
-            x_wedge[idx] = payoff[idx]
-            resume[idx] = states[idx]
-            alive[idx] = False
-        if not alive.any():
-            break
-    return tau, sign, x_wedge, resume, steps, evals
-
-
-def _sub_lanes(model, ruleA, ruleB, seed: int, namespace: int,
-               trunk_index, tau, sign, x_wedge, resume_rows, R: int):
-    """Stage two over (trunk, replication) lanes, date-synchronous.
-
-    All inputs are restricted to differing trunks (sign != 0 everywhere).
-    Each trunk owns one SUB stream (key date 0) holding its continuation
-    noise for all dates and replications at once: point (j-1)*R + (r-1) is
-    replication r's draw for date j.  Returns (vals, steps, evals) with vals
-    of shape (n_trunks, R).
-    """
-    nd = len(tau)
-    J = model.J
-    vals = np.empty((nd, R))
-    steps = 0
-    evals = 0
-    if nd == 0:
-        return vals, steps, evals
-
-    # One draw call per trunk covers dates tau+1..J for all replications;
-    # blocks land in a date-aligned dense tensor so the date loop below can
-    # gather with one fancy index.
-    width = model.draw_width
-    dense = np.zeros((nd, J, R, width))
-    for k in range(nd):
-        t0 = int(tau[k])
-        block = model.draw(seed, namespace, SUB, int(trunk_index[k]), 0,
-                           (J - t0) * R, first_point=t0 * R)
-        dense[k, t0:] = block.reshape(J - t0, R, width)
-
-    states = np.repeat(resume_rows, R, axis=0)
-    lane_sign = np.repeat(sign, R).astype(float)
-    lane_xw = np.repeat(x_wedge, R)
-    # S > 0 means tau_A > tau_B: rule A is still running, and vice versa.
-    lane_survivor_a = np.repeat(sign > 0, R)
-    alive = np.ones(nd * R, dtype=bool)
-    vals_flat = vals.reshape(-1)
-    for j in range(int(tau.min()) + 1, J + 1):
-        started = np.repeat(tau < j, R)
-        rows = np.nonzero(alive & started)[0]
+    steps = evals = 0
+    for j in range(int(first.min()), J + 1):
+        rows = np.nonzero(alive & (first <= j))[0]
         if rows.size == 0:
             continue
-        k_arr = rows // R
-        r_arr = rows - k_arr * R
-        dj = dense[k_arr, j - 1, r_arr]
-        stepped = model.step_batch(j, states[rows], dj)
-        states[rows] = stepped
-        pay = np.asarray(model.payoff_batch(j, stepped), dtype=float)
-        steps += rows.size * model.step_units
+        lane_states = states[rows]
+        if j > 0:
+            lane_states = model.step_batch(j, lane_states, noise(j, rows))
+            lane_payoff = np.asarray(model.payoff_batch(j, lane_states), dtype=float)
+            states[rows] = lane_states
+            payoff[rows] = lane_payoff
+            steps += rows.size * model.step_units
+        else:
+            lane_payoff = payoff[rows]
         if j < J:
-            stop = np.empty(rows.size, dtype=bool)
-            for rule, grp in ((ruleA, lane_survivor_a[rows]), (ruleB, ~lane_survivor_a[rows])):
+            says = []
+            for rule, lanes in rules:
+                if lanes is None:
+                    says.append(rule.decide_batch(j, lane_states, lane_payoff))
+                    evals += rows.size * rule.eval_cost
+                    continue
+                grp = lanes[rows]
+                said = np.zeros(rows.size, dtype=bool)
                 if grp.any():
-                    stop[grp] = rule.decide_batch(j, stepped[grp], pay[grp])
+                    said[grp] = rule.decide_batch(j, lane_states[grp], lane_payoff[grp])
                     evals += int(np.count_nonzero(grp)) * rule.eval_cost
+                says.append(said)
+            stop = np.any(says, axis=0)
         else:
             stop = np.ones(rows.size, dtype=bool)
+            says = [stop] * len(rules)
         done = rows[stop]
-        vals_flat[done] = lane_sign[done] * (pay[stop] - lane_xw[done])
+        tau[done] = j
+        for vote, said in zip(votes, says):
+            vote[done] = said[stop]
         alive[done] = False
         if not alive.any():
             break
-    return vals, steps, evals
+    return tau, votes, steps, evals
+
+
+def _trunk_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int, n: int):
+    """Stage one for paths [p0, p0+n): runs to the earlier stopping date.
+
+    Path p consults both rules from date 0 and draws point p of each date's
+    TRUNK stream.  Returns (tau, sign, x_wedge, resume_states, steps, evals),
+    resume states in a row buffer matching the model's state layout.
+    """
+    states = model.init_states(n)
+    payoff = np.asarray(model.payoff_batch(0, states), dtype=float)
+
+    def noise(j, rows):
+        return model.draw(seed, namespace, TRUNK, 0, j, n, first_point=p0)[rows]
+
+    tau, (sA, sB), steps, evals = _run_lanes(
+        model, ((ruleA, None), (ruleB, None)), np.zeros(n, dtype=np.int64), states, payoff, noise)
+    sign = np.where(sA & sB, 0, np.where(sA, -1, 1)).astype(np.int8)
+    return tau, sign, payoff, states, steps, evals
 
 
 def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
                tau, sign, x_wedge, resume, R: int):
     """Stage two for one trunk block: R continuations per differing trunk.
 
+    Trunk p owns one SUB stream (key date 0) whose point (j-1)*R + (r-1) is
+    replication r's draw for date j.  A differing trunk's lanes start at
+    tau + 1 and consult the surviving rule; one draw per trunk puts dates
+    tau+1..J in a ragged buffer of at most NOISE_BUDGET variates per
+    sub-batch of trunks (a trunk whose own block is larger runs alone).
     Returns (means, variances, steps, evals); rows for trunks with S = 0
     stay zero and cost nothing.
     """
@@ -201,37 +183,47 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
     means = np.zeros(n)
     variances = np.zeros(n)
     diff = np.nonzero(sign != 0)[0]
-    if diff.size == 0:
-        return means, variances, 0, 0
-    vals, steps, evals = _sub_lanes(
-        model, ruleA, ruleB, seed, namespace,
-        p0 + diff, tau[diff], sign[diff], x_wedge[diff], resume[diff], R)
-    means[diff] = vals.mean(axis=1)
-    if R > 1:
-        variances[diff] = vals.var(axis=1, ddof=1)
+    width = model.draw_width
+    points = (model.J - tau[diff]) * R
+    ends = np.cumsum(points)
+    lo = steps = evals = 0
+    while lo < diff.size:
+        spent = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, spent + NOISE_BUDGET // width, side="right")))
+        k = diff[lo:hi]
+        offsets = ends[lo:hi] - points[lo:hi] - spent
+        buf = np.empty((int(ends[hi - 1] - spent), width))
+        for i, off, count in zip(k, offsets, points[lo:hi]):
+            buf[off:off + count] = model.draw(seed, namespace, SUB, p0 + int(i), 0, int(count),
+                                              first_point=int(tau[i]) * R).reshape(count, width)
+        # lane (i, r) reads point (j - tau_i - 1)*R + r of trunk i's block at date j
+        base = np.repeat(offsets - (tau[k] + 1) * R, R) + np.tile(np.arange(R), k.size)
+        survivor_a = np.repeat(sign[k] > 0, R)   # S > 0: tau_A > tau_B, rule A runs on
+        lane_xw = np.repeat(x_wedge[k], R)
+        payoff = lane_xw.copy()
+        _, _, s_steps, s_evals = _run_lanes(
+            model, ((ruleA, survivor_a), (ruleB, ~survivor_a)), np.repeat(tau[k] + 1, R),
+            np.repeat(resume[k], R, axis=0), payoff, lambda j, rows: buf[base[rows] + j * R])
+        vals = (np.repeat(sign[k], R).astype(float) * (payoff - lane_xw)).reshape(k.size, R)
+        means[k] = vals.mean(axis=1)
+        if R > 1:
+            variances[k] = vals.var(axis=1, ddof=1)
+        steps, evals = steps + s_steps, evals + s_evals
+        lo = hi
     return means, variances, steps, evals
 
 
-def _chunks(N: int):
-    for start in range(0, N, CHUNK_SIZE):
-        yield start, min(CHUNK_SIZE, N - start)
-
-
 def _run_chunked(task, N: int, threads: int):
-    """Run task(start, size) for every chunk, in parallel if asked.
+    """Run task(start, size) for every chunk of CHUNK_SIZE paths, in parallel if asked.
 
     Results are collected by chunk index, so the reduction that follows is
     identical for any thread count.
     """
-    jobs = list(_chunks(N))
+    jobs = [(s, min(CHUNK_SIZE, N - s)) for s in range(0, N, CHUNK_SIZE)]
     if threads <= 1:
         return [task(s, n) for s, n in jobs]
-    out = [None] * len(jobs)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(task, s, n): k for k, (s, n) in enumerate(jobs)}
-        for fut, k in futures.items():
-            out[k] = fut.result()
-    return out
+        return list(pool.map(task, *zip(*jobs)))
 
 
 def estimate(model, ruleA, ruleB, N: int, R: int, seed: int,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from nccmc.nested_cmc import _run_lanes
 from nccmc.process_models import GbmParams, bundled_tree, simulate_training_paths
+from nccmc.rng import NS_TESTING, SUB
 from nccmc.stopping_rules import TreeRule, train_tvr
 
 
@@ -58,3 +60,24 @@ def random_calib_params(rng: np.random.Generator, n: int):
 
     draws = 10.0 ** rng.uniform(-3, 3, size=(n, 4))
     return [CalibParams(v1=a, v2=b, rho1=c, rho2=d) for a, b, c, d in draws]
+
+
+def continuations(model, A, B, seed, trunk_index, tau, sign, x_wedge, resume, R):
+    """Stage two by hand: R continuations of each given trunk, through the lane kernel.
+
+    Replication r of trunk k reads its date-j noise straight from point
+    (j-1)*R + r of the trunk's SUB stream, independently of the engine's
+    buffers.  Returns (vals of shape (n_trunks, R), steps, evals).
+    """
+    n, J = len(tau), model.J
+    dense = np.stack([model.draw(seed, NS_TESTING, SUB, int(i), 0, J * R).reshape(J, R, -1)
+                      for i in trunk_index])
+    k, r = np.divmod(np.arange(n * R), R)
+    survivor_a = np.repeat(np.asarray(sign) > 0, R)
+    lane_xw = np.repeat(np.asarray(x_wedge, dtype=float), R)
+    payoff = lane_xw.copy()
+    _, _, steps, evals = _run_lanes(
+        model, ((A, survivor_a), (B, ~survivor_a)), np.repeat(np.asarray(tau) + 1, R),
+        np.repeat(resume, R, axis=0), payoff, lambda j, rows: dense[k[rows], j - 1, r[rows]])
+    vals = np.repeat(sign, R) * (payoff - lane_xw)
+    return vals.reshape(n, R), steps, evals

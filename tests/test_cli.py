@@ -111,6 +111,30 @@ def test_bad_budget_exits_2(tmp_path, capsys, budget):
     assert not out.exists()
 
 
+# the least config each subcommand needs to get past its own required keys
+MINIMAL_CONFIGS = {
+    "pilot": TREE_AB,
+    "estimate": TREE_AB,
+    "table1": "study.sigma_hats=0.2\n",
+    "qcv": "run.budget=1e5\n",
+    "multilevel": "ml.ladder=1,2\nrun.budget=1e5\n",
+    "oracle-check": TREE_AB,
+    "vprofile": TREE_AB,
+}
+
+
+@pytest.mark.parametrize("setting", ["run.replications=0", "run.n_pilot=99", "run.r_pilot=1",
+                                     "run.testing_paths=1"])
+@pytest.mark.parametrize("command", list(MINIMAL_CONFIGS))
+def test_bad_run_size_exits_2_before_any_output(tmp_path, capsys, command, setting):
+    out = tmp_path / "o"
+    cfg = config(tmp_path, MINIMAL_CONFIGS[command] + setting + "\n")
+    rc = cli.main([command, "--config", cfg, "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert setting.partition("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_3(tmp_path, capsys):
     # too few training paths for the regression basis: fails inside training
     cfg = config(tmp_path, "rules.a.training_paths=5\nrun.testing_paths=100\n")

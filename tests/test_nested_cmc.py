@@ -1,14 +1,15 @@
-"""Two-stage engine: stage-one and stage-two kernels, variance accounting."""
+"""Two-stage engine: the lane kernel under both stages, variance accounting."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nccmc import nested_cmc
 from nccmc.nested_cmc import (
     WorkMeter,
     _sub_block,
-    _sub_lanes,
     _trunk_block,
     estimate,
     estimate_value,
@@ -19,6 +20,7 @@ from nccmc.oracle import exact_delta
 from nccmc.process_models import GbmModel, GbmParams
 from nccmc.rng import NS_TESTING
 from nccmc.stopping_rules import FixedDateRule, TreeRule
+from tests.conftest import continuations
 
 
 def trunk(model, A, B, i, seed):
@@ -83,8 +85,8 @@ def replication_values(model, A, B, n, R, seed):
     """Stage two's (trunk, replication) values for the differing trunks of paths [0, n)."""
     tau, sign, xw, resume, _, _ = _trunk_block(model, A, B, seed, NS_TESTING, 0, n)
     diff = np.nonzero(sign)[0]
-    vals, _, _ = _sub_lanes(model, A, B, seed, NS_TESTING, diff, tau[diff], sign[diff],
-                            xw[diff], resume[diff], R)
+    vals, _, _ = continuations(model, A, B, seed, diff, tau[diff], sign[diff], xw[diff],
+                               resume[diff], R)
     return vals
 
 
@@ -115,12 +117,77 @@ def test_continuations_start_after_the_frozen_date(tree2):
     A, B = FixedDateRule(0), TreeRule(tree2, [])
     resume = np.array([tree2.label_to_id["root"], tree2.label_to_id["1"]])
     R = 4
-    vals, steps, evals = _sub_lanes(tree2, A, B, 1, NS_TESTING, np.array([0, 1]), np.array([0, 1]),
-                                    np.array([-1, -1], dtype=np.int8), np.array([0.0, 0.0]), resume, R)
+    vals, steps, evals = continuations(tree2, A, B, 1, [0, 1], np.array([0, 1]),
+                                       np.array([-1, -1], dtype=np.int8), np.array([0.0, 0.0]), resume, R)
     assert steps == R * 2 + R * 1
     assert evals == R * 1  # B decides at date 1 for the date-0 trunk's lanes only
     # the date-1 trunk sits on node 1, whose children pay 2 or 0
     assert set(np.unique(-vals[1])) <= {2.0, 0.0}
+
+
+def test_stage_two_reads_each_trunks_sub_stream(tree2, tree2_rules, d2_params, small_rule_pair):
+    # the engine's ragged noise buffer gives every lane the same draws as
+    # reading its trunk's SUB stream by hand
+    R = 4
+    for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
+        tau, sign, xw, resume, _, _ = _trunk_block(model, A, B, 5, NS_TESTING, 0, 300)
+        means, variances, steps, evals = _sub_block(model, A, B, 5, NS_TESTING, 0,
+                                                    tau, sign, xw, resume, R)
+        diff = np.nonzero(sign)[0]
+        vals, by_hand_steps, by_hand_evals = continuations(
+            model, A, B, 5, diff, tau[diff], sign[diff], xw[diff], resume[diff], R)
+        assert np.array_equal(means[diff], vals.mean(axis=1))
+        assert np.array_equal(variances[diff], vals.var(axis=1, ddof=1))
+        assert (steps, evals) == (by_hand_steps, by_hand_evals)
+
+
+def test_stage_two_memory_follows_the_noise_budget(monkeypatch):
+    # 2048 trunks that always disagree at R = 100, d = 5 would need a
+    # 73.7 MB noise tensor at once; sub-batches hold 2 MB of noise at a time
+    budget = 2**18
+    monkeypatch.setattr(nested_cmc, "NOISE_BUDGET", budget)
+    p = GbmParams(d=5, r=0.05, delta=0.1, sigma=0.2, K=100.0, y0=90.0, T=3.0, n_dates=10)
+    model, n, R = GbmModel(p), 2048, 100
+    tau, sign = np.zeros(n, dtype=np.int64), np.full(n, -1, dtype=np.int8)
+    resume = model.init_states(n)
+    x_wedge = model.payoff_batch(0, resume)
+    tracemalloc.start()
+    try:
+        means, _, steps, _ = _sub_block(model, FixedDateRule(0), FixedDateRule(p.J), 1, NS_TESTING,
+                                        0, tau, sign, x_wedge, resume, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == n * R * p.J * p.d
+    assert np.all(np.isfinite(means))
+    dense = n * p.J * R * p.d * 8
+    assert peak < 3 * budget * 8 < dense / 10
+
+
+@pytest.mark.parametrize("chunk", [1000, 16384, 65536])
+def test_bits_do_not_depend_on_batching(monkeypatch, chunk, tree2, tree2_rules, d2_params,
+                                        small_rule_pair):
+    # chunks of 1000 to 65536 paths, stage two split into sub-batches of a
+    # few trunks or run whole: the same estimate to the last bit
+    problems = ((tree2, tree2_rules, 20_000, 3), (GbmModel(d2_params), small_rule_pair, 17_000, 4))
+    expected = [estimate(model, A, B, N, R, seed=8) for model, (A, B), N, R in problems]
+    kernel_runs = []
+    run_lanes = nested_cmc._run_lanes
+
+    def counted(*args):
+        kernel_runs.append(1)
+        return run_lanes(*args)
+
+    monkeypatch.setattr(nested_cmc, "_run_lanes", counted)
+    monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", chunk)
+    runs = []
+    for budget in (500, nested_cmc.NOISE_BUDGET):
+        monkeypatch.setattr(nested_cmc, "NOISE_BUDGET", budget)
+        kernel_runs.clear()
+        got = [estimate(model, A, B, N, R, seed=8) for model, (A, B), N, R in problems]
+        assert got == expected
+        runs.append(len(kernel_runs))
+    assert runs[0] > 2 * runs[1]  # the small budget did split the chunks
 
 
 # --- full estimator ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from nccmc import rng
-from nccmc.nested_cmc import _sub_lanes, _trunk_block
+from nccmc.nested_cmc import _trunk_block
 from nccmc.process_models import (
     GbmModel,
     GbmParams,
@@ -17,6 +17,7 @@ from nccmc.process_models import (
     simulate_training_paths,
 )
 from nccmc.stopping_rules import FixedDateRule
+from tests.conftest import continuations
 
 
 def params(**kw):
@@ -146,9 +147,9 @@ def continuation_payoffs(p, tau, state, R, seed):
     The surviving rule holds to maturity; with S = -1 and x_wedge 0 each
     replication value is minus its discounted maturity payoff.
     """
-    vals, steps, _ = _sub_lanes(
-        GbmModel(p), FixedDateRule(0), FixedDateRule(p.J), seed, rng.NS_TESTING,
-        np.array([0]), np.array([tau]), np.array([-1], dtype=np.int8), np.array([0.0]),
+    vals, steps, _ = continuations(
+        GbmModel(p), FixedDateRule(0), FixedDateRule(p.J), seed,
+        [0], np.array([tau]), np.array([-1], dtype=np.int8), np.array([0.0]),
         np.asarray(state, dtype=float)[None], R)
     assert steps == R * (p.J - tau) * p.d
     return -vals[0]
