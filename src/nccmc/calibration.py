@@ -8,9 +8,9 @@ replication count R is V(R)/C with
 
 Everything here is closed form: the optimal R, the achievable variance
 ratio against plain Monte Carlo, how flat the optimum is (so pilot noise in
-R is harmless), and the path-count allocations for the control-variate and
-multilevel compositions.  All functions are pure.  ``choose_R`` is the one
-place that decides the R a run uses.
+R is harmless), and the path-count allocation of a telescoping ladder, of
+which the control-variate composition is the two-level case.  All functions
+are pure.  ``choose_R`` is the one place that decides the R a run uses.
 """
 
 from __future__ import annotations
@@ -140,23 +140,6 @@ def robustness_bound(alpha: float) -> float:
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha!r}")
     return 0.5 + (alpha + 1.0 / alpha) / 4.0
-
-
-def qcv_allocation(
-    vB: float, rhoB: float, p: CalibParams, R: int, budget: float
-) -> tuple[int, int]:
-    """Split a budget between baseline paths and correction trunks.
-
-    The two-level case of ``ml_allocation``: the baseline estimates
-    E[X_{tau_B}] at per-path variance vB and cost rhoB; the correction
-    estimates the rule difference at per-trunk variance v1 + v2/R and cost
-    rho1 + R*rho2.  Returns (N_B, N) with N_B/N near
-    sqrt((vB/v(R)) * (rho(R)/rhoB)), which is budget-free.
-    """
-    if R < 1:
-        raise ValueError("R must be >= 1")
-    n_base, n = ml_allocation([(vB, rhoB), (p.v1 + p.v2 / R, p.rho1 + p.rho2 * R)], budget)
-    return n_base, n
 
 
 def ml_allocation(levels: Sequence[tuple[float, float]], budget: float) -> list[int]:

@@ -18,6 +18,8 @@ difference on few, and compare against pricing the costly rule directly.
 ``multilevel_estimate`` telescopes the costliest rule in a fidelity ladder
 into a cheap base estimate plus per-level increment corrections, each with
 its own calibrated replication count and a global budget allocation.
+Control variates are the two-level case of that ladder, so both studies run
+one driver, ``_telescope``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .calibration import (
     CalibReport,
     choose_R,
     ml_allocation,
-    qcv_allocation,
     trunks_for_budget,
     v_profile,
 )
@@ -173,6 +174,76 @@ def param_uncertainty_study(cfg: ExperimentConfig) -> list[Table1Row]:
     return rows
 
 
+# --- telescoping driver -------------------------------------------------------
+
+# derive_seed tags of each study's runs: {i} is the increment, {run} the pass
+# (the R = 1 one first, then the calibrated one)
+_QCV_TAGS = dict(probe_base="qcv-probe-b", probe_fine="qcv-probe-a", pilot="qcv-pilot",
+                 base="qcv-base-{run}", inc="qcv-corr-{run}", direct="qcv-simple",
+                 runs=("r1", "rstar"))
+_ML_TAGS = dict(probe_base="ml-probe-base", probe_fine="ml-probe-fine", pilot="ml-pilot-{i}",
+                base="ml-base-{run}", inc="ml-inc-{i}-{run}", direct="ml-direct",
+                runs=("plain", "nested"))
+
+
+@dataclass(slots=True)
+class _LadderRun:
+    """One telescoping pass: base value plus one correction per increment."""
+
+    base: ValueEstimate
+    incs: list[NestedEstimate]
+    mean: float
+    var: float
+
+
+def _telescope(cfg: ExperimentConfig, model, rules: list, tags: dict):
+    """Price the last of ``rules`` (cheapest first) by telescoping, and directly.
+
+    Increment i corrects rule i-1's value to rule i's with a nested run at
+    its own pilot-calibrated R.  Path counts come from one budget allocation
+    over the base level's probed variance and cost and each increment's
+    v1 + v2/R and rho1 + rho2 R.  The ladder runs once at R = 1 everywhere
+    and once calibrated; the finest rule is also priced directly at the
+    same budget.  Returns (pilots, choose_R results, R = 1 pass, calibrated
+    pass, direct value).
+    """
+    def seed(key: str, **kw) -> int:
+        return rng.derive_seed(cfg.seed_testing, tags[key].format(**kw))
+
+    L = len(rules) - 1
+    probe0 = estimate_value(model, rules[0], cfg.n_pilot, seed("probe_base"), threads=cfg.threads)
+    probeL = probe0 if L == 0 else estimate_value(
+        model, rules[-1], cfg.n_pilot, seed("probe_fine"), threads=cfg.threads)
+    pilots = [
+        pilot(model, rules[i], rules[i - 1], cfg.n_pilot, cfg.r_pilot, seed("pilot", i=i),
+              threads=cfg.threads)
+        for i in range(1, L + 1)
+    ]
+    calibrated = [choose_R(cal, cfg.replications) for cal in pilots]
+
+    def run_ladder(Rs: list[int], run: str) -> _LadderRun:
+        levels = [(probe0.var_hat, probe0.work.units() / probe0.N)]
+        levels += [(cal.v1 + cal.v2 / R, cal.rho1 + cal.rho2 * R) for cal, R in zip(pilots, Rs)]
+        # the estimators need two samples for a variance
+        counts = [max(2, c) for c in ml_allocation(levels, cfg.budget)]
+        base = estimate_value(model, rules[0], counts[0], seed("base", run=run),
+                              threads=cfg.threads)
+        incs = [
+            estimate(model, rules[i], rules[i - 1], counts[i], Rs[i - 1],
+                     seed("inc", i=i, run=run), threads=cfg.threads)
+            for i in range(1, L + 1)
+        ]
+        return _LadderRun(base, incs,
+                          mean=base.mean + sum(e.delta_hat for e in incs),
+                          var=base.stderr ** 2 + sum(e.stderr ** 2 for e in incs))
+
+    plain = run_ladder([1] * L, tags["runs"][0])
+    nested = run_ladder([R for R, _ in calibrated], tags["runs"][1])
+    n_direct = max(2, int(cfg.budget / (probeL.work.units() / probeL.N)))
+    direct = estimate_value(model, rules[-1], n_direct, seed("direct"), threads=cfg.threads)
+    return pilots, calibrated, plain, nested, direct
+
+
 # --- quasi-control-variate study --------------------------------------------
 
 @dataclass(slots=True)
@@ -205,81 +276,46 @@ def qcv_estimate(cfg: ExperimentConfig) -> QcvReport:
 
     Direct Monte Carlo on the costly rule; a cheap-rule baseline plus a
     coupled difference correction at R=1; and the same with the pilot-
-    calibrated R.  Baseline/correction path counts come from the
-    variance-optimal budget split.  ``measured_gain`` recomputes the
-    matched-budget variance ratio from the main run's own component
-    estimates, for comparison against the pilot's prediction.
+    calibrated R.  This is the two-level telescoping ladder (cheap rule,
+    costly rule).  ``measured_gain`` recomputes the matched-budget variance
+    ratio from the main run's own component estimates, for comparison
+    against the pilot's prediction.
     """
     if cfg.budget is None:
         raise ValueError("qcv_estimate needs a work budget")
     p = cfg.params
-    model = GbmModel(p)
     pool = simulate_training_paths(p, cfg.training_paths, cfg.seed_training)
     ruleB = train_tvr(pool, p)
     ruleA = train_committee(pool, p, cfg.committee_members, cfg.member_size, cfg.seed_training)
-
-    probeA = estimate_value(
-        model, ruleA, cfg.n_pilot,
-        rng.derive_seed(cfg.seed_testing, "qcv-probe-a"), threads=cfg.threads,
-    )
-    probeB = estimate_value(
-        model, ruleB, cfg.n_pilot,
-        rng.derive_seed(cfg.seed_testing, "qcv-probe-b"), threads=cfg.threads,
-    )
-    cal = pilot(
-        model, ruleA, ruleB, cfg.n_pilot, cfg.r_pilot,
-        rng.derive_seed(cfg.seed_testing, "qcv-pilot"), threads=cfg.threads,
-    )
-    R, rep = choose_R(cal, cfg.replications)
-
-    rhoA = probeA.work.units() / probeA.N
-    vB = probeB.var_hat
-    rhoB = probeB.work.units() / probeB.N
-
-    n_simple = max(2, int(cfg.budget / rhoA))
-    simple = estimate_value(
-        model, ruleA, n_simple,
-        rng.derive_seed(cfg.seed_testing, "qcv-simple"), threads=cfg.threads,
-    )
-
-    def corrected(R_run: int, tag: str) -> tuple[ValueEstimate, NestedEstimate, tuple[int, int]]:
-        nB, n = qcv_allocation(vB, rhoB, cal, R_run, cfg.budget)
-        n = max(2, n)
-        base = estimate_value(
-            model, ruleB, nB,
-            rng.derive_seed(cfg.seed_testing, f"qcv-base-{tag}"), threads=cfg.threads,
-        )
-        corr = estimate(
-            model, ruleA, ruleB, n, R_run,
-            rng.derive_seed(cfg.seed_testing, f"qcv-corr-{tag}"), threads=cfg.threads,
-        )
-        return base, corr, (nB, n)
-
-    base1, corr1, alloc1 = corrected(1, "r1")
-    baser, corrr, allocr = corrected(R, "rstar")
+    (cal,), ((R, rep),), plain, nested, simple = _telescope(
+        cfg, GbmModel(p), [ruleB, ruleA], _QCV_TAGS)
 
     if R >= 2 and not cal.degenerate:
-        run_params = floored_params(corrr)
+        run_params = floored_params(nested.incs[0])
         measured_gain = v_profile(run_params, R) / v_profile(run_params, 1)
     else:
         measured_gain = 1.0
 
+    def work(run: _LadderRun) -> float:  # (base + trunk) + sub: the order sets the last bit
+        corr, = run.incs
+        return run.base.work.units() + corr.work_trunk.units() + corr.work_sub.units()
+
     return QcvReport(
-        mu_b=baser.mean,
-        mu_b_stderr=baser.stderr,
+        mu_b=nested.base.mean,
+        mu_b_stderr=nested.base.stderr,
         mu_simple=simple.mean,
-        mu_qcv=base1.mean + corr1.delta_hat,
-        mu_qcv_nested=baser.mean + corrr.delta_hat,
+        mu_qcv=plain.mean,
+        mu_qcv_nested=nested.mean,
         var_simple=simple.stderr ** 2,
-        var_qcv=base1.stderr ** 2 + corr1.stderr ** 2,
-        var_qcv_nested=baser.stderr ** 2 + corrr.stderr ** 2,
+        var_qcv=plain.var,
+        var_qcv_nested=nested.var,
         work_simple=simple.work.units(),
-        work_qcv=base1.work.units() + corr1.work_trunk.units() + corr1.work_sub.units(),
-        work_qcv_nested=baser.work.units() + corrr.work_trunk.units() + corrr.work_sub.units(),
+        work_qcv=work(plain),
+        work_qcv_nested=work(nested),
         budget=cfg.budget,
-        n_simple=n_simple,
-        alloc_qcv=alloc1,
-        alloc_qcv_nested=allocr,
+        n_simple=simple.N,
+        alloc_qcv=(plain.base.N, plain.incs[0].N),
+        alloc_qcv_nested=(nested.base.N, nested.incs[0].N),
         R_used=R,
         pilot_params=cal,
         calibration=rep,
@@ -343,87 +379,36 @@ def multilevel_estimate(cfg: ExperimentConfig) -> MultilevelReport:
     if not cfg.ladder:
         raise ValueError("ladder must be nonempty")
     p = cfg.params
-    model = GbmModel(p)
     pool = simulate_training_paths(p, cfg.training_paths, cfg.seed_training)
     committee = train_committee(pool, p, cfg.ladder[-1], cfg.member_size, cfg.seed_training)
-    rules = [committee.prefix(k) for k in cfg.ladder]
-    L = len(rules) - 1
+    pilots, calibrated, plain, nested, direct = _telescope(
+        cfg, GbmModel(p), [committee.prefix(k) for k in cfg.ladder], _ML_TAGS)
 
-    probe0 = estimate_value(
-        model, rules[0], cfg.n_pilot,
-        rng.derive_seed(cfg.seed_testing, "ml-probe-base"), threads=cfg.threads,
-    )
-    probeL = probe0 if L == 0 else estimate_value(
-        model, rules[-1], cfg.n_pilot,
-        rng.derive_seed(cfg.seed_testing, "ml-probe-fine"), threads=cfg.threads,
-    )
-    rho0 = probe0.work.units() / probe0.N
-    rhoL = probeL.work.units() / probeL.N
+    def work(run: _LadderRun) -> float:  # base + sum(trunk + sub): the order sets the last bit
+        return run.base.work.units() + sum(
+            e.work_trunk.units() + e.work_sub.units() for e in run.incs)
 
-    pilots = [
-        pilot(
-            model, rules[i], rules[i - 1], cfg.n_pilot, cfg.r_pilot,
-            rng.derive_seed(cfg.seed_testing, f"ml-pilot-{i}"), threads=cfg.threads,
-        )
-        for i in range(1, L + 1)
-    ]
-    calibrated = [choose_R(cal, cfg.replications) for cal in pilots]
-    Rs = [R for R, _ in calibrated]
-
-    def run_ladder(R_list: list[int], tag: str):
-        levels = [(probe0.var_hat, rho0)]
-        for cal, R in zip(pilots, R_list):
-            levels.append((cal.v1 + cal.v2 / R, cal.rho1 + cal.rho2 * R))
-        counts = ml_allocation(levels, cfg.budget)
-        counts = [max(2, c) for c in counts]  # estimator needs two samples for a variance
-        base = estimate_value(
-            model, rules[0], counts[0],
-            rng.derive_seed(cfg.seed_testing, f"ml-base-{tag}"), threads=cfg.threads,
-        )
-        incs = [
-            estimate(
-                model, rules[i], rules[i - 1], counts[i], R_list[i - 1],
-                rng.derive_seed(cfg.seed_testing, f"ml-inc-{i}-{tag}"), threads=cfg.threads,
-            )
-            for i in range(1, L + 1)
-        ]
-        mean = base.mean + sum(e.delta_hat for e in incs)
-        var = base.stderr ** 2 + sum(e.stderr ** 2 for e in incs)
-        work = base.work.units() + sum(
-            e.work_trunk.units() + e.work_sub.units() for e in incs
-        )
-        return counts, base, incs, mean, var, work
-
-    counts_n, base_n, incs_n, mean_n, var_n, work_n = run_ladder(Rs, "nested")
-    counts_1, base_1, incs_1, mean_1, var_1, work_1 = run_ladder([1] * L, "plain")
-
-    n_direct = max(2, int(cfg.budget / rhoL))
-    direct = estimate_value(
-        model, rules[-1], n_direct,
-        rng.derive_seed(cfg.seed_testing, "ml-direct"), threads=cfg.threads,
-    )
-
+    base = nested.base
     rows = [MlLevelRow(
         level=0,
         members=cfg.ladder[0],
-        N=counts_n[0],
+        N=base.N,
         R=0,
-        estimate=base_n.mean,
-        stderr=base_n.stderr,
-        v1=base_n.var_hat,
+        estimate=base.mean,
+        stderr=base.stderr,
+        v1=base.var_hat,
         v2=0.0,
-        rho1=base_n.work.units() / base_n.N,
+        rho1=base.work.units() / base.N,
         rho2=0.0,
         R_star=1.0,
         gamma_star=1.0,
-        work_units=base_n.work.units(),
+        work_units=base.work.units(),
     )]
-    for i in range(1, L + 1):
-        cal, (R, rep), e = pilots[i - 1], calibrated[i - 1], incs_n[i - 1]
+    for i, (cal, (R, rep), e) in enumerate(zip(pilots, calibrated, nested.incs), start=1):
         rows.append(MlLevelRow(
             level=i,
             members=cfg.ladder[i],
-            N=counts_n[i],
+            N=e.N,
             R=R,
             estimate=e.delta_hat,
             stderr=e.stderr,
@@ -436,19 +421,19 @@ def multilevel_estimate(cfg: ExperimentConfig) -> MultilevelReport:
             work_units=e.work_trunk.units() + e.work_sub.units(),
         ))
 
-    se = (var_n + direct.stderr ** 2) ** 0.5
+    se = (nested.var + direct.stderr ** 2) ** 0.5
     return MultilevelReport(
         rows=rows,
-        combined=mean_n,
-        combined_stderr=var_n ** 0.5,
+        combined=nested.mean,
+        combined_stderr=nested.var ** 0.5,
         direct=direct.mean,
         direct_stderr=direct.stderr,
-        telescoping_z=abs(mean_n - direct.mean) / se if se > 0 else 0.0,
+        telescoping_z=abs(nested.mean - direct.mean) / se if se > 0 else 0.0,
         var_simple=direct.stderr ** 2,
-        var_ml=var_1,
-        var_ml_nested=var_n,
+        var_ml=plain.var,
+        var_ml_nested=nested.var,
         work_simple=direct.work.units(),
-        work_ml=work_1,
-        work_ml_nested=work_n,
+        work_ml=work(plain),
+        work_ml_nested=work(nested),
         budget=cfg.budget,
     )

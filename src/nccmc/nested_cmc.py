@@ -15,8 +15,9 @@ steps the live lanes, prices them, asks the rules each lane consults and
 retires the lanes that stop.  A stage supplies each lane's first decision
 date (0 for a trunk, tau + 1 for a continuation), its rules (both, or the
 survivor) and its noise.  Stage two fetches a trunk's noise only for dates
-tau+1..J and walks the differing trunks in sub-batches of at most
-NOISE_BUDGET variates, so its memory does not grow with N, R or P(differ).
+tau+1..J and walks the differing trunks in sub-batches whose noise and lane
+state fit in NOISE_BUDGET words, so its memory does not grow with N, R or
+P(differ).
 
 Everything is deterministic given (seed, namespace): paths and replications
 are addressed by counter-based streams, partial results land in preallocated
@@ -40,8 +41,11 @@ from .stopping_rules import FixedDateRule
 # Paths per scheduling unit.  Fixed: results must not depend on it.
 CHUNK_SIZE = 16384
 
-# Stage-two noise variates held at once (32 MB).  Fixed: results must not depend on it.
+# Stage-two words held at once (32 MB): a sub-batch's noise, its lanes' states
+# and LANE_WORDS per lane for the lane's own arrays (payoffs, noise index,
+# dates, flags, temporaries).  Fixed: results must not depend on them.
 NOISE_BUDGET = 2**22
+LANE_WORDS = 12
 
 # One rule evaluation costs a tenth of one asset-date simulation step.
 RULE_EVAL_UNIT = 0.1
@@ -174,8 +178,10 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
     Trunk p owns one SUB stream (key date 0) whose point (j-1)*R + (r-1) is
     replication r's draw for date j.  A differing trunk's lanes start at
     tau + 1 and consult the surviving rule; one draw per trunk puts dates
-    tau+1..J in a ragged buffer of at most NOISE_BUDGET variates per
-    sub-batch of trunks (a trunk whose own block is larger runs alone).
+    tau+1..J in a ragged buffer.  A sub-batch of trunks holds at most
+    NOISE_BUDGET words of noise and lane state, a trunk's share being its
+    noise plus R lanes of state and LANE_WORDS each (a trunk whose own share
+    is larger runs alone).
     Returns (means, variances, steps, evals); rows for trunks with S = 0
     stay zero and cost nothing.
     """
@@ -185,15 +191,15 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
     diff = np.nonzero(sign != 0)[0]
     width = model.draw_width
     points = (model.J - tau[diff]) * R
-    ends = np.cumsum(points)
+    ends = np.cumsum(points * width + R * (width + LANE_WORDS))
     lo = steps = evals = 0
     while lo < diff.size:
         spent = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, spent + NOISE_BUDGET // width, side="right")))
-        k = diff[lo:hi]
-        offsets = ends[lo:hi] - points[lo:hi] - spent
-        buf = np.empty((int(ends[hi - 1] - spent), width))
-        for i, off, count in zip(k, offsets, points[lo:hi]):
+        hi = max(lo + 1, int(np.searchsorted(ends, spent + NOISE_BUDGET, side="right")))
+        k, counts = diff[lo:hi], points[lo:hi]
+        offsets = np.cumsum(counts) - counts
+        buf = np.empty((int(counts.sum()), width))
+        for i, off, count in zip(k, offsets, counts):
             buf[off:off + count] = model.draw(seed, namespace, SUB, p0 + int(i), 0, int(count),
                                               first_point=int(tau[i]) * R).reshape(count, width)
         # lane (i, r) reads point (j - tau_i - 1)*R + r of trunk i's block at date j
@@ -210,6 +216,7 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
             variances[k] = vals.var(axis=1, ddof=1)
         steps, evals = steps + s_steps, evals + s_evals
         lo = hi
+        del buf  # before the next sub-batch's buffer, or both may stay resident
     return means, variances, steps, evals
 
 

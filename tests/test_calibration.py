@@ -10,7 +10,6 @@ from nccmc.calibration import (
     gain,
     ml_allocation,
     optimal_R,
-    qcv_allocation,
     robustness_bound,
     trunks_for_budget,
     v_profile,
@@ -201,9 +200,15 @@ def test_params_must_be_positive():
 
 # --- budget splits -------------------------------------------------------------
 
+def cv_levels(vB, rhoB, p, R):
+    # the control-variate split is ml_allocation's two-level case: a baseline
+    # path at (vB, rhoB), a correction trunk at (v1 + v2/R, rho1 + rho2 R)
+    return [(vB, rhoB), (p.v1 + p.v2 / R, p.rho1 + p.rho2 * R)]
+
+
 def test_qcv_allocation_worked_example():
     p = CalibParams(v1=0.044, v2=19.536, rho1=36.23, rho2=1.728)
-    n_b, n = qcv_allocation(vB=206.0, rhoB=0.0124, p=p, R=100, budget=1e6)
+    n_b, n = ml_allocation(cv_levels(vB=206.0, rhoB=0.0124, p=p, R=100), budget=1e6)
     assert n_b / n == pytest.approx(3809.0, rel=1e-2)
     assert n_b >= 1 and n >= 1
 
@@ -214,14 +219,15 @@ def test_qcv_allocation_symmetric_case():
     R = 2
     v_trunk = p.v1 + p.v2 / R
     rho_trunk = p.rho1 + p.rho2 * R
-    n_b, n = qcv_allocation(vB=v_trunk, rhoB=rho_trunk, p=p, R=R, budget=1e6)
+    n_b, n = ml_allocation(cv_levels(vB=v_trunk, rhoB=rho_trunk, p=p, R=R), budget=1e6)
     assert n_b == pytest.approx(n, rel=2e-3)
 
 
 def test_qcv_allocation_scales_with_budget():
     p = CalibParams(v1=0.044, v2=19.536, rho1=36.23, rho2=1.728)
-    small = qcv_allocation(vB=206.0, rhoB=0.0124, p=p, R=100, budget=1e6)
-    large = qcv_allocation(vB=206.0, rhoB=0.0124, p=p, R=100, budget=2e6)
+    levels = cv_levels(vB=206.0, rhoB=0.0124, p=p, R=100)
+    small = ml_allocation(levels, budget=1e6)
+    large = ml_allocation(levels, budget=2e6)
     assert large[0] == pytest.approx(2 * small[0], rel=5e-3)
     assert large[1] == pytest.approx(2 * small[1], rel=2e-2)
 
@@ -229,7 +235,7 @@ def test_qcv_allocation_scales_with_budget():
 def test_qcv_allocation_spends_the_budget():
     p = CalibParams(v1=0.044, v2=19.536, rho1=36.23, rho2=1.728)
     budget = 1e6
-    n_b, n = qcv_allocation(vB=206.0, rhoB=0.0124, p=p, R=100, budget=budget)
+    n_b, n = ml_allocation(cv_levels(vB=206.0, rhoB=0.0124, p=p, R=100), budget=budget)
     spent = n_b * 0.0124 + n * (36.23 + 1.728 * 100)
     assert spent <= budget
     assert spent >= 0.99 * budget
@@ -238,7 +244,7 @@ def test_qcv_allocation_spends_the_budget():
 def test_qcv_allocation_infeasible_budget():
     p = CalibParams(v1=1.0, v2=1.0, rho1=10.0, rho2=1.0)
     with pytest.raises(ValueError):
-        qcv_allocation(vB=1.0, rhoB=10.0, p=p, R=5, budget=20.0)
+        ml_allocation(cv_levels(vB=1.0, rhoB=10.0, p=p, R=5), budget=20.0)
 
 
 def test_ml_allocation_worked_example():

@@ -12,7 +12,7 @@ from nccmc.experiments import (
     qcv_estimate,
 )
 from nccmc.calibration import v_profile
-from nccmc.nested_cmc import estimate, floored_params
+from nccmc.nested_cmc import CHUNK_SIZE, estimate, floored_params
 from nccmc.process_models import GbmParams
 
 
@@ -125,8 +125,8 @@ def test_qcv_spends_the_budget(qcv_report):
 def test_qcv_allocations_are_usable(qcv_report):
     r = qcv_report
     assert r.n_simple >= 2
-    assert all(n >= 1 for n in r.alloc_qcv)
-    assert all(n >= 1 for n in r.alloc_qcv_nested)
+    assert all(n >= 2 for n in r.alloc_qcv)
+    assert all(n >= 2 for n in r.alloc_qcv_nested)
     assert r.R_used >= 1
     assert r.var_simple > 0 and r.var_qcv > 0 and r.var_qcv_nested > 0
 
@@ -227,6 +227,20 @@ def test_ml_requires_ladder_and_budget(d2_params):
         multilevel_estimate(small_config(d2_params, budget=1e5))
     with pytest.raises(ValueError):
         multilevel_estimate(small_config(d2_params, ladder=(2, 4)))
+
+
+# --- both telescoping drivers ----------------------------------------------------------
+
+def test_drivers_do_not_depend_on_threads(d2_params):
+    # at this budget the baseline runs span more than one chunk of paths
+    reports = [
+        (qcv_estimate(small_config(d2_params, committee_members=8, budget=6e5, threads=t)),
+         multilevel_estimate(small_config(d2_params, ladder=(2, 4, 8), budget=6e5, threads=t)))
+        for t in (1, 2)
+    ]
+    assert reports[0] == reports[1]
+    qcv, ml = reports[0]
+    assert min(qcv.alloc_qcv[0], qcv.alloc_qcv_nested[0], ml.rows[0].N) > CHUNK_SIZE
 
 
 # --- config validation -----------------------------------------------------------------

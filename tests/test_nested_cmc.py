@@ -164,6 +164,21 @@ def test_stage_two_memory_follows_the_noise_budget(monkeypatch):
     assert peak < 3 * budget * 8 < dense / 10
 
 
+def test_thin_lanes_follow_the_budget(monkeypatch, tree2):
+    # one date left and one variate per lane: 2048 trunks at R = 1000 make
+    # 2M lanes whose own state, far more than their noise, fills a sub-batch
+    budget = 2**18
+    monkeypatch.setattr(nested_cmc, "NOISE_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        est = estimate(tree2, FixedDateRule(1), FixedDateRule(2), 2048, 1000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.p_differ == 1.0
+    assert peak < 3 * budget * 8
+
+
 @pytest.mark.parametrize("chunk", [1000, 16384, 65536])
 def test_bits_do_not_depend_on_batching(monkeypatch, chunk, tree2, tree2_rules, d2_params,
                                         small_rule_pair):
