@@ -170,20 +170,21 @@ def _greedy_fill(counts: list[int], variances, costs, budget: float) -> None:
 
     Adding a path to component i at count N removes variance
     v_i/N - v_i/(N+1) = v_i/(N(N+1)) at cost c_i; pick the affordable
-    component maximizing that ratio.  Mutates counts in place.
+    component maximizing that ratio.  Once a single component is affordable
+    it takes every sample that remains, so it gets all but the last of them
+    in one step.  Mutates counts in place.
     """
     remaining = budget - sum(n * c for n, c in zip(counts, costs))
     while True:
-        best = -1
-        best_score = -1.0
-        for k, c in enumerate(costs):
-            if c <= remaining:
-                n = counts[k]
-                score = variances[k] / (n * (n + 1)) / c
-                if score > best_score:
-                    best = k
-                    best_score = score
-        if best < 0:
+        affordable = [k for k, c in enumerate(costs) if c <= remaining]
+        if not affordable:
             break
+        if len(affordable) == 1:
+            k = affordable[0]
+            bulk = int(remaining // costs[k]) - 1
+            if bulk > 0:
+                counts[k] += bulk
+                remaining -= bulk * costs[k]
+        best = max(affordable, key=lambda k: variances[k] / (counts[k] * (counts[k] + 1)) / costs[k])
         counts[best] += 1
         remaining -= costs[best]

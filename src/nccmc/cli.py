@@ -207,27 +207,31 @@ def _build_tree(r: ConfigReader) -> Optional[TreeModel]:
 
 
 def _build_gbm_rule(r: ConfigReader, side: str, params: GbmParams, rs: RunSettings):
+    """Read and check rules.<side>.*; the returned call trains the rule."""
     pre = f"rules.{side}."
     kind = r.str(pre + "kind", "tvr")
     sigma = r.float(pre + "sigma", params.sigma)
     n_train = r.int(pre + "training_paths", rs.training_paths)
     epsilon = r.float(pre + "epsilon", 0.0)
+    if not math.isfinite(epsilon):
+        raise ConfigError(f"config key {pre}epsilon must be a finite number, got {epsilon!r}")
     train_params = replace(params, sigma=sigma)
     # shared derivation tag: rules trained from the same seed share noise
     seed = rng.derive_seed(rs.seed_training, "train")
     if kind == "tvr":
-        paths = simulate_training_paths(train_params, n_train, seed)
-        rule = train_tvr(paths, train_params)
+        fit = lambda paths: train_tvr(paths, train_params)
     elif kind == "committee":
         members = r.int(pre + "members", 100)
         member_size = r.int(pre + "member_size", 4000)
-        paths = simulate_training_paths(train_params, n_train, seed)
-        rule = train_committee(paths, train_params, members, member_size, seed)
+        fit = lambda paths: train_committee(paths, train_params, members, member_size, seed)
     elif kind == "fixed":
+        if epsilon != 0.0:
+            raise ConfigError(f"config key {pre}epsilon applies to tvr and committee rules, not fixed")
         rule = FixedDateRule(r.int(pre + "stop_from", 0))
+        return lambda: rule
     else:
         raise ConfigError(f"config key {pre}kind must be tvr, committee, or fixed, got {kind!r}")
-    return shift_rule(rule, epsilon)
+    return lambda: shift_rule(fit(simulate_training_paths(train_params, n_train, seed)), epsilon)
 
 
 def _build_problem(r: ConfigReader, args):
@@ -245,7 +249,9 @@ def _build_problem(r: ConfigReader, args):
             raise ConfigError(str(e)) from None
     params = _gbm_params(r)
     model = GbmModel(params)
-    return model, _build_gbm_rule(r, "a", params, rs), _build_gbm_rule(r, "b", params, rs), rs, False
+    train_a = _build_gbm_rule(r, "a", params, rs)
+    train_b = _build_gbm_rule(r, "b", params, rs)
+    return model, train_a(), train_b(), rs, False
 
 
 # --- output ------------------------------------------------------------------

@@ -6,29 +6,30 @@ rule never has to special-case maturity, though all but the fixed-date
 rule guard it anyway.
 
 Rules carry an ``eval_cost``: the number of elementary predictor evaluations
-one decision costs.  Fixed-date rules cost nothing, a single regression rule
-costs one, a committee of M members costs M.  The work meters in the engine
-charge rule evaluations at a tenth of a simulation unit each.
+one decision costs.  Fixed-date rules cost nothing, a committee of M
+regression members costs M.  The work meters in the engine charge rule
+evaluations at a tenth of a simulation unit each.
 
-The trained family is value-iteration regression (Tsitsiklis-Van Roy style):
-backward induction where the date-j continuation value is the least-squares
-projection of the date-(j+1) value onto a fixed polynomial basis, fitted over
-all paths, and the rule stops when the immediate payoff is at least the
-predicted continuation (ties stop).  One exception: a zero payoff never
-stops against a strictly negative prediction.  Far out of the money the
-quadratic fit routinely dips below zero while the true continuation value
-is merely small, and cashing out a worthless position on that artifact
-would distort stopping times badly.  Committees bag that construction over
-bootstrap resamples, and their continuation value is the median of the
-member predictions; the median keeps members from collapsing into one
-linear predictor.  A committee decision is computed without forming that
-median: it counts the member predictions at or below the payoff and below
-zero, block by block, and takes the exact median only for the rare rows
-the counts leave open.  The decisions are the median rule's, bit for bit,
-and every decision still evaluates all M members, so eval_cost stays M.
+Every trained rule is one type, ``CommitteeRule``: it stops when the
+immediate payoff is at least the median of its members' predicted
+continuation values plus its shifts (ties stop).  One exception: a zero
+payoff never stops against a strictly negative threshold.  Far out of the
+money the quadratic fit routinely dips below zero while the true
+continuation value is merely small, and cashing out a worthless position on
+that artifact would distort stopping times badly.  Each member is a
+value-iteration regression (Tsitsiklis-Van Roy style): backward induction
+where the date-j continuation value is the least-squares projection of the
+date-(j+1) value onto a fixed polynomial basis.  ``train_tvr`` fits one
+member on all paths, a ``RegressionRule``; ``train_committee`` bags members
+over bootstrap resamples, and the median keeps them from collapsing into
+one linear predictor.  ``shift_rule`` moves a rule's threshold by a
+constant: the shift is a field of the rule, not a wrapper around it.
 """
 
 from __future__ import annotations
+
+import copy
+import math
 
 import numpy as np
 
@@ -88,60 +89,12 @@ class FixedDateRule(StoppingRule):
         return np.full(len(payoffs), j >= self.stop_from)
 
 
-def _stop_mask(payoffs: np.ndarray, threshold: np.ndarray) -> np.ndarray:
-    pay = np.asarray(payoffs)
+def _stop_mask(pay: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     stop = pay >= threshold
     # never stop a worthless position on a strictly negative prediction:
     # out of the money the fit extrapolates, and its sign there is noise
     stop &= (pay > 0.0) | (threshold >= 0.0)
     return stop
-
-
-def _shifted(values: np.ndarray, shifts: tuple[float, ...]) -> np.ndarray:
-    # one rounded addition per shift, innermost first, as nested ShiftedRules add them
-    for eps in shifts:
-        values = values + eps
-    return values
-
-
-class ContinuationRule(StoppingRule):
-    """Stops when the payoff reaches a continuation value (ties stop).
-
-    Subclasses set ``n_dates`` and define ``continuation_batch``.  Every
-    decision goes through ``_stops``, which receives the shifts of any
-    ``ShiftedRule`` wrappers so that a shifted rule decides through its base.
-    """
-
-    n_dates: int
-
-    def continuation_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def decide_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        if j >= self.n_dates - 1:
-            return np.ones(len(payoffs), dtype=bool)
-        return self._stops(j, states, payoffs, ())
-
-    def _stops(self, j: int, states: np.ndarray, payoffs: np.ndarray, shifts: tuple[float, ...]) -> np.ndarray:
-        return _stop_mask(payoffs, _shifted(self.continuation_batch(j, states, payoffs), shifts))
-
-
-class RegressionRule(ContinuationRule):
-    """Stop when payoff >= fitted continuation value at the current date."""
-
-    eval_cost = 1
-
-    def __init__(self, coeffs: np.ndarray, y0: float, d: int):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.ndim != 2 or coeffs.shape[1] != basis_size(d):
-            raise ValueError("coefficient array must be (J, basis_size(d))")
-        self.coeffs = coeffs
-        self.y0 = float(y0)
-        self.d = int(d)
-        self.n_dates = coeffs.shape[0] + 1
-
-    def continuation_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        return basis_matrix(states, payoffs, self.y0) @ self.coeffs[j]
 
 
 # Members per prediction block of a committee decision.  Counts are integer
@@ -155,7 +108,7 @@ _PRED_LIMIT = np.finfo(float).max / 4
 
 
 def _member_blocks(M: int) -> list[slice]:
-    # near-equal blocks, none of a single member unless M is 1: a one-column
+    # near-equal blocks, none of a single member (M >= 2 here): a one-column
     # product runs through BLAS's matrix-vector kernel, which rounds
     # differently from the matrix-matrix kernel of the whole committee
     nb = -(-M // _MEMBER_BLOCK)
@@ -163,30 +116,28 @@ def _member_blocks(M: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-class CommitteeRule(ContinuationRule):
-    """Median-aggregated committee of regression rules.
+class CommitteeRule(StoppingRule):
+    """Stops when the payoff reaches the median member prediction plus shifts.
 
-    member_coeffs has shape (M, J, B).  The continuation value is the median
-    of the M member predictions, and a decision still evaluates all M
+    member_coeffs has shape (M, J, B); ``shifts`` are added to the median in
+    order, one rounded addition each.  Every decision evaluates all M
     members, so eval_cost is M.  ``prefix(m)`` views the first m members as
-    their own committee; nested prefixes reuse the same coefficient storage,
-    which the multilevel estimator relies on for coupling.
+    their own committee, sharing the coefficient storage, which the
+    multilevel estimator relies on for coupling.
 
-    A decision needs only where the payoff falls among the member
-    predictions, so it counts instead of taking the median: predictions are
-    made in blocks of members, and each row tallies the members at or below
-    its payoff and the members below zero.  With k = M // 2, the median is
-    at or below the payoff exactly when at least k + 1 predictions are, and
-    it is negative exactly when more than k are.  A shift x -> x + eps is
-    monotone in floating point, so the same counts decide a shifted
-    committee.  For odd M the counts decide every row.  For even M the
-    median averages the k-th and (k+1)-th predictions, so rows with a count
-    of exactly k take the exact median, as do rows whose predictions might
-    not be finite or might overflow when two are averaged.  Decisions equal
-    the median rule's bit for bit.
+    One member's prediction is its own median.  More members are counted,
+    not sorted: per block of members, each row tallies the shifted
+    predictions at or below its payoff and below zero.  With k = M // 2,
+    more than k predictions at or below the payoff put the median there
+    too, and fewer than k + M % 2 put it above; likewise for zero (a shift
+    is monotone in floating point).  So the counts decide every row of an
+    odd committee.  Rows with a count of exactly k in an even one, and rows
+    whose predictions might not be finite or might overflow when two are
+    averaged, take the exact median.  Decisions equal the median rule's bit
+    for bit.
     """
 
-    def __init__(self, member_coeffs: np.ndarray, y0: float, d: int):
+    def __init__(self, member_coeffs: np.ndarray, y0: float, d: int, shifts: tuple[float, ...] = ()):
         member_coeffs = np.asarray(member_coeffs, dtype=float)
         if member_coeffs.ndim != 3 or member_coeffs.shape[2] != basis_size(d):
             raise ValueError("coefficient array must be (M, J, basis_size(d))")
@@ -195,6 +146,7 @@ class CommitteeRule(ContinuationRule):
         self.member_coeffs = member_coeffs
         self.y0 = float(y0)
         self.d = int(d)
+        self.shifts = tuple(shifts)
         self.n_dates = member_coeffs.shape[1] + 1
         self.eval_cost = member_coeffs.shape[0]
 
@@ -205,28 +157,36 @@ class CommitteeRule(ContinuationRule):
     def prefix(self, m: int) -> "CommitteeRule":
         if not 1 <= m <= self.members:
             raise ValueError(f"prefix size {m} outside 1..{self.members}")
-        return CommitteeRule(self.member_coeffs[:m], self.y0, self.d)
-
-    def _median(self, A: np.ndarray, j: int) -> np.ndarray:
-        # (n, M) member predictions, reduced by median across members
-        return np.median(A @ self.member_coeffs[:, j, :].T, axis=1)
+        return CommitteeRule(self.member_coeffs[:m], self.y0, self.d, self.shifts)
 
     def continuation_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        return self._median(basis_matrix(states, payoffs, self.y0), j)
+        """The stop threshold of each row: median prediction plus the shifts."""
+        A = basis_matrix(states, payoffs, self.y0)
+        if self.members == 1:
+            thr = A @ self.member_coeffs[0, j]
+        else:
+            thr = np.median(A @ self.member_coeffs[:, j, :].T, axis=1)
+        for eps in self.shifts:
+            thr = thr + eps
+        return thr
 
-    def _stops(self, j: int, states: np.ndarray, payoffs: np.ndarray, shifts: tuple[float, ...]) -> np.ndarray:
+    def decide_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
         pay = np.asarray(payoffs)
         n = len(pay)
-        if n < 2:
-            # a one-row product takes the matrix-vector kernel, as the median did
-            return super()._stops(j, states, pay, shifts)
+        if j >= self.n_dates - 1:
+            return np.ones(n, dtype=bool)
+        if self.members == 1 or n < 2:
+            # nothing to count; a lone row's exact median is a matrix-vector product
+            return _stop_mask(pay, self.continuation_batch(j, states, pay))
         A = basis_matrix(states, pay, self.y0)
         coeffs = self.member_coeffs[:, j, :]
         le = np.zeros(n, dtype=np.intp)
         neg = np.zeros(n, dtype=np.intp)
         col = pay[:, None]
         for blk in _member_blocks(self.members):
-            preds = _shifted(A @ coeffs[blk].T, shifts)
+            preds = A @ coeffs[blk].T
+            for eps in self.shifts:
+                preds = preds + eps
             le += np.count_nonzero(preds <= col, axis=1)
             neg += np.count_nonzero(preds < 0.0, axis=1)
         k, odd = divmod(self.members, 2)
@@ -240,33 +200,23 @@ class CommitteeRule(ContinuationRule):
         if rows.size:
             # pad a lone row so the exact product stays matrix-matrix
             take = rows if rows.size > 1 else np.append(rows, (rows[0] + 1) % n)
-            thr = self._median(A[take], j)[: rows.size]
-            stop[rows] = _stop_mask(pay[rows], _shifted(thr, shifts))
+            thr = self.continuation_batch(j, np.asarray(states)[take], pay[take])[: rows.size]
+            stop[rows] = _stop_mask(pay[rows], thr)
         return stop
 
 
-class ShiftedRule(ContinuationRule):
-    """A continuation-value rule with its threshold shifted by epsilon.
+class RegressionRule(CommitteeRule):
+    """One fitted regression, coeffs of shape (J, B): a one-member committee."""
 
-    Stops when payoff >= continuation + epsilon.  Larger epsilon means a
-    later stopper; epsilon 0 reproduces the base rule exactly.  Decisions
-    go through the base rule with the shift, so a shifted committee counts
-    members like a bare one.
-    """
+    def __init__(self, coeffs: np.ndarray, y0: float, d: int):
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim != 2 or coeffs.shape[1] != basis_size(d):
+            raise ValueError("coefficient array must be (J, basis_size(d))")
+        super().__init__(coeffs[None], y0, d)
 
-    def __init__(self, base: StoppingRule, epsilon: float):
-        if not isinstance(base, ContinuationRule):
-            raise TypeError("shift requires a rule with a continuation value")
-        self.base = base
-        self.epsilon = float(epsilon)
-        self.eval_cost = base.eval_cost
-        self.n_dates = base.n_dates
-
-    def continuation_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        return self.base.continuation_batch(j, states, payoffs) + self.epsilon
-
-    def _stops(self, j: int, states: np.ndarray, payoffs: np.ndarray, shifts: tuple[float, ...]) -> np.ndarray:
-        return self.base._stops(j, states, payoffs, (self.epsilon,) + shifts)
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self.member_coeffs[0]
 
 
 class TreeRule(StoppingRule):
@@ -290,10 +240,21 @@ class TreeRule(StoppingRule):
 
 
 def shift_rule(rule: StoppingRule, epsilon: float) -> StoppingRule:
-    """Shift a continuation-value rule's stop threshold by epsilon."""
+    """A copy of a regression or committee rule with epsilon added to its threshold.
+
+    The copy keeps the rule's class, members and cost, and appends epsilon
+    to its ``shifts``.  Larger epsilon means a later stopper; epsilon 0
+    returns the rule itself.
+    """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"shift must be finite, got {epsilon!r}")
     if epsilon == 0.0:
         return rule
-    return ShiftedRule(rule, epsilon)
+    if not isinstance(rule, CommitteeRule):
+        raise TypeError("shift requires a rule with a continuation value")
+    shifted = copy.copy(rule)
+    shifted.shifts = rule.shifts + (float(epsilon),)
+    return shifted
 
 
 def _fit_backward(assets: np.ndarray, payoffs: np.ndarray, y0: float, rcond: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Calibration algebra: replication counts, efficiency gains, allocations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -286,3 +288,37 @@ def test_ml_allocation_rejects_bad_input():
         ml_allocation([(-1.0, 1.0)], budget=100.0)
     with pytest.raises(ValueError):
         ml_allocation([(1.0, 60.0), (1.0, 60.0)], budget=100.0)
+
+
+def one_sample_allocation(levels, budget):
+    """ml_allocation written out with its leftover spent one sample per step."""
+    lam = budget / sum(math.sqrt(v * c) for v, c in levels)
+    counts = [max(1, math.floor(lam * math.sqrt(v / c))) for v, c in levels]
+    remaining = budget - sum(n * c for n, (_, c) in zip(counts, levels))
+    while True:
+        best, best_score = -1, -1.0
+        for k, (v, c) in enumerate(levels):
+            if c <= remaining:
+                score = v / (counts[k] * (counts[k] + 1)) / c
+                if score > best_score:
+                    best, best_score = k, score
+        if best < 0:
+            return counts
+        counts[best] += 1
+        remaining -= levels[best][1]
+
+
+def test_ml_allocation_fills_a_cheap_level_like_the_one_sample_loop():
+    # a nested level that costs 10^7 times the baseline: about 8M leftover
+    # baseline samples once the nested level is out of reach
+    levels = [(1324.9, 0.00657), (9.67 + 4.7e-4 / 317, 458.3 + 198.1 * 317)]
+    assert ml_allocation(levels, 1.03e7) == one_sample_allocation(levels, 1.03e7)
+
+
+def test_ml_allocation_matches_the_one_sample_loop():
+    rng = np.random.default_rng(9)
+    for _ in range(3000):
+        levels = [(float(10 ** rng.uniform(-4, 4)), float(10 ** rng.uniform(-2, 3)))
+                  for _ in range(int(rng.integers(1, 5)))]
+        budget = sum(c for _, c in levels) * float(10 ** rng.uniform(0, 4))
+        assert ml_allocation(levels, budget) == one_sample_allocation(levels, budget), (levels, budget)

@@ -135,6 +135,22 @@ def test_bad_run_size_exits_2_before_any_output(tmp_path, capsys, command, setti
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["rules.a.epsilon=nan", "rules.a.epsilon=inf",
+                                     "rules.b.epsilon=-inf",
+                                     "rules.b.kind=fixed\nrules.b.epsilon=0.1"])
+def test_bad_epsilon_exits_2_before_training(tmp_path, capsys, monkeypatch, setting):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a rule for a config that is in error")
+
+    monkeypatch.setattr(cli, "simulate_training_paths", no_training)
+    out = tmp_path / "o"
+    cfg = config(tmp_path, GBM_SMALL + setting + "\n")
+    rc = cli.main(["estimate", "--config", cfg, "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_3(tmp_path, capsys):
     # too few training paths for the regression basis: fails inside training
     cfg = config(tmp_path, "rules.a.training_paths=5\nrun.testing_paths=100\n")

@@ -12,7 +12,6 @@ from nccmc.stopping_rules import (
     CommitteeRule,
     FixedDateRule,
     RegressionRule,
-    ShiftedRule,
     TreeRule,
     basis_matrix,
     basis_size,
@@ -174,7 +173,7 @@ def test_zero_shift_returns_base_rule(small_rule_pair):
 
 def test_shift_requires_continuation_value():
     with pytest.raises(TypeError):
-        ShiftedRule(FixedDateRule(0), 0.1)
+        shift_rule(FixedDateRule(0), 0.1)
 
 
 def test_huge_shift_behaves_like_fixed_maturity(small_rule_pair, d2_params):
@@ -208,6 +207,57 @@ def test_shift_monotone_in_epsilon(small_rule_pair, d2_params):
 def test_shift_preserves_cost(small_rule_pair):
     rule, _ = small_rule_pair
     assert shift_rule(rule, 0.1).eval_cost == rule.eval_cost
+
+
+def test_shift_keeps_the_rule_class(small_rule_pair):
+    rule, _ = small_rule_pair
+    shifted = shift_rule(shift_rule(rule, 0.1), -0.3)
+    assert type(shifted) is RegressionRule
+    assert shifted.eval_cost == rule.eval_cost == 1
+    assert shifted.shifts == (0.1, -0.3) and rule.shifts == ()
+    assert shifted.member_coeffs is rule.member_coeffs
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+def test_shift_must_be_finite(small_rule_pair, eps):
+    with pytest.raises(ValueError):
+        shift_rule(small_rule_pair[0], eps)
+
+
+# --- a regression rule against its written-out formula ---------------------------
+
+def regression_formula(coeffs, y0, shifts, j, states, payoffs):
+    """Stop when payoff >= A @ coeffs[j] plus each shift in order, except a
+    zero payoff against a negative threshold."""
+    thr = basis_matrix(states, payoffs, y0) @ coeffs[j]
+    for eps in shifts:
+        thr = thr + eps
+    return (payoffs >= thr) & ((payoffs > 0.0) | (thr >= 0.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 16384])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_regression_rule_decides_by_the_formula(d, n):
+    gen = np.random.default_rng(100 * d + n)
+    J = 3
+    coeffs = gen.normal(scale=3.0, size=(J, basis_size(d)))
+    coeffs[:, 0] += 0.5  # thresholds straddle zero
+    states = 90.0 * np.exp(gen.normal(scale=0.3, size=(n, d)))
+    payoffs = np.maximum(states.max(axis=1) - 100.0, 0.0)
+    if n >= 3:
+        states[0, 0] = np.inf
+        states[1, -1] = np.nan
+        payoffs[2] = np.nan
+    base = RegressionRule(coeffs, y0=90.0, d=d)
+    for shifts in ((), (0.25,), (-1e-17,), (0.25, -1.0 + 1e-9)):
+        rule = base
+        for eps in shifts:
+            rule = shift_rule(rule, eps)
+        for j in range(J):
+            want = regression_formula(coeffs, 90.0, shifts, j, states, payoffs)
+            assert np.array_equal(rule.decide_batch(j, states, payoffs), want), (shifts, j)
+        assert rule.decide_batch(J, states, payoffs).all()
 
 
 # --- committees -------------------------------------------------------------------
@@ -245,14 +295,10 @@ def test_committee_training_validation(small_paths, d2_params):
 
 def median_threshold(rule, j, states, payoffs):
     """The committee's stop threshold by definition: median of all member
-    predictions, plus the shifts of any ShiftedRule wrappers, innermost first."""
-    shifts = []
-    while isinstance(rule, ShiftedRule):
-        shifts.insert(0, rule.epsilon)
-        rule = rule.base
+    predictions, plus the rule's shifts in order."""
     preds = basis_matrix(states, payoffs, rule.y0) @ rule.member_coeffs[:, j, :].T
     thr = np.median(preds, axis=1)
-    for eps in shifts:
+    for eps in rule.shifts:
         thr = thr + eps
     return thr
 
@@ -339,7 +385,7 @@ def test_committee_ties_and_negative_medians(values):
     pay = np.array([-1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
     states = np.full((len(pay), 1), 80.0)
     assert_matches_median(rule, states, pay)
-    for shifted in (ShiftedRule(rule, 1e-17), ShiftedRule(rule, -1.0), ShiftedRule(rule, 0.5)):
+    for shifted in (shift_rule(rule, 1e-17), shift_rule(rule, -1.0), shift_rule(rule, 0.5)):
         assert_matches_median(shifted, states, pay)
 
 
@@ -347,7 +393,7 @@ def test_shifted_median_rounds_onto_zero():
     # the mean of adjacent a < b rounds up to b, and the shift takes b to 0
     # while a stays below it: k members below zero, yet the threshold is 0
     a, b = 1.0 + 2.0**-52, 1.0 + 2.0**-51
-    rule = ShiftedRule(constant_committee([a] * 3 + [b] * 3), -b)
+    rule = shift_rule(constant_committee([a] * 3 + [b] * 3), -b)
     pay = np.array([-0.0, 0.0, 1e-300])
     assert_matches_median(rule, np.full((3, 1), 80.0), pay)
     assert rule.decide_batch(0, np.full((3, 1), 80.0), pay).all()
@@ -371,7 +417,7 @@ def test_shifted_committee_counting_equals_median(eps, members):
     gen = np.random.default_rng(members)
     base = random_committee(gen, members, J=1, payoff_blind=True)
     states, payoffs = random_states(gen, 200)
-    for rule in (ShiftedRule(base, eps), ShiftedRule(ShiftedRule(base, eps), 1.0 + eps)):
+    for rule in (shift_rule(base, eps), shift_rule(shift_rule(base, eps), 1.0 + eps)):
         assert_matches_median(rule, states, payoffs)
         for pay in at_threshold(rule, states):
             assert_matches_median(rule, states, pay)
