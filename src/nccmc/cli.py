@@ -35,7 +35,7 @@ from .experiments import (
 from .nested_cmc import estimate, pilot
 from .oracle import exact_components, exact_delta
 from .process_models import GbmModel, GbmParams, TreeModel, bundled_tree, load_tree, simulate_training_paths
-from .stopping_rules import FixedDateRule, TreeRule, shift_rule, train_committee, train_tvr
+from .stopping_rules import FixedDateRule, TreeRule, basis_size, shift_rule, train_committee, train_tvr
 
 
 class ConfigError(Exception):
@@ -223,11 +223,20 @@ def _build_gbm_rule(r: ConfigReader, side: str, params: GbmParams, rs: RunSettin
     elif kind == "committee":
         members = r.int(pre + "members", 100)
         member_size = r.int(pre + "member_size", 4000)
+        if members < 1:
+            raise ConfigError(f"config key {pre}members must be >= 1, got {members}")
+        basis = basis_size(params.d)
+        if member_size < basis:
+            raise ConfigError(f"config key {pre}member_size must be >= {basis} "
+                              f"(the regression basis at d = {params.d}), got {member_size}")
         fit = lambda paths: train_committee(paths, train_params, members, member_size, seed)
     elif kind == "fixed":
         if epsilon != 0.0:
             raise ConfigError(f"config key {pre}epsilon applies to tvr and committee rules, not fixed")
-        rule = FixedDateRule(r.int(pre + "stop_from", 0))
+        stop_from = r.int(pre + "stop_from", 0)
+        if stop_from < 0:
+            raise ConfigError(f"config key {pre}stop_from must be >= 0, got {stop_from}")
+        rule = FixedDateRule(stop_from)
         return lambda: rule
     else:
         raise ConfigError(f"config key {pre}kind must be tvr, committee, or fixed, got {kind!r}")

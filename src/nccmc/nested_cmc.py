@@ -14,10 +14,10 @@ Both stages run one date loop, the lane kernel ``_run_lanes``: each date it
 steps the live lanes, prices them, asks the rules each lane consults and
 retires the lanes that stop.  A stage supplies each lane's first decision
 date (0 for a trunk, tau + 1 for a continuation), its rules (both, or the
-survivor) and its noise.  Stage two fetches a trunk's noise only for dates
-tau+1..J and walks the differing trunks in sub-batches whose noise and lane
-state fit in NOISE_BUDGET words, so its memory does not grow with N, R or
-P(differ).
+survivor) and its noise.  Stage two walks the differing trunks in
+sub-batches whose noise and lane state fit in NOISE_BUDGET words, so its
+memory does not grow with N, R or P(differ); it fetches a whole sub-batch's
+noise, each trunk's dates tau+1..J only, in one batched draw.
 
 Everything is deterministic given (seed, namespace): paths and replications
 are addressed by counter-based streams, partial results land in preallocated
@@ -35,13 +35,14 @@ from typing import Optional
 import numpy as np
 
 from .calibration import CalibParams
-from .rng import NS_TESTING, SUB, TRUNK
+from .rng import NS_TESTING, SUB, TRUNK, words_per_point
 from .stopping_rules import FixedDateRule
 
 # Paths per scheduling unit.  Fixed: results must not depend on it.
 CHUNK_SIZE = 16384
 
-# Stage-two words held at once (32 MB): a sub-batch's noise, its lanes' states
+# Stage-two words held at once (32 MB): a sub-batch's noise (each point's raw
+# words while the draw converts them, plus its variates), its lanes' states
 # and LANE_WORDS per lane for the lane's own arrays (payoffs, noise index,
 # dates, flags, temporaries).  Fixed: results must not depend on them.
 NOISE_BUDGET = 2**22
@@ -177,11 +178,11 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
 
     Trunk p owns one SUB stream (key date 0) whose point (j-1)*R + (r-1) is
     replication r's draw for date j.  A differing trunk's lanes start at
-    tau + 1 and consult the surviving rule; one draw per trunk puts dates
-    tau+1..J in a ragged buffer.  A sub-batch of trunks holds at most
-    NOISE_BUDGET words of noise and lane state, a trunk's share being its
-    noise plus R lanes of state and LANE_WORDS each (a trunk whose own share
-    is larger runs alone).
+    tau + 1 and consult the surviving rule; one draw per sub-batch puts each
+    trunk's dates tau+1..J in a ragged buffer.  A sub-batch of trunks holds
+    at most NOISE_BUDGET words of noise and lane state, a trunk's share being
+    its points' raw words and variates plus R lanes of state and LANE_WORDS
+    each (a trunk whose own share is larger runs alone).
     Returns (means, variances, steps, evals); rows for trunks with S = 0
     stay zero and cost nothing.
     """
@@ -191,17 +192,14 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
     diff = np.nonzero(sign != 0)[0]
     width = model.draw_width
     points = (model.J - tau[diff]) * R
-    ends = np.cumsum(points * width + R * (width + LANE_WORDS))
+    ends = np.cumsum(points * (words_per_point(width) + width) + R * (width + LANE_WORDS))
     lo = steps = evals = 0
     while lo < diff.size:
         spent = ends[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, spent + NOISE_BUDGET, side="right")))
         k, counts = diff[lo:hi], points[lo:hi]
         offsets = np.cumsum(counts) - counts
-        buf = np.empty((int(counts.sum()), width))
-        for i, off, count in zip(k, offsets, counts):
-            buf[off:off + count] = model.draw(seed, namespace, SUB, p0 + int(i), 0, int(count),
-                                              first_point=int(tau[i]) * R).reshape(count, width)
+        buf = model.draw(seed, namespace, SUB, p0 + k, 0, counts, first_point=tau[k] * R)
         # lane (i, r) reads point (j - tau_i - 1)*R + r of trunk i's block at date j
         base = np.repeat(offsets - (tau[k] + 1) * R, R) + np.tile(np.arange(R), k.size)
         survivor_a = np.repeat(sign[k] > 0, R)   # S > 0: tau_A > tau_B, rule A runs on

@@ -23,7 +23,18 @@ straight to any point without generating its predecessors.
 Trunk streams are keyed per date and addressed by path index.  Subsample
 streams are keyed one per trunk (class SUB, index the trunk's path, date
 key 0) and address point (j - 1) * R + (r - 1) for replication r's date-j
-draw, which lets a trunk fetch all its continuation noise in one call.
+draw, so a trunk's continuation noise from any date on is one point range.
+
+Batched requests
+----------------
+``raw_words``, ``uniforms`` and ``normals`` take the stream index, point
+count and first point either as scalars (one request) or as equal-length
+integer arrays (one request per entry, sharing seed, namespace, stream
+class and date), and return the requests' rows concatenated in request
+order.  Stage two fetches a whole sub-batch of trunks this way in one call:
+the per-request loop only re-keys one cached generator and fills one raw
+buffer, and the conversion to variates runs once, in place, in bulk numpy
+passes that release the GIL.
 """
 
 from __future__ import annotations
@@ -62,107 +73,138 @@ def derive_seed(seed: int, tag: str) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _pack_key(seed: int, namespace: int, stream_class: int, index: int, date: int) -> np.ndarray:
+def _integers(x, what: str) -> np.ndarray:
+    x = np.asarray(x)
+    if x.dtype.kind not in "iu":
+        raise TypeError(f"{what} must be an integer or an integer array")
+    return x
+
+
+def _pack_key(seed: int, namespace: int, stream_class: int, index, date: int) -> np.ndarray:
+    """Philox keys (seed word, packed word) for one index, or one row per index of an array."""
     if not 0 <= namespace < 16:
         raise ValueError(f"namespace out of range: {namespace}")
     if not 0 <= stream_class < 16:
         raise ValueError(f"stream class out of range: {stream_class}")
-    if not 0 <= index < (1 << 40):
-        raise ValueError(f"stream index out of range: {index}")
     if not 0 <= date < (1 << 16):
         raise ValueError(f"date index out of range: {date}")
-    packed = (namespace << 60) | (stream_class << 56) | (index << 16) | date
+    index = _integers(index, "stream index")
+    bad = (index < 0) | (index >= (1 << 40))
+    if bad.any():
+        raise ValueError(f"stream index out of range: {index[bad].flat[0]}")
     # dtype must be explicit: a plain int list with a word above 2^63 would
     # be coerced to float64, silently rounding away the low key bits
-    return np.array([int(seed) & _MASK64, packed], dtype=np.uint64)
+    fields = np.uint64((namespace << 60) | (stream_class << 56) | date)
+    packed = fields | (index.astype(np.uint64) << np.uint64(16))
+    return np.stack([np.full(packed.shape, int(seed) & _MASK64, dtype=np.uint64), packed], axis=-1)
 
 
-def _counters_per_point(width: int) -> int:
-    return -(-width // _WORDS_PER_COUNTER)
+def words_per_point(width: int) -> int:
+    """Raw words one point of ``width`` variates occupies: whole Philox counters."""
+    return -(-width // _WORDS_PER_COUNTER) * _WORDS_PER_COUNTER
 
 
 _local = threading.local()
 
 
-def _philox_at(key: np.ndarray, counter: int) -> Philox:
-    """This thread's Philox generator, set to (key, counter) with an empty buffer.
+def _philox():
+    """This thread's Philox generator and the state dict its streams are set from.
 
-    Setting the state of one generator per thread gives the same words as
-    building ``Philox(counter=0, key=key)`` and advancing it by ``counter``,
-    without the fresh OS-entropy seed sequence every build draws.
+    Switching streams writes the key's packed word and the counter into the
+    cached dict and assigns it: the same words as building
+    ``Philox(counter=0, key=key)`` and advancing it by ``counter``, without
+    the fresh OS-entropy seed sequence every build draws.  The dict's buffer
+    stays empty, so each stream starts on a whole counter.
     """
-    bg = getattr(_local, "philox", None)
-    if bg is None:
-        bg = _local.philox = Philox(counter=0, key=key)
-    bg.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([(counter >> s) & _MASK64 for s in (0, 64, 128, 192)], dtype=np.uint64),
-            "key": key,
-        },
-        "buffer": np.zeros(_WORDS_PER_COUNTER, dtype=np.uint64),
-        "buffer_pos": _WORDS_PER_COUNTER,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return bg
+    cached = getattr(_local, "philox", None)
+    if cached is None:
+        bg = Philox(counter=0, key=np.zeros(2, dtype=np.uint64))
+        cached = _local.philox = (bg, bg.state)
+    return cached
+
+
+def _fill(seed, namespace, stream_class, index, date, n_points, width, first_point) -> np.ndarray:
+    """Raw words of every request, shape (total points, words_per_point(width))."""
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    keys = _pack_key(seed, namespace, stream_class, index, date).reshape(-1, 2)
+    counts = _integers(n_points, "n_points").ravel()
+    starts = _integers(first_point, "first_point").ravel()
+    if not keys.shape[0] == counts.size == starts.size:
+        raise ValueError("index, n_points and first_point must have one entry per request")
+    if np.any(counts < 0) or np.any(starts < 0):
+        raise ValueError("negative point range")
+    words = words_per_point(width)
+    cpp = words // _WORDS_PER_COUNTER
+    out = np.empty(int(counts.sum()) * words, dtype=np.uint64)
+    bg, state = _philox()
+    key, counter = state["state"]["key"], state["state"]["counter"]
+    key[0] = int(seed) & _MASK64
+    at = 0
+    for packed, n, first in zip(keys[:, 1].tolist(), counts.tolist(), starts.tolist()):
+        if n == 0:
+            continue
+        c = first * cpp  # a Python int: the full 256-bit counter
+        key[1] = packed
+        counter[0], counter[1], counter[2], counter[3] = (c >> s & _MASK64 for s in (0, 64, 128, 192))
+        bg.state = state
+        out[at:at + n * words] = bg.random_raw(n * words)
+        at += n * words
+    return out.reshape(-1, words)
 
 
 def raw_words(
     seed: int,
     namespace: int,
     stream_class: int,
-    index: int,
+    index,
     date: int,
-    n_points: int,
+    n_points,
     width: int,
-    first_point: int = 0,
+    first_point=0,
 ) -> np.ndarray:
-    """Raw 64-bit words for points [first_point, first_point + n_points).
+    """Raw 64-bit words for points [first_point, first_point + n_points) of stream ``index``.
 
-    Returns shape (n_points, width).  Point k always occupies the same
-    counter block no matter how the request is split up.
+    ``index``, ``n_points`` and ``first_point`` are either scalars (one
+    request) or equal-length integer arrays (one request per entry, all of
+    one seed, namespace, stream class and date).  Returns shape
+    (total points, width): the requests' rows concatenated in request
+    order.  Point k always occupies the same counter block no matter how the
+    request is split up.
     """
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    if n_points < 0 or first_point < 0:
-        raise ValueError("negative point range")
-    cpp = _counters_per_point(width)
-    words = cpp * _WORDS_PER_COUNTER
-    out = np.empty((n_points, width), dtype=np.uint64)
-    if n_points == 0:
-        return out
-    bg = _philox_at(_pack_key(seed, namespace, stream_class, index, date), first_point * cpp)
-    raw = bg.random_raw(n_points * words)
-    out[:] = raw.reshape(n_points, words)[:, :width]
-    return out
+    return _fill(seed, namespace, stream_class, index, date, n_points, width, first_point)[:, :width]
 
 
 def uniforms(
     seed: int,
     namespace: int,
     stream_class: int,
-    index: int,
+    index,
     date: int,
-    n_points: int,
+    n_points,
     width: int,
-    first_point: int = 0,
+    first_point=0,
 ) -> np.ndarray:
-    """Uniform (0, 1) variates, open at both ends."""
+    """Uniform (0, 1) variates, open at both ends; requests as for ``raw_words``."""
     raw = raw_words(seed, namespace, stream_class, index, date, n_points, width, first_point)
-    # 53-bit mantissa plus a half-ulp shift keeps 0 and 1 unattainable.
-    return (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    # 53-bit mantissa plus a half-ulp shift keeps 0 and 1 unattainable.  In
+    # place, so a point costs its raw words plus ``width`` floats.
+    np.right_shift(raw, np.uint64(11), out=raw)
+    u = np.multiply(raw, 2.0**-53, out=np.empty(raw.shape))
+    u += 2.0**-54
+    return u
 
 
 def normals(
     seed: int,
     namespace: int,
     stream_class: int,
-    index: int,
+    index,
     date: int,
-    n_points: int,
+    n_points,
     width: int,
-    first_point: int = 0,
+    first_point=0,
 ) -> np.ndarray:
-    """Standard normal variates via inverse-CDF, shape (n_points, width)."""
-    return ndtri(uniforms(seed, namespace, stream_class, index, date, n_points, width, first_point))
+    """Standard normal variates via inverse-CDF, shape (total points, width)."""
+    u = uniforms(seed, namespace, stream_class, index, date, n_points, width, first_point)
+    return ndtri(u, out=u)

@@ -139,6 +139,20 @@ def test_bad_run_size_exits_2_before_any_output(tmp_path, capsys, command, setti
                                      "rules.b.epsilon=-inf",
                                      "rules.b.kind=fixed\nrules.b.epsilon=0.1"])
 def test_bad_epsilon_exits_2_before_training(tmp_path, capsys, monkeypatch, setting):
+    exits_2_before_training(tmp_path, capsys, monkeypatch, setting, "epsilon")
+
+
+# d = 2 (GBM_SMALL): the regression basis has 7 columns
+@pytest.mark.parametrize("setting,key", [
+    ("rules.a.kind=fixed\nrules.a.stop_from=-1", "rules.a.stop_from"),
+    ("rules.a.kind=committee\nrules.a.members=0", "rules.a.members"),
+    ("rules.b.kind=committee\nrules.b.member_size=6", "rules.b.member_size"),
+], ids=["stop_from", "members", "member_size"])
+def test_bad_rule_size_exits_2_before_training(tmp_path, capsys, monkeypatch, setting, key):
+    exits_2_before_training(tmp_path, capsys, monkeypatch, setting, key)
+
+
+def exits_2_before_training(tmp_path, capsys, monkeypatch, setting, key):
     def no_training(*args, **kwargs):
         raise AssertionError("trained a rule for a config that is in error")
 
@@ -147,7 +161,7 @@ def test_bad_epsilon_exits_2_before_training(tmp_path, capsys, monkeypatch, sett
     cfg = config(tmp_path, GBM_SMALL + setting + "\n")
     rc = cli.main(["estimate", "--config", cfg, "--seed", "1", "--out", str(out)])
     assert rc == 2
-    assert "epsilon" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -18,7 +18,7 @@ from nccmc.nested_cmc import (
 )
 from nccmc.oracle import exact_delta
 from nccmc.process_models import GbmModel, GbmParams
-from nccmc.rng import NS_TESTING
+from nccmc.rng import NS_TESTING, SUB
 from nccmc.stopping_rules import FixedDateRule, TreeRule
 from tests.conftest import continuations
 
@@ -141,27 +141,67 @@ def test_stage_two_reads_each_trunks_sub_stream(tree2, tree2_rules, d2_params, s
         assert (steps, evals) == (by_hand_steps, by_hand_evals)
 
 
-def test_stage_two_memory_follows_the_noise_budget(monkeypatch):
+def test_stage_two_draws_once_per_sub_batch(monkeypatch, tree2, tree2_rules, d2_params,
+                                            small_rule_pair):
+    # one SUB draw per sub-batch, its requests the sub-batch's trunks in
+    # order: together they name every differing trunk once
+    p0, R = 40, 4
+    for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
+        tau, sign, xw, resume, _, _ = _trunk_block(model, A, B, 5, NS_TESTING, p0, 3000)
+        diff = np.nonzero(sign)[0]
+        requests, sub_batches = [], []
+        draw, run_lanes = type(model).draw, nested_cmc._run_lanes
+
+        def spy_draw(self, seed, namespace, stream_class, index, *args, **kwargs):
+            if stream_class == SUB:
+                requests.append(np.atleast_1d(index))
+            return draw(self, seed, namespace, stream_class, index, *args, **kwargs)
+
+        def spy_lanes(*args):
+            sub_batches.append(1)
+            return run_lanes(*args)
+
+        monkeypatch.setattr(type(model), "draw", spy_draw)
+        monkeypatch.setattr(nested_cmc, "_run_lanes", spy_lanes)
+        calls = []
+        for budget in (500, nested_cmc.NOISE_BUDGET):
+            monkeypatch.setattr(nested_cmc, "NOISE_BUDGET", budget)
+            requests.clear()
+            sub_batches.clear()
+            _sub_block(model, A, B, 5, NS_TESTING, p0, tau, sign, xw, resume, R)
+            assert len(requests) == len(sub_batches)
+            assert np.array_equal(np.concatenate(requests), p0 + diff)
+            calls.append(len(requests))
+        assert calls[0] > 1 and calls[1] == 1
+        monkeypatch.undo()  # the next model's spies wrap the originals
+
+
+def test_stage_two_memory_follows_the_noise_budget(monkeypatch, tree2):
     # 2048 trunks that always disagree at R = 100, d = 5 would need a
-    # 73.7 MB noise tensor at once; sub-batches hold 2 MB of noise at a time
+    # 73.7 MB noise tensor at once; sub-batches hold 2 MB of noise at a time.
+    # A point's raw words count too: 8 for a 5-wide point, 4 for a 2-wide
+    # one and 4 for the tree's single uniform, held while the draw converts
+    # them
     budget = 2**18
     monkeypatch.setattr(nested_cmc, "NOISE_BUDGET", budget)
-    p = GbmParams(d=5, r=0.05, delta=0.1, sigma=0.2, K=100.0, y0=90.0, T=3.0, n_dates=10)
-    model, n, R = GbmModel(p), 2048, 100
-    tau, sign = np.zeros(n, dtype=np.int64), np.full(n, -1, dtype=np.int8)
-    resume = model.init_states(n)
-    x_wedge = model.payoff_batch(0, resume)
-    tracemalloc.start()
-    try:
-        means, _, steps, _ = _sub_block(model, FixedDateRule(0), FixedDateRule(p.J), 1, NS_TESTING,
-                                        0, tau, sign, x_wedge, resume, R)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert steps == n * R * p.J * p.d
-    assert np.all(np.isfinite(means))
-    dense = n * p.J * R * p.d * 8
-    assert peak < 3 * budget * 8 < dense / 10
+    gbm = [GbmModel(GbmParams(d=d, r=0.05, delta=0.1, sigma=0.2, K=100.0, y0=90.0, T=3.0, n_dates=10))
+           for d in (5, 2)]
+    for model, R in ((gbm[0], 100), (gbm[1], 100), (tree2, 1000)):
+        n = 2048
+        tau, sign = np.zeros(n, dtype=np.int64), np.full(n, -1, dtype=np.int8)
+        resume = model.init_states(n)
+        x_wedge = model.payoff_batch(0, resume)
+        tracemalloc.start()
+        try:
+            means, _, steps, _ = _sub_block(model, FixedDateRule(0), FixedDateRule(model.J), 1,
+                                            NS_TESTING, 0, tau, sign, x_wedge, resume, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps == n * R * model.J * model.step_units
+        assert np.all(np.isfinite(means))
+        dense = n * model.J * R * model.draw_width * 8
+        assert peak < 1.25 * budget * 8 < dense / 10
 
 
 def test_thin_lanes_follow_the_budget(monkeypatch, tree2):

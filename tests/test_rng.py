@@ -143,3 +143,85 @@ def test_reused_generator_is_per_thread():
         sys.setswitchinterval(interval)
     for got in results:
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# --- batched requests --------------------------------------------------------------
+
+def random_requests(gen, k):
+    """k requests (index, n_points, first_point) with first points up to 2^50 and some empty."""
+    index = gen.integers(0, 1 << 40, size=k)
+    n_points = gen.integers(0, 40, size=k)
+    n_points[gen.random(k) < 0.2] = 0
+    first_point = gen.integers(0, 1 << 50, size=k, endpoint=True)
+    return index, n_points, first_point
+
+
+def one_by_one(fn, seed, namespace, stream_class, date, width, index, n_points, first_point):
+    rows = [fn(seed, namespace, stream_class, int(i), date, int(n), width, first_point=int(f))
+            for i, n, f in zip(index, n_points, first_point)]
+    return np.concatenate(rows) if rows else np.empty((0, width))
+
+
+@pytest.mark.parametrize("fn", [rng.raw_words, rng.uniforms, rng.normals])
+@pytest.mark.parametrize("width", range(1, 10))
+def test_batched_call_concatenates_one_request_calls(fn, width):
+    gen = np.random.default_rng(width)
+    for k in (0, 1, 2, 17):
+        index, n_points, first_point = random_requests(gen, k)
+        got = fn(2**64 - 1, rng.NS_TRAINING, rng.SUB, index, 0, n_points, width, first_point=first_point)
+        want = one_by_one(fn, 2**64 - 1, rng.NS_TRAINING, rng.SUB, 0, width, index, n_points, first_point)
+        assert got.shape == (n_points.sum(), width)
+        assert np.array_equal(got, want)
+
+
+def test_counter_past_two_to_the_64_keeps_its_high_words():
+    # width 9 owns 3 counters a point, so this first point's counter is about 2^65.6
+    first = (1 << 62) + 12345
+    index, n_points, first_point = np.array([3, 3, 4]), np.array([5, 0, 2]), np.array([first, 0, 7])
+    got = rng.raw_words(11, rng.NS_TESTING, rng.SUB, index, 0, n_points, 9, first_point=first_point)
+    assert np.array_equal(got[:5], fresh_words(11, rng.NS_TESTING, rng.SUB, 3, 0, 5, 9, first))
+    assert np.array_equal(got[5:], fresh_words(11, rng.NS_TESTING, rng.SUB, 4, 0, 2, 9, 7))
+    # the same stream restarted at counter zero gives other words
+    assert not np.array_equal(got[:5], fresh_words(11, rng.NS_TESTING, rng.SUB, 3, 0, 5, 9, 0))
+
+
+@pytest.mark.parametrize("index,n_points,first_point", [
+    ([1, 1 << 40, 2], [3, 3, 3], [0, 0, 0]),     # index out of range mid-batch
+    ([1, -1, 2], [3, 3, 3], [0, 0, 0]),
+    ([1, 2, 3], [3, -1, 3], [0, 0, 0]),          # negative point range mid-batch
+    ([1, 2, 3], [3, 3, 3], [0, -5, 0]),
+    ([1, 2, 3], [3, 3], [0, 0, 0]),              # one entry per request
+])
+def test_every_request_is_checked(index, n_points, first_point):
+    with pytest.raises(ValueError):
+        rng.normals(1, rng.NS_TESTING, rng.SUB, np.array(index), 0, np.array(n_points), 5,
+                    first_point=np.array(first_point))
+
+
+def test_requests_must_be_integers():
+    with pytest.raises(TypeError):
+        rng.uniforms(1, rng.NS_TESTING, rng.SUB, np.array([1.0]), 0, np.array([3]), 1)
+    with pytest.raises(TypeError):
+        rng.uniforms(1, rng.NS_TESTING, rng.SUB, 1, 0, 3, 1, first_point=1.5)
+
+
+def test_batched_calls_are_per_thread():
+    # as test_reused_generator_is_per_thread, with every call a batch of
+    # requests switching streams inside one call
+    batches = [(width, *random_requests(np.random.default_rng(width), 30)) for width in range(1, 10)]
+    want = [one_by_one(rng.normals, 5, rng.NS_TESTING, rng.SUB, 0, width, *req) for width, *req in batches]
+
+    def draw_all(_):
+        return [rng.normals(5, rng.NS_TESTING, rng.SUB, index, 0, n_points, width, first_point=first_point)
+                for width, index, n_points, first_point in batches * 5]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(draw_all, i) for i in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want * 5))
