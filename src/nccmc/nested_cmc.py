@@ -231,6 +231,17 @@ def _run_chunked(task, N: int, threads: int):
         return list(pool.map(task, *zip(*jobs)))
 
 
+def _mean_var(x: np.ndarray) -> tuple[float, float]:
+    """np.mean(x) and np.var(x, ddof=1), bit for bit, overwriting x.
+
+    These are np.var's own steps, but the squared deviations go into x
+    instead of a second array the size of x.
+    """
+    m = np.mean(x)
+    np.square(np.subtract(x, m, out=x), out=x)
+    return float(m), float(x.sum() / (len(x) - 1))
+
+
 def estimate(model, ruleA, ruleB, N: int, R: int, seed: int,
              namespace: int = NS_TESTING, threads: int = 1) -> NestedEstimate:
     """Full two-stage run: N trunks, R replications per differing trunk.
@@ -264,8 +275,7 @@ def estimate(model, ruleA, ruleB, N: int, R: int, seed: int,
     work_trunk = WorkMeter(t_steps, t_evals)
     work_sub = WorkMeter(s_steps, s_evals)
 
-    delta_hat = float(np.mean(means))
-    var_means = float(np.var(means, ddof=1))
+    delta_hat, var_means = _mean_var(means)
     if R >= 2:
         v2_hat = float(np.mean(variances))
         v1_hat = max(var_means - v2_hat / R, 0.0)
@@ -299,8 +309,8 @@ def estimate_value(model, rule, N: int, seed: int,
         return steps, evals
 
     work = WorkMeter(*map(sum, zip(*_run_chunked(task, N, threads))))
-    var_hat = float(np.var(values, ddof=1))
-    return ValueEstimate(mean=float(np.mean(values)), var_hat=var_hat,
+    mean, var_hat = _mean_var(values)
+    return ValueEstimate(mean=mean, var_hat=var_hat,
                          stderr=float(np.sqrt(var_hat / N)), N=N, work=work)
 
 

@@ -120,21 +120,26 @@ class CommitteeRule(StoppingRule):
     """Stops when the payoff reaches the median member prediction plus shifts.
 
     member_coeffs has shape (M, J, B); ``shifts`` are added to the median in
-    order, one rounded addition each.  Every decision evaluates all M
-    members, so eval_cost is M.  ``prefix(m)`` views the first m members as
-    their own committee, sharing the coefficient storage, which the
-    multilevel estimator relies on for coupling.
+    order, one rounded addition each.  eval_cost is M: the cost model
+    charges every decision all M members, although counting (below) often
+    settles a row before the last of them is evaluated.  ``prefix(m)`` views
+    the first m members as their own committee, sharing the coefficient
+    storage, which the multilevel estimator relies on for coupling.
 
     One member's prediction is its own median.  More members are counted,
-    not sorted: per block of members, each row tallies the shifted
-    predictions at or below its payoff and below zero.  With k = M // 2,
-    more than k predictions at or below the payoff put the median there
-    too, and fewer than k + M % 2 put it above; likewise for zero (a shift
-    is monotone in floating point).  So the counts decide every row of an
-    odd committee.  Rows with a count of exactly k in an even one, and rows
-    whose predictions might not be finite or might overflow when two are
-    averaged, take the exact median.  Decisions equal the median rule's bit
-    for bit.
+    not sorted: per block of members, each open row tallies the shifted
+    predictions at or below its payoff, and the rows whose payoff is not
+    positive, kept as a prefix of the open rows, also tally those below
+    zero.  With k = M // 2, more than k predictions at or below the payoff
+    put the median there too, and fewer than k + M % 2 put it above;
+    likewise for zero (a shift is monotone in floating point).  After each
+    block, a row whose counts can no longer cross these bounds, whatever
+    the members still to come predict, is decided and leaves the open rows.
+    So the counts decide every row of an odd committee.  Rows still open at
+    the end (a count of exactly k in an even committee), rows left open
+    once fewer than two remain, and rows whose predictions might not be
+    finite or might overflow when two are averaged, take the exact median.
+    Decisions equal the median rule's bit for bit.
     """
 
     def __init__(self, member_coeffs: np.ndarray, y0: float, d: int, shifts: tuple[float, ...] = ()):
@@ -180,23 +185,54 @@ class CommitteeRule(StoppingRule):
             return _stop_mask(pay, self.continuation_batch(j, states, pay))
         A = basis_matrix(states, pay, self.y0)
         coeffs = self.member_coeffs[:, j, :]
-        le = np.zeros(n, dtype=np.intp)
-        neg = np.zeros(n, dtype=np.intp)
-        col = pay[:, None]
-        for blk in _member_blocks(self.members):
-            preds = A @ coeffs[blk].T
-            for eps in self.shifts:
-                preds = preds + eps
-            le += np.count_nonzero(preds <= col, axis=1)
-            neg += np.count_nonzero(preds < 0.0, axis=1)
-        k, odd = divmod(self.members, 2)
-        stop = (le > k) & ((pay > 0.0) | (neg < k + odd))
         # |A_i . c| <= sum|A_i| * max|c|; NaN or inf anywhere fails the test too
         with np.errstate(over="ignore", invalid="ignore"):
-            unsure = ~(np.abs(A).sum(axis=1) * np.abs(coeffs).max() <= _PRED_LIMIT)
-        if not odd:
-            unsure |= (le == k) | (neg == k)
-        rows = np.flatnonzero(unsure)
+            sure = np.abs(A).sum(axis=1) * np.abs(coeffs).max() <= _PRED_LIMIT
+        # the open rows, those whose payoff is not positive first: only they
+        # count predictions below zero
+        zero = sure & ~(pay > 0.0)
+        idx = np.concatenate([np.flatnonzero(zero), np.flatnonzero(sure & ~zero)])
+        z = np.count_nonzero(zero)
+        A, col = A[idx], pay[idx, None]
+        le = np.zeros(len(idx), dtype=np.intp)
+        neg = np.zeros(z, dtype=np.intp)
+        blocks = _member_blocks(self.members)
+        width = max(b.stop - b.start for b in blocks)
+        pbuf = np.empty(len(idx) * width)
+        cbuf = np.empty(len(idx) * width, dtype=bool)
+        k, odd = divmod(self.members, 2)
+        rem = self.members
+        stop = np.zeros(n, dtype=bool)
+        for blk in blocks:
+            m, w = len(idx), blk.stop - blk.start
+            if m < 2:
+                break  # a one-row product would take the matrix-vector kernel
+            preds = np.matmul(A, coeffs[blk].T, out=pbuf[: m * w].reshape(m, w))
+            for eps in self.shifts:
+                np.add(preds, eps, out=preds)
+            # a block has at most 64 members, so its counts fit in a byte
+            c = np.less_equal(preds, col, out=cbuf[: m * w].reshape(m, w))
+            le += np.add.reduce(c.view(np.uint8), axis=1, dtype=np.uint8)
+            c = np.less(preds[:z], 0.0, out=c[:z])
+            neg += np.add.reduce(c.view(np.uint8), axis=1, dtype=np.uint8)
+            rem -= w
+            if rem >= k + odd:
+                continue  # no row settles until more than half the members are in
+            # stop once more than k are at or below the payoff and, for a zero
+            # payoff, k + odd below zero are out of reach; continue once k + odd
+            # at or below the payoff are out of reach, or more than k are below zero
+            stops = le > k
+            stops[:z] &= neg + rem < k + odd
+            goes = le + rem < k + odd
+            goes[:z] |= neg > k
+            keep = ~(stops | goes)
+            stop[idx[stops]] = True
+            idx, A, col, le = idx[keep], A[keep], col[keep], le[keep]
+            neg = neg[keep[:z]]
+            z = len(neg)
+        exact = ~sure
+        exact[idx] = True
+        rows = np.flatnonzero(exact)
         if rows.size:
             # pad a lone row so the exact product stays matrix-matrix
             take = rows if rows.size > 1 else np.append(rows, (rows[0] + 1) % n)

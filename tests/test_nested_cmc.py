@@ -277,6 +277,24 @@ def test_estimate_matches_single_trunk_api(tree2, tree2_rules, d2_params, small_
         assert est.p_differ > 0
 
 
+@pytest.mark.parametrize("N", [2, 3, 1000, 2**20 + 7])
+def test_mean_var_is_numpys_bit_for_bit(N):
+    gen = np.random.default_rng(N)
+    x = gen.normal(loc=2.0, scale=3.0, size=N)
+    inputs = [
+        x,
+        1e6 + x,  # a large mean against small deviations
+        np.full(N, 0.1),
+        np.full(N, -7.25),
+        np.maximum(x - 3.0, 0.0),  # non-negative, most of it exactly zero
+        np.where(gen.random(N) < 0.9, 0.0, gen.exponential(5.0, N)),
+    ]
+    for values in inputs:
+        want = np.array([np.mean(values), np.var(values, ddof=1)])
+        got = np.array(nested_cmc._mean_var(values.copy()))
+        assert got.tobytes() == want.tobytes(), (N, got, want)
+
+
 def test_r1_reports_no_inner_variance(tree2, tree2_rules):
     A, B = tree2_rules
     est = estimate(tree2, A, B, 400, 1, seed=5)

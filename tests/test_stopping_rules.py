@@ -13,6 +13,7 @@ from nccmc.stopping_rules import (
     FixedDateRule,
     RegressionRule,
     TreeRule,
+    _stop_mask,
     basis_matrix,
     basis_size,
     shift_rule,
@@ -442,6 +443,85 @@ def test_committee_non_finite_predictions(members):
         assert_matches_median(CommitteeRule(coeffs, 90.0, 2), states, payoffs)
 
 
+# --- committee decisions: rows leave the count once settled ------------------------
+
+def assert_matches_definition(rule, states, payoffs):
+    """Each date's decisions equal the stop mask of the exact threshold, bit for bit."""
+    for j in range(rule.n_dates - 1):
+        want = _stop_mask(payoffs, rule.continuation_batch(j, states, payoffs))
+        got = rule.decide_batch(j, states, payoffs)
+        assert np.array_equal(got, want), (rule.members, rule.shifts, j, len(payoffs))
+
+
+def exact_rows(monkeypatch, rule):
+    """Records the batch size of every exact-median call the rule makes."""
+    calls = []
+    exact = rule.continuation_batch
+
+    def spy(j, states, payoffs):
+        calls.append(len(payoffs))
+        return exact(j, states, payoffs)
+
+    monkeypatch.setattr(rule, "continuation_batch", spy)
+    return calls
+
+
+@pytest.mark.parametrize("shifts", [(), (0.05,), (1e-300, -0.25)])
+@pytest.mark.parametrize("members", [2, 3, 64, 65, 129, 2000])
+@pytest.mark.parametrize("n", [2, 3, 65, 4097])
+def test_committee_early_exit_equals_definition(n, members, shifts):
+    gen = np.random.default_rng([n, members, len(shifts)])
+    rule = random_committee(gen, members, J=2, payoff_blind=True)
+    for eps in shifts:
+        rule = shift_rule(rule, eps)
+    states, _ = random_states(gen, n)
+    # interleaved so the zero-payoff rows move to the front of the open set:
+    # positive, 0.0, -0.0, NaN, and payoffs exactly at the date-0 threshold
+    thr = rule.continuation_batch(0, states, np.zeros(n))
+    kinds = [gen.exponential(2.0, n), np.zeros(n), np.full(n, -0.0), np.full(n, np.nan), thr]
+    payoffs = np.choose(np.arange(n) % 5, kinds)
+    assert_matches_definition(rule, states, payoffs)
+    assert_matches_definition(rule, states, payoffs[::-1].copy())
+
+
+@pytest.mark.parametrize("members", [129, 2000])
+def test_committee_decision_down_to_one_open_row(monkeypatch, members):
+    # members in descending order and a payoff at their median: that row's
+    # counts stay open to the last block, every other row stops by count as
+    # soon as rows can settle, and the lone open row takes the exact median
+    values = np.linspace(3.0, -1.0, members)
+    rule = constant_committee(values)
+    payoffs = np.full(40, 1e6)
+    payoffs[17] = np.median(values)
+    states = np.full((40, 1), 80.0)
+    want = _stop_mask(payoffs, rule.continuation_batch(0, states, payoffs))
+    calls = exact_rows(monkeypatch, rule)
+    assert np.array_equal(rule.decide_batch(0, states, payoffs), want)
+    assert calls == [2]  # the open row, padded with a neighbour
+    assert want.all()
+
+
+@pytest.mark.parametrize(
+    "values, payoff",
+    [
+        (np.tile([1.0, 2.0], 1000), 1.0),  # half the members tied at the payoff
+        (np.repeat([1.0, 2.0], 1000), 1.0),
+        (np.tile([-1.0, 0.0], 1000), 0.0),  # half below zero: median -0.5
+        (np.repeat([-1.0, 0.0], 1000), -0.0),
+        (np.tile([-5e-324, 0.0], 1000), 0.0),  # median -0.0, which a zero payoff meets
+        (np.repeat([-5e-324, 0.0], 1000), -0.0),
+    ],
+)
+def test_even_committee_ties_stay_open_to_the_exact_median(monkeypatch, values, payoff):
+    rule = constant_committee(values)
+    payoffs = np.full(6, payoff)
+    states = np.full((6, 1), 80.0)
+    want = _stop_mask(payoffs, rule.continuation_batch(0, states, payoffs))
+    calls = exact_rows(monkeypatch, rule)
+    assert np.array_equal(rule.decide_batch(0, states, payoffs), want)
+    assert calls == [6]  # no row settled in any block
+
+
 def test_committee_decision_never_builds_the_prediction_matrix():
     M, n = 2000, 16384
     gen = np.random.default_rng(3)
@@ -455,6 +535,7 @@ def test_committee_decision_never_builds_the_prediction_matrix():
         peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    # measured 17 MB: one 8 MB block of 64 members plus the next being made;
-    # the bound, a tenth of the full matrix, leaves a margin of about 1.5x
+    # measured 11 MB: one 8 MB buffer for a block of up to 64 members, reused
+    # by every block; the bound, a tenth of the full matrix, leaves a margin
+    # of about 2x
     assert peak_mb < full_mb / 10, peak_mb
