@@ -55,7 +55,6 @@ class CalibReport:
     R_star is the real-valued optimum (1 when the gain condition fails),
     R_rounded the integer actually used.  gamma_star = V(R_star)/V(1) is the
     variance ratio at matched budget; (gain_lower, gain_upper) bracket it.
-    n_star_per_budget is the trunk count per unit of budget at R_star.
     """
 
     R_star: float
@@ -64,7 +63,6 @@ class CalibReport:
     gain_lower: float
     gain_upper: float
     condition_holds: bool
-    n_star_per_budget: float
 
 
 def v_profile(p: CalibParams, R: float) -> float:
@@ -107,7 +105,6 @@ def optimal_R(p: CalibParams) -> CalibReport:
         gain_lower=lower,
         gain_upper=4.0 * lower,
         condition_holds=cond,
-        n_star_per_budget=1.0 / (p.rho1 + p.rho2 * R_star),
     )
 
 
@@ -120,7 +117,7 @@ def choose_R(p: CalibParams, override: Optional[int]) -> tuple[int, CalibReport]
     """
     if p.degenerate:
         rep = CalibReport(R_star=1.0, R_rounded=1, gamma_star=1.0, gain_lower=1.0, gain_upper=1.0,
-                          condition_holds=False, n_star_per_budget=1.0 / (p.rho1 + p.rho2))
+                          condition_holds=False)
     else:
         rep = optimal_R(p)
     return (rep.R_rounded if override is None else override), rep

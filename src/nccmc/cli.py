@@ -76,9 +76,32 @@ def _config_digest(cfg: dict[str, str]) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _within(x, low=None, above=None):
+    """x when it is finite, >= low and > above (each bound when given); else ValueError."""
+    if -math.inf < x < math.inf and (low is None or x >= low) and (above is None or x > above):
+        return x
+    raise ValueError(x)
+
+
+def _bounds(what: str, low=None, above=None) -> str:
+    return what + (f" >= {low}" if low is not None else "") + (f" > {above}" if above is not None else "")
+
+
+def _items(v: str, convert) -> tuple:
+    """The non-empty comma-separated list v, each item converted."""
+    xs = tuple(convert(x) for x in v.split(",") if x.strip())
+    if not xs:
+        raise ValueError(v)
+    return xs
+
+
 class ConfigReader:
     """Typed access to the flat config; tracks which keys were consumed so
-    a leftover (misspelled) key can be reported by name."""
+    a leftover (misspelled) key can be reported by name.
+
+    Every bad value is rejected here, where its key is read: numbers must
+    be finite, and a key's bound is an argument of its read.
+    """
 
     def __init__(self, raw: dict[str, str]):
         self.raw = raw
@@ -99,26 +122,33 @@ class ConfigReader:
     def str(self, key: str, default: Optional[str] = None) -> Optional[str]:
         return self.parse(key, str, "a string", default)
 
-    def int(self, key: str, default: Optional[int] = None) -> Optional[int]:
-        return self.parse(key, int, "an integer", default)
+    def int(self, key: str, default: Optional[int] = None, low=None) -> Optional[int]:
+        return self.parse(key, lambda v: _within(int(v), low), _bounds("an integer", low), default)
 
-    def float(self, key: str, default: Optional[float] = None) -> Optional[float]:
-        return self.parse(key, float, "a number", default)
+    def float(self, key: str, default: Optional[float] = None, low=None, above=None) -> Optional[float]:
+        return self.parse(key, lambda v: _within(float(v), low, above),
+                          _bounds("a finite number", low, above), default)
 
-    def floats(self, key: str, default: tuple[float, ...] = ()) -> tuple[float, ...]:
-        return self.parse(key, lambda v: tuple(float(x) for x in v.split(",") if x.strip()),
-                          "comma-separated numbers", default)
+    def floats(self, key: str, above=None) -> Optional[tuple[float, ...]]:
+        return self.parse(key, lambda v: _items(v, lambda x: _within(float(x), above=above)),
+                          _bounds("comma-separated finite numbers", above=above))
 
-    def ints(self, key: str, default: tuple[int, ...] = ()) -> tuple[int, ...]:
-        return self.parse(key, lambda v: tuple(int(x) for x in v.split(",") if x.strip()),
-                          "comma-separated integers", default)
+    def ints(self, key: str, low=None) -> Optional[tuple[int, ...]]:
+        """A strictly increasing list, such as a ladder of committee sizes."""
+        def convert(v: str) -> tuple[int, ...]:
+            xs = _items(v, lambda x: _within(int(x), low))
+            if any(b <= a for a, b in zip(xs, xs[1:])):
+                raise ValueError(v)
+            return xs
+        return self.parse(key, convert, _bounds("strictly increasing comma-separated integers", low))
 
     def labels(self, key: str) -> Optional[tuple[str, ...]]:
         return self.parse(key, lambda v: tuple(x.strip() for x in v.split(",") if x.strip()),
                           "comma-separated labels")
 
-    def require(self, key: str, kind: str = "str"):
-        v = getattr(self, kind)(key)
+    def require(self, key: str, kind: str = "str", **bounds):
+        """The read of key by method kind, for a key that must be present."""
+        v = getattr(self, kind)(key, **bounds)
         if v is None:
             raise ConfigError(f"missing required config key {key}")
         return v
@@ -131,14 +161,14 @@ class ConfigReader:
 
 def _gbm_params(r: ConfigReader) -> GbmParams:
     return GbmParams(
-        d=r.int("model.d", 2),
+        d=r.int("model.d", 2, 1),
         r=r.float("model.r", 0.05),
         delta=r.float("model.delta", 0.1),
-        sigma=r.float("model.sigma", 0.2),
-        K=r.float("model.strike", 100.0),
-        y0=r.float("model.y0", 90.0),
-        T=r.float("model.maturity", 3.0),
-        n_dates=r.int("model.dates", 10),
+        sigma=r.float("model.sigma", 0.2, low=0),
+        K=r.float("model.strike", 100.0, above=0),
+        y0=r.float("model.y0", 90.0, above=0),
+        T=r.float("model.maturity", 3.0, above=0),
+        n_dates=r.int("model.dates", 10, 2),
     )
 
 
@@ -155,7 +185,10 @@ class RunSettings:
     threads: int
 
 
-def _run_settings(r: ConfigReader, args) -> RunSettings:
+def _run_settings(r: ConfigReader, args, basis: Optional[int] = None,
+                  need_budget: bool = False) -> RunSettings:
+    """run.* keys; training paths must cover a GBM model's regression basis
+    (tree models train nothing)."""
     def seed(kind: str) -> Optional[int]:
         derived = None if args.seed is None else rng.derive_seed(args.seed, kind)
         return r.int(f"run.seed_{kind}", derived)
@@ -163,28 +196,18 @@ def _run_settings(r: ConfigReader, args) -> RunSettings:
     seed_training, seed_testing = seed("training"), seed("testing")
     if seed_training is None or seed_testing is None:
         raise ConfigError("need --seed or run.seed_training and run.seed_testing")
-    replications = r.parse("run.replications", lambda v: None if v == "auto" else int(v),
-                           "'auto' or an integer")
-    budget = r.float("run.budget")
-    if budget is not None and not (math.isfinite(budget) and budget > 0):
-        raise ConfigError(f"config key run.budget must be a positive finite number, got {budget!r}")
-    rs = RunSettings(
+    return RunSettings(
         seed_training=seed_training,
         seed_testing=seed_testing,
-        training_paths=r.int("run.training_paths", 100_000),
-        testing_paths=r.int("run.testing_paths", 100_000),
-        n_pilot=r.int("run.n_pilot", 2000),
-        r_pilot=r.int("run.r_pilot", 64),
-        replications=replications,
-        budget=budget,
+        training_paths=r.int("run.training_paths", 100_000, basis),
+        testing_paths=r.int("run.testing_paths", 100_000, 2),
+        n_pilot=r.int("run.n_pilot", 2000, 100),
+        r_pilot=r.int("run.r_pilot", 64, 2),
+        replications=r.parse("run.replications", lambda v: None if v == "auto" else _within(int(v), 1),
+                             "'auto' or an integer >= 1"),
+        budget=r.require("run.budget", "float", above=0) if need_budget else r.float("run.budget", above=0),
         threads=args.threads,
     )
-    # the estimators' own lower bounds, checked before any output exists
-    for name, low in (("replications", 1), ("testing_paths", 2), ("n_pilot", 100), ("r_pilot", 2)):
-        value = getattr(rs, name)
-        if value is not None and value < low:
-            raise ConfigError(f"config key run.{name} must be >= {low}, got {value}")
-    return rs
 
 
 def _build_tree(r: ConfigReader) -> Optional[TreeModel]:
@@ -207,36 +230,25 @@ def _build_tree(r: ConfigReader) -> Optional[TreeModel]:
 
 
 def _build_gbm_rule(r: ConfigReader, side: str, params: GbmParams, rs: RunSettings):
-    """Read and check rules.<side>.*; the returned call trains the rule."""
+    """Read rules.<side>.*; the returned call trains the rule."""
     pre = f"rules.{side}."
+    basis = basis_size(params.d)
     kind = r.str(pre + "kind", "tvr")
-    sigma = r.float(pre + "sigma", params.sigma)
-    n_train = r.int(pre + "training_paths", rs.training_paths)
+    train_params = replace(params, sigma=r.float(pre + "sigma", params.sigma, low=0))
+    n_train = r.int(pre + "training_paths", rs.training_paths, basis)
     epsilon = r.float(pre + "epsilon", 0.0)
-    if not math.isfinite(epsilon):
-        raise ConfigError(f"config key {pre}epsilon must be a finite number, got {epsilon!r}")
-    train_params = replace(params, sigma=sigma)
     # shared derivation tag: rules trained from the same seed share noise
     seed = rng.derive_seed(rs.seed_training, "train")
     if kind == "tvr":
         fit = lambda paths: train_tvr(paths, train_params)
     elif kind == "committee":
-        members = r.int(pre + "members", 100)
-        member_size = r.int(pre + "member_size", 4000)
-        if members < 1:
-            raise ConfigError(f"config key {pre}members must be >= 1, got {members}")
-        basis = basis_size(params.d)
-        if member_size < basis:
-            raise ConfigError(f"config key {pre}member_size must be >= {basis} "
-                              f"(the regression basis at d = {params.d}), got {member_size}")
+        members = r.int(pre + "members", 100, 1)
+        member_size = r.int(pre + "member_size", 4000, basis)
         fit = lambda paths: train_committee(paths, train_params, members, member_size, seed)
     elif kind == "fixed":
         if epsilon != 0.0:
             raise ConfigError(f"config key {pre}epsilon applies to tvr and committee rules, not fixed")
-        stop_from = r.int(pre + "stop_from", 0)
-        if stop_from < 0:
-            raise ConfigError(f"config key {pre}stop_from must be >= 0, got {stop_from}")
-        rule = FixedDateRule(stop_from)
+        rule = FixedDateRule(r.int(pre + "stop_from", 0, 0))
         return lambda: rule
     else:
         raise ConfigError(f"config key {pre}kind must be tvr, committee, or fixed, got {kind!r}")
@@ -244,23 +256,23 @@ def _build_gbm_rule(r: ConfigReader, side: str, params: GbmParams, rs: RunSettin
 
 
 def _build_problem(r: ConfigReader, args):
-    """Model plus rule pair, either a JSON tree or the GBM benchmark."""
-    rs = _run_settings(r, args)
+    """The model (a JSON tree or the GBM benchmark), a call returning the
+    rule pair, the run settings, and whether the model is a tree.  GBM rules
+    train only when the call is made."""
     tree = _build_tree(r)
     if tree is not None:
-        stop_a = r.labels("tree.stop_a")
-        stop_b = r.labels("tree.stop_b")
-        if stop_a is None or stop_b is None:
-            raise ConfigError("tree configs need tree.stop_a and tree.stop_b")
+        rs = _run_settings(r, args)
         try:
-            return tree, TreeRule(tree, stop_a), TreeRule(tree, stop_b), rs, True
+            rules = (TreeRule(tree, r.require("tree.stop_a", "labels")),
+                     TreeRule(tree, r.require("tree.stop_b", "labels")))
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        return tree, lambda: rules, rs, True
     params = _gbm_params(r)
-    model = GbmModel(params)
+    rs = _run_settings(r, args, basis_size(params.d))
     train_a = _build_gbm_rule(r, "a", params, rs)
     train_b = _build_gbm_rule(r, "b", params, rs)
-    return model, train_a(), train_b(), rs, False
+    return GbmModel(params), lambda: (train_a(), train_b()), rs, False
 
 
 # --- output ------------------------------------------------------------------
@@ -319,9 +331,7 @@ class Outputs:
 
 
 def _calib_dict(cal: CalibParams, rep: CalibReport) -> dict:
-    out = {**asdict(cal), **asdict(rep), "speedup": 1.0 / rep.gamma_star}
-    del out["n_star_per_budget"]
-    return out
+    return {**asdict(cal), **asdict(rep), "speedup": 1.0 / rep.gamma_star}
 
 
 def _run_pilot(model, ruleA, ruleB, rs: RunSettings) -> tuple[CalibParams, int, CalibReport]:
@@ -338,19 +348,22 @@ def _rows_csv(cls, rows: list) -> tuple[list[str], list[list]]:
     return cols, [[getattr(x, c) for c in cols] for x in rows]
 
 
-def _experiment_config(r: ConfigReader, args, **extra) -> ExperimentConfig:
-    rs = _run_settings(r, args)
-    return ExperimentConfig(params=_gbm_params(r), **asdict(rs), **extra)
-
-
-_NO_BUDGET = "missing required config key run.budget"
+def _experiment_config(r: ConfigReader, args, study: Optional[str] = None, **extra) -> ExperimentConfig:
+    """GBM parameters and run settings; a budget study (qcv or ml) also
+    needs run.budget and reads <study>.member_size."""
+    params = _gbm_params(r)
+    basis = basis_size(params.d)
+    if study:
+        extra["member_size"] = r.int(f"{study}.member_size", 4000, basis)
+    rs = _run_settings(r, args, basis, need_budget=bool(study))
+    return ExperimentConfig(params=params, **asdict(rs), **extra)
 
 
 # --- subcommands --------------------------------------------------------------
 #
-# Each subcommand reads its config keys and returns a _Job; _run does the
-# rest.  A job's run() computes everything and returns the files to write and
-# the lines to print.
+# Each subcommand reads and checks its config keys and returns its run; _run
+# does the rest.  run() computes everything, training the rules first, and
+# returns the files to write and the lines to print.
 
 class _Result(NamedTuple):
     files: dict                     # name -> JSON object, or (header, rows) for .csv
@@ -358,15 +371,14 @@ class _Result(NamedTuple):
     failure: Optional[str] = None   # a failed check: exit 4 after the manifest
 
 
-class _Job(NamedTuple):
-    run: Callable[[], _Result]
-    error: Optional[str] = None     # config error reported after unknown keys
+_Job = Callable[[], _Result]
 
 
 def _pilot_job(r: ConfigReader, args) -> _Job:
-    model, ruleA, ruleB, rs, is_tree = _build_problem(r, args)
+    model, rules, rs, is_tree = _build_problem(r, args)
 
     def run() -> _Result:
+        ruleA, ruleB = rules()
         cal, _, rep = _run_pilot(model, ruleA, ruleB, rs)
         info = _calib_dict(cal, rep)
         lines = [
@@ -383,13 +395,14 @@ def _pilot_job(r: ConfigReader, args) -> _Job:
             lines.append(f"oracle: delta={delta:.6g} v1={v1x:.6g} v2={v2x:.6g}")
         return _Result({"pilot.json": info}, lines)
 
-    return _Job(run)
+    return run
 
 
 def _estimate_job(r: ConfigReader, args) -> _Job:
-    model, ruleA, ruleB, rs, _ = _build_problem(r, args)
+    model, rules, rs, _ = _build_problem(r, args)
 
     def run() -> _Result:
+        ruleA, ruleB = rules()
         R, N, extra = rs.replications, rs.testing_paths, {}
         if R is None or rs.budget is not None:
             cal, R, rep = _run_pilot(model, ruleA, ruleB, rs)
@@ -411,14 +424,11 @@ def _estimate_job(r: ConfigReader, args) -> _Job:
             [f"delta_hat={est.delta_hat:.6g} stderr={est.stderr:.6g} N={est.N} R={est.R}"],
         )
 
-    return _Job(run)
+    return run
 
 
 def _table1_job(r: ConfigReader, args) -> _Job:
-    sigma_hats = r.floats("study.sigma_hats")
-    if not sigma_hats:
-        raise ConfigError("missing required config key study.sigma_hats")
-    cfg = _experiment_config(r, args, sigma_hats=sigma_hats)
+    cfg = _experiment_config(r, args, sigma_hats=r.require("study.sigma_hats", "floats", above=0))
 
     def run() -> _Result:
         rows = param_uncertainty_study(cfg)
@@ -429,15 +439,11 @@ def _table1_job(r: ConfigReader, args) -> _Job:
              f"P={x.p_differ:.6g} R*={x.R_star:.6g} speedup={x.speedup:.6g}" for x in rows],
         )
 
-    return _Job(run)
+    return run
 
 
 def _qcv_job(r: ConfigReader, args) -> _Job:
-    cfg = _experiment_config(
-        r, args,
-        committee_members=r.int("qcv.members", 1000),
-        member_size=r.int("qcv.member_size", 4000),
-    )
+    cfg = _experiment_config(r, args, "qcv", committee_members=r.int("qcv.members", 1000, 1))
 
     def run() -> _Result:
         rep = qcv_estimate(cfg)
@@ -457,18 +463,11 @@ def _qcv_job(r: ConfigReader, args) -> _Job:
              f"nested={rep.var_qcv_nested:.6g} measured_gain={rep.measured_gain:.6g}"],
         )
 
-    return _Job(run, _NO_BUDGET if cfg.budget is None else None)
+    return run
 
 
 def _multilevel_job(r: ConfigReader, args) -> _Job:
-    ladder = r.ints("ml.ladder")
-    if not ladder:
-        raise ConfigError("missing required config key ml.ladder")
-    cfg = _experiment_config(
-        r, args,
-        ladder=ladder,
-        member_size=r.int("ml.member_size", 4000),
-    )
+    cfg = _experiment_config(r, args, "ml", ladder=r.require("ml.ladder", "ints", low=1))
 
     def run() -> _Result:
         rep = multilevel_estimate(cfg)
@@ -479,13 +478,16 @@ def _multilevel_job(r: ConfigReader, args) -> _Job:
              f"var simple={rep.var_simple:.6g} ml={rep.var_ml:.6g} nested={rep.var_ml_nested:.6g}"],
         )
 
-    return _Job(run, _NO_BUDGET if cfg.budget is None else None)
+    return run
 
 
 def _oracle_check_job(r: ConfigReader, args) -> _Job:
-    model, ruleA, ruleB, rs, is_tree = _build_problem(r, args)
+    model, rules, rs, is_tree = _build_problem(r, args)
+    if not is_tree:
+        raise ConfigError("oracle-check needs a tree config (tree.name or tree.file)")
 
     def run() -> _Result:
+        ruleA, ruleB = rules()
         R = rs.replications if rs.replications is not None else 5
         delta = exact_delta(model, ruleA, ruleB)
         est = estimate(
@@ -508,17 +510,16 @@ def _oracle_check_job(r: ConfigReader, args) -> _Job:
             f"|delta_hat - delta| = {err:.6g} exceeds 4*stderr = {4 * est.stderr:.6g}",
         )
 
-    return _Job(run, None if is_tree else "oracle-check needs a tree config (tree.name or tree.file)")
+    return run
 
 
 def _vprofile_job(r: ConfigReader, args) -> _Job:
-    model, ruleA, ruleB, rs, _ = _build_problem(r, args)
+    model, rules, rs, _ = _build_problem(r, args)
     r_max = r.int("vprofile.r_max", 0)
-    points = r.int("vprofile.points", 64)
-    if points < 2:
-        raise ConfigError("vprofile.points must be >= 2")
+    points = r.int("vprofile.points", 64, 2)
 
     def run() -> _Result:
+        ruleA, ruleB = rules()
         cal, _, rep = _run_pilot(model, ruleA, ruleB, rs)
         top = r_max if r_max >= 1 else 4 * (64 if cal.degenerate else rep.R_rounded)
         grid = sorted({round(top ** (k / (points - 1))) for k in range(points)})
@@ -528,18 +529,16 @@ def _vprofile_job(r: ConfigReader, args) -> _Job:
             [f"wrote {len(grid)} grid points up to R={top}"],
         )
 
-    return _Job(run)
+    return run
 
 
 def _run(args) -> int:
     raw = _read_config(args.config)
     r = ConfigReader(raw)
-    job = args.job(r, args)
+    run = args.job(r, args)
     r.finish()
-    if job.error:
-        raise ConfigError(job.error)
     out = Outputs(args, raw)
-    res = job.run()
+    res = run()
     for name, payload in res.files.items():
         if name.endswith(".csv"):
             out.csv(name, *payload)

@@ -24,6 +24,7 @@ one driver, ``_telescope``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -77,10 +78,10 @@ class ExperimentConfig:
             raise ValueError("r_pilot must be >= 2")
         if self.replications is not None and self.replications < 1:
             raise ValueError("replications must be >= 1 when set")
-        if self.budget is not None and not self.budget > 0:
-            raise ValueError("budget must be positive when set")
-        if any(s <= 0 for s in self.sigma_hats):
-            raise ValueError("sigma_hats must be positive volatilities")
+        if self.budget is not None and not 0 < self.budget < math.inf:
+            raise ValueError("budget must be positive and finite when set")
+        if not all(0 < s < math.inf for s in self.sigma_hats):
+            raise ValueError("sigma_hats must be positive finite volatilities")
         if any(b >= a for a, b in zip(self.ladder[1:], self.ladder)):
             raise ValueError("ladder must be strictly increasing")
         if self.ladder and self.ladder[0] < 1:

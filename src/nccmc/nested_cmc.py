@@ -242,8 +242,7 @@ def _mean_var(x: np.ndarray) -> tuple[float, float]:
     return float(m), float(x.sum() / (len(x) - 1))
 
 
-def estimate(model, ruleA, ruleB, N: int, R: int, seed: int,
-             namespace: int = NS_TESTING, threads: int = 1) -> NestedEstimate:
+def estimate(model, ruleA, ruleB, N: int, R: int, seed: int, threads: int = 1) -> NestedEstimate:
     """Full two-stage run: N trunks, R replications per differing trunk.
 
     delta_hat averages the per-trunk replication means (zero where the rules
@@ -263,9 +262,9 @@ def estimate(model, ruleA, ruleB, N: int, R: int, seed: int,
 
     def task(start: int, n: int):
         tau, sign, xw, resume, t_steps, t_evals = _trunk_block(
-            model, ruleA, ruleB, seed, namespace, start, n)
+            model, ruleA, ruleB, seed, NS_TESTING, start, n)
         m, v, s_steps, s_evals = _sub_block(
-            model, ruleA, ruleB, seed, namespace, start, tau, sign, xw, resume, R)
+            model, ruleA, ruleB, seed, NS_TESTING, start, tau, sign, xw, resume, R)
         means[start:start + n] = m
         variances[start:start + n] = v
         signs[start:start + n] = sign
@@ -290,8 +289,7 @@ def estimate(model, ruleA, ruleB, N: int, R: int, seed: int,
                           p_differ=p_differ)
 
 
-def estimate_value(model, rule, N: int, seed: int,
-                   namespace: int = NS_TESTING, threads: int = 1) -> ValueEstimate:
+def estimate_value(model, rule, N: int, seed: int, threads: int = 1) -> ValueEstimate:
     """Plain Monte Carlo for E[X_tau] of one rule over N paths.
 
     Runs stage one against a rule that holds to maturity: it costs nothing
@@ -304,7 +302,7 @@ def estimate_value(model, rule, N: int, seed: int,
     values = np.empty(N)
 
     def task(start: int, n: int):
-        _, _, x_wedge, _, steps, evals = _trunk_block(model, rule, hold, seed, namespace, start, n)
+        _, _, x_wedge, _, steps, evals = _trunk_block(model, rule, hold, seed, NS_TESTING, start, n)
         values[start:start + n] = x_wedge
         return steps, evals
 
@@ -337,7 +335,7 @@ def floored_params(est: NestedEstimate) -> CalibParams:
 
 
 def pilot(model, ruleA, ruleB, N_pilot: int, R_pilot: int, seed: int,
-          namespace: int = NS_TESTING, threads: int = 1) -> CalibParams:
+          threads: int = 1) -> CalibParams:
     """Estimate (v1, v2, rho1, rho2) from a small two-stage run.
 
     The parameters are those of ``floored_params``: a component that comes
@@ -347,6 +345,5 @@ def pilot(model, ruleA, ruleB, N_pilot: int, R_pilot: int, seed: int,
         raise ValueError("N_pilot must be >= 100")
     if R_pilot < 2:
         raise ValueError("R_pilot must be >= 2")
-    est = estimate(model, ruleA, ruleB, N_pilot, R_pilot, seed,
-                   namespace=namespace, threads=threads)
+    est = estimate(model, ruleA, ruleB, N_pilot, R_pilot, seed, threads=threads)
     return floored_params(est)

@@ -116,13 +116,11 @@ def gbm_step(
     return assets * np.exp(drift + params.sigma * np.sqrt(dt) * z)
 
 
-def simulate_training_paths(
-    params: GbmParams, n: int, seed: int, namespace: int = rng.NS_TRAINING
-) -> TrainingPaths:
-    """Simulate n full paths in one batch, by default in the training namespace.
+def simulate_training_paths(params: GbmParams, n: int, seed: int) -> TrainingPaths:
+    """Simulate n full paths in one batch, in the training namespace.
 
-    Path p draws point p of each date's TRUNK stream, the same noise the
-    estimator's stage one gives its path p under that seed and namespace.
+    Path p draws point p of each date's TRUNK stream: the noise stage one
+    would give its path p under that seed in the training namespace.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -132,7 +130,7 @@ def simulate_training_paths(
     assets[:, 0] = params.y0
     payoffs[:, 0] = max_call_payoff(0, assets[:, 0], params)
     for j in range(1, J + 1):
-        z = rng.normals(seed, namespace, rng.TRUNK, 0, j, n, params.d)
+        z = rng.normals(seed, rng.NS_TRAINING, rng.TRUNK, 0, j, n, params.d)
         assets[:, j] = gbm_step(assets[:, j - 1], params.dt, params, z)
         payoffs[:, j] = max_call_payoff(j, assets[:, j], params)
     return TrainingPaths(assets=assets, payoffs=payoffs)
@@ -203,13 +201,12 @@ class TreeModel:
 
         self.n_nodes = len(payoffs)
         self.payoffs = np.array(payoffs)
-        self.depths = np.array(depths, dtype=np.int64)
         self.labels = labels
         self.label_to_id = {lab: i for i, lab in enumerate(labels)}
         self._child_ids = child_ids
         self._child_cum = child_cum
 
-        leaf_depths = {int(depths[i]) for i in range(self.n_nodes) if not child_ids[i]}
+        leaf_depths = {depths[i] for i in range(self.n_nodes) if not child_ids[i]}
         if len(leaf_depths) != 1:
             raise ValueError(f"all leaves must share one depth, got {sorted(leaf_depths)}")
         self.J = leaf_depths.pop()
@@ -253,15 +250,9 @@ class TreeModel:
         return self._id_table[states, pick]
 
 
-def load_tree(source: Union[str, dict]) -> TreeModel:
-    """Build a TreeModel from a JSON file path or an already-parsed dict."""
-    if isinstance(source, dict):
-        spec = source
-    else:
-        with open(source) as fh:
-            spec = json.load(fh)
-    root = spec.get("root", spec)
-    return TreeModel(root)
+def load_tree(spec: dict) -> TreeModel:
+    """Build a TreeModel from a parsed tree JSON document."""
+    return TreeModel(spec.get("root", spec))
 
 
 def bundled_tree(name: str) -> TreeModel:
@@ -272,5 +263,4 @@ def bundled_tree(name: str) -> TreeModel:
     from importlib import resources
 
     ref = resources.files("nccmc").joinpath("data", f"{name}.json")
-    with resources.as_file(ref) as path:
-        return load_tree(str(path))
+    return load_tree(json.loads(ref.read_text()))

@@ -293,7 +293,7 @@ def shift_rule(rule: StoppingRule, epsilon: float) -> StoppingRule:
     return shifted
 
 
-def _fit_backward(assets: np.ndarray, payoffs: np.ndarray, y0: float, rcond: float) -> np.ndarray:
+def _fit_backward(assets: np.ndarray, payoffs: np.ndarray, y0: float) -> np.ndarray:
     n, n_dates, d = assets.shape
     J = n_dates - 1
     B = basis_size(d)
@@ -305,21 +305,21 @@ def _fit_backward(assets: np.ndarray, payoffs: np.ndarray, y0: float, rcond: flo
         A = basis_matrix(assets[:, j], payoffs[:, j], y0)
         # rcond guards rank-deficient designs (e.g. degenerate volatility):
         # small singular values are dropped rather than blown up.
-        beta, _, _, _ = np.linalg.lstsq(A, value, rcond=rcond)
+        beta, _, _, _ = np.linalg.lstsq(A, value, rcond=1e-10)
         cont = A @ beta
         value = np.maximum(payoffs[:, j], cont)
         coeffs[j] = beta
     return coeffs
 
 
-def train_tvr(paths: TrainingPaths, params: GbmParams, rcond: float = 1e-10) -> RegressionRule:
+def train_tvr(paths: TrainingPaths, params: GbmParams) -> RegressionRule:
     """Fit a value-iteration regression rule on simulated paths.
 
     Backward induction from maturity: the date-j value is the pointwise max
     of the payoff and the basis projection of the date-(j+1) value, fitted
     over every path.  Returns the rule that stops when payoff >= projection.
     """
-    coeffs = _fit_backward(paths.assets, paths.payoffs, params.y0, rcond)
+    coeffs = _fit_backward(paths.assets, paths.payoffs, params.y0)
     return RegressionRule(coeffs, params.y0, params.d)
 
 
@@ -329,7 +329,6 @@ def train_committee(
     members: int,
     member_size: int,
     seed: int,
-    rcond: float = 1e-10,
 ) -> CommitteeRule:
     """Bag value-iteration regression over bootstrap resamples of the paths.
 
@@ -346,5 +345,5 @@ def train_committee(
     for m in range(members):
         gen = np.random.default_rng(derive_seed(seed, f"committee-member-{m}"))
         idx = gen.integers(0, n, size=member_size)
-        coeffs[m] = _fit_backward(paths.assets[idx], paths.payoffs[idx], params.y0, rcond)
+        coeffs[m] = _fit_backward(paths.assets[idx], paths.payoffs[idx], params.y0)
     return CommitteeRule(coeffs, params.y0, params.d)

@@ -94,7 +94,6 @@ def test_choose_r_gives_no_nesting_on_a_degenerate_pilot():
     assert (rep.R_star, rep.R_rounded, rep.gamma_star) == (1.0, 1, 1.0)
     assert (rep.gain_lower, rep.gain_upper) == (1.0, 1.0)
     assert rep.condition_holds is False
-    assert rep.n_star_per_budget == 1.0 / (DEGENERATE.rho1 + DEGENERATE.rho2)
 
 
 def test_choose_r_override_wins():

@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from nccmc import cli
+from nccmc import cli, experiments
 from nccmc.experiments import MlLevelRow, Table1Row
 
 GBM_SMALL = """
@@ -23,6 +23,12 @@ TREE_AB = """
     tree.name=tree_2period
     tree.stop_a=0
     tree.stop_b=1
+"""
+
+STUDY_BASE = """
+    run.training_paths=3000
+    run.testing_paths=2000
+    run.r_pilot=8
 """
 
 
@@ -139,7 +145,7 @@ def test_bad_run_size_exits_2_before_any_output(tmp_path, capsys, command, setti
                                      "rules.b.epsilon=-inf",
                                      "rules.b.kind=fixed\nrules.b.epsilon=0.1"])
 def test_bad_epsilon_exits_2_before_training(tmp_path, capsys, monkeypatch, setting):
-    exits_2_before_training(tmp_path, capsys, monkeypatch, setting, "epsilon")
+    exits_2_before_training(tmp_path, capsys, monkeypatch, "estimate", setting, "epsilon")
 
 
 # d = 2 (GBM_SMALL): the regression basis has 7 columns
@@ -149,26 +155,92 @@ def test_bad_epsilon_exits_2_before_training(tmp_path, capsys, monkeypatch, sett
     ("rules.b.kind=committee\nrules.b.member_size=6", "rules.b.member_size"),
 ], ids=["stop_from", "members", "member_size"])
 def test_bad_rule_size_exits_2_before_training(tmp_path, capsys, monkeypatch, setting, key):
-    exits_2_before_training(tmp_path, capsys, monkeypatch, setting, key)
+    exits_2_before_training(tmp_path, capsys, monkeypatch, "estimate", setting, key)
 
 
-def exits_2_before_training(tmp_path, capsys, monkeypatch, setting, key):
+# d = 2 throughout: the regression basis has 7 columns.  A setting without
+# "=" removes that key from the command's valid base config.
+@pytest.mark.parametrize("command,setting,key", [
+    ("estimate", "model.d=0", "model.d"),
+    ("estimate", "model.r=nan", "model.r"),
+    ("estimate", "model.delta=inf", "model.delta"),
+    ("estimate", "model.sigma=-0.2", "model.sigma"),
+    ("estimate", "model.strike=0", "model.strike"),
+    ("estimate", "model.y0=-90", "model.y0"),
+    ("estimate", "model.maturity=0", "model.maturity"),
+    ("estimate", "model.dates=1", "model.dates"),
+    ("estimate", "run.training_paths=6", "run.training_paths"),
+    ("estimate", "rules.a.training_paths=6", "rules.a.training_paths"),
+    ("estimate", "rules.b.sigma=-0.1", "rules.b.sigma"),
+    ("estimate", "rules.a.kind=greedy", "rules.a.kind"),
+    ("estimate", "run.budget=inf", "run.budget"),
+    ("estimate", "rules.a.bogus=1", "rules.a.bogus"),
+    ("vprofile", "vprofile.points=1", "vprofile.points"),
+    ("oracle-check", "", "tree.name"),
+    ("table1", "study.sigma_hats=-0.1", "study.sigma_hats"),
+    ("table1", "study.sigma_hats=nan", "study.sigma_hats"),
+    ("table1", "study.sigma_hats=0.2,inf", "study.sigma_hats"),
+    ("table1", "study.sigma_hats=", "study.sigma_hats"),
+    ("table1", "study.sigma_hats", "study.sigma_hats"),
+    ("table1", "run.training_paths=3", "run.training_paths"),
+    ("table1", "model.sigma=nan", "model.sigma"),
+    ("qcv", "qcv.members=0", "qcv.members"),
+    ("qcv", "qcv.member_size=6", "qcv.member_size"),
+    ("qcv", "run.budget", "run.budget"),
+    ("multilevel", "ml.member_size=5", "ml.member_size"),
+    ("multilevel", "ml.ladder=4,2", "ml.ladder"),
+    ("multilevel", "ml.ladder=2,2", "ml.ladder"),
+    ("multilevel", "ml.ladder=0,2", "ml.ladder"),
+    ("multilevel", "ml.ladder", "ml.ladder"),
+    ("multilevel", "run.budget=nan", "run.budget"),
+])
+def test_bad_value_exits_2_before_training(tmp_path, capsys, monkeypatch, command, setting, key):
+    exits_2_before_training(tmp_path, capsys, monkeypatch, command, setting, key)
+
+
+# a valid config for each subcommand that trains rules
+TRAINING_CONFIGS = {
+    "estimate": GBM_SMALL,
+    "vprofile": GBM_SMALL,
+    "oracle-check": GBM_SMALL,
+    "table1": STUDY_BASE + "study.sigma_hats=0.23\n",
+    "qcv": STUDY_BASE + "run.budget=1e5\n",
+    "multilevel": STUDY_BASE + "ml.ladder=2,4\nrun.budget=1e5\n",
+}
+
+
+def exits_2_before_training(tmp_path, capsys, monkeypatch, command, setting, key):
+    trained = []
+
     def no_training(*args, **kwargs):
+        trained.append(args)
         raise AssertionError("trained a rule for a config that is in error")
 
-    monkeypatch.setattr(cli, "simulate_training_paths", no_training)
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "simulate_training_paths", no_training)
+    cfg = dict(ln.strip().partition("=")[::2] for ln in TRAINING_CONFIGS[command].split("\n")
+               if ln.strip())
+    for ln in filter(None, setting.split("\n")):
+        k, eq, v = ln.partition("=")
+        if eq:
+            cfg[k] = v
+        else:
+            del cfg[k]
     out = tmp_path / "o"
-    cfg = config(tmp_path, GBM_SMALL + setting + "\n")
-    rc = cli.main(["estimate", "--config", cfg, "--seed", "1", "--out", str(out)])
+    path = config(tmp_path, "".join(f"{k}={v}\n" for k, v in cfg.items()))
+    rc = cli.main([command, "--config", path, "--seed", "1", "--out", str(out)])
+    assert not trained
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):
-    # too few training paths for the regression basis: fails inside training
-    cfg = config(tmp_path, "rules.a.training_paths=5\nrun.testing_paths=100\n")
-    rc = cli.main(["estimate", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")])
+    # --out names a regular file, so the output directory cannot be made
+    out = tmp_path / "o"
+    out.write_text("")
+    rc = cli.main(["pilot", "--config", config(tmp_path, TREE_AB), "--seed", "1",
+                   "--out", str(out)])
     assert rc == 3
     assert "error" in capsys.readouterr().err
 
@@ -333,12 +405,6 @@ def test_r1_run_reports_no_inner_variance(tmp_path):
 
 
 # --- study subcommands ------------------------------------------------------------------
-
-STUDY_BASE = """
-    run.training_paths=3000
-    run.testing_paths=2000
-    run.r_pilot=8
-"""
 
 
 def test_table1_command(tmp_path):

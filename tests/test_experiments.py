@@ -259,9 +259,13 @@ def test_config_rejects_bad_values(d2_params):
     with pytest.raises(ValueError):
         small_config(d2_params, sigma_hats=(0.2, -0.1))
     with pytest.raises(ValueError):
+        small_config(d2_params, sigma_hats=(0.2, float("nan")))
+    with pytest.raises(ValueError):
         small_config(d2_params, replications=0)
     with pytest.raises(ValueError):
         small_config(d2_params, budget=-1.0)
+    with pytest.raises(ValueError):
+        small_config(d2_params, budget=float("inf"))
     with pytest.raises(ValueError):
         small_config(d2_params, member_size=3)
     with pytest.raises(ValueError):
