@@ -225,7 +225,9 @@ def _build_tree(r: ConfigReader) -> Optional[TreeModel]:
             with open(path) as fh:
                 return load_tree(json.load(fh))
         except OSError as e:
-            raise ConfigError(f"cannot read tree file {path}: {e}") from e
+            raise ConfigError(f"config key tree.file: cannot read {path}: {e}") from e
+        except ValueError as e:  # not JSON, or not a tree
+            raise ConfigError(f"config key tree.file: {path} is not a valid tree: {e}") from None
     return None
 
 
@@ -257,8 +259,8 @@ def _build_gbm_rule(r: ConfigReader, side: str, params: GbmParams, rs: RunSettin
 
 def _build_problem(r: ConfigReader, args):
     """The model (a JSON tree or the GBM benchmark), a call returning the
-    rule pair, the run settings, and whether the model is a tree.  GBM rules
-    train only when the call is made."""
+    rule pair, and the run settings.  GBM rules train only when the call is
+    made."""
     tree = _build_tree(r)
     if tree is not None:
         rs = _run_settings(r, args)
@@ -267,12 +269,12 @@ def _build_problem(r: ConfigReader, args):
                      TreeRule(tree, r.require("tree.stop_b", "labels")))
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        return tree, lambda: rules, rs, True
+        return tree, lambda: rules, rs
     params = _gbm_params(r)
     rs = _run_settings(r, args, basis_size(params.d))
     train_a = _build_gbm_rule(r, "a", params, rs)
     train_b = _build_gbm_rule(r, "b", params, rs)
-    return GbmModel(params), lambda: (train_a(), train_b()), rs, False
+    return GbmModel(params), lambda: (train_a(), train_b()), rs
 
 
 # --- output ------------------------------------------------------------------
@@ -375,7 +377,7 @@ _Job = Callable[[], _Result]
 
 
 def _pilot_job(r: ConfigReader, args) -> _Job:
-    model, rules, rs, is_tree = _build_problem(r, args)
+    model, rules, rs = _build_problem(r, args)
 
     def run() -> _Result:
         ruleA, ruleB = rules()
@@ -388,7 +390,7 @@ def _pilot_job(r: ConfigReader, args) -> _Job:
             f"gamma*={rep.gamma_star:.6g} speedup={info['speedup']:.6g}"
             + (" (degenerate)" if cal.degenerate else ""),
         ]
-        if is_tree:
+        if isinstance(model, TreeModel):
             delta = exact_delta(model, ruleA, ruleB)
             v1x, v2x = exact_components(model, ruleA, ruleB)
             info["oracle"] = {"delta": delta, "v1": v1x, "v2": v2x}
@@ -399,7 +401,7 @@ def _pilot_job(r: ConfigReader, args) -> _Job:
 
 
 def _estimate_job(r: ConfigReader, args) -> _Job:
-    model, rules, rs, _ = _build_problem(r, args)
+    model, rules, rs = _build_problem(r, args)
 
     def run() -> _Result:
         ruleA, ruleB = rules()
@@ -482,8 +484,8 @@ def _multilevel_job(r: ConfigReader, args) -> _Job:
 
 
 def _oracle_check_job(r: ConfigReader, args) -> _Job:
-    model, rules, rs, is_tree = _build_problem(r, args)
-    if not is_tree:
+    model, rules, rs = _build_problem(r, args)
+    if not isinstance(model, TreeModel):
         raise ConfigError("oracle-check needs a tree config (tree.name or tree.file)")
 
     def run() -> _Result:
@@ -514,7 +516,7 @@ def _oracle_check_job(r: ConfigReader, args) -> _Job:
 
 
 def _vprofile_job(r: ConfigReader, args) -> _Job:
-    model, rules, rs, _ = _build_problem(r, args)
+    model, rules, rs = _build_problem(r, args)
     r_max = r.int("vprofile.r_max", 0)
     points = r.int("vprofile.points", 64, 2)
 

@@ -11,10 +11,11 @@ with v1 the variance of the per-trunk conditional mean and v2 the expected
 within-trunk variance.
 
 Both stages run one date loop, the lane kernel ``_run_lanes``: each date it
-steps the live lanes, prices them, asks the rules each lane consults and
+steps the live lanes, prices them, asks every rule of the run about them and
 retires the lanes that stop.  A stage supplies each lane's first decision
-date (0 for a trunk, tau + 1 for a continuation), its rules (both, or the
-survivor) and its noise.  Stage two walks the differing trunks in
+date (0 for a trunk, tau + 1 for a continuation), the rules (both for the
+trunks, the survivor for a continuation) and the noise.  Stage two runs the
+trunks where rule A survives, then those where rule B does, each group in
 sub-batches whose noise and lane state fit in NOISE_BUDGET words, so its
 memory does not grow with N, R or P(differ); it fetches a whole sub-batch's
 noise, each trunk's dates tau+1..J only, in one batched draw.
@@ -100,18 +101,18 @@ def _run_lanes(model, rules, first, states, payoff, noise):
     """The date loop of both stages: advance lanes until each one stops.
 
     Lane i is first stepped and asked at date first[i] (date 0 takes no
-    step).  ``rules`` holds (rule, lanes) pairs, lanes a boolean mask of the
-    lanes that consult the rule or None for all; a lane stops at the first
-    date one of its rules says so, and at J in any case.  ``noise(j, rows)``
-    gives the draws that carry lanes ``rows`` to date j.  ``states`` and
-    ``payoff`` are advanced in place and end at each lane's stop date.
-    Returns (tau, votes, steps, evals): the stop dates and votes[i], rule i's
-    decision there (True at J).
+    step).  Every live lane asks each of ``rules`` at dates before J and
+    stops at the first date one of them says so, and at J in any case.
+    ``noise(j, rows)`` gives the draws that carry lanes ``rows`` to date j.
+    ``states`` and ``payoff`` are advanced in place and end at each lane's
+    stop date.  Returns (tau, votes, steps, evals): the stop dates and
+    votes[i], rule i's decision there (True at J).
     """
     J, n = model.J, len(first)
     tau = np.zeros(n, dtype=np.int64)
     votes = [np.zeros(n, dtype=bool) for _ in rules]
     alive = np.ones(n, dtype=bool)
+    cost = sum(rule.eval_cost for rule in rules)
     steps = evals = 0
     for j in range(int(first.min()), J + 1):
         rows = np.nonzero(alive & (first <= j))[0]
@@ -127,18 +128,8 @@ def _run_lanes(model, rules, first, states, payoff, noise):
         else:
             lane_payoff = payoff[rows]
         if j < J:
-            says = []
-            for rule, lanes in rules:
-                if lanes is None:
-                    says.append(rule.decide_batch(j, lane_states, lane_payoff))
-                    evals += rows.size * rule.eval_cost
-                    continue
-                grp = lanes[rows]
-                said = np.zeros(rows.size, dtype=bool)
-                if grp.any():
-                    said[grp] = rule.decide_batch(j, lane_states[grp], lane_payoff[grp])
-                    evals += int(np.count_nonzero(grp)) * rule.eval_cost
-                says.append(said)
+            says = [rule.decide_batch(j, lane_states, lane_payoff) for rule in rules]
+            evals += rows.size * cost
             stop = np.any(says, axis=0)
         else:
             stop = np.ones(rows.size, dtype=bool)
@@ -167,7 +158,7 @@ def _trunk_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int, n: int
         return model.draw(seed, namespace, TRUNK, 0, j, n, first_point=p0)[rows]
 
     tau, (sA, sB), steps, evals = _run_lanes(
-        model, ((ruleA, None), (ruleB, None)), np.zeros(n, dtype=np.int64), states, payoff, noise)
+        model, (ruleA, ruleB), np.zeros(n, dtype=np.int64), states, payoff, noise)
     sign = np.where(sA & sB, 0, np.where(sA, -1, 1)).astype(np.int8)
     return tau, sign, payoff, states, steps, evals
 
@@ -178,43 +169,47 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
 
     Trunk p owns one SUB stream (key date 0) whose point (j-1)*R + (r-1) is
     replication r's draw for date j.  A differing trunk's lanes start at
-    tau + 1 and consult the surviving rule; one draw per sub-batch puts each
-    trunk's dates tau+1..J in a ragged buffer.  A sub-batch of trunks holds
-    at most NOISE_BUDGET words of noise and lane state, a trunk's share being
-    its points' raw words and variates plus R lanes of state and LANE_WORDS
-    each (a trunk whose own share is larger runs alone).
+    tau + 1 and ask only the surviving rule: the trunks with S > 0 run on
+    rule A, then those with S < 0 on rule B.  Each group walks its trunks in
+    sub-batches, one draw per sub-batch putting each trunk's dates tau+1..J
+    in a ragged buffer.  A sub-batch holds at most NOISE_BUDGET words of
+    noise and lane state, a trunk's share being its points' raw words and
+    variates plus R lanes of state and LANE_WORDS each (a trunk whose own
+    share is larger runs alone).
     Returns (means, variances, steps, evals); rows for trunks with S = 0
     stay zero and cost nothing.
     """
     n = len(tau)
     means = np.zeros(n)
     variances = np.zeros(n)
-    diff = np.nonzero(sign != 0)[0]
     width = model.draw_width
-    points = (model.J - tau[diff]) * R
-    ends = np.cumsum(points * (words_per_point(width) + width) + R * (width + LANE_WORDS))
-    lo = steps = evals = 0
-    while lo < diff.size:
-        spent = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, spent + NOISE_BUDGET, side="right")))
-        k, counts = diff[lo:hi], points[lo:hi]
-        offsets = np.cumsum(counts) - counts
-        buf = model.draw(seed, namespace, SUB, p0 + k, 0, counts, first_point=tau[k] * R)
-        # lane (i, r) reads point (j - tau_i - 1)*R + r of trunk i's block at date j
-        base = np.repeat(offsets - (tau[k] + 1) * R, R) + np.tile(np.arange(R), k.size)
-        survivor_a = np.repeat(sign[k] > 0, R)   # S > 0: tau_A > tau_B, rule A runs on
-        lane_xw = np.repeat(x_wedge[k], R)
-        payoff = lane_xw.copy()
-        _, _, s_steps, s_evals = _run_lanes(
-            model, ((ruleA, survivor_a), (ruleB, ~survivor_a)), np.repeat(tau[k] + 1, R),
-            np.repeat(resume[k], R, axis=0), payoff, lambda j, rows: buf[base[rows] + j * R])
-        vals = (np.repeat(sign[k], R).astype(float) * (payoff - lane_xw)).reshape(k.size, R)
-        means[k] = vals.mean(axis=1)
-        if R > 1:
-            variances[k] = vals.var(axis=1, ddof=1)
-        steps, evals = steps + s_steps, evals + s_evals
-        lo = hi
-        del buf  # before the next sub-batch's buffer, or both may stay resident
+    steps = evals = 0
+    # S > 0: tau_A > tau_B, so rule A runs on
+    for rule, s in ((ruleA, 1), (ruleB, -1)):
+        diff = np.nonzero(sign == s)[0]
+        points = (model.J - tau[diff]) * R
+        ends = np.cumsum(points * (words_per_point(width) + width) + R * (width + LANE_WORDS))
+        lo = 0
+        while lo < diff.size:
+            spent = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, spent + NOISE_BUDGET, side="right")))
+            k, counts = diff[lo:hi], points[lo:hi]
+            offsets = np.cumsum(counts) - counts
+            buf = model.draw(seed, namespace, SUB, p0 + k, 0, counts, first_point=tau[k] * R)
+            # lane (i, r) reads point (j - tau_i - 1)*R + r of trunk i's block at date j
+            base = np.repeat(offsets - (tau[k] + 1) * R, R) + np.tile(np.arange(R), k.size)
+            lane_xw = np.repeat(x_wedge[k], R)
+            payoff = lane_xw.copy()
+            _, _, s_steps, s_evals = _run_lanes(
+                model, (rule,), np.repeat(tau[k] + 1, R), np.repeat(resume[k], R, axis=0),
+                payoff, lambda j, rows: buf[base[rows] + j * R])
+            vals = (s * (payoff - lane_xw)).reshape(k.size, R)
+            means[k] = vals.mean(axis=1)
+            if R > 1:
+                variances[k] = vals.var(axis=1, ddof=1)
+            steps, evals = steps + s_steps, evals + s_evals
+            lo = hi
+            del buf  # before the next sub-batch's buffer, or both may stay resident
     return means, variances, steps, evals
 
 

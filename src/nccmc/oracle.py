@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .process_models import TreeModel
 
 MAX_PATHS = 10**6
@@ -43,7 +45,7 @@ def _check_size(tree: TreeModel) -> None:
 
 
 def _stops(rule, j: int, node: int, payoff: float, J: int) -> bool:
-    return j >= J or rule.decide(j, node, payoff)
+    return j >= J or bool(rule.decide_batch(j, np.array([node]), np.array([payoff]))[0])
 
 
 def _continuation_moments(tree: TreeModel, rule, node: int, j: int) -> tuple[float, float]:

@@ -22,6 +22,7 @@ noise whether it is simulated alone or inside any batch.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -175,25 +176,33 @@ class TreeModel:
         child_ids: list[list[int]] = []
         child_cum: list[np.ndarray] = []
 
+        def number(node, label: str, key: str) -> float:
+            try:
+                x = float(node[key])
+            except (KeyError, TypeError, ValueError):
+                x = math.nan
+            if not math.isfinite(x):
+                raise ValueError(f"tree node '{label}' is not an object with a finite '{key}'")
+            return x
+
         def add(node: dict, depth: int, label: str) -> int:
             nid = len(payoffs)
-            payoffs.append(float(node["payoff"]))
+            payoffs.append(number(node, label, "payoff"))
             depths.append(depth)
             labels.append(label)
             child_ids.append([])
             child_cum.append(np.empty(0))
             children = node.get("children", [])
+            if not isinstance(children, list):
+                raise ValueError(f"children of tree node '{label}' are not a list")
             if children:
-                probs = np.array([float(c["prob"]) for c in children])
+                subs = [f"{label}/{k}" if label != "root" else str(k) for k in range(len(children))]
+                probs = np.array([number(c, sub, "prob") for c, sub in zip(children, subs)])
                 if np.any(probs < 0):
                     raise ValueError(f"negative branch probability at node '{label}'")
                 if abs(probs.sum() - 1.0) > 1e-12:
-                    raise ValueError(f"branch probabilities at node '{label}' sum to {probs.sum()!r}")
-                ids = []
-                for k, c in enumerate(children):
-                    sub = f"{label}/{k}" if label != "root" else str(k)
-                    ids.append(add(c, depth + 1, sub))
-                child_ids[nid] = ids
+                    raise ValueError(f"branch probabilities at node '{label}' sum to {float(probs.sum())}")
+                child_ids[nid] = [add(c, depth + 1, sub) for c, sub in zip(children, subs)]
                 child_cum[nid] = np.cumsum(probs)
             return nid
 
@@ -252,7 +261,7 @@ class TreeModel:
 
 def load_tree(spec: dict) -> TreeModel:
     """Build a TreeModel from a parsed tree JSON document."""
-    return TreeModel(spec.get("root", spec))
+    return TreeModel(spec.get("root", spec) if isinstance(spec, dict) else spec)
 
 
 def bundled_tree(name: str) -> TreeModel:

@@ -1,9 +1,9 @@
 """Stopping rules and their training.
 
-A stopping rule maps (date, state, payoff) to a stop/continue decision.  The
-engine only consults rules at dates 0..J-1 and stops everything at J, so a
-rule never has to special-case maturity, though all but the fixed-date
-rule guard it anyway.
+A stopping rule maps (date, state, payoff) to a stop/continue decision.  It
+is asked only through ``decide_batch(j, states, payoffs)``, for a batch of
+rows at one of the dates 0..J-1; the engine and the oracle stop everything
+at J themselves, so no rule knows maturity.
 
 Rules carry an ``eval_cost``: the number of elementary predictor evaluations
 one decision costs.  Fixed-date rules cost nothing, a committee of M
@@ -62,20 +62,7 @@ def basis_matrix(assets: np.ndarray, payoffs: np.ndarray, y0: float) -> np.ndarr
     return out
 
 
-class StoppingRule:
-    """Base interface: batched decisions plus a per-decision cost."""
-
-    eval_cost: int = 0
-
-    def decide_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def decide(self, j: int, state, payoff: float) -> bool:
-        states = np.asarray(state)[None] if np.ndim(state) else np.asarray([state])
-        return bool(self.decide_batch(j, states, np.asarray([payoff]))[0])
-
-
-class FixedDateRule(StoppingRule):
+class FixedDateRule:
     """Stops at the first date >= stop_from, regardless of state."""
 
     eval_cost = 0
@@ -116,7 +103,7 @@ def _member_blocks(M: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-class CommitteeRule(StoppingRule):
+class CommitteeRule:
     """Stops when the payoff reaches the median member prediction plus shifts.
 
     member_coeffs has shape (M, J, B); ``shifts`` are added to the median in
@@ -152,7 +139,6 @@ class CommitteeRule(StoppingRule):
         self.y0 = float(y0)
         self.d = int(d)
         self.shifts = tuple(shifts)
-        self.n_dates = member_coeffs.shape[1] + 1
         self.eval_cost = member_coeffs.shape[0]
 
     @property
@@ -178,8 +164,6 @@ class CommitteeRule(StoppingRule):
     def decide_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
         pay = np.asarray(payoffs)
         n = len(pay)
-        if j >= self.n_dates - 1:
-            return np.ones(n, dtype=bool)
         if self.members == 1 or n < 2:
             # nothing to count; a lone row's exact median is a matrix-vector product
             return _stop_mask(pay, self.continuation_batch(j, states, pay))
@@ -250,13 +234,9 @@ class RegressionRule(CommitteeRule):
             raise ValueError("coefficient array must be (J, basis_size(d))")
         super().__init__(coeffs[None], y0, d)
 
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.member_coeffs[0]
 
-
-class TreeRule(StoppingRule):
-    """Stops on a fixed set of tree nodes (plus maturity, engine-enforced)."""
+class TreeRule:
+    """Stops on a fixed set of tree nodes."""
 
     eval_cost = 1
 
@@ -267,15 +247,12 @@ class TreeRule(StoppingRule):
                 raise ValueError(f"unknown tree node label '{lab}'")
             ids.append(model.label_to_id[lab])
         self.stop_ids = np.array(sorted(ids), dtype=np.int64)
-        self.n_dates = model.J + 1
 
     def decide_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        if j >= self.n_dates - 1:
-            return np.ones(len(payoffs), dtype=bool)
         return np.isin(states, self.stop_ids)
 
 
-def shift_rule(rule: StoppingRule, epsilon: float) -> StoppingRule:
+def shift_rule(rule, epsilon: float):
     """A copy of a regression or committee rule with epsilon added to its threshold.
 
     The copy keeps the rule's class, members and cost, and appends epsilon

@@ -67,17 +67,29 @@ def continuations(model, A, B, seed, trunk_index, tau, sign, x_wedge, resume, R)
 
     Replication r of trunk k reads its date-j noise straight from point
     (j-1)*R + r of the trunk's SUB stream, independently of the engine's
-    buffers.  Returns (vals of shape (n_trunks, R), steps, evals).
+    buffers.  The lanes of the trunks where A survives (S > 0) run in one
+    kernel call, those where B survives in another.  Returns (vals of shape
+    (n_trunks, R), steps, evals).
     """
     n, J = len(tau), model.J
+    sign = np.asarray(sign)
     dense = np.stack([model.draw(seed, NS_TESTING, SUB, int(i), 0, J * R).reshape(J, R, -1)
                       for i in trunk_index])
     k, r = np.divmod(np.arange(n * R), R)
-    survivor_a = np.repeat(np.asarray(sign) > 0, R)
+    first = np.repeat(np.asarray(tau) + 1, R)
     lane_xw = np.repeat(np.asarray(x_wedge, dtype=float), R)
     payoff = lane_xw.copy()
-    _, _, steps, evals = _run_lanes(
-        model, ((A, survivor_a), (B, ~survivor_a)), np.repeat(np.asarray(tau) + 1, R),
-        np.repeat(resume, R, axis=0), payoff, lambda j, rows: dense[k[rows], j - 1, r[rows]])
+    states = np.repeat(resume, R, axis=0)
+    steps = evals = 0
+    for rule, s in ((A, 1), (B, -1)):
+        lanes = np.nonzero(np.repeat(sign == s, R))[0]
+        if lanes.size == 0:
+            continue
+        group_payoff, group_states = payoff[lanes], states[lanes]
+        _, _, s_steps, s_evals = _run_lanes(
+            model, (rule,), first[lanes], group_states, group_payoff,
+            lambda j, rows: dense[k[lanes[rows]], j - 1, r[lanes[rows]]])
+        payoff[lanes] = group_payoff
+        steps, evals = steps + s_steps, evals + s_evals
     vals = np.repeat(sign, R) * (payoff - lane_xw)
     return vals.reshape(n, R), steps, evals

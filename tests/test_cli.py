@@ -86,6 +86,27 @@ def test_unknown_tree_label_exits_2(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    '{"root": ',
+    '{"root": {"payoff": 1, "children": [{"prob": 0.7, "payoff": 2}, {"prob": 0.7, "payoff": 0}]}}',
+    '{"root": {"payoff": 1, "children": [{"prob": 0.5, "payoff": 2}, {"prob": 0.5}]}}',
+    '{"root": 5}',
+    '{"root": {"payoff": "x", "children": [{"prob": 1, "payoff": 0}]}}',
+    '[1]',
+    '{"root": {"payoff": 1, "children": 5}}',
+    '{"root": {"payoff": NaN, "children": [{"prob": 1, "payoff": 0}]}}',
+], ids=["not-json", "probs-sum-to-1.4", "child-without-payoff", "root-not-object", "payoff-not-number",
+        "document-not-object", "children-not-a-list", "payoff-not-finite"])
+def test_bad_tree_file_exits_2_and_names_it(tmp_path, capsys, doc):
+    tree = tmp_path / "tree.json"
+    tree.write_text(doc)
+    cfg = config(tmp_path, f"tree.file={tree}\ntree.stop_a=0\ntree.stop_b=1\n")
+    rc = cli.main(["pilot", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "tree.file" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     rc = cli.main(["pilot", "--config", str(tmp_path / "absent.cfg"), "--seed", "1",
                    "--out", str(tmp_path / "o")])

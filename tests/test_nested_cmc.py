@@ -19,7 +19,7 @@ from nccmc.nested_cmc import (
 from nccmc.oracle import exact_delta
 from nccmc.process_models import GbmModel, GbmParams
 from nccmc.rng import NS_TESTING, SUB
-from nccmc.stopping_rules import FixedDateRule, TreeRule
+from nccmc.stopping_rules import FixedDateRule, TreeRule, train_committee
 from tests.conftest import continuations
 
 
@@ -144,11 +144,13 @@ def test_stage_two_reads_each_trunks_sub_stream(tree2, tree2_rules, d2_params, s
 def test_stage_two_draws_once_per_sub_batch(monkeypatch, tree2, tree2_rules, d2_params,
                                             small_rule_pair):
     # one SUB draw per sub-batch, its requests the sub-batch's trunks in
-    # order: together they name every differing trunk once
+    # order: together they name the trunks where A survives, then those
+    # where B does, each once
     p0, R = 40, 4
     for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
         tau, sign, xw, resume, _, _ = _trunk_block(model, A, B, 5, NS_TESTING, p0, 3000)
-        diff = np.nonzero(sign)[0]
+        groups = [np.nonzero(sign > 0)[0], np.nonzero(sign < 0)[0]]
+        assert all(g.size for g in groups)
         requests, sub_batches = [], []
         draw, run_lanes = type(model).draw, nested_cmc._run_lanes
 
@@ -170,9 +172,9 @@ def test_stage_two_draws_once_per_sub_batch(monkeypatch, tree2, tree2_rules, d2_
             sub_batches.clear()
             _sub_block(model, A, B, 5, NS_TESTING, p0, tau, sign, xw, resume, R)
             assert len(requests) == len(sub_batches)
-            assert np.array_equal(np.concatenate(requests), p0 + diff)
+            assert np.array_equal(np.concatenate(requests), p0 + np.concatenate(groups))
             calls.append(len(requests))
-        assert calls[0] > 1 and calls[1] == 1
+        assert calls[0] > 2 and calls[1] == 2  # one draw per survivor at the full budget
         monkeypatch.undo()  # the next model's spies wrap the originals
 
 
@@ -246,6 +248,21 @@ def test_bits_do_not_depend_on_batching(monkeypatch, chunk, tree2, tree2_rules, 
 
 
 # --- full estimator ----------------------------------------------------------------
+
+def test_swapping_the_rules_negates_the_estimate(tree2, tree2_rules, d2_params, small_rule_pair,
+                                                 small_paths):
+    # S and the survivor swap with the rules: every replication value
+    # changes sign, so the estimate does and nothing else moves
+    gbm = GbmModel(d2_params)
+    committee = train_committee(small_paths, d2_params, members=8, member_size=300, seed=3)
+    problems = ((tree2, *tree2_rules, 3), (gbm, small_rule_pair[0], committee, 4),
+                (gbm, *small_rule_pair, 1), (gbm, small_rule_pair[1], FixedDateRule(9), 4))
+    for model, A, B, R in problems:
+        ab = estimate(model, A, B, 3000, R, seed=13)
+        ba = estimate(model, B, A, 3000, R, seed=13)
+        assert ab.p_differ > 0
+        assert ba == dataclasses.replace(ab, delta_hat=-ab.delta_hat)
+
 
 def test_identical_rules_give_exact_zero(tree2):
     rule = TreeRule(tree2, ["0"])

@@ -28,11 +28,16 @@ def params(**kw):
     return GbmParams(**base)
 
 
-def constant_rule(c: float, d: int = 1, J: int = 1) -> RegressionRule:
-    """A regression rule whose predicted continuation is identically c."""
-    coeffs = np.zeros((J, basis_size(d)))
+def constant_rule(c: float, d: int = 1) -> RegressionRule:
+    """A one-date regression rule whose predicted continuation is identically c."""
+    coeffs = np.zeros((1, basis_size(d)))
     coeffs[:, 0] = c
     return RegressionRule(coeffs, y0=90.0, d=d)
+
+
+def decide(rule, j, state, payoff) -> bool:
+    """The rule's decision for one row, asked as a batch of one."""
+    return bool(rule.decide_batch(j, np.array([state]), np.array([payoff]))[0])
 
 
 # --- basis -------------------------------------------------------------------
@@ -52,31 +57,26 @@ def test_basis_matrix_columns_by_hand():
 
 def test_payoff_equal_to_continuation_stops():
     rule = constant_rule(5.0)
-    assert rule.decide(0, np.array([100.0]), 5.0)
-    assert not rule.decide(0, np.array([100.0]), 4.999)
+    assert decide(rule, 0, [100.0], 5.0)
+    assert not decide(rule, 0, [100.0], 4.999)
 
 
 def test_zero_payoff_zero_continuation_stops():
     rule = constant_rule(0.0)
-    assert rule.decide(0, np.array([80.0]), 0.0)
+    assert decide(rule, 0, [80.0], 0.0)
 
 
 def test_zero_payoff_negative_continuation_continues():
     # a negative fitted continuation out of the money is extrapolation
     # noise; cashing out nothing on it would distort the stopping time
     rule = constant_rule(-0.5)
-    assert not rule.decide(0, np.array([80.0]), 0.0)
-    assert rule.decide(0, np.array([80.0]), 0.2)  # any real payoff beats it
-
-
-def test_always_stops_at_maturity():
-    rule = constant_rule(np.inf, J=3)
-    assert rule.decide(3, np.array([80.0]), 0.0)
+    assert not decide(rule, 0, [80.0], 0.0)
+    assert decide(rule, 0, [80.0], 0.2)  # any real payoff beats it
 
 
 def test_fixed_date_rule():
     rule = FixedDateRule(2)
-    assert [rule.decide(j, 0, 1.0) for j in range(4)] == [False, False, True, True]
+    assert [decide(rule, j, 0, 1.0) for j in range(4)] == [False, False, True, True]
     assert rule.eval_cost == 0
     with pytest.raises(ValueError):
         FixedDateRule(-1)
@@ -162,7 +162,7 @@ def test_training_needs_enough_paths():
 def test_training_deterministic(d2_params):
     a = train_tvr(simulate_training_paths(d2_params, 500, 31), d2_params)
     b = train_tvr(simulate_training_paths(d2_params, 500, 31), d2_params)
-    assert np.array_equal(a.coeffs, b.coeffs)
+    assert np.array_equal(a.member_coeffs, b.member_coeffs)
 
 
 # --- shift wrapper ---------------------------------------------------------------
@@ -258,7 +258,6 @@ def test_regression_rule_decides_by_the_formula(d, n):
         for j in range(J):
             want = regression_formula(coeffs, 90.0, shifts, j, states, payoffs)
             assert np.array_equal(rule.decide_batch(j, states, payoffs), want), (shifts, j)
-        assert rule.decide_batch(J, states, payoffs).all()
 
 
 # --- committees -------------------------------------------------------------------
@@ -269,8 +268,8 @@ def test_committee_median_decides():
     rule = CommitteeRule(members, y0=90.0, d=1)
     y = np.array([100.0])
     assert rule.continuation_batch(0, y[None], np.array([0.0]))[0] == 5.0
-    assert rule.decide(0, y, 5.0)
-    assert not rule.decide(0, y, 4.9)
+    assert decide(rule, 0, y, 5.0)
+    assert not decide(rule, 0, y, 4.9)
     assert rule.eval_cost == 3
 
 
@@ -306,13 +305,12 @@ def median_threshold(rule, j, states, payoffs):
 
 def assert_matches_median(rule, states, payoffs):
     pay = np.asarray(payoffs)
-    for j in range(rule.n_dates - 1):
+    for j in range(rule.member_coeffs.shape[1]):
         thr = median_threshold(rule, j, states, pay)
         want = (pay >= thr) & ((pay > 0.0) | (thr >= 0.0))
         got = rule.decide_batch(j, states, pay)
         assert got.dtype == bool
         assert np.array_equal(got, want), (j, len(pay))
-    assert rule.decide_batch(rule.n_dates - 1, states, pay).all()
 
 
 def random_committee(gen, members, J=3, payoff_blind=False):
@@ -447,7 +445,7 @@ def test_committee_non_finite_predictions(members):
 
 def assert_matches_definition(rule, states, payoffs):
     """Each date's decisions equal the stop mask of the exact threshold, bit for bit."""
-    for j in range(rule.n_dates - 1):
+    for j in range(rule.member_coeffs.shape[1]):
         want = _stop_mask(payoffs, rule.continuation_batch(j, states, payoffs))
         got = rule.decide_batch(j, states, payoffs)
         assert np.array_equal(got, want), (rule.members, rule.shifts, j, len(payoffs))
