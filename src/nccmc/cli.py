@@ -517,13 +517,13 @@ def _oracle_check_job(r: ConfigReader, args) -> _Job:
 
 def _vprofile_job(r: ConfigReader, args) -> _Job:
     model, rules, rs = _build_problem(r, args)
-    r_max = r.int("vprofile.r_max", 0)
+    r_max = r.int("vprofile.r_max", low=1)
     points = r.int("vprofile.points", 64, 2)
 
     def run() -> _Result:
         ruleA, ruleB = rules()
         cal, _, rep = _run_pilot(model, ruleA, ruleB, rs)
-        top = r_max if r_max >= 1 else 4 * (64 if cal.degenerate else rep.R_rounded)
+        top = r_max if r_max is not None else 4 * (64 if cal.degenerate else rep.R_rounded)
         grid = sorted({round(top ** (k / (points - 1))) for k in range(points)})
         return _Result(
             {"vprofile.csv": (["R", "V"], [[R, v_profile(cal, R)] for R in grid]),

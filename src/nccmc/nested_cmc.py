@@ -121,7 +121,7 @@ def _run_lanes(model, rules, first, states, payoff, noise):
         lane_states = states[rows]
         if j > 0:
             lane_states = model.step_batch(j, lane_states, noise(j, rows))
-            lane_payoff = np.asarray(model.payoff_batch(j, lane_states), dtype=float)
+            lane_payoff = model.payoff_batch(j, lane_states)
             states[rows] = lane_states
             payoff[rows] = lane_payoff
             steps += rows.size * model.step_units
@@ -152,7 +152,7 @@ def _trunk_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int, n: int
     resume states in a row buffer matching the model's state layout.
     """
     states = model.init_states(n)
-    payoff = np.asarray(model.payoff_batch(0, states), dtype=float)
+    payoff = model.payoff_batch(0, states)
 
     def noise(j, rows):
         return model.draw(seed, namespace, TRUNK, 0, j, n, first_point=p0)[rows]

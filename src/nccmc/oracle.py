@@ -52,12 +52,12 @@ def _continuation_moments(tree: TreeModel, rule, node: int, j: int) -> tuple[flo
     """Exact (E[X_stop], E[X_stop^2]) of a continuation branched below node.
 
     The continuation starts stepping at date j+1; the rule is consulted at
-    each date reached, maturity stops unconditionally.
+    each date reached after j, maturity stops unconditionally.
     """
 
     def rec(n: int, depth: int) -> tuple[float, float]:
         pay = float(tree.payoffs[n])
-        if _stops(rule, depth, n, pay, tree.J):
+        if depth > j and _stops(rule, depth, n, pay, tree.J):
             return pay, pay * pay
         m1 = 0.0
         m2 = 0.0
@@ -67,13 +67,7 @@ def _continuation_moments(tree: TreeModel, rule, node: int, j: int) -> tuple[flo
             m2 += p * c2
         return m1, m2
 
-    m1 = 0.0
-    m2 = 0.0
-    for child, p in zip(tree.children(node), tree.branch_probs(node)):
-        c1, c2 = rec(child, j + 1)
-        m1 += p * c1
-        m2 += p * c2
-    return m1, m2
+    return rec(node, j)
 
 
 def enumerate_atoms(tree: TreeModel, ruleA, ruleB) -> list[EnumeratedAtom]:

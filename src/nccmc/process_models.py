@@ -6,8 +6,9 @@ enumerable Markov trees used as exact test fixtures.  A model exposes
 
     J           index of the final date (dates are 0..J)
     step_units  work units charged per path per simulated date
+    draw_width  variates per point of the model's noise
     init_states(n)                  states at date 0 for n paths
-    payoff_batch(j, states)         payoff of each state at date j
+    payoff_batch(j, states)         payoff of each state at date j, a float array
     draw(seed, ns, cls, index, date, n, first_point)   driver noise: points
                     [first_point, first_point + n) of stream index; index, n and
                     first_point may be equal-length arrays, one request each,
@@ -16,7 +17,9 @@ enumerable Markov trees used as exact test fixtures.  A model exposes
 
 States are row-indexed numpy arrays so the engine can scatter and gather
 paths freely; the streams module guarantees that path ``p`` sees the same
-noise whether it is simulated alone or inside any batch.
+noise whether it is simulated alone or inside any batch.  A model's dynamics
+live in its methods only: training paths step a GbmModel with the calls
+stage one makes, so training and both stages run one process.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -88,57 +90,8 @@ class TrainingPaths:
         return self.assets.shape[0]
 
 
-def max_call_payoff(j: int, assets: np.ndarray, params: GbmParams) -> Union[float, np.ndarray]:
-    """Discounted max-call payoff at date j; batched over leading axis."""
-    assets = np.asarray(assets, dtype=float)
-    if not np.all(np.isfinite(assets)):
-        raise ValueError("non-finite asset values")
-    disc = float(np.exp(-params.r * params.dates[j]))
-    # column by column: far faster than a reduction over a short inner axis,
-    # and the same bits (the maximum is exact, and NaN was rejected above)
-    best = assets[..., 0]
-    for k in range(1, assets.shape[-1]):
-        best = np.maximum(best, assets[..., k])
-    val = disc * np.maximum(best - params.K, 0.0)
-    return float(val) if val.ndim == 0 else val
-
-
-def gbm_step(
-    assets: np.ndarray, dt: float, params: GbmParams, normals: np.ndarray
-) -> np.ndarray:
-    """Exact GBM transition over a step of length dt, one normal per asset."""
-    assets = np.asarray(assets, dtype=float)
-    z = np.asarray(normals, dtype=float)
-    if not (np.all(np.isfinite(assets)) and np.all(np.isfinite(z))):
-        raise ValueError("non-finite inputs to gbm_step")
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    drift = (params.r - params.delta - 0.5 * params.sigma**2) * dt
-    return assets * np.exp(drift + params.sigma * np.sqrt(dt) * z)
-
-
-def simulate_training_paths(params: GbmParams, n: int, seed: int) -> TrainingPaths:
-    """Simulate n full paths in one batch, in the training namespace.
-
-    Path p draws point p of each date's TRUNK stream: the noise stage one
-    would give its path p under that seed in the training namespace.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    J = params.J
-    assets = np.empty((n, params.n_dates, params.d))
-    payoffs = np.empty((n, params.n_dates))
-    assets[:, 0] = params.y0
-    payoffs[:, 0] = max_call_payoff(0, assets[:, 0], params)
-    for j in range(1, J + 1):
-        z = rng.normals(seed, rng.NS_TRAINING, rng.TRUNK, 0, j, n, params.d)
-        assets[:, j] = gbm_step(assets[:, j - 1], params.dt, params, z)
-        payoffs[:, j] = max_call_payoff(j, assets[:, j], params)
-    return TrainingPaths(assets=assets, payoffs=payoffs)
-
-
 class GbmModel:
-    """Driver adapter for the GBM max-call family."""
+    """The GBM max-call family; states are (n, d) arrays of asset values."""
 
     def __init__(self, params: GbmParams):
         self.params = params
@@ -150,14 +103,53 @@ class GbmModel:
         return np.full((n, self.params.d), self.params.y0, dtype=float)
 
     def payoff_batch(self, j: int, states: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(max_call_payoff(j, states, self.params))
+        """Discounted max-call payoff of each row at date j."""
+        p = self.params
+        assets = np.asarray(states, dtype=float)
+        if not np.all(np.isfinite(assets)):
+            raise ValueError("non-finite asset values")
+        disc = float(np.exp(-p.r * p.dates[j]))
+        # column by column: far faster than a reduction over a short inner axis,
+        # and the same bits (the maximum is exact, and NaN was rejected above)
+        best = assets[..., 0]
+        for k in range(1, assets.shape[-1]):
+            best = np.maximum(best, assets[..., k])
+        return disc * np.maximum(best - p.K, 0.0)
 
     def draw(self, seed: int, namespace: int, stream_class: int, index, date: int,
              n_points, first_point=0) -> np.ndarray:
         return rng.normals(seed, namespace, stream_class, index, date, n_points, self.params.d, first_point)
 
     def step_batch(self, j: int, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        return gbm_step(states, self.params.dt, self.params, draws)
+        """Exact GBM transition from date j-1 to date j, one normal per asset."""
+        p = self.params
+        assets = np.asarray(states, dtype=float)
+        z = np.asarray(draws, dtype=float)
+        if not (np.all(np.isfinite(assets)) and np.all(np.isfinite(z))):
+            raise ValueError("non-finite inputs to step_batch")
+        drift = (p.r - p.delta - 0.5 * p.sigma**2) * p.dt
+        return assets * np.exp(drift + p.sigma * np.sqrt(p.dt) * z)
+
+
+def simulate_training_paths(params: GbmParams, n: int, seed: int) -> TrainingPaths:
+    """Simulate n full paths in one batch, in the training namespace.
+
+    Steps a GbmModel with the calls stage one makes: path p draws point p of
+    each date's TRUNK stream, the noise stage one would give its path p under
+    that seed in the training namespace.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    model = GbmModel(params)
+    assets = np.empty((n, params.n_dates, params.d))
+    payoffs = np.empty((n, params.n_dates))
+    assets[:, 0] = model.init_states(n)
+    payoffs[:, 0] = model.payoff_batch(0, assets[:, 0])
+    for j in range(1, model.J + 1):
+        z = model.draw(seed, rng.NS_TRAINING, rng.TRUNK, 0, j, n)
+        assets[:, j] = model.step_batch(j, assets[:, j - 1], z)
+        payoffs[:, j] = model.payoff_batch(j, assets[:, j])
+    return TrainingPaths(assets=assets, payoffs=payoffs)
 
 
 class TreeModel:

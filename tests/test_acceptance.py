@@ -28,7 +28,7 @@ from nccmc.experiments import (
 )
 from nccmc.nested_cmc import estimate
 from nccmc.oracle import exact_components, exact_delta
-from nccmc.process_models import GbmParams, bundled_tree, gbm_step
+from nccmc.process_models import GbmModel, GbmParams, bundled_tree
 from nccmc.stopping_rules import TreeRule
 from tests.conftest import random_calib_params
 
@@ -241,7 +241,7 @@ def test_criterion_8_marginals_of_the_asset_model():
     t0 = time.monotonic()
     p = GbmParams(d=1, r=0.05, delta=0.1, sigma=0.2, K=100.0, y0=90.0, T=3.0, n_dates=10)
     z = rng.normals(99, rng.NS_TESTING, rng.TRUNK, 0, 1, 100_000, 1)
-    y1 = gbm_step(np.full((100_000, 1), p.y0), p.dt, p, z)
+    y1 = GbmModel(p).step_batch(1, np.full((100_000, 1), p.y0), z)
     logret = np.log(y1[:, 0] / p.y0)
     mean = (p.r - p.delta - 0.5 * p.sigma ** 2) * p.dt
     sd = p.sigma * math.sqrt(p.dt)
@@ -249,7 +249,7 @@ def test_criterion_8_marginals_of_the_asset_model():
     assert ks.pvalue > 0.01
 
     z2 = rng.normals(99, rng.NS_TESTING, rng.TRUNK, 0, 2, 1_000_000, 1)
-    y2 = gbm_step(np.full((1_000_000, 1), p.y0), p.dt, p, z2)[:, 0]
+    y2 = GbmModel(p).step_batch(1, np.full((1_000_000, 1), p.y0), z2)[:, 0]
     discounted = np.exp(-(p.r - p.delta) * p.dt) * y2
     se = discounted.std(ddof=1) / math.sqrt(len(discounted))
     z_mart = abs(discounted.mean() - p.y0) / se

@@ -197,6 +197,8 @@ def test_bad_rule_size_exits_2_before_training(tmp_path, capsys, monkeypatch, se
     ("estimate", "run.budget=inf", "run.budget"),
     ("estimate", "rules.a.bogus=1", "rules.a.bogus"),
     ("vprofile", "vprofile.points=1", "vprofile.points"),
+    ("vprofile", "vprofile.r_max=0", "vprofile.r_max"),
+    ("vprofile", "vprofile.r_max=-5", "vprofile.r_max"),
     ("oracle-check", "", "tree.name"),
     ("table1", "study.sigma_hats=-0.1", "study.sigma_hats"),
     ("table1", "study.sigma_hats=nan", "study.sigma_hats"),

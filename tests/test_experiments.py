@@ -229,18 +229,20 @@ def test_ml_requires_ladder_and_budget(d2_params):
         multilevel_estimate(small_config(d2_params, ladder=(2, 4)))
 
 
-# --- both telescoping drivers ----------------------------------------------------------
+# --- all three drivers ----------------------------------------------------------
 
 def test_drivers_do_not_depend_on_threads(d2_params):
-    # at this budget the baseline runs span more than one chunk of paths
+    # at this budget and size the baseline runs span more than one chunk of paths
     reports = [
         (qcv_estimate(small_config(d2_params, committee_members=8, budget=6e5, threads=t)),
-         multilevel_estimate(small_config(d2_params, ladder=(2, 4, 8), budget=6e5, threads=t)))
+         multilevel_estimate(small_config(d2_params, ladder=(2, 4, 8), budget=6e5, threads=t)),
+         param_uncertainty_study(small_config(d2_params, sigma_hats=(0.21, 0.23),
+                                              testing_paths=20000, threads=t)))
         for t in (1, 2)
     ]
     assert reports[0] == reports[1]
-    qcv, ml = reports[0]
-    assert min(qcv.alloc_qcv[0], qcv.alloc_qcv_nested[0], ml.rows[0].N) > CHUNK_SIZE
+    qcv, ml, table1 = reports[0]
+    assert min(qcv.alloc_qcv[0], qcv.alloc_qcv_nested[0], ml.rows[0].N, table1[0].N) > CHUNK_SIZE
 
 
 # --- config validation -----------------------------------------------------------------

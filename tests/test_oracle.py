@@ -1,8 +1,11 @@
-"""Exact tree enumeration against hand-computed values."""
+"""Exact tree enumeration against hand-computed values and random trees."""
 
+import numpy as np
 import pytest
 
 import nccmc.oracle as oracle
+from nccmc import nested_cmc
+from nccmc.nested_cmc import estimate
 from nccmc.oracle import (
     TreeSizeError,
     enumerate_atoms,
@@ -83,3 +86,43 @@ def test_oversized_tree_rejected(tree2, tree2_rules, monkeypatch):
     monkeypatch.setattr(oracle, "MAX_PATHS", 3)
     with pytest.raises(TreeSizeError):
         exact_delta(tree2, *tree2_rules)
+
+
+# --- random trees ------------------------------------------------------------------
+
+def random_tree_problem(seed):
+    """A seeded tree of depth 2-4, 1-3 children a node and payoffs in [-2, 5],
+    with two rules that each stop on about 30 % of the non-root labels."""
+    gen = np.random.default_rng(seed)
+    J = int(gen.integers(2, 5))
+
+    def node(depth):
+        spec = {"payoff": float(gen.uniform(-2.0, 5.0))}
+        if depth < J:
+            w = gen.uniform(0.1, 1.0, size=int(gen.integers(1, 4)))
+            spec["children"] = [dict(node(depth + 1), prob=float(q)) for q in w / w.sum()]
+        return spec
+
+    tree = load_tree({"root": node(0)})
+    labels = tree.labels[1:]
+    rules = [TreeRule(tree, [lab for lab in labels if gen.random() < 0.3]) for _ in "AB"]
+    return tree, *rules
+
+
+def test_random_trees_match_the_oracle(monkeypatch):
+    for seed in range(20):
+        tree, A, B = random_tree_problem(seed)
+        v1, v2 = exact_components(tree, A, B)
+        assert v1 + v2 == pytest.approx(exact_total_variance(tree, A, B), rel=1e-12, abs=1e-12)
+
+        est = estimate(tree, A, B, 20_000, 4, seed=100 + seed)
+        gap = est.delta_hat - exact_delta(tree, A, B)
+        assert abs(gap) < 4 * est.stderr if est.stderr > 0 else gap == 0.0
+        # two chunks at two threads; at N = 2,000 a small budget still means
+        # hundreds of sub-batches
+        assert estimate(tree, A, B, 20_000, 4, seed=100 + seed, threads=2) == est
+        small = estimate(tree, A, B, 2_000, 4, seed=100 + seed)
+        with monkeypatch.context() as m:
+            m.setattr(nested_cmc, "CHUNK_SIZE", 257)
+            m.setattr(nested_cmc, "NOISE_BUDGET", 500)
+            assert estimate(tree, A, B, 2_000, 4, seed=100 + seed) == small

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from nccmc import rng
 from nccmc.nested_cmc import _trunk_block
@@ -11,9 +10,7 @@ from nccmc.process_models import (
     GbmParams,
     TreeModel,
     bundled_tree,
-    gbm_step,
     load_tree,
-    max_call_payoff,
     simulate_training_paths,
 )
 from nccmc.stopping_rules import FixedDateRule
@@ -30,75 +27,52 @@ def params(**kw):
 
 def test_step_pure_drift():
     p = params(d=1, sigma=0.0, T=1.0, n_dates=2)
-    out = gbm_step(np.array([100.0]), 1.0, p, np.array([0.0]))
-    assert out[0] == pytest.approx(100.0 * np.exp(-0.05), rel=1e-12)
+    out = GbmModel(p).step_batch(1, np.array([[100.0]]), np.array([[0.0]]))
+    assert out[0, 0] == pytest.approx(100.0 * np.exp(-0.05), rel=1e-12)
 
 
 def test_step_zero_draw():
     p = params(d=1, r=0.0, delta=0.0, T=1.0, n_dates=2)
-    out = gbm_step(np.array([100.0]), 1.0, p, np.array([0.0]))
-    assert out[0] == pytest.approx(100.0 * np.exp(-0.02), rel=1e-12)
+    out = GbmModel(p).step_batch(1, np.array([[100.0]]), np.array([[0.0]]))
+    assert out[0, 0] == pytest.approx(100.0 * np.exp(-0.02), rel=1e-12)
 
 
 def test_step_rejects_bad_input():
-    p = params(d=1)
+    m = GbmModel(params(d=1))
     with pytest.raises(ValueError):
-        gbm_step(np.array([np.nan]), 1.0, p, np.array([0.0]))
+        m.step_batch(1, np.array([[np.nan]]), np.array([[0.0]]))
     with pytest.raises(ValueError):
-        gbm_step(np.array([100.0]), 1.0, p, np.array([np.inf]))
-    with pytest.raises(ValueError):
-        gbm_step(np.array([100.0]), -1.0, p, np.array([0.0]))
+        m.step_batch(1, np.array([[100.0]]), np.array([[np.inf]]))
 
 
 def test_step_batched_rows_match_single_calls():
-    p = params()
+    m = GbmModel(params())
     states = np.array([[90.0, 110.0], [100.0, 95.0], [80.0, 80.0]])
     z = np.array([[0.3, -1.1], [0.0, 2.0], [-0.7, 0.4]])
-    batch = gbm_step(states, p.dt, p, z)
+    batch = m.step_batch(1, states, z)
     for k in range(3):
-        assert np.array_equal(batch[k], gbm_step(states[k], p.dt, p, z[k]))
+        assert np.array_equal(batch[k], m.step_batch(1, states[k:k + 1], z[k:k + 1])[0])
 
 
 def test_payoff_in_the_money_undiscounted():
-    p = params(r=0.0)
-    assert max_call_payoff(3, np.array([110.0, 90.0]), p) == 10.0
+    m = GbmModel(params(r=0.0))
+    assert m.payoff_batch(3, np.array([[110.0, 90.0]]))[0] == 10.0
 
 
 def test_payoff_at_the_money_kink():
-    p = params()
-    assert max_call_payoff(2, np.array([100.0, 80.0]), p) == 0.0
+    m = GbmModel(params())
+    assert m.payoff_batch(2, np.array([[100.0, 80.0]]))[0] == 0.0
 
 
 def test_payoff_discounted():
-    p = params(d=1, T=3.0, n_dates=2)
-    val = max_call_payoff(1, np.array([120.0]), p)
+    m = GbmModel(params(d=1, T=3.0, n_dates=2))
+    val = m.payoff_batch(1, np.array([[120.0]]))[0]
     assert val == pytest.approx(20.0 * np.exp(-0.15), rel=1e-12)
 
 
 def test_payoff_rejects_nonfinite():
     with pytest.raises(ValueError):
-        max_call_payoff(0, np.array([np.nan, 1.0]), params())
-
-
-# --- distribution checks ------------------------------------------------------
-
-def test_log_returns_match_exact_law():
-    p = params(d=1)
-    z = rng.normals(99, rng.NS_TESTING, rng.TRUNK, 0, 1, 100_000, 1)
-    y1 = gbm_step(np.full((100_000, 1), p.y0), p.dt, p, z)
-    logret = np.log(y1[:, 0] / p.y0)
-    loc = (p.r - p.delta - 0.5 * p.sigma**2) * p.dt
-    scale = p.sigma * np.sqrt(p.dt)
-    assert stats.kstest(logret, "norm", args=(loc, scale)).pvalue > 0.01
-
-
-def test_discounted_drift_martingale():
-    p = params(d=1)
-    z = rng.normals(99, rng.NS_TESTING, rng.TRUNK, 0, 2, 1_000_000, 1)
-    y = gbm_step(np.full((1_000_000, 1), p.y0), p.dt, p, z)[:, 0]
-    disc = y * np.exp(-(p.r - p.delta) * p.dt)
-    se = disc.std(ddof=1) / np.sqrt(len(disc))
-    assert abs(disc.mean() - p.y0) < 3 * se
+        GbmModel(params()).payoff_batch(0, np.array([[np.nan, 1.0]]))
 
 
 # --- full paths and continuations ---------------------------------------------
@@ -125,7 +99,7 @@ def test_stored_payoffs_recomputable():
     p = params()
     bundle = simulate_training_paths(p, 4, 8)
     for j in range(p.n_dates):
-        assert np.array_equal(bundle.payoffs[:, j], max_call_payoff(j, bundle.assets[:, j], p))
+        assert np.array_equal(bundle.payoffs[:, j], GbmModel(p).payoff_batch(j, bundle.assets[:, j]))
 
 
 def test_training_batch_matches_per_path_streams():
@@ -217,10 +191,6 @@ def test_model_adapter_consistency():
     m = GbmModel(p)
     states = m.init_states(4)
     assert states.shape == (4, 2) and np.all(states == p.y0)
-    z = m.draw(3, rng.NS_TESTING, rng.TRUNK, 0, 1, 4)
-    stepped = m.step_batch(1, states, z)
-    assert np.array_equal(stepped, gbm_step(states, p.dt, p, z))
-    assert np.array_equal(m.payoff_batch(1, stepped), max_call_payoff(1, stepped, p))
     assert m.step_units == p.d
 
 
