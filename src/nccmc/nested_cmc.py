@@ -14,11 +14,13 @@ Both stages run one date loop, the lane kernel ``_run_lanes``: each date it
 steps the live lanes, prices them, asks every rule of the run about them and
 retires the lanes that stop.  A stage supplies each lane's first decision
 date (0 for a trunk, tau + 1 for a continuation), the rules (both for the
-trunks, the survivor for a continuation) and the noise.  Stage two runs the
-trunks where rule A survives, then those where rule B does, each group in
-sub-batches whose noise and lane state fit in NOISE_BUDGET words, so its
-memory does not grow with N, R or P(differ); it fetches a whole sub-batch's
-noise, each trunk's dates tau+1..J only, in one batched draw.
+trunks, the survivor for a continuation) and the noise as raw words; the
+kernel is the one place that turns them into variates, and only for the
+rows it steps.  Stage two runs the trunks where rule A survives, then
+those where rule B does, each group in sub-batches whose noise and lane
+state fit in NOISE_BUDGET words, so its memory does not grow with N, R or
+P(differ); it fetches a whole sub-batch's raw words, each trunk's dates
+tau+1..J only, in one batched draw.
 
 Everything is deterministic given (seed, namespace): paths and replications
 are addressed by counter-based streams, partial results land in preallocated
@@ -42,9 +44,10 @@ from .stopping_rules import FixedDateRule
 # Paths per scheduling unit.  Fixed: results must not depend on it.
 CHUNK_SIZE = 16384
 
-# Stage-two words held at once (32 MB): a sub-batch's noise (each point's raw
-# words while the draw converts them, plus its variates), its lanes' states
-# and LANE_WORDS per lane for the lane's own arrays (payoffs, noise index,
+# Stage-two words held at once (32 MB): a sub-batch's noise, each point's
+# raw words held across its dates, and per lane four states' worth (its
+# state, and at one date its gathered state, its variates and the stepped
+# state) plus LANE_WORDS for the lane's own arrays (payoffs, noise index,
 # dates, flags, temporaries).  Fixed: results must not depend on them.
 NOISE_BUDGET = 2**22
 LANE_WORDS = 12
@@ -103,7 +106,8 @@ def _run_lanes(model, rules, first, states, payoff, noise):
     Lane i is first stepped and asked at date first[i] (date 0 takes no
     step).  Every live lane asks each of ``rules`` at dates before J and
     stops at the first date one of them says so, and at J in any case.
-    ``noise(j, rows)`` gives the draws that carry lanes ``rows`` to date j.
+    ``noise(j, rows)`` gives a fresh copy of the raw words that carry lanes
+    ``rows`` to date j; only those rows become variates, in place.
     ``states`` and ``payoff`` are advanced in place and end at each lane's
     stop date.  Returns (tau, votes, steps, evals): the stop dates and
     votes[i], rule i's decision there (True at J).
@@ -120,7 +124,7 @@ def _run_lanes(model, rules, first, states, payoff, noise):
             continue
         lane_states = states[rows]
         if j > 0:
-            lane_states = model.step_batch(j, lane_states, noise(j, rows))
+            lane_states = model.step_batch(j, lane_states, model.variates(noise(j, rows)))
             lane_payoff = model.payoff_batch(j, lane_states)
             states[rows] = lane_states
             payoff[rows] = lane_payoff
@@ -171,10 +175,11 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
     replication r's draw for date j.  A differing trunk's lanes start at
     tau + 1 and ask only the surviving rule: the trunks with S > 0 run on
     rule A, then those with S < 0 on rule B.  Each group walks its trunks in
-    sub-batches, one draw per sub-batch putting each trunk's dates tau+1..J
-    in a ragged buffer.  A sub-batch holds at most NOISE_BUDGET words of
-    noise and lane state, a trunk's share being its points' raw words and
-    variates plus R lanes of state and LANE_WORDS each (a trunk whose own
+    sub-batches, one draw per sub-batch putting the raw words of each
+    trunk's dates tau+1..J in a ragged buffer; each date converts only the
+    live lanes' rows.  A sub-batch holds at most NOISE_BUDGET words of noise
+    and lane state, a trunk's share being its points' raw words plus R
+    lanes of four states' worth and LANE_WORDS each (a trunk whose own
     share is larger runs alone).
     Returns (means, variances, steps, evals); rows for trunks with S = 0
     stay zero and cost nothing.
@@ -188,7 +193,7 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
     for rule, s in ((ruleA, 1), (ruleB, -1)):
         diff = np.nonzero(sign == s)[0]
         points = (model.J - tau[diff]) * R
-        ends = np.cumsum(points * (words_per_point(width) + width) + R * (width + LANE_WORDS))
+        ends = np.cumsum(points * words_per_point(width) + R * (4 * width + LANE_WORDS))
         lo = 0
         while lo < diff.size:
             spent = ends[lo - 1] if lo else 0

@@ -9,17 +9,21 @@ enumerable Markov trees used as exact test fixtures.  A model exposes
     draw_width  variates per point of the model's noise
     init_states(n)                  states at date 0 for n paths
     payoff_batch(j, states)         payoff of each state at date j, a float array
-    draw(seed, ns, cls, index, date, n, first_point)   driver noise: points
+    draw(seed, ns, cls, index, date, n, first_point)   driver noise: the raw
+                    words (uint64, one row of draw_width per point) of points
                     [first_point, first_point + n) of stream index; index, n and
                     first_point may be equal-length arrays, one request each,
                     whose rows come back concatenated in request order
+    variates(words)                 draw's words as the variates step_batch
+                    takes (normals or uniforms), converted in place
     step_batch(j, states, draws)    advance states from date j-1 to date j
 
 States are row-indexed numpy arrays so the engine can scatter and gather
 paths freely; the streams module guarantees that path ``p`` sees the same
-noise whether it is simulated alone or inside any batch.  A model's dynamics
-live in its methods only: training paths step a GbmModel with the calls
-stage one makes, so training and both stages run one process.
+noise whether it is simulated alone or inside any batch, so a caller may
+convert only the rows it steps.  A model's dynamics live in its methods
+only: training paths step a GbmModel with the calls stage one makes, so
+training and both stages run one process.
 """
 
 from __future__ import annotations
@@ -118,7 +122,10 @@ class GbmModel:
 
     def draw(self, seed: int, namespace: int, stream_class: int, index, date: int,
              n_points, first_point=0) -> np.ndarray:
-        return rng.normals(seed, namespace, stream_class, index, date, n_points, self.params.d, first_point)
+        return rng.raw_words(seed, namespace, stream_class, index, date, n_points, self.draw_width, first_point)
+
+    def variates(self, words: np.ndarray) -> np.ndarray:
+        return rng.to_normals(words)
 
     def step_batch(self, j: int, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Exact GBM transition from date j-1 to date j, one normal per asset."""
@@ -146,7 +153,8 @@ def simulate_training_paths(params: GbmParams, n: int, seed: int) -> TrainingPat
     assets[:, 0] = model.init_states(n)
     payoffs[:, 0] = model.payoff_batch(0, assets[:, 0])
     for j in range(1, model.J + 1):
-        z = model.draw(seed, rng.NS_TRAINING, rng.TRUNK, 0, j, n)
+        # a contiguous copy: the draw's strided rows convert in short inner loops
+        z = model.variates(np.ascontiguousarray(model.draw(seed, rng.NS_TRAINING, rng.TRUNK, 0, j, n)))
         assets[:, j] = model.step_batch(j, assets[:, j - 1], z)
         payoffs[:, j] = model.payoff_batch(j, assets[:, j])
     return TrainingPaths(assets=assets, payoffs=payoffs)
@@ -243,7 +251,10 @@ class TreeModel:
 
     def draw(self, seed: int, namespace: int, stream_class: int, index, date: int,
              n_points, first_point=0) -> np.ndarray:
-        return rng.uniforms(seed, namespace, stream_class, index, date, n_points, 1, first_point)
+        return rng.raw_words(seed, namespace, stream_class, index, date, n_points, self.draw_width, first_point)
+
+    def variates(self, words: np.ndarray) -> np.ndarray:
+        return rng.to_uniforms(words)
 
     def step_batch(self, j: int, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
         u = np.asarray(draws).reshape(-1, 1)

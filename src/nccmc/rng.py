@@ -33,8 +33,11 @@ integer arrays (one request per entry, sharing seed, namespace, stream
 class and date), and return the requests' rows concatenated in request
 order.  Stage two fetches a whole sub-batch of trunks this way in one call:
 the per-request loop only re-keys one cached generator and fills one raw
-buffer, and the conversion to variates runs once, in place, in bulk numpy
-passes that release the GIL.
+buffer.  ``to_uniforms`` and ``to_normals`` convert raw words to variates in
+place, in bulk numpy passes that release the GIL; ``uniforms`` and
+``normals`` are those conversions of ``raw_words``.  A point's words do not
+depend on how points are grouped, so the engine draws raw words and
+converts only the rows of the lanes it steps.
 """
 
 from __future__ import annotations
@@ -144,9 +147,12 @@ def _fill(seed, namespace, stream_class, index, date, n_points, width, first_poi
     for packed, n, first in zip(keys[:, 1].tolist(), counts.tolist(), starts.tolist()):
         if n == 0:
             continue
-        c = first * cpp  # a Python int: the full 256-bit counter
+        # first < 2^64 (an integer array entry), so the counter fits its two
+        # low words and the high two stay at the cached zeros
+        c = first * cpp
         key[1] = packed
-        counter[0], counter[1], counter[2], counter[3] = (c >> s & _MASK64 for s in (0, 64, 128, 192))
+        counter[0] = c & _MASK64
+        counter[1] = c >> 64
         bg.state = state
         out[at:at + n * words] = bg.random_raw(n * words)
         at += n * words
@@ -169,42 +175,33 @@ def raw_words(
     request) or equal-length integer arrays (one request per entry, all of
     one seed, namespace, stream class and date).  Returns shape
     (total points, width): the requests' rows concatenated in request
-    order.  Point k always occupies the same counter block no matter how the
+    order, a view of the whole-counter rows when width is not a multiple of
+    4.  Point k always occupies the same counter block no matter how the
     request is split up.
     """
     return _fill(seed, namespace, stream_class, index, date, n_points, width, first_point)[:, :width]
 
 
-def uniforms(
-    seed: int,
-    namespace: int,
-    stream_class: int,
-    index,
-    date: int,
-    n_points,
-    width: int,
-    first_point=0,
-) -> np.ndarray:
-    """Uniform (0, 1) variates, open at both ends; requests as for ``raw_words``."""
-    raw = raw_words(seed, namespace, stream_class, index, date, n_points, width, first_point)
-    # 53-bit mantissa plus a half-ulp shift keeps 0 and 1 unattainable.  In
-    # place, so a point costs its raw words plus ``width`` floats.
-    np.right_shift(raw, np.uint64(11), out=raw)
-    u = np.multiply(raw, 2.0**-53, out=np.empty(raw.shape))
+def to_uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniform (0, 1) variates from raw words, open at both ends, overwriting ``words``."""
+    # 53-bit mantissa plus a half-ulp shift keeps 0 and 1 unattainable
+    np.right_shift(words, np.uint64(11), out=words)
+    u = np.multiply(words, 2.0**-53, out=words.view(np.float64))
     u += 2.0**-54
     return u
 
 
-def normals(
-    seed: int,
-    namespace: int,
-    stream_class: int,
-    index,
-    date: int,
-    n_points,
-    width: int,
-    first_point=0,
-) -> np.ndarray:
-    """Standard normal variates via inverse-CDF, shape (total points, width)."""
-    u = uniforms(seed, namespace, stream_class, index, date, n_points, width, first_point)
+def to_normals(words: np.ndarray) -> np.ndarray:
+    """Standard normal variates via inverse-CDF from raw words, overwriting ``words``."""
+    u = to_uniforms(words)
     return ndtri(u, out=u)
+
+
+def uniforms(*request, **kwargs) -> np.ndarray:
+    """Uniform (0, 1) variates: ``to_uniforms`` of ``raw_words(*request, **kwargs)``."""
+    return to_uniforms(raw_words(*request, **kwargs))
+
+
+def normals(*request, **kwargs) -> np.ndarray:
+    """Standard normal variates: ``to_normals`` of ``raw_words(*request, **kwargs)``."""
+    return to_normals(raw_words(*request, **kwargs))

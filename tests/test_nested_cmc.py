@@ -178,6 +178,34 @@ def test_stage_two_draws_once_per_sub_batch(monkeypatch, tree2, tree2_rules, d2_
         monkeypatch.undo()  # the next model's spies wrap the originals
 
 
+def test_only_the_rows_that_step_become_variates(monkeypatch, tree2, tree2_rules, d2_params,
+                                                small_rule_pair):
+    # over both stages each converted row carries one lane one date, so the
+    # rows converted are the steps taken; each is a copy, never the draw's
+    # own buffer, which stage two reads again at later dates
+    for model, (A, B), R in ((tree2, tree2_rules, 3), (GbmModel(d2_params), small_rule_pair, 4)):
+        cls = type(model)
+        draw, variates = cls.draw, cls.variates
+        drawn, converted = [], []
+
+        def spy_draw(self, *args, **kwargs):
+            drawn.append(draw(self, *args, **kwargs))
+            return drawn[-1]
+
+        def spy_variates(self, words):
+            assert not any(np.shares_memory(words, d) for d in drawn)
+            converted.append(len(words))
+            return variates(self, words)
+
+        monkeypatch.setattr(cls, "draw", spy_draw)
+        monkeypatch.setattr(cls, "variates", spy_variates)
+        est = estimate(model, A, B, 3000, R, seed=6)
+        monkeypatch.undo()
+        assert est.work_sub.steps > 0
+        assert sum(converted) * model.step_units == est.work_trunk.steps + est.work_sub.steps
+        assert sum(converted) <= sum(len(d) for d in drawn)
+
+
 def test_stage_two_memory_follows_the_noise_budget(monkeypatch, tree2):
     # 2048 trunks that always disagree at R = 100, d = 5 would need a
     # 73.7 MB noise tensor at once; sub-batches hold 2 MB of noise at a time.

@@ -5,7 +5,7 @@ import pytest
 
 import nccmc.oracle as oracle
 from nccmc import nested_cmc
-from nccmc.nested_cmc import estimate
+from nccmc.nested_cmc import estimate, pilot
 from nccmc.oracle import (
     TreeSizeError,
     enumerate_atoms,
@@ -126,3 +126,18 @@ def test_random_trees_match_the_oracle(monkeypatch):
             m.setattr(nested_cmc, "CHUNK_SIZE", 257)
             m.setattr(nested_cmc, "NOISE_BUDGET", 500)
             assert estimate(tree, A, B, 2_000, 4, seed=100 + seed) == small
+
+
+def test_random_tree_pilots_match_the_exact_components():
+    # 16 pilots of each tree at pilot size: the mean of each component lies
+    # within 4 standard errors of its exact value, or, where the exact value
+    # is zero, at the floor the pilot puts there
+    K = 16
+    for seed in range(20):
+        tree, A, B = random_tree_problem(seed)
+        exact = np.array(exact_components(tree, A, B))
+        got = np.array([[p.v1, p.v2] for p in (pilot(tree, A, B, 2000, 8, seed=1000 + 100 * seed + k)
+                                               for k in range(K))])
+        gap = got.mean(axis=0) - exact
+        se = got.std(axis=0, ddof=1) / np.sqrt(K)
+        assert np.all(np.abs(gap) <= 4 * se + 1e-12 * max(1.0, got.max())), (seed, gap, se)

@@ -219,10 +219,21 @@ def test_bundled_trees_load():
         bundled_tree("no_such_tree")
 
 
+def test_draw_returns_raw_words(tree2):
+    # both families draw the same raw words, one row of draw_width per point;
+    # only variates turns them into the noise step_batch takes
+    for model in (GbmModel(params(d=5)), GbmModel(params(d=2)), tree2):
+        index, n_points, first_point = np.array([4, 9]), np.array([3, 5]), np.array([0, 7])
+        words = model.draw(3, rng.NS_TESTING, rng.SUB, index, 0, n_points, first_point=first_point)
+        assert words.dtype == np.uint64 and words.shape == (8, model.draw_width)
+        assert np.array_equal(words, rng.raw_words(3, rng.NS_TESTING, rng.SUB, index, 0, n_points,
+                                                   model.draw_width, first_point=first_point))
+
+
 def test_tree_branch_frequencies(tree2):
     m = tree2
     states = m.init_states(40_000)
-    u = m.draw(13, rng.NS_TESTING, rng.TRUNK, 0, 1, 40_000)
+    u = m.variates(m.draw(13, rng.NS_TESTING, rng.TRUNK, 0, 1, 40_000))
     stepped = m.step_batch(1, states, u)
     frac_high = np.mean(stepped == m.label_to_id["0"])
     assert abs(frac_high - 0.6) < 3 * np.sqrt(0.6 * 0.4 / 40_000)

@@ -174,6 +174,31 @@ def test_batched_call_concatenates_one_request_calls(fn, width):
         assert np.array_equal(got, want)
 
 
+def reference_uniforms(words):
+    """The uniform conversion written out on a copy: 53 bits, scaled, shifted half an ulp."""
+    return (words >> np.uint64(11)).astype(float) * 2.0**-53 + 2.0**-54
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_conversions_of_raw_words_are_the_variates(width):
+    # batched requests with first points up to 2^50, and one past 2^63 whose
+    # counter carries into the second word once a point owns two counters
+    index, n_points, first_point = random_requests(np.random.default_rng(100 + width), 17)
+    first_point = first_point.astype(np.uint64)
+    first_point[0], n_points[0] = (1 << 63) + 3, 5
+    key = (9, rng.NS_TESTING, rng.SUB)
+    conversions = ((rng.to_uniforms, rng.uniforms, reference_uniforms),
+                   (rng.to_normals, rng.normals, lambda w: ndtri(reference_uniforms(w))))
+    for convert, public, reference in conversions:
+        words = rng.raw_words(*key, index, 0, n_points, width, first_point=first_point)
+        got = convert(words)
+        assert np.shares_memory(got, words)  # converted in place
+        assert np.array_equal(got, public(*key, index, 0, n_points, width, first_point=first_point))
+        want = [reference(fresh_words(*key, int(i), 0, int(n), width, int(f)))
+                for i, n, f in zip(index, n_points, first_point)]
+        assert np.array_equal(got, np.concatenate(want))
+
+
 def test_counter_past_two_to_the_64_keeps_its_high_words():
     # width 9 owns 3 counters a point, so this first point's counter is about 2^65.6
     first = (1 << 62) + 12345
