@@ -44,13 +44,14 @@ from .stopping_rules import FixedDateRule
 # Paths per scheduling unit.  Fixed: results must not depend on it.
 CHUNK_SIZE = 16384
 
-# Stage-two words held at once (32 MB): a sub-batch's noise, each point's
-# raw words held across its dates, and per lane four states' worth (its
-# state, and at one date its gathered state, its variates and the stepped
-# state) plus LANE_WORDS for the lane's own arrays (payoffs, noise index,
-# dates, flags, temporaries).  Fixed: results must not depend on them.
-NOISE_BUDGET = 2**22
-LANE_WORDS = 12
+# Stage-two words held at once (36 MB): a sub-batch's noise, each point's
+# raw words held across its dates, and per lane five states' worth (its
+# state, and at one date its gathered state, its variates, the copy numpy
+# makes of their raw words to convert them in place, and the stepped state)
+# plus LANE_WORDS for the lane's own arrays (payoffs, noise index, dates,
+# flags, temporaries).  Fixed: results must not depend on them.
+NOISE_BUDGET = 9 * 2**19
+LANE_WORDS = 14
 
 # One rule evaluation costs a tenth of one asset-date simulation step.
 RULE_EVAL_UNIT = 0.1
@@ -179,7 +180,7 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
     trunk's dates tau+1..J in a ragged buffer; each date converts only the
     live lanes' rows.  A sub-batch holds at most NOISE_BUDGET words of noise
     and lane state, a trunk's share being its points' raw words plus R
-    lanes of four states' worth and LANE_WORDS each (a trunk whose own
+    lanes of five states' worth and LANE_WORDS each (a trunk whose own
     share is larger runs alone).
     Returns (means, variances, steps, evals); rows for trunks with S = 0
     stay zero and cost nothing.
@@ -193,7 +194,7 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
     for rule, s in ((ruleA, 1), (ruleB, -1)):
         diff = np.nonzero(sign == s)[0]
         points = (model.J - tau[diff]) * R
-        ends = np.cumsum(points * words_per_point(width) + R * (4 * width + LANE_WORDS))
+        ends = np.cumsum(points * words_per_point(width) + R * (5 * width + LANE_WORDS))
         lo = 0
         while lo < diff.size:
             spent = ends[lo - 1] if lo else 0

@@ -135,7 +135,11 @@ class GbmModel:
         if not (np.all(np.isfinite(assets)) and np.all(np.isfinite(z))):
             raise ValueError("non-finite inputs to step_batch")
         drift = (p.r - p.delta - 0.5 * p.sigma**2) * p.dt
-        return assets * np.exp(drift + p.sigma * np.sqrt(p.dt) * z)
+        # assets * exp(drift + sigma sqrt(dt) z) in one temporary, the same bits
+        g = np.multiply(p.sigma * np.sqrt(p.dt), z)
+        g += drift
+        np.exp(g, out=g)
+        return np.multiply(assets, g, out=g)
 
 
 def simulate_training_paths(params: GbmParams, n: int, seed: int) -> TrainingPaths:

@@ -37,6 +37,10 @@ from .process_models import GbmParams, TrainingPaths, TreeModel
 from .rng import derive_seed
 
 
+# Rows per tile of basis_matrix: the (B, tile) scratch stays in cache.
+_BASIS_TILE = 2048
+
+
 def basis_size(d: int) -> int:
     return 2 + d + d * (d + 1) // 2
 
@@ -45,20 +49,27 @@ def basis_matrix(assets: np.ndarray, payoffs: np.ndarray, y0: float) -> np.ndarr
     """Regression features: 1, scaled prices, scaled second moments, payoff.
 
     Columns: constant, Y_a / y0 for each asset, Y_a Y_b / y0^2 for a <= b,
-    and the current payoff / y0.
+    and the current payoff / y0.  Built a tile of rows at a time, column by
+    column in a (B, tile) scratch, so each column is one contiguous pass;
+    the output is row-major (C-contiguous) and its bits do not depend on
+    the tiling.
     """
     assets = np.asarray(assets, dtype=float)
+    payoffs = np.asarray(payoffs, dtype=float)
     n, d = assets.shape
     out = np.empty((n, basis_size(d)))
-    out[:, 0] = 1.0
-    ys = assets / y0
-    out[:, 1 : 1 + d] = ys
-    col = 1 + d
-    for a in range(d):
-        for b in range(a, d):
-            out[:, col] = ys[:, a] * ys[:, b]
-            col += 1
-    out[:, col] = np.asarray(payoffs, dtype=float) / y0
+    cols = np.empty((basis_size(d), min(n, _BASIS_TILE)))
+    for s in range(0, n, _BASIS_TILE):
+        t = min(n - s, _BASIS_TILE)
+        c = cols[:, :t]
+        c[0] = 1.0
+        ys = np.divide(assets[s : s + t].T, y0, out=c[1 : 1 + d])
+        col = 1 + d
+        for a in range(d):
+            np.multiply(ys[a], ys[a:], out=c[col : col + d - a])
+            col += d - a
+        np.divide(payoffs[s : s + t], y0, out=c[col])
+        out[s : s + t] = c.T
     return out
 
 
@@ -103,6 +114,26 @@ def _member_blocks(M: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
+def _spread_band(coeffs: np.ndarray, k: int):
+    """One date's spread band, (c0, Wh, r*, rho), or None (see CommitteeRule)."""
+    top = np.abs(coeffs).max()
+    if not 1e-100 < top < 1e100:  # NaN and inf fail too
+        return None
+    # the coordinate-wise median along the members' principal axes: plain
+    # coordinates sit off a cloud this correlated, and widen the band
+    axes = np.linalg.eigh(np.cov(coeffs.T))[1]
+    c0 = np.clip(axes @ np.median(coeffs @ axes, axis=0), coeffs.min(axis=0), coeffs.max(axis=0))
+    dev = coeffs - c0
+    lam, vec = np.linalg.eigh(dev.T @ dev / len(dev))
+    keep = lam > lam[-1] * 1e-12
+    root = np.sqrt(lam[keep])
+    Wh = vec[:, keep] * root
+    z = dev @ (vec[:, keep] / root)
+    radii = np.sqrt(np.square(z).sum(axis=1))
+    rho = np.abs(dev - z @ Wh.T).sum(axis=1).max()
+    return c0, Wh, np.partition(radii, k)[k], rho
+
+
 class CommitteeRule:
     """Stops when the payoff reaches the median member prediction plus shifts.
 
@@ -127,6 +158,41 @@ class CommitteeRule:
     once fewer than two remain, and rows whose predictions might not be
     finite or might overflow when two are averaged, take the exact median.
     Decisions equal the median rule's bit for bit.
+
+    Before any count, a spread band settles most rows.  For each date the
+    rule stores a centre c0, the coordinate-wise median of the members'
+    coefficients along their principal axes, clipped to the members' range
+    in each coefficient; and from the covariance of the deviations
+    delta_m = c_m - c0 a square-root factor Wh and an inverse factor Wi,
+    its unit eigenvectors times sqrt(lambda) and 1/sqrt(lambda) for the
+    eigenvalues above 1e-12 of the largest; r* is the (k+1)-th
+    smallest radius |z_m|_2 of the whitened deviations z_m = Wi^T delta_m,
+    and rho the largest residual |delta_m - Wh z_m|_1.  Since
+    A.c_m - A.c0 = (Wh^T A).z_m + A.(delta_m - Wh z_m) whatever Wh and z_m
+    are, at least k + 1 members predict within
+    h = |Wh^T A|_2 r* + |A|_inf rho of A.c0.  So a row with a positive
+    payoff more than h above the shifted centre stops, and a row more than
+    h below it continues, as does one whose payoff is not positive once
+    the centre plus h is below zero: the full counts would say the same.
+    A zero payoff stops only at a median of exactly zero, which no band
+    settles.  Rows inside the band are counted.
+
+    The band must hold for the values the count compares: fl(A.c_m), then
+    each shift added with one rounding.  With eps = 2^-52, B columns, S
+    shifts and s = sum|A| max|c| per row:
+    - fl(A.c_m) and the centre fl(A.c0) are each within B eps s of A.c_m
+      and A.c0;
+    - z_m is whatever was computed, for which the identity is exact; the
+      rounding of the residual and of Wh^T A is at most
+      (B + 2)(B^3 + B^2 + 2B) eps s, since sqrt(lambda_i) |z_mi| and
+      |delta_m|_1 are at most 2 B max|c|;
+    - the shifts move a member and the centre by at most S eps (s + sum|shift|);
+    - the norms, h itself and the comparisons round by a relative (B + 9) eps.
+    With tol = 8 (B^4 + S) eps, above every sum for B >= 2, the half-width
+    is h (1 + tol) + tol (s + sum|shift|).  A date gets no band unless its
+    coefficients are finite and max|c| lies in (1e-100, 1e100): below, an
+    underflow could exceed tol s; above, the covariance could overflow.
+    ``prefix(m)`` builds its own bands; a ``shift_rule`` copy shares them.
     """
 
     def __init__(self, member_coeffs: np.ndarray, y0: float, d: int, shifts: tuple[float, ...] = ()):
@@ -140,6 +206,9 @@ class CommitteeRule:
         self.d = int(d)
         self.shifts = tuple(shifts)
         self.eval_cost = member_coeffs.shape[0]
+        # built once, so threads share them read-only; a shift copy shares them too
+        k = self.members // 2
+        self._bands = [_spread_band(c, k) for c in member_coeffs.swapaxes(0, 1)] if k else None
 
     @property
     def members(self) -> int:
@@ -161,6 +230,23 @@ class CommitteeRule:
             thr = thr + eps
         return thr
 
+    def _band_settles(self, j: int, A: np.ndarray, pay: np.ndarray, scale: np.ndarray):
+        """(stops, continues): the rows date j's band settles, none whose scale exceeds _PRED_LIMIT."""
+        if self._bands[j] is None:
+            return np.zeros(len(pay), dtype=bool), np.zeros(len(pay), dtype=bool)
+        c0, Wh, r, rho = self._bands[j]
+        tol = 8 * (A.shape[1] ** 4 + len(self.shifts)) * np.finfo(float).eps
+        with np.errstate(over="ignore", invalid="ignore"):
+            centre = A @ c0
+            for eps in self.shifts:
+                centre = centre + eps
+            half = np.sqrt(np.square(A @ Wh).sum(axis=1)) * r + np.abs(A).max(axis=1) * rho
+            half = half * (1 + tol) + tol * (scale + sum(map(abs, self.shifts)))
+            sure = scale <= _PRED_LIMIT
+            stops = sure & (pay > 0.0) & (pay - centre > half)
+            goes = sure & ((centre - pay > half) | (~(pay > 0.0) & (centre + half < 0.0)))
+        return stops, goes
+
     def decide_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
         pay = np.asarray(payoffs)
         n = len(pay)
@@ -171,11 +257,14 @@ class CommitteeRule:
         coeffs = self.member_coeffs[:, j, :]
         # |A_i . c| <= sum|A_i| * max|c|; NaN or inf anywhere fails the test too
         with np.errstate(over="ignore", invalid="ignore"):
-            sure = np.abs(A).sum(axis=1) * np.abs(coeffs).max() <= _PRED_LIMIT
+            scale = np.abs(A).sum(axis=1) * np.abs(coeffs).max()
+        sure = scale <= _PRED_LIMIT
+        stop, goes = self._band_settles(j, A, pay, scale)
+        todo = sure & ~(stop | goes)
         # the open rows, those whose payoff is not positive first: only they
         # count predictions below zero
-        zero = sure & ~(pay > 0.0)
-        idx = np.concatenate([np.flatnonzero(zero), np.flatnonzero(sure & ~zero)])
+        zero = todo & ~(pay > 0.0)
+        idx = np.concatenate([np.flatnonzero(zero), np.flatnonzero(todo & ~zero)])
         z = np.count_nonzero(zero)
         A, col = A[idx], pay[idx, None]
         le = np.zeros(len(idx), dtype=np.intp)
@@ -186,7 +275,6 @@ class CommitteeRule:
         cbuf = np.empty(len(idx) * width, dtype=bool)
         k, odd = divmod(self.members, 2)
         rem = self.members
-        stop = np.zeros(n, dtype=bool)
         for blk in blocks:
             m, w = len(idx), blk.stop - blk.start
             if m < 2:

@@ -200,8 +200,10 @@ def test_conversions_of_raw_words_are_the_variates(width):
 
 
 def test_counter_past_two_to_the_64_keeps_its_high_words():
-    # width 9 owns 3 counters a point, so this first point's counter is about 2^65.6
-    first = (1 << 62) + 12345
+    # width 9 owns 3 counters a point, so this first point's counter is about
+    # 2^64.6: it carries into the counter's second word
+    first = (1 << 63) - 1000
+    assert 3 * first >= 1 << 64
     index, n_points, first_point = np.array([3, 3, 4]), np.array([5, 0, 2]), np.array([first, 0, 7])
     got = rng.raw_words(11, rng.NS_TESTING, rng.SUB, index, 0, n_points, 9, first_point=first_point)
     assert np.array_equal(got[:5], fresh_words(11, rng.NS_TESTING, rng.SUB, 3, 0, 5, 9, first))

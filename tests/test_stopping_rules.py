@@ -537,3 +537,132 @@ def test_committee_decision_never_builds_the_prediction_matrix():
     # by every block; the bound, a tenth of the full matrix, leaves a margin
     # of about 2x
     assert peak_mb < full_mb / 10, peak_mb
+
+
+# --- committee decisions: the spread band settles rows before any count -------------
+
+def band_settled(rule, j, states, payoffs):
+    """Rows date j's spread band settles, before any member is counted."""
+    A = basis_matrix(states, payoffs, rule.y0)
+    scale = np.abs(A).sum(axis=1) * np.abs(rule.member_coeffs[:, j]).max()
+    stops, goes = rule._band_settles(j, A, payoffs, scale)
+    return stops | goes
+
+
+def band_edge(rule, j, states, inside, outside):
+    """Rows whose band leaves `inside` open and settles `outside`, with
+    adjacent payoffs on either side of the edge between them: (states, lo, hi),
+    lo still open and hi settled."""
+    ok = ~band_settled(rule, j, states, inside) & band_settled(rule, j, states, outside)
+    states, lo, hi = states[ok], inside[ok], outside[ok]
+    while True:
+        mid = lo + (hi - lo) / 2
+        moving = (mid != lo) & (mid != hi)
+        if not moving.any():
+            return states, lo, hi
+        settled = band_settled(rule, j, states, mid)
+        hi = np.where(moving & settled, mid, hi)
+        lo = np.where(moving & ~settled, mid, lo)
+
+
+def assert_band_edges_decide_by_definition(rule, states, blind=True):
+    """On both sides of each date's band, one payoff just inside the edge and
+    one just outside decide as the exact median rule.  For a payoff-blind
+    committee a positive payoff at the exact threshold is never settled:
+    fewer than k + 1 predictions lie strictly on either side of a median."""
+    settled = 0
+    for j in range(rule.member_coeffs.shape[1]):
+        thr = rule.continuation_batch(j, states, np.zeros(len(states)))
+        if blind:
+            assert not band_settled(rule, j, states, thr)[thr > 0.0].any()
+        for outside in (thr + 1e6, thr - 1e6):
+            st, lo, hi = band_edge(rule, j, states, thr, outside)
+            settled += len(st)
+            for pay in (lo, hi):
+                want = _stop_mask(pay, rule.continuation_batch(j, st, pay))
+                assert np.array_equal(rule.decide_batch(j, st, pay), want), (j, rule.shifts)
+    assert settled > 0  # the band does settle rows, so its edges were tested
+
+
+@pytest.mark.parametrize("shifts", [(), (0.05,), (1e-300, -0.25)])
+@pytest.mark.parametrize("members", [2, 3, 10, 65, 2000])
+def test_band_edges_decide_as_the_median(members, shifts):
+    gen = np.random.default_rng([members, len(shifts), 17])
+    rule = random_committee(gen, members, J=2, payoff_blind=True)
+    for eps in shifts:
+        rule = shift_rule(rule, eps)
+    states, payoffs = random_states(gen, 300)
+    assert_band_edges_decide_by_definition(rule, states)
+    assert_matches_definition(rule, states, payoffs)
+
+
+@pytest.mark.parametrize("members", [2, 3, 64, 65])
+@pytest.mark.parametrize("spread", ["identical", "one coefficient", "half identical"])
+def test_band_of_a_rank_deficient_spread(members, spread):
+    # identical members leave a band of rounding width only; members that
+    # differ in one coefficient spread along one axis of the basis
+    gen = np.random.default_rng([members, len(spread)])
+    states, payoffs = random_states(gen, 200)
+    coeffs = np.repeat(gen.normal(scale=3.0, size=(1, 2, basis_size(2))), members, axis=0)
+    coeffs[:, :, -1] = 0.0
+    # thresholds straddle zero: only positive ones leave the band open around them
+    coeffs[:, :, 0] -= np.median(basis_matrix(states, payoffs, 90.0) @ coeffs[0].T, axis=0)
+    if spread != "identical":
+        moved = slice(members // 2, None) if spread == "half identical" else slice(None)
+        coeffs[moved, :, 2] += gen.normal(size=coeffs[moved, :, 2].shape)
+    rule = CommitteeRule(coeffs, y0=90.0, d=2)
+    for shifted in (rule, shift_rule(rule, 0.5), shift_rule(rule, -1e-300), shift_rule(rule, 3e8)):
+        assert_band_edges_decide_by_definition(shifted, states)
+        assert_matches_definition(shifted, states, payoffs)
+
+
+def test_band_of_prefix_and_shift_copies():
+    gen = np.random.default_rng(23)
+    rule = random_committee(gen, 200, J=2)
+    states, payoffs = random_states(gen, 300)
+    shifted = shift_rule(rule, 0.3)
+    assert shifted._bands is rule._bands  # a band does not depend on the shifts
+    prefixes = (rule.prefix(65), rule.prefix(2), shift_rule(rule.prefix(64), -0.3))
+    assert all(p._bands is not rule._bands for p in prefixes)
+    for r in prefixes + (shifted,):
+        assert_band_edges_decide_by_definition(r, states, blind=False)
+        assert_matches_definition(r, states, payoffs)
+
+
+@pytest.mark.parametrize("members", [2, 3, 64, 65])
+def test_band_of_zero_payoffs(members):
+    # constant members spread over [c - 1, c + 1]: a band far above or below
+    # zero settles zero payoffs (they continue); one that straddles zero, or
+    # holds a median of exactly zero, does not
+    rule = constant_committee(np.linspace(-1.0, 1.0, members))
+    states = np.full((4, 1), 80.0)
+    for c, settles in ((-3.0, True), (3.0, True), (0.0, False), (-1e-300, False), (0.25, False)):
+        shifted = shift_rule(rule, c)
+        for pay in (np.zeros(4), np.full(4, -0.0)):
+            assert (band_settled(shifted, 0, states, pay) == settles).all(), c
+            want = _stop_mask(pay, shifted.continuation_batch(0, states, pay))
+            assert np.array_equal(shifted.decide_batch(0, states, pay), want), c
+
+
+def test_band_settles_most_rows_of_a_trained_committee():
+    p = params(d=3)
+    paths = simulate_training_paths(p, 10_000, seed=101)
+    rule = train_committee(paths, p, members=64, member_size=500, seed=101)
+    calls = []
+    decide_batch = rule.decide_batch
+
+    def spy(j, states, payoffs):
+        calls.append((j, states.copy(), payoffs.copy()))
+        return decide_batch(j, states, payoffs)
+
+    rule.decide_batch = spy
+    _trunk_block(GbmModel(p), rule, FixedDateRule(p.J), 1, NS_TESTING, 0, 8000)
+    rows = settled = 0
+    for j, states, payoffs in calls:
+        want = _stop_mask(payoffs, rule.continuation_batch(j, states, payoffs))
+        assert np.array_equal(decide_batch(j, states, payoffs), want), j
+        rows += len(payoffs)
+        settled += np.count_nonzero(band_settled(rule, j, states, payoffs))
+    # measured 60 % of 64,862 rows
+    assert rows >= 50_000
+    assert settled > 0.4 * rows
