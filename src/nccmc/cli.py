@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Plumbing only: parse a flat key=value config, build models and rules, call
-the library, and write CSV/JSON files whose bytes depend on nothing but the
-config and seed.  Wall-clock timestamps go to the run manifest, never into
-result files, so reruns and different --threads settings produce identical
-outputs.
+Plumbing only: parse a flat key=value config into the library's
+``RunSettings`` (an ``ExperimentConfig`` for a study), build models and
+rules, call the library (every pilot through ``calibrate``), and write
+CSV/JSON files whose bytes depend on nothing but the config and seed.
+Wall-clock timestamps go to the run manifest, never into result files, so
+reruns and different --threads settings produce identical outputs.
 
 Exit codes: 0 success, 2 bad config or arguments, 3 runtime failure,
 4 failed consistency check (oracle-check).
@@ -19,20 +20,22 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, replace
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__, rng
-from .calibration import CalibParams, CalibReport, choose_R, trunks_for_budget, v_profile
+from .calibration import CalibParams, CalibReport, v_profile
 from .experiments import (
     ExperimentConfig,
     MlLevelRow,
+    RunSettings,
     Table1Row,
+    calibrate,
     multilevel_estimate,
     param_uncertainty_study,
     qcv_estimate,
 )
-from .nested_cmc import estimate, pilot
+from .nested_cmc import estimate
 from .oracle import exact_components, exact_delta
 from .process_models import GbmModel, GbmParams, TreeModel, bundled_tree, load_tree, simulate_training_paths
 from .stopping_rules import FixedDateRule, TreeRule, basis_size, shift_rule, train_committee, train_tvr
@@ -172,22 +175,10 @@ def _gbm_params(r: ConfigReader) -> GbmParams:
     )
 
 
-@dataclass(slots=True)
-class RunSettings:
-    seed_training: int
-    seed_testing: int
-    training_paths: int
-    testing_paths: int
-    n_pilot: int
-    r_pilot: int
-    replications: Optional[int]   # None means calibrate
-    budget: Optional[float]
-    threads: int
-
-
-def _run_settings(r: ConfigReader, args, basis: Optional[int] = None,
-                  need_budget: bool = False) -> RunSettings:
-    """run.* keys; training paths must cover a GBM model's regression basis
+def _run_settings(r: ConfigReader, args, basis: Optional[int] = None, need_budget: bool = False,
+                  cls=RunSettings, **more) -> RunSettings:
+    """run.* keys as a ``cls``, a RunSettings built with the further fields
+    ``more``; training paths must cover a GBM model's regression basis
     (tree models train nothing)."""
     def seed(kind: str) -> Optional[int]:
         derived = None if args.seed is None else rng.derive_seed(args.seed, kind)
@@ -196,7 +187,7 @@ def _run_settings(r: ConfigReader, args, basis: Optional[int] = None,
     seed_training, seed_testing = seed("training"), seed("testing")
     if seed_training is None or seed_testing is None:
         raise ConfigError("need --seed or run.seed_training and run.seed_testing")
-    return RunSettings(
+    return cls(
         seed_training=seed_training,
         seed_testing=seed_testing,
         training_paths=r.int("run.training_paths", 100_000, basis),
@@ -207,6 +198,7 @@ def _run_settings(r: ConfigReader, args, basis: Optional[int] = None,
                              "'auto' or an integer >= 1"),
         budget=r.require("run.budget", "float", above=0) if need_budget else r.float("run.budget", above=0),
         threads=args.threads,
+        **more,
     )
 
 
@@ -219,7 +211,7 @@ def _build_tree(r: ConfigReader) -> Optional[TreeModel]:
         try:
             return bundled_tree(name)
         except FileNotFoundError:
-            raise ConfigError(f"no bundled tree named {name!r}") from None
+            raise ConfigError(f"config key tree.name: no bundled tree named {name!r}") from None
     if path:
         try:
             with open(path) as fh:
@@ -336,14 +328,6 @@ def _calib_dict(cal: CalibParams, rep: CalibReport) -> dict:
     return {**asdict(cal), **asdict(rep), "speedup": 1.0 / rep.gamma_star}
 
 
-def _run_pilot(model, ruleA, ruleB, rs: RunSettings) -> tuple[CalibParams, int, CalibReport]:
-    cal = pilot(
-        model, ruleA, ruleB, rs.n_pilot, rs.r_pilot,
-        rng.derive_seed(rs.seed_testing, "pilot"), threads=rs.threads,
-    )
-    return (cal, *choose_R(cal, rs.replications))
-
-
 def _rows_csv(cls, rows: list) -> tuple[list[str], list[list]]:
     """One CSV column per field of the dataclass cls, one row per item."""
     cols = [f.name for f in fields(cls)]
@@ -357,8 +341,7 @@ def _experiment_config(r: ConfigReader, args, study: Optional[str] = None, **ext
     basis = basis_size(params.d)
     if study:
         extra["member_size"] = r.int(f"{study}.member_size", 4000, basis)
-    rs = _run_settings(r, args, basis, need_budget=bool(study))
-    return ExperimentConfig(params=params, **asdict(rs), **extra)
+    return _run_settings(r, args, basis, bool(study), ExperimentConfig, params=params, **extra)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -381,7 +364,7 @@ def _pilot_job(r: ConfigReader, args) -> _Job:
 
     def run() -> _Result:
         ruleA, ruleB = rules()
-        cal, _, rep = _run_pilot(model, ruleA, ruleB, rs)
+        cal, _, rep, _ = calibrate(model, ruleA, ruleB, rs, "pilot")
         info = _calib_dict(cal, rep)
         lines = [
             f"v1={cal.v1:.6g} v2={cal.v2:.6g} rho1={cal.rho1:.6g} rho2={cal.rho2:.6g} "
@@ -407,10 +390,8 @@ def _estimate_job(r: ConfigReader, args) -> _Job:
         ruleA, ruleB = rules()
         R, N, extra = rs.replications, rs.testing_paths, {}
         if R is None or rs.budget is not None:
-            cal, R, rep = _run_pilot(model, ruleA, ruleB, rs)
+            cal, R, rep, N = calibrate(model, ruleA, ruleB, rs, "pilot")
             extra["pilot"] = _calib_dict(cal, rep)
-            if rs.budget is not None:
-                N = trunks_for_budget(cal, R, rs.budget)
         est = estimate(
             model, ruleA, ruleB, N, R,
             rng.derive_seed(rs.seed_testing, "estimate"), threads=rs.threads,
@@ -522,7 +503,7 @@ def _vprofile_job(r: ConfigReader, args) -> _Job:
 
     def run() -> _Result:
         ruleA, ruleB = rules()
-        cal, _, rep = _run_pilot(model, ruleA, ruleB, rs)
+        cal, _, rep, _ = calibrate(model, ruleA, ruleB, rs, "pilot")
         top = r_max if r_max is not None else 4 * (64 if cal.degenerate else rep.R_rounded)
         grid = sorted({round(top ** (k / (points - 1))) for k in range(points)})
         return _Result(

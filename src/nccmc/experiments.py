@@ -1,9 +1,11 @@
-"""Benchmark experiment drivers.
+"""Run settings, the one calibration step, and the benchmark experiment drivers.
 
-Three studies on the Bermudan max-call benchmark, each built from the same
+``calibrate`` turns a pilot into a run's R and trunk count under one
+``RunSettings``; the CLI and every study size their runs with it.  Three
+studies on the Bermudan max-call benchmark, each built from the same
 ingredients: train rules on one stream namespace, run the two-stage
-estimator on the other, calibrate the replication count from a pilot, and
-report variances next to realized work so budget comparisons are honest.
+estimator on the other at a pilot-calibrated R, and report variances next
+to realized work so budget comparisons are honest.
 
 ``param_uncertainty_study`` prices the gap between the rule trained at the
 true volatility and rules trained at perturbed volatilities.  The same
@@ -42,17 +44,14 @@ from .process_models import GbmModel, GbmParams, simulate_training_paths
 from .stopping_rules import basis_size, train_committee, train_tvr
 
 
-@dataclass(frozen=True, slots=True)
-class ExperimentConfig:
-    """Shared knobs for the experiment drivers.
+@dataclass(frozen=True, slots=True, kw_only=True)
+class RunSettings:
+    """Seeds, path counts, pilot size and threads of a run.
 
-    ``replications`` overrides the pilot-calibrated R when set.  ``budget``
-    is in work units; drivers that compare estimators at matched budget
-    require it, the others fall back to ``testing_paths`` trunks.  The
-    fields a driver does not use are ignored by it.
+    ``replications`` overrides the pilot-calibrated R when set; ``budget``,
+    in work units, buys the trunk count in place of ``testing_paths``.
     """
 
-    params: GbmParams
     seed_training: int
     seed_testing: int
     training_paths: int = 100_000
@@ -61,15 +60,9 @@ class ExperimentConfig:
     r_pilot: int = 64
     replications: Optional[int] = None
     budget: Optional[float] = None
-    sigma_hats: tuple[float, ...] = ()
-    ladder: tuple[int, ...] = ()
-    committee_members: int = 1000
-    member_size: int = 4000
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.training_paths < basis_size(self.params.d):
-            raise ValueError("training_paths smaller than the regression basis")
         if self.testing_paths < 2:
             raise ValueError("testing_paths must be >= 2")
         if self.n_pilot < 100:
@@ -80,6 +73,28 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 1 when set")
         if self.budget is not None and not 0 < self.budget < math.inf:
             raise ValueError("budget must be positive and finite when set")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class ExperimentConfig(RunSettings):
+    """Run settings plus the model and the study knobs a driver may ignore.
+
+    Drivers that compare estimators at matched budget require ``budget``.
+    """
+
+    params: GbmParams
+    sigma_hats: tuple[float, ...] = ()
+    ladder: tuple[int, ...] = ()
+    committee_members: int = 1000
+    member_size: int = 4000
+
+    def __post_init__(self) -> None:
+        if self.training_paths < basis_size(self.params.d):
+            raise ValueError("training_paths smaller than the regression basis")
+        # zero-argument super() fails in a slotted dataclass
+        RunSettings.__post_init__(self)
         if not all(0 < s < math.inf for s in self.sigma_hats):
             raise ValueError("sigma_hats must be positive finite volatilities")
         if any(b >= a for a, b in zip(self.ladder[1:], self.ladder)):
@@ -90,8 +105,19 @@ class ExperimentConfig:
             raise ValueError("committee_members must be >= 1")
         if self.member_size < basis_size(self.params.d):
             raise ValueError("member_size smaller than the regression basis")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+
+
+def calibrate(model, ruleA, ruleB, run: RunSettings, tag: str) -> tuple[CalibParams, int, CalibReport, int]:
+    """Pilot a rule pair at seed tag ``tag`` and size its run: (pilot, R, report, N).
+
+    R is ``choose_R``'s; N is the trunk count ``run.budget`` buys at R, or
+    ``run.testing_paths`` without a budget.
+    """
+    cal = pilot(model, ruleA, ruleB, run.n_pilot, run.r_pilot,
+                rng.derive_seed(run.seed_testing, tag), threads=run.threads)
+    R, rep = choose_R(cal, run.replications)
+    N = run.testing_paths if run.budget is None else trunks_for_budget(cal, R, run.budget)
+    return cal, R, rep, N
 
 
 # --- parameter-uncertainty study -------------------------------------------
@@ -142,12 +168,7 @@ def param_uncertainty_study(cfg: ExperimentConfig) -> list[Table1Row]:
     for i, sh in enumerate(cfg.sigma_hats):
         ph = replace(p, sigma=sh)
         ruleB = train_tvr(simulate_training_paths(ph, cfg.training_paths, cfg.seed_training), ph)
-        cal = pilot(
-            model, ruleA, ruleB, cfg.n_pilot, cfg.r_pilot,
-            rng.derive_seed(cfg.seed_testing, f"study-pilot-{i}"), threads=cfg.threads,
-        )
-        R_used, rep = choose_R(cal, cfg.replications)
-        N = cfg.testing_paths if cfg.budget is None else trunks_for_budget(cal, R_used, cfg.budget)
+        cal, R_used, rep, N = calibrate(model, ruleA, ruleB, cfg, f"study-pilot-{i}")
         est = estimate(
             model, ruleA, ruleB, N, R_used,
             rng.derive_seed(cfg.seed_testing, f"study-main-{i}"), threads=cfg.threads,
@@ -205,8 +226,8 @@ def _telescope(cfg: ExperimentConfig, model, rules: list, tags: dict):
     over the base level's probed variance and cost and each increment's
     v1 + v2/R and rho1 + rho2 R.  The ladder runs once at R = 1 everywhere
     and once calibrated; the finest rule is also priced directly at the
-    same budget.  Returns (pilots, choose_R results, R = 1 pass, calibrated
-    pass, direct value).
+    same budget.  Returns (each increment's ``calibrate`` result, R = 1 pass,
+    calibrated pass, direct value).
     """
     def seed(key: str, **kw) -> int:
         return rng.derive_seed(cfg.seed_testing, tags[key].format(**kw))
@@ -215,16 +236,12 @@ def _telescope(cfg: ExperimentConfig, model, rules: list, tags: dict):
     probe0 = estimate_value(model, rules[0], cfg.n_pilot, seed("probe_base"), threads=cfg.threads)
     probeL = probe0 if L == 0 else estimate_value(
         model, rules[-1], cfg.n_pilot, seed("probe_fine"), threads=cfg.threads)
-    pilots = [
-        pilot(model, rules[i], rules[i - 1], cfg.n_pilot, cfg.r_pilot, seed("pilot", i=i),
-              threads=cfg.threads)
-        for i in range(1, L + 1)
-    ]
-    calibrated = [choose_R(cal, cfg.replications) for cal in pilots]
+    cals = [calibrate(model, rules[i], rules[i - 1], cfg, tags["pilot"].format(i=i))
+            for i in range(1, L + 1)]
 
     def run_ladder(Rs: list[int], run: str) -> _LadderRun:
         levels = [(probe0.var_hat, probe0.work.units() / probe0.N)]
-        levels += [(cal.v1 + cal.v2 / R, cal.rho1 + cal.rho2 * R) for cal, R in zip(pilots, Rs)]
+        levels += [(cal.v1 + cal.v2 / R, cal.rho1 + cal.rho2 * R) for (cal, *_), R in zip(cals, Rs)]
         # the estimators need two samples for a variance
         counts = [max(2, c) for c in ml_allocation(levels, cfg.budget)]
         base = estimate_value(model, rules[0], counts[0], seed("base", run=run),
@@ -239,10 +256,10 @@ def _telescope(cfg: ExperimentConfig, model, rules: list, tags: dict):
                           var=base.stderr ** 2 + sum(e.stderr ** 2 for e in incs))
 
     plain = run_ladder([1] * L, tags["runs"][0])
-    nested = run_ladder([R for R, _ in calibrated], tags["runs"][1])
+    nested = run_ladder([R for _, R, _, _ in cals], tags["runs"][1])
     n_direct = max(2, int(cfg.budget / (probeL.work.units() / probeL.N)))
     direct = estimate_value(model, rules[-1], n_direct, seed("direct"), threads=cfg.threads)
-    return pilots, calibrated, plain, nested, direct
+    return cals, plain, nested, direct
 
 
 # --- quasi-control-variate study --------------------------------------------
@@ -288,7 +305,7 @@ def qcv_estimate(cfg: ExperimentConfig) -> QcvReport:
     pool = simulate_training_paths(p, cfg.training_paths, cfg.seed_training)
     ruleB = train_tvr(pool, p)
     ruleA = train_committee(pool, p, cfg.committee_members, cfg.member_size, cfg.seed_training)
-    (cal,), ((R, rep),), plain, nested, simple = _telescope(
+    ((cal, R, rep, _),), plain, nested, simple = _telescope(
         cfg, GbmModel(p), [ruleB, ruleA], _QCV_TAGS)
 
     if R >= 2 and not cal.degenerate:
@@ -382,7 +399,7 @@ def multilevel_estimate(cfg: ExperimentConfig) -> MultilevelReport:
     p = cfg.params
     pool = simulate_training_paths(p, cfg.training_paths, cfg.seed_training)
     committee = train_committee(pool, p, cfg.ladder[-1], cfg.member_size, cfg.seed_training)
-    pilots, calibrated, plain, nested, direct = _telescope(
+    cals, plain, nested, direct = _telescope(
         cfg, GbmModel(p), [committee.prefix(k) for k in cfg.ladder], _ML_TAGS)
 
     def work(run: _LadderRun) -> float:  # base + sum(trunk + sub): the order sets the last bit
@@ -405,7 +422,7 @@ def multilevel_estimate(cfg: ExperimentConfig) -> MultilevelReport:
         gamma_star=1.0,
         work_units=base.work.units(),
     )]
-    for i, (cal, (R, rep), e) in enumerate(zip(pilots, calibrated, nested.incs), start=1):
+    for i, ((cal, R, rep, _), e) in enumerate(zip(cals, nested.incs), start=1):
         rows.append(MlLevelRow(
             level=i,
             members=cfg.ladder[i],

@@ -94,6 +94,11 @@ class TrainingPaths:
         return self.assets.shape[0]
 
 
+def _draw(self, seed: int, namespace: int, stream_class: int, index, date: int,
+          n_points, first_point=0) -> np.ndarray:
+    return rng.raw_words(seed, namespace, stream_class, index, date, n_points, self.draw_width, first_point)
+
+
 class GbmModel:
     """The GBM max-call family; states are (n, d) arrays of asset values."""
 
@@ -120,9 +125,7 @@ class GbmModel:
             best = np.maximum(best, assets[..., k])
         return disc * np.maximum(best - p.K, 0.0)
 
-    def draw(self, seed: int, namespace: int, stream_class: int, index, date: int,
-             n_points, first_point=0) -> np.ndarray:
-        return rng.raw_words(seed, namespace, stream_class, index, date, n_points, self.draw_width, first_point)
+    draw = _draw
 
     def variates(self, words: np.ndarray) -> np.ndarray:
         return rng.to_normals(words)
@@ -253,9 +256,7 @@ class TreeModel:
     def payoff_batch(self, j: int, states: np.ndarray) -> np.ndarray:
         return self.payoffs[states]
 
-    def draw(self, seed: int, namespace: int, stream_class: int, index, date: int,
-             n_points, first_point=0) -> np.ndarray:
-        return rng.raw_words(seed, namespace, stream_class, index, date, n_points, self.draw_width, first_point)
+    draw = _draw
 
     def variates(self, words: np.ndarray) -> np.ndarray:
         return rng.to_uniforms(words)

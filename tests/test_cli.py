@@ -66,6 +66,17 @@ def test_non_integer_value_exits_2(tmp_path, capsys):
     assert "run.n_pilot" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,message", [("run.n_pilot 500", "expected key=value"),
+                                          ("=500", "empty key")], ids=["no-equals", "empty-key"])
+def test_malformed_config_line_exits_2_and_names_the_line(tmp_path, capsys, line, message):
+    out = tmp_path / "o"
+    cfg = config(tmp_path, TREE_AB + line + "\n")
+    rc = cli.main(["pilot", "--config", cfg, "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert f"{cfg}:4: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_seed_exits_2(tmp_path, capsys):
     cfg = config(tmp_path, TREE_AB)
     rc = cli.main(["pilot", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -200,6 +211,9 @@ def test_bad_rule_size_exits_2_before_training(tmp_path, capsys, monkeypatch, se
     ("vprofile", "vprofile.r_max=0", "vprofile.r_max"),
     ("vprofile", "vprofile.r_max=-5", "vprofile.r_max"),
     ("oracle-check", "", "tree.name"),
+    ("estimate", "tree.name=no_such_tree", "tree.name"),
+    ("estimate", "tree.name=tree_2period\ntree.file=tree.json", "tree.file"),
+    ("estimate", "tree.file=no/such/dir/tree.json", "tree.file"),
     ("table1", "study.sigma_hats=-0.1", "study.sigma_hats"),
     ("table1", "study.sigma_hats=nan", "study.sigma_hats"),
     ("table1", "study.sigma_hats=0.2,inf", "study.sigma_hats"),
@@ -353,6 +367,41 @@ def test_estimate_outputs_are_byte_stable(tmp_path):
     json_a = (a / "estimate.json").read_bytes()
     assert json_a == (b / "estimate.json").read_bytes()
     assert json_a == (c / "estimate.json").read_bytes()
+
+
+def test_comments_and_blank_lines_leave_the_outputs_unchanged(tmp_path):
+    keys = TREE_AB + "run.testing_paths=500\nrun.n_pilot=500\n"
+    outs = []
+    for tag, text in [("plain", keys),
+                      ("commented", "# a tree run\n\n" + keys.replace("\n", "\n   \n  # note\n"))]:
+        out = tmp_path / tag
+        cfg = config(tmp_path, text, name=f"{tag}.cfg")
+        assert cli.main(["estimate", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+        outs.append(out)
+    plain, commented = outs
+    assert "# note" in (tmp_path / "commented.cfg").read_text()
+    for name in ("estimate.csv", "estimate.json"):
+        assert (plain / name).read_bytes() == (commented / name).read_bytes()
+    assert (read_json(plain, "manifest.json")["config_digest"]
+            == read_json(commented, "manifest.json")["config_digest"])
+
+
+def test_committee_estimate_is_byte_stable_across_threads(tmp_path):
+    # a trained committee against a regression rule, sized as a small CI run
+    committee = ("model.d=2\nrun.training_paths=3000\nrun.testing_paths=4000\nrun.n_pilot=500\n"
+                 "run.r_pilot=8\nrules.a.kind=committee\nrules.a.members=8\nrules.a.member_size=300\n")
+    cfg = config(tmp_path, committee)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert cli.main(["estimate", "--config", cfg, "--seed", "7", "--threads", threads,
+                         "--out", str(out)]) == 0
+        outs.append(out)
+    for name in ("estimate.csv", "estimate.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    info = read_json(outs[0], "estimate.json")
+    assert info["N"] == 4000
+    assert 0 < info["p_differ"] < 1
 
 
 def test_estimate_csv_row_matches_json(tmp_path):

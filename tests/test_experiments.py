@@ -7,12 +7,15 @@ import pytest
 
 from nccmc.experiments import (
     ExperimentConfig,
+    RunSettings,
+    calibrate,
     multilevel_estimate,
     param_uncertainty_study,
     qcv_estimate,
 )
-from nccmc.calibration import v_profile
-from nccmc.nested_cmc import CHUNK_SIZE, estimate, floored_params
+from nccmc.calibration import choose_R, trunks_for_budget, v_profile
+from nccmc.nested_cmc import CHUNK_SIZE, estimate, floored_params, pilot
+from nccmc.rng import derive_seed
 from nccmc.process_models import GbmParams
 
 
@@ -272,6 +275,46 @@ def test_config_rejects_bad_values(d2_params):
         small_config(d2_params, member_size=3)
     with pytest.raises(ValueError):
         small_config(d2_params, threads=0)
+    with pytest.raises(ValueError, match="testing_paths"):
+        small_config(d2_params, testing_paths=1)
+    with pytest.raises(ValueError, match="ladder entries"):
+        small_config(d2_params, ladder=(0, 2))
+    with pytest.raises(ValueError, match="committee_members"):
+        small_config(d2_params, committee_members=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("testing_paths", 1), ("n_pilot", 99), ("r_pilot", 1), ("replications", 0),
+    ("budget", 0.0), ("budget", float("nan")), ("threads", 0),
+])
+def test_run_settings_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunSettings(seed_training=1, seed_testing=2, **{field: value})
+
+
+def test_run_settings_are_keyword_only_and_frozen(d2_params):
+    run = RunSettings(seed_training=1, seed_testing=2)
+    assert (run.testing_paths, run.n_pilot, run.replications, run.budget, run.threads) == (
+        100_000, 2000, None, None, 1)
+    with pytest.raises(TypeError):
+        RunSettings(1, 2)
+    with pytest.raises(TypeError):
+        ExperimentConfig(d2_params, 1, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        run.threads = 2
+    assert isinstance(small_config(d2_params), RunSettings)
+
+
+def test_calibrate_is_a_pilot_then_choose_r_then_the_trunk_count(tree2, tree2_rules):
+    A, B = tree2_rules
+    run = RunSettings(seed_training=1, seed_testing=2, testing_paths=700, n_pilot=400, r_pilot=4)
+    cal, R, rep, N = calibrate(tree2, A, B, run, "some-tag")
+    assert cal == pilot(tree2, A, B, 400, 4, derive_seed(2, "some-tag"))
+    assert (R, rep) == choose_R(cal, None)
+    assert N == 700
+    budgeted = dataclasses.replace(run, replications=3, budget=1e4)
+    assert calibrate(tree2, A, B, budgeted, "some-tag") == (
+        cal, 3, rep, trunks_for_budget(cal, 3, 1e4))
 
 
 def test_config_is_frozen_value_object(d2_params):

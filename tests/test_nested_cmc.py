@@ -369,6 +369,8 @@ def test_estimate_validates_sizes(tree2, tree2_rules):
         estimate(tree2, A, B, 1, 4, seed=1)
     with pytest.raises(ValueError):
         estimate(tree2, A, B, 10, 0, seed=1)
+    with pytest.raises(ValueError, match="N must be >= 2"):
+        estimate_value(tree2, A, 1, seed=1)
 
 
 def test_estimate_unbiased_on_tree(tree2, tree2_rules):

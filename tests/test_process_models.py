@@ -178,6 +178,11 @@ def test_params_validation():
         params(r=np.inf)
 
 
+def test_training_needs_at_least_one_path():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        simulate_training_paths(params(), 0, 5)
+
+
 def test_date_grid_inclusive_uniform():
     p = params()
     assert p.dates[0] == 0.0
@@ -207,6 +212,9 @@ def test_tree_validation():
                 {"prob": 1.0, "payoff": 0.0}]}]}})
     with pytest.raises(ValueError):
         load_tree({"root": {"payoff": 1.0}})
+    with pytest.raises(ValueError, match="negative branch probability at node 'root'"):
+        load_tree({"root": {"payoff": 1.0, "children": [
+            {"prob": 1.5, "payoff": 1.0}, {"prob": -0.5, "payoff": 2.0}]}})
 
 
 def test_bundled_trees_load():

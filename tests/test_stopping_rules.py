@@ -152,6 +152,22 @@ def test_all_zero_payoffs_stop_at_first_date():
     assert np.all(stop_dates(rule, p, 4, seed=6) == 0)
 
 
+# d = 2 with ten dates: J = 9 decision dates, a 7-column basis
+@pytest.mark.parametrize("shape,message", [
+    ((9, 7), "coefficient array"), ((2, 9, 6), "coefficient array"),
+    ((2, 9, 7, 1), "coefficient array"), ((0, 9, 7), "at least one member"),
+], ids=["two-dims", "wrong-basis", "four-dims", "no-members"])
+def test_committee_rejects_misshapen_coefficients(shape, message):
+    with pytest.raises(ValueError, match=message):
+        CommitteeRule(np.zeros(shape), 90.0, 2)
+
+
+@pytest.mark.parametrize("shape", [(7,), (9, 6), (1, 9, 7)], ids=["one-dim", "wrong-basis", "three-dims"])
+def test_regression_rule_rejects_misshapen_coefficients(shape):
+    with pytest.raises(ValueError, match="coefficient array"):
+        RegressionRule(np.zeros(shape), 90.0, 2)
+
+
 def test_training_needs_enough_paths():
     p = params()
     paths = simulate_training_paths(p, 5, 77)
