@@ -516,6 +516,14 @@ def _vprofile_job(r: ConfigReader, args) -> _Job:
 
 
 def _run(args) -> int:
+    if args.threads is None:
+        env = os.environ.get("NCCMC_THREADS", "1")
+        try:
+            args.threads = int(env)
+        except ValueError:
+            raise ConfigError(f"NCCMC_THREADS must be an integer, got {env!r}") from None
+    if args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     raw = _read_config(args.config)
     r = ConfigReader(raw)
     run = args.job(r, args)
@@ -585,16 +593,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads is None:
-        env = os.environ.get("NCCMC_THREADS", "1")
-        try:
-            args.threads = int(env)
-        except ValueError:
-            print(f"error: NCCMC_THREADS must be an integer, got {env!r}", file=sys.stderr)
-            return 2
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return _run(args)
     except ConfigError as e:

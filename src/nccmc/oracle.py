@@ -3,11 +3,14 @@
 For tree models every quantity the estimator targets has a closed value: the
 atoms of the stopped sigma-field are the nodes where the earlier rule stops,
 and conditional moments of the survivor's payoff are finite sums over the
-subtree.  These exact values anchor the estimator and pilot tests.
+subtree.  Each rule is asked once per date about every node of that depth,
+and one sweep from the leaves back to the root gives those moments below
+every node.  These exact values anchor the estimator and pilot tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,63 +42,72 @@ class EnumeratedAtom:
 
 
 def _check_size(tree: TreeModel) -> None:
-    leaves = sum(1 for i in range(tree.n_nodes) if not tree.children(i))
+    leaves = int(np.count_nonzero(tree.n_children == 0))
     if leaves > MAX_PATHS:
         raise TreeSizeError(f"{leaves} paths exceed the enumeration limit of {MAX_PATHS}")
 
 
-def _stops(rule, j: int, node: int, payoff: float, J: int) -> bool:
-    return j >= J or bool(rule.decide_batch(j, np.array([node]), np.array([payoff]))[0])
+def _stop_table(tree: TreeModel, rule) -> list[bool]:
+    """Whether the rule stops at each node, asked once per date j < J about
+    every node at depth j; every leaf stops."""
+    stops = np.ones(tree.n_nodes, dtype=bool)
+    for j in range(tree.J):
+        nodes = np.flatnonzero(tree.depths == j)
+        stops[nodes] = rule.decide_batch(j, nodes, tree.payoffs[nodes])
+    return stops.tolist()
 
 
-def _continuation_moments(tree: TreeModel, rule, node: int, j: int) -> tuple[float, float]:
-    """Exact (E[X_stop], E[X_stop^2]) of a continuation branched below node.
+def _branches(tree: TreeModel, node: int):
+    return zip(tree.children(node).tolist(), tree.branch_probs(node).tolist())
 
-    The continuation starts stepping at date j+1; the rule is consulted at
-    each date reached after j, maturity stops unconditionally.
-    """
 
-    def rec(n: int, depth: int) -> tuple[float, float]:
-        pay = float(tree.payoffs[n])
-        if depth > j and _stops(rule, depth, n, pay, tree.J):
-            return pay, pay * pay
-        m1 = 0.0
-        m2 = 0.0
-        for child, p in zip(tree.children(n), tree.branch_probs(n)):
-            c1, c2 = rec(child, depth + 1)
-            m1 += p * c1
-            m2 += p * c2
-        return m1, m2
-
-    return rec(node, j)
+def _continuations(tree: TreeModel, stops: list[bool]) -> tuple[list[float], list[float]]:
+    """(E[X_stop], E[X_stop^2]) from each node on, stopping at the first node of
+    ``stops``: one sweep from the last preorder node back to the root."""
+    pay = tree.payoffs.tolist()
+    m1, m2 = [0.0] * tree.n_nodes, [0.0] * tree.n_nodes
+    for n in reversed(range(tree.n_nodes)):
+        if stops[n]:
+            m1[n], m2[n] = pay[n], pay[n] * pay[n]
+            continue
+        for child, p in _branches(tree, n):
+            m1[n] += p * m1[child]
+            m2[n] += p * m2[child]
+    return m1, m2
 
 
 def enumerate_atoms(tree: TreeModel, ruleA, ruleB) -> list[EnumeratedAtom]:
     """All atoms of the earlier-stop sigma-field, with exact moments."""
     _check_size(tree)
-    atoms: list[EnumeratedAtom] = []
-
-    def walk(node: int, j: int, prob: float) -> None:
-        pay = float(tree.payoffs[node])
-        sA = _stops(ruleA, j, node, pay, tree.J)
-        sB = _stops(ruleB, j, node, pay, tree.J)
-        if sA or sB:
-            if sA and sB:
-                atoms.append(EnumeratedAtom(tree.labels[node], prob, 0, pay, 0.0, 0.0))
-            else:
-                S = -1 if sA else 1
-                survivor = ruleA if S > 0 else ruleB
-                m1, m2 = _continuation_moments(tree, survivor, node, j)
-                mean = S * (m1 - pay)
-                var = max(m2 - m1 * m1, 0.0)
-                atoms.append(EnumeratedAtom(tree.labels[node], prob, S, pay, mean, var))
-            return
-        for child, p in zip(tree.children(node), tree.branch_probs(node)):
-            walk(child, j + 1, prob * p)
-
-    walk(0, 0, 1.0)
-    total = sum(a.probability for a in atoms)
-    if abs(total - 1.0) > 1e-12:
+    sA, sB = _stop_table(tree, ruleA), _stop_table(tree, ruleB)
+    # S > 0: tau_A > tau_B, so rule A survives, and does not stop at the atom
+    conts = {1: _continuations(tree, sA), -1: _continuations(tree, sB)}
+    pay = tree.payoffs.tolist()
+    atoms = []
+    # each node's path probability while no rule has stopped above it;
+    # preorder reaches a node after its parent and lists the atoms in walk order
+    reach = [1.0] + [None] * (tree.n_nodes - 1)
+    for node, prob in enumerate(reach):
+        if prob is None:
+            continue
+        if not (sA[node] or sB[node]):
+            for child, p in _branches(tree, node):
+                reach[child] = prob * p
+            continue
+        S = sB[node] - sA[node]
+        mean = var = 0.0
+        if S:
+            m1, m2 = conts[S][0][node], conts[S][1][node]
+            mean, var = S * (m1 - pay[node]), max(m2 - m1 * m1, 0.0)
+        atoms.append(EnumeratedAtom(tree.labels[node], prob, S, pay[node], mean, var))
+    # load_tree lets a node's probabilities miss 1 by 1e-12, branch_probs adds
+    # 2 b eps (b children) and a path's product rounds once a date; over J dates,
+    # twice J times that bounds the compounding while J times it is below 1,
+    # and fsum rounds once
+    eps = np.finfo(float).eps
+    bound = 2 * tree.J * (1e-12 + (2 * int(tree.n_children.max()) + 1) * eps) + eps
+    total = math.fsum(a.probability for a in atoms)
+    if abs(total - 1.0) > bound:
         raise AssertionError(f"atom probabilities sum to {total!r}")
     return atoms
 
@@ -122,21 +134,23 @@ def exact_total_variance(tree: TreeModel, ruleA, ruleB) -> float:
     the law of total variance.
     """
     _check_size(tree)
-    moments = [0.0, 0.0]
-
-    def walk(node: int, j: int, prob: float, tauA: int, xA: float, tauB: int, xB: float) -> None:
-        pay = float(tree.payoffs[node])
-        if tauA < 0 and _stops(ruleA, j, node, pay, tree.J):
-            tauA, xA = j, pay
-        if tauB < 0 and _stops(ruleB, j, node, pay, tree.J):
-            tauB, xB = j, pay
-        if tauA >= 0 and tauB >= 0:
-            d = xA - xB
-            moments[0] += prob * d
-            moments[1] += prob * d * d
-            return
-        for child, p in zip(tree.children(node), tree.branch_probs(node)):
-            walk(child, j + 1, prob * p, tauA, xA, tauB, xB)
-
-    walk(0, 0, 1.0, -1, 0.0, -1, 0.0)
-    return moments[1] - moments[0] ** 2
+    sA, sB = _stop_table(tree, ruleA), _stop_table(tree, ruleB)
+    pay = tree.payoffs.tolist()
+    m1 = m2 = 0.0
+    # each node's (path probability, X_tau_A, X_tau_B) while a rule runs on,
+    # a payoff None until its rule stops
+    reach = [(1.0, None, None)] + [None] * (tree.n_nodes - 1)
+    for node, at in enumerate(reach):
+        if at is None:
+            continue
+        prob, xA, xB = at
+        xA = pay[node] if xA is None and sA[node] else xA
+        xB = pay[node] if xB is None and sB[node] else xB
+        if xA is None or xB is None:
+            for child, p in _branches(tree, node):
+                reach[child] = (prob * p, xA, xB)
+            continue
+        d = xA - xB
+        m1 += prob * d
+        m2 += prob * d * d
+    return m2 - m1**2

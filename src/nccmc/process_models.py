@@ -171,17 +171,21 @@ class TreeModel:
     """A finite Markov tree with a payoff at every node.
 
     All leaves must sit at the same depth J so the payoff is defined at every
-    date along every path.  Nodes are numbered in depth-first preorder; the
-    human-readable label of a node is its path of child indices joined by
-    '/', with the root labelled 'root'.
+    date along every path.  Nodes are numbered in depth-first preorder, so a
+    node's children come after it; the human-readable label of a node is its
+    path of child indices joined by '/', with the root labelled 'root'.
+    ``depths`` and ``n_children`` are per-node arrays, and the branching is
+    one pair of tables, row i for node i: the children's cumulative
+    probabilities, padded with 1.0, and their ids, padded with the last child
+    to one column past the widest node, where a uniform above a sum that
+    rounded below 1 lands.
     """
 
     def __init__(self, root: dict):
         payoffs: list[float] = []
         depths: list[int] = []
         labels: list[str] = []
-        child_ids: list[list[int]] = []
-        child_cum: list[np.ndarray] = []
+        branches: list[tuple[list[int], np.ndarray]] = []
 
         def number(node, label: str, key: str) -> float:
             try:
@@ -197,8 +201,7 @@ class TreeModel:
             payoffs.append(number(node, label, "payoff"))
             depths.append(depth)
             labels.append(label)
-            child_ids.append([])
-            child_cum.append(np.empty(0))
+            branches.append(([], np.empty(0)))
             children = node.get("children", [])
             if not isinstance(children, list):
                 raise ValueError(f"children of tree node '{label}' are not a list")
@@ -209,8 +212,7 @@ class TreeModel:
                     raise ValueError(f"negative branch probability at node '{label}'")
                 if abs(probs.sum() - 1.0) > 1e-12:
                     raise ValueError(f"branch probabilities at node '{label}' sum to {float(probs.sum())}")
-                child_ids[nid] = [add(c, depth + 1, sub) for c, sub in zip(children, subs)]
-                child_cum[nid] = np.cumsum(probs)
+                branches[nid] = ([add(c, depth + 1, sub) for c, sub in zip(children, subs)], np.cumsum(probs))
             return nid
 
         add(root, 0, "root")
@@ -219,10 +221,10 @@ class TreeModel:
         self.payoffs = np.array(payoffs)
         self.labels = labels
         self.label_to_id = {lab: i for i, lab in enumerate(labels)}
-        self._child_ids = child_ids
-        self._child_cum = child_cum
+        self.depths = np.array(depths)
+        self.n_children = np.array([len(ids) for ids, _ in branches])
 
-        leaf_depths = {depths[i] for i in range(self.n_nodes) if not child_ids[i]}
+        leaf_depths = set(self.depths[self.n_children == 0].tolist())
         if len(leaf_depths) != 1:
             raise ValueError(f"all leaves must share one depth, got {sorted(leaf_depths)}")
         self.J = leaf_depths.pop()
@@ -231,24 +233,20 @@ class TreeModel:
         self.step_units = 1
         self.draw_width = 1
 
-        # Dense child tables padded to the maximum branching factor let the
-        # engine advance all paths with one searchsorted-style comparison.
-        maxb = max((len(c) for c in child_ids), default=0)
+        maxb = int(self.n_children.max())
         self._cum_table = np.ones((self.n_nodes, maxb))
-        self._id_table = np.zeros((self.n_nodes, maxb), dtype=np.int64)
-        for i, (ids, cum) in enumerate(zip(child_ids, child_cum)):
+        self._id_table = np.zeros((self.n_nodes, maxb + 1), dtype=np.int64)
+        for i, (ids, cum) in enumerate(branches):
             if ids:
                 self._cum_table[i, : len(ids)] = cum
-                self._cum_table[i, len(ids) - 1] = 1.0 + 1e-9  # guard the top edge
                 self._id_table[i, : len(ids)] = ids
                 self._id_table[i, len(ids):] = ids[-1]
 
-    def children(self, node: int) -> list[int]:
-        return list(self._child_ids[node])
+    def children(self, node: int) -> np.ndarray:
+        return self._id_table[node, : self.n_children[node]]
 
     def branch_probs(self, node: int) -> np.ndarray:
-        cum = self._child_cum[node]
-        return np.diff(cum, prepend=0.0)
+        return np.diff(self._cum_table[node, : self.n_children[node]], prepend=0.0)
 
     def init_states(self, n: int) -> np.ndarray:
         return np.zeros(n, dtype=np.int64)

@@ -126,8 +126,18 @@ def _philox():
     return cached
 
 
-def _fill(seed, namespace, stream_class, index, date, n_points, width, first_point) -> np.ndarray:
-    """Raw words of every request, shape (total points, words_per_point(width))."""
+def raw_words(seed: int, namespace: int, stream_class: int, index, date: int, n_points, width: int,
+              first_point=0) -> np.ndarray:
+    """Raw 64-bit words for points [first_point, first_point + n_points) of stream ``index``.
+
+    ``index``, ``n_points`` and ``first_point`` are either scalars (one
+    request) or equal-length integer arrays (one request per entry, all of
+    one seed, namespace, stream class and date).  Returns shape
+    (total points, width): the requests' rows concatenated in request
+    order, a view of the whole-counter rows when width is not a multiple of
+    4.  Point k always occupies the same counter block no matter how the
+    request is split up.
+    """
     if width < 1:
         raise ValueError("width must be >= 1")
     keys = _pack_key(seed, namespace, stream_class, index, date).reshape(-1, 2)
@@ -156,30 +166,7 @@ def _fill(seed, namespace, stream_class, index, date, n_points, width, first_poi
         bg.state = state
         out[at:at + n * words] = bg.random_raw(n * words)
         at += n * words
-    return out.reshape(-1, words)
-
-
-def raw_words(
-    seed: int,
-    namespace: int,
-    stream_class: int,
-    index,
-    date: int,
-    n_points,
-    width: int,
-    first_point=0,
-) -> np.ndarray:
-    """Raw 64-bit words for points [first_point, first_point + n_points) of stream ``index``.
-
-    ``index``, ``n_points`` and ``first_point`` are either scalars (one
-    request) or equal-length integer arrays (one request per entry, all of
-    one seed, namespace, stream class and date).  Returns shape
-    (total points, width): the requests' rows concatenated in request
-    order, a view of the whole-counter rows when width is not a multiple of
-    4.  Point k always occupies the same counter block no matter how the
-    request is split up.
-    """
-    return _fill(seed, namespace, stream_class, index, date, n_points, width, first_point)[:, :width]
+    return out.reshape(-1, words)[:, :width]
 
 
 def to_uniforms(words: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ evaluations at a tenth of a simulation unit each.
 
 Every trained rule is one type, ``CommitteeRule``: it stops when the
 immediate payoff is at least the median of its members' predicted
-continuation values plus its shifts (ties stop).  One exception: a zero
+continuation values plus its shift (ties stop).  One exception: a zero
 payoff never stops against a strictly negative threshold.  Far out of the
 money the quadratic fit routinely dips below zero while the true
 continuation value is merely small, and cashing out a worthless position on
@@ -135,10 +135,10 @@ def _spread_band(coeffs: np.ndarray, k: int):
 
 
 class CommitteeRule:
-    """Stops when the payoff reaches the median member prediction plus shifts.
+    """Stops when the payoff reaches the median member prediction plus a shift.
 
-    member_coeffs has shape (M, J, B); ``shifts`` are added to the median in
-    order, one rounded addition each.  eval_cost is M: the cost model
+    member_coeffs has shape (M, J, B); a nonzero ``shift`` is added to the
+    median with one rounding.  eval_cost is M: the cost model
     charges every decision all M members, although counting (below) often
     settles a row before the last of them is evaluated.  ``prefix(m)`` views
     the first m members as their own committee, sharing the coefficient
@@ -178,24 +178,24 @@ class CommitteeRule:
     settles.  Rows inside the band are counted.
 
     The band must hold for the values the count compares: fl(A.c_m), then
-    each shift added with one rounding.  With eps = 2^-52, B columns, S
-    shifts and s = sum|A| max|c| per row:
+    the shift added with one rounding.  With eps = 2^-52, B columns,
+    S = 1 if there is a shift (else 0) and s = sum|A| max|c| per row:
     - fl(A.c_m) and the centre fl(A.c0) are each within B eps s of A.c_m
       and A.c0;
     - z_m is whatever was computed, for which the identity is exact; the
       rounding of the residual and of Wh^T A is at most
       (B + 2)(B^3 + B^2 + 2B) eps s, since sqrt(lambda_i) |z_mi| and
       |delta_m|_1 are at most 2 B max|c|;
-    - the shifts move a member and the centre by at most S eps (s + sum|shift|);
+    - the shift moves a member and the centre by at most S eps (s + |shift|);
     - the norms, h itself and the comparisons round by a relative (B + 9) eps.
     With tol = 8 (B^4 + S) eps, above every sum for B >= 2, the half-width
-    is h (1 + tol) + tol (s + sum|shift|).  A date gets no band unless its
+    is h (1 + tol) + tol (s + |shift|).  A date gets no band unless its
     coefficients are finite and max|c| lies in (1e-100, 1e100): below, an
     underflow could exceed tol s; above, the covariance could overflow.
     ``prefix(m)`` builds its own bands; a ``shift_rule`` copy shares them.
     """
 
-    def __init__(self, member_coeffs: np.ndarray, y0: float, d: int, shifts: tuple[float, ...] = ()):
+    def __init__(self, member_coeffs: np.ndarray, y0: float, d: int, shift: float = 0.0):
         member_coeffs = np.asarray(member_coeffs, dtype=float)
         if member_coeffs.ndim != 3 or member_coeffs.shape[2] != basis_size(d):
             raise ValueError("coefficient array must be (M, J, basis_size(d))")
@@ -204,7 +204,7 @@ class CommitteeRule:
         self.member_coeffs = member_coeffs
         self.y0 = float(y0)
         self.d = int(d)
-        self.shifts = tuple(shifts)
+        self.shift = float(shift)
         self.eval_cost = member_coeffs.shape[0]
         # built once, so threads share them read-only; a shift copy shares them too
         k = self.members // 2
@@ -217,31 +217,27 @@ class CommitteeRule:
     def prefix(self, m: int) -> "CommitteeRule":
         if not 1 <= m <= self.members:
             raise ValueError(f"prefix size {m} outside 1..{self.members}")
-        return CommitteeRule(self.member_coeffs[:m], self.y0, self.d, self.shifts)
+        return CommitteeRule(self.member_coeffs[:m], self.y0, self.d, self.shift)
 
     def continuation_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        """The stop threshold of each row: median prediction plus the shifts."""
+        """The stop threshold of each row: median prediction plus the shift."""
         A = basis_matrix(states, payoffs, self.y0)
         if self.members == 1:
             thr = A @ self.member_coeffs[0, j]
         else:
             thr = np.median(A @ self.member_coeffs[:, j, :].T, axis=1)
-        for eps in self.shifts:
-            thr = thr + eps
-        return thr
+        return thr + self.shift if self.shift else thr
 
     def _band_settles(self, j: int, A: np.ndarray, pay: np.ndarray, scale: np.ndarray):
         """(stops, continues): the rows date j's band settles, none whose scale exceeds _PRED_LIMIT."""
         if self._bands[j] is None:
             return np.zeros(len(pay), dtype=bool), np.zeros(len(pay), dtype=bool)
         c0, Wh, r, rho = self._bands[j]
-        tol = 8 * (A.shape[1] ** 4 + len(self.shifts)) * np.finfo(float).eps
+        tol = 8 * (A.shape[1] ** 4 + (self.shift != 0.0)) * np.finfo(float).eps
         with np.errstate(over="ignore", invalid="ignore"):
-            centre = A @ c0
-            for eps in self.shifts:
-                centre = centre + eps
+            centre = A @ c0 + self.shift  # + 0.0 only turns -0.0 into 0.0, which compares the same
             half = np.sqrt(np.square(A @ Wh).sum(axis=1)) * r + np.abs(A).max(axis=1) * rho
-            half = half * (1 + tol) + tol * (scale + sum(map(abs, self.shifts)))
+            half = half * (1 + tol) + tol * (scale + abs(self.shift))
             sure = scale <= _PRED_LIMIT
             stops = sure & (pay > 0.0) & (pay - centre > half)
             goes = sure & ((centre - pay > half) | (~(pay > 0.0) & (centre + half < 0.0)))
@@ -280,8 +276,8 @@ class CommitteeRule:
             if m < 2:
                 break  # a one-row product would take the matrix-vector kernel
             preds = np.matmul(A, coeffs[blk].T, out=pbuf[: m * w].reshape(m, w))
-            for eps in self.shifts:
-                np.add(preds, eps, out=preds)
+            if self.shift:
+                np.add(preds, self.shift, out=preds)
             # a block has at most 64 members, so its counts fit in a byte
             c = np.less_equal(preds, col, out=cbuf[: m * w].reshape(m, w))
             le += np.add.reduce(c.view(np.uint8), axis=1, dtype=np.uint8)
@@ -343,9 +339,9 @@ class TreeRule:
 def shift_rule(rule, epsilon: float):
     """A copy of a regression or committee rule with epsilon added to its threshold.
 
-    The copy keeps the rule's class, members and cost, and appends epsilon
-    to its ``shifts``.  Larger epsilon means a later stopper; epsilon 0
-    returns the rule itself.
+    The copy keeps the rule's class, members and cost, and adds epsilon to
+    its ``shift`` (so shifting twice adds the two first, with one rounding).
+    Larger epsilon means a later stopper; epsilon 0 returns the rule itself.
     """
     if not math.isfinite(epsilon):
         raise ValueError(f"shift must be finite, got {epsilon!r}")
@@ -354,7 +350,7 @@ def shift_rule(rule, epsilon: float):
     if not isinstance(rule, CommitteeRule):
         raise TypeError("shift requires a rule with a continuation value")
     shifted = copy.copy(rule)
-    shifted.shifts = rule.shifts + (float(epsilon),)
+    shifted.shift = rule.shift + float(epsilon)
     return shifted
 
 

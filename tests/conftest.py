@@ -45,6 +45,15 @@ def small_paths(d2_params):
     return simulate_training_paths(d2_params, 4000, 1234)
 
 
+def short_tree_spec():
+    """Two dates, binary, every branch probability 0.5 - 0.45e-12: each node
+    sums to within load_tree's 1e-12 of 1, and the atoms to 1 - 1.8e-12."""
+    q = 0.5 - 0.45e-12
+    return {"root": {"payoff": 1.0, "children": [
+        {"prob": q, "payoff": 2.0, "children": [{"prob": q, "payoff": 3.0}, {"prob": q, "payoff": 1.0}]},
+        {"prob": q, "payoff": 0.5, "children": [{"prob": q, "payoff": 0.0}, {"prob": q, "payoff": 2.5}]}]}}
+
+
 def assert_close(actual, expected, rel=0.0, abs_=0.0, label=""):
     actual = float(actual)
     expected = float(expected)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import textwrap
 
@@ -9,6 +10,7 @@ import pytest
 
 from nccmc import cli, experiments
 from nccmc.experiments import MlLevelRow, Table1Row
+from tests.conftest import short_tree_spec
 
 GBM_SMALL = """
     rules.a.training_paths=3000
@@ -137,6 +139,19 @@ def test_bad_thread_env_exits_2(tmp_path, monkeypatch, capsys):
     rc = cli.main(["pilot", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "NCCMC_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env, flag, message", [
+    ("lots", [], "error: NCCMC_THREADS must be an integer, got 'lots'"),
+    ("2", ["--threads", "0"], "error: --threads must be >= 1"),
+])
+def test_thread_errors_come_before_the_config_is_read(tmp_path, monkeypatch, capsys, env, flag, message):
+    monkeypatch.setenv("NCCMC_THREADS", env)
+    rc = cli.main(["pilot", "--config", str(tmp_path / "absent.cfg"), "--seed", "1", *flag,
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("budget", ["-5", "0", "nan", "inf"])
@@ -335,6 +350,17 @@ def test_oracle_check_passes_on_bundled_trees(tmp_path):
         assert info["passed"] is True
         assert abs(info["delta_hat"] - info["delta_exact"]) == pytest.approx(
             info["abs_error"], rel=1e-12)
+
+
+def test_tree_short_of_mass_within_the_loader_bound(tmp_path):
+    (tmp_path / "short.json").write_text(json.dumps(short_tree_spec()))
+    cfg = config(tmp_path, f"tree.file={tmp_path / 'short.json'}\ntree.stop_a=0/0\ntree.stop_b=\n")
+    assert cli.main(["pilot", "--config", cfg, "--seed", "7", "--out", str(tmp_path / "p")]) == 0
+    oracle = read_json(tmp_path / "p", "pilot.json")["oracle"]
+    assert all(math.isfinite(oracle[k]) for k in ("delta", "v1", "v2"))
+    assert cli.main(["oracle-check", "--config", cfg, "--seed", "7", "--out", str(tmp_path / "c")]) == 0
+    info = read_json(tmp_path / "c", "oracle_check.json")
+    assert info["passed"] is True and math.isfinite(info["delta_exact"])
 
 
 def test_oracle_check_reports_failure_with_exit_4(tmp_path, capsys):

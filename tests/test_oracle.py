@@ -15,6 +15,7 @@ from nccmc.oracle import (
 )
 from nccmc.process_models import load_tree
 from nccmc.stopping_rules import FixedDateRule, TreeRule
+from tests.conftest import short_tree_spec
 
 
 def symmetric_tree(high):
@@ -82,6 +83,42 @@ def test_coinciding_atom_carries_no_variance(tree2):
             assert a.conditional_mean == 0.0 and a.conditional_var == 0.0
 
 
+@pytest.mark.parametrize("labels_a,labels_b", [(["0/0"], []), (["0"], ["1"]), (["root"], [])])
+def test_oracle_accepts_what_the_loader_accepts(labels_a, labels_b):
+    tree = load_tree(short_tree_spec())
+    A, B = TreeRule(tree, labels_a), TreeRule(tree, labels_b)
+    atoms = enumerate_atoms(tree, A, B)
+    assert sum(a.probability for a in atoms) == pytest.approx(1.0, abs=1e-11)
+    values = [exact_delta(tree, A, B), *exact_components(tree, A, B), exact_total_variance(tree, A, B)]
+    assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("node", [0, 1, 4])
+def test_atom_check_trips_when_mass_is_lost(tree2, monkeypatch, node):
+    # a tenth of one node's branch probability goes missing
+    probs = tree2.branch_probs
+    monkeypatch.setattr(tree2, "branch_probs", lambda n: probs(n) * (0.9 if n == node else 1.0))
+    hold = TreeRule(tree2, [])
+    with pytest.raises(AssertionError, match="atom probabilities sum to"):
+        enumerate_atoms(tree2, hold, hold)
+
+
+def test_each_rule_is_asked_once_a_date(monkeypatch):
+    tree, A, B = random_tree_problem(5, J=4, width=3)
+    calls = {"A": [], "B": []}
+    for name, rule in (("A", A), ("B", B)):
+        decide = rule.decide_batch
+
+        def spy(j, states, payoffs, decide=decide, name=name):
+            calls[name].append(j)
+            assert np.array_equal(states, np.flatnonzero(tree.depths == j))
+            return decide(j, states, payoffs)
+
+        monkeypatch.setattr(rule, "decide_batch", spy)
+    enumerate_atoms(tree, A, B)
+    assert calls == {"A": [0, 1, 2, 3], "B": [0, 1, 2, 3]}
+
+
 def test_oversized_tree_rejected(tree2, tree2_rules, monkeypatch):
     monkeypatch.setattr(oracle, "MAX_PATHS", 3)
     with pytest.raises(TreeSizeError):
@@ -90,16 +127,17 @@ def test_oversized_tree_rejected(tree2, tree2_rules, monkeypatch):
 
 # --- random trees ------------------------------------------------------------------
 
-def random_tree_problem(seed):
-    """A seeded tree of depth 2-4, 1-3 children a node and payoffs in [-2, 5],
-    with two rules that each stop on about 30 % of the non-root labels."""
+def random_tree_problem(seed, J=None, width=None):
+    """A seeded tree of depth J (2-4 if not given), `width` children a node
+    (1-3 if not given) and payoffs in [-2, 5], with two rules that each stop
+    on about 30 % of the non-root labels."""
     gen = np.random.default_rng(seed)
-    J = int(gen.integers(2, 5))
+    J = int(gen.integers(2, 5)) if J is None else J
 
     def node(depth):
         spec = {"payoff": float(gen.uniform(-2.0, 5.0))}
         if depth < J:
-            w = gen.uniform(0.1, 1.0, size=int(gen.integers(1, 4)))
+            w = gen.uniform(0.1, 1.0, size=int(gen.integers(1, 4)) if width is None else width)
             spec["children"] = [dict(node(depth + 1), prob=float(q)) for q in w / w.sum()]
         return spec
 
@@ -126,6 +164,11 @@ def test_random_trees_match_the_oracle(monkeypatch):
             m.setattr(nested_cmc, "CHUNK_SIZE", 257)
             m.setattr(nested_cmc, "NOISE_BUDGET", 500)
             assert estimate(tree, A, B, 2_000, 4, seed=100 + seed) == small
+    # and a deeper 3-ary tree, of 3,280 nodes, for the oracle alone
+    tree, A, B = random_tree_problem(20, J=7, width=3)
+    assert tree.n_nodes == 3280
+    v1, v2 = exact_components(tree, A, B)
+    assert v1 + v2 == pytest.approx(exact_total_variance(tree, A, B), rel=1e-12, abs=1e-12)
 
 
 def test_random_tree_pilots_match_the_exact_components():

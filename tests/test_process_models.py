@@ -247,6 +247,25 @@ def test_tree_branch_frequencies(tree2):
     assert abs(frac_high - 0.6) < 3 * np.sqrt(0.6 * 0.4 / 40_000)
 
 
+def test_tree_top_uniform_reaches_the_last_child_of_the_widest_node():
+    # ten children of 0.1: their cumulative sum rounds to 1 - 2^-53, below
+    # the largest uniform, 1 - 2^-54, which must still pick child 9
+    tenth = [{"prob": 0.1, "payoff": float(k)} for k in range(10)]
+    m = load_tree({"root": {"payoff": 0.0, "children": [
+        {"prob": 0.5, "payoff": 0.0, "children": tenth},
+        {"prob": 0.5, "payoff": 0.0, "children": [{"prob": 1.0, "payoff": 1.0}]}]}})
+    assert np.cumsum([0.1] * 10)[-1] < 1.0 - 2.0**-54
+    top = rng.to_uniforms(np.array([2**64 - 1], dtype=np.uint64))[0]
+    assert top == 1.0 - 2.0**-54
+    ids = m.label_to_id
+    states = np.array([ids["0"], ids["0"], ids["0"], ids["1"], ids["root"]])
+    u = np.array([top, np.nextafter(0.9, 1.0), 0.05, top, top])
+    assert m.step_batch(1, states, u).tolist() == [ids[lab] for lab in ("0/9", "0/9", "0/0", "1/0", "1")]
+    assert m.children(ids["0"]).tolist() == [ids[f"0/{k}"] for k in range(10)]
+    assert m.branch_probs(ids["0"]) == pytest.approx([0.1] * 10, abs=1e-15)
+    assert m.children(ids["0/3"]).size == 0 and m.branch_probs(ids["0/3"]).size == 0
+
+
 def test_tree_payoffs_attached_to_nodes(tree2):
     m = tree2
     node = m.label_to_id["1/0"]

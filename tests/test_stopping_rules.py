@@ -231,8 +231,23 @@ def test_shift_keeps_the_rule_class(small_rule_pair):
     shifted = shift_rule(shift_rule(rule, 0.1), -0.3)
     assert type(shifted) is RegressionRule
     assert shifted.eval_cost == rule.eval_cost == 1
-    assert shifted.shifts == (0.1, -0.3) and rule.shifts == ()
+    assert shifted.shift == 0.1 + -0.3 and rule.shift == 0.0
     assert shifted.member_coeffs is rule.member_coeffs
+
+
+@pytest.mark.parametrize("a, b", [(0.1, -0.3), (0.25, -1.0 + 1e-9), (1e-300, -0.25), (2.0**-53, 1.0)])
+@pytest.mark.parametrize("members", [1, 3, 10, 2000])
+def test_shifting_twice_adds_the_shifts_first(members, a, b):
+    # one shift of a + b, rounded once: fl(fl(a + b) + median), not fl(fl(median + a) + b)
+    gen = np.random.default_rng([members, 31])
+    base = random_committee(gen, members, J=2)
+    rule = shift_rule(shift_rule(base, a), b)
+    assert rule.shift == a + b and base.shift == 0.0
+    assert rule._bands is base._bands
+    states, payoffs = random_states(gen, 300)
+    assert_matches_median(rule, states, payoffs)
+    for pay in at_threshold(rule, states):
+        assert_matches_median(rule, states, pay)
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
@@ -243,12 +258,12 @@ def test_shift_must_be_finite(small_rule_pair, eps):
 
 # --- a regression rule against its written-out formula ---------------------------
 
-def regression_formula(coeffs, y0, shifts, j, states, payoffs):
-    """Stop when payoff >= A @ coeffs[j] plus each shift in order, except a
-    zero payoff against a negative threshold."""
+def regression_formula(coeffs, y0, shift, j, states, payoffs):
+    """Stop when payoff >= A @ coeffs[j] plus the shift, except a zero payoff
+    against a negative threshold."""
     thr = basis_matrix(states, payoffs, y0) @ coeffs[j]
-    for eps in shifts:
-        thr = thr + eps
+    if shift:
+        thr = thr + shift
     return (payoffs >= thr) & ((payoffs > 0.0) | (thr >= 0.0))
 
 
@@ -267,13 +282,11 @@ def test_regression_rule_decides_by_the_formula(d, n):
         states[1, -1] = np.nan
         payoffs[2] = np.nan
     base = RegressionRule(coeffs, y0=90.0, d=d)
-    for shifts in ((), (0.25,), (-1e-17,), (0.25, -1.0 + 1e-9)):
-        rule = base
-        for eps in shifts:
-            rule = shift_rule(rule, eps)
+    for shift in (0.0, 0.25, -1e-17, 0.25 + (-1.0 + 1e-9)):
+        rule = shift_rule(base, shift)
         for j in range(J):
-            want = regression_formula(coeffs, 90.0, shifts, j, states, payoffs)
-            assert np.array_equal(rule.decide_batch(j, states, payoffs), want), (shifts, j)
+            want = regression_formula(coeffs, 90.0, shift, j, states, payoffs)
+            assert np.array_equal(rule.decide_batch(j, states, payoffs), want), (shift, j)
 
 
 # --- committees -------------------------------------------------------------------
@@ -311,11 +324,11 @@ def test_committee_training_validation(small_paths, d2_params):
 
 def median_threshold(rule, j, states, payoffs):
     """The committee's stop threshold by definition: median of all member
-    predictions, plus the rule's shifts in order."""
+    predictions, plus the rule's shift."""
     preds = basis_matrix(states, payoffs, rule.y0) @ rule.member_coeffs[:, j, :].T
     thr = np.median(preds, axis=1)
-    for eps in rule.shifts:
-        thr = thr + eps
+    if rule.shift:
+        thr = thr + rule.shift
     return thr
 
 
@@ -432,7 +445,7 @@ def test_shifted_committee_counting_equals_median(eps, members):
     gen = np.random.default_rng(members)
     base = random_committee(gen, members, J=1, payoff_blind=True)
     states, payoffs = random_states(gen, 200)
-    for rule in (shift_rule(base, eps), shift_rule(shift_rule(base, eps), 1.0 + eps)):
+    for rule in (shift_rule(base, eps), shift_rule(base, eps + (1.0 + eps))):
         assert_matches_median(rule, states, payoffs)
         for pay in at_threshold(rule, states):
             assert_matches_median(rule, states, pay)
@@ -459,12 +472,18 @@ def test_committee_non_finite_predictions(members):
 
 # --- committee decisions: rows leave the count once settled ------------------------
 
+# No shift, a small one, and one of -0.25, which the shifts 1e-300 then -0.25
+# add up to; case numbers seed each case's data as before.
+SHIFTS = pytest.mark.parametrize("case, shift", [(0, 0.0), (1, 0.05), (2, 1e-300 + -0.25)],
+                                 ids=["shifts0", "shifts1", "shifts2"])
+
+
 def assert_matches_definition(rule, states, payoffs):
     """Each date's decisions equal the stop mask of the exact threshold, bit for bit."""
     for j in range(rule.member_coeffs.shape[1]):
         want = _stop_mask(payoffs, rule.continuation_batch(j, states, payoffs))
         got = rule.decide_batch(j, states, payoffs)
-        assert np.array_equal(got, want), (rule.members, rule.shifts, j, len(payoffs))
+        assert np.array_equal(got, want), (rule.members, rule.shift, j, len(payoffs))
 
 
 def exact_rows(monkeypatch, rule):
@@ -480,14 +499,12 @@ def exact_rows(monkeypatch, rule):
     return calls
 
 
-@pytest.mark.parametrize("shifts", [(), (0.05,), (1e-300, -0.25)])
+@SHIFTS
 @pytest.mark.parametrize("members", [2, 3, 64, 65, 129, 2000])
 @pytest.mark.parametrize("n", [2, 3, 65, 4097])
-def test_committee_early_exit_equals_definition(n, members, shifts):
-    gen = np.random.default_rng([n, members, len(shifts)])
-    rule = random_committee(gen, members, J=2, payoff_blind=True)
-    for eps in shifts:
-        rule = shift_rule(rule, eps)
+def test_committee_early_exit_equals_definition(n, members, case, shift):
+    gen = np.random.default_rng([n, members, case])
+    rule = shift_rule(random_committee(gen, members, J=2, payoff_blind=True), shift)
     states, _ = random_states(gen, n)
     # interleaved so the zero-payoff rows move to the front of the open set:
     # positive, 0.0, -0.0, NaN, and payoffs exactly at the date-0 threshold
@@ -596,17 +613,15 @@ def assert_band_edges_decide_by_definition(rule, states, blind=True):
             settled += len(st)
             for pay in (lo, hi):
                 want = _stop_mask(pay, rule.continuation_batch(j, st, pay))
-                assert np.array_equal(rule.decide_batch(j, st, pay), want), (j, rule.shifts)
+                assert np.array_equal(rule.decide_batch(j, st, pay), want), (j, rule.shift)
     assert settled > 0  # the band does settle rows, so its edges were tested
 
 
-@pytest.mark.parametrize("shifts", [(), (0.05,), (1e-300, -0.25)])
+@SHIFTS
 @pytest.mark.parametrize("members", [2, 3, 10, 65, 2000])
-def test_band_edges_decide_as_the_median(members, shifts):
-    gen = np.random.default_rng([members, len(shifts), 17])
-    rule = random_committee(gen, members, J=2, payoff_blind=True)
-    for eps in shifts:
-        rule = shift_rule(rule, eps)
+def test_band_edges_decide_as_the_median(members, case, shift):
+    gen = np.random.default_rng([members, case, 17])
+    rule = shift_rule(random_committee(gen, members, J=2, payoff_blind=True), shift)
     states, payoffs = random_states(gen, 300)
     assert_band_edges_decide_by_definition(rule, states)
     assert_matches_definition(rule, states, payoffs)
@@ -637,7 +652,7 @@ def test_band_of_prefix_and_shift_copies():
     rule = random_committee(gen, 200, J=2)
     states, payoffs = random_states(gen, 300)
     shifted = shift_rule(rule, 0.3)
-    assert shifted._bands is rule._bands  # a band does not depend on the shifts
+    assert shifted._bands is rule._bands  # a band does not depend on the shift
     prefixes = (rule.prefix(65), rule.prefix(2), shift_rule(rule.prefix(64), -0.3))
     assert all(p._bands is not rule._bands for p in prefixes)
     for r in prefixes + (shifted,):
