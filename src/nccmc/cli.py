@@ -179,7 +179,8 @@ def _run_settings(r: ConfigReader, args, basis: Optional[int] = None, need_budge
                   cls=RunSettings, **more) -> RunSettings:
     """run.* keys as a ``cls``, a RunSettings built with the further fields
     ``more``; training paths must cover a GBM model's regression basis
-    (tree models train nothing)."""
+    (tree models train nothing).  Only the fields a key sets are passed, so
+    an absent key takes the default of ``cls``."""
     def seed(kind: str) -> Optional[int]:
         derived = None if args.seed is None else rng.derive_seed(args.seed, kind)
         return r.int(f"run.seed_{kind}", derived)
@@ -187,19 +188,18 @@ def _run_settings(r: ConfigReader, args, basis: Optional[int] = None, need_budge
     seed_training, seed_testing = seed("training"), seed("testing")
     if seed_training is None or seed_testing is None:
         raise ConfigError("need --seed or run.seed_training and run.seed_testing")
-    return cls(
-        seed_training=seed_training,
-        seed_testing=seed_testing,
-        training_paths=r.int("run.training_paths", 100_000, basis),
-        testing_paths=r.int("run.testing_paths", 100_000, 2),
-        n_pilot=r.int("run.n_pilot", 2000, 100),
-        r_pilot=r.int("run.r_pilot", 64, 2),
+    given = dict(
+        training_paths=r.int("run.training_paths", low=basis),
+        testing_paths=r.int("run.testing_paths", low=2),
+        n_pilot=r.int("run.n_pilot", low=100),
+        r_pilot=r.int("run.r_pilot", low=2),
         replications=r.parse("run.replications", lambda v: None if v == "auto" else _within(int(v), 1),
                              "'auto' or an integer >= 1"),
         budget=r.require("run.budget", "float", above=0) if need_budget else r.float("run.budget", above=0),
-        threads=args.threads,
         **more,
     )
+    return cls(seed_training=seed_training, seed_testing=seed_testing, threads=args.threads,
+               **{k: v for k, v in given.items() if v is not None})
 
 
 def _build_tree(r: ConfigReader) -> Optional[TreeModel]:
@@ -340,7 +340,7 @@ def _experiment_config(r: ConfigReader, args, study: Optional[str] = None, **ext
     params = _gbm_params(r)
     basis = basis_size(params.d)
     if study:
-        extra["member_size"] = r.int(f"{study}.member_size", 4000, basis)
+        extra["member_size"] = r.int(f"{study}.member_size", low=basis)
     return _run_settings(r, args, basis, bool(study), ExperimentConfig, params=params, **extra)
 
 
@@ -426,7 +426,7 @@ def _table1_job(r: ConfigReader, args) -> _Job:
 
 
 def _qcv_job(r: ConfigReader, args) -> _Job:
-    cfg = _experiment_config(r, args, "qcv", committee_members=r.int("qcv.members", 1000, 1))
+    cfg = _experiment_config(r, args, "qcv", committee_members=r.int("qcv.members", low=1))
 
     def run() -> _Result:
         rep = qcv_estimate(cfg)

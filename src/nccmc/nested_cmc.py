@@ -25,8 +25,13 @@ tau+1..J only, in one batched draw.
 Everything is deterministic given (seed, namespace): paths and replications
 are addressed by counter-based streams, partial results land in preallocated
 index-addressed buffers, and reductions run in index order (numpy pairwise
-summation), so chunking, sub-batching and thread count cannot change a
-single bit of the result.
+summation), so the thread count cannot change a single bit of the result:
+every thread count runs the same chunks and sub-batches.  A committee of
+two or more members decides each row as it does in any batch, but a
+one-member rule's threshold is one matrix-vector product per batch, which
+BLAS may round differently with the batch's size and the row's place in
+it; so a payoff within rounding of that threshold could decide differently
+under another chunk size or sub-batching.
 """
 
 from __future__ import annotations

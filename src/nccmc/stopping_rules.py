@@ -105,13 +105,27 @@ _MEMBER_BLOCK = 64
 _PRED_LIMIT = np.finfo(float).max / 4
 
 
-def _member_blocks(M: int) -> list[slice]:
-    # near-equal blocks, none of a single member (M >= 2 here): a one-column
-    # product runs through BLAS's matrix-vector kernel, which rounds
-    # differently from the matrix-matrix kernel of the whole committee
-    nb = -(-M // _MEMBER_BLOCK)
-    edges = [M * i // nb for i in range(nb + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+def _predict(A: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
+    """A @ coeffs.T, every entry rounded as in a product of two or more rows and members.
+
+    This is the one place that knows the kernel fact: BLAS multiplies a lone
+    row or a lone member with its matrix-vector kernel, which rounds
+    differently from the matrix-matrix kernel of any larger product.  So a
+    lone row or member is doubled before the product and sliced back after.
+    """
+    out = np.empty((len(A), len(coeffs))) if out is None else out
+    r, c = 1 + (len(A) == 1), 1 + (len(coeffs) == 1)
+    if r == c == 1:
+        return np.matmul(A, coeffs.T, out=out)
+    out[...] = (np.repeat(A, r, axis=0) @ np.repeat(coeffs, c, axis=0).T)[::r, ::c]
+    return out
+
+
+def _finite_shift(shift: float) -> float:
+    shift = float(shift)
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift!r}")
+    return shift
 
 
 def _spread_band(coeffs: np.ndarray, k: int):
@@ -154,10 +168,12 @@ class CommitteeRule:
     block, a row whose counts can no longer cross these bounds, whatever
     the members still to come predict, is decided and leaves the open rows.
     So the counts decide every row of an odd committee.  Rows still open at
-    the end (a count of exactly k in an even committee), rows left open
-    once fewer than two remain, and rows whose predictions might not be
-    finite or might overflow when two are averaged, take the exact median.
-    Decisions equal the median rule's bit for bit.
+    the end (a count of exactly k in an even committee), and rows whose
+    predictions might not be finite or might overflow when two are
+    averaged, take the exact median.  Decisions equal the median rule's bit
+    for bit, and a row decides alone as it does in any batch: every member
+    prediction, counted or for the exact median, is made by ``_predict``,
+    the one place that knows how BLAS rounds a lone row or member.
 
     Before any count, a spread band settles most rows.  For each date the
     rule stores a centre c0, the coordinate-wise median of the members'
@@ -204,7 +220,7 @@ class CommitteeRule:
         self.member_coeffs = member_coeffs
         self.y0 = float(y0)
         self.d = int(d)
-        self.shift = float(shift)
+        self.shift = _finite_shift(shift)
         self.eval_cost = member_coeffs.shape[0]
         # built once, so threads share them read-only; a shift copy shares them too
         k = self.members // 2
@@ -225,7 +241,7 @@ class CommitteeRule:
         if self.members == 1:
             thr = A @ self.member_coeffs[0, j]
         else:
-            thr = np.median(A @ self.member_coeffs[:, j, :].T, axis=1)
+            thr = np.median(_predict(A, self.member_coeffs[:, j, :]), axis=1)
         return thr + self.shift if self.shift else thr
 
     def _band_settles(self, j: int, A: np.ndarray, pay: np.ndarray, scale: np.ndarray):
@@ -245,9 +261,7 @@ class CommitteeRule:
 
     def decide_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
         pay = np.asarray(payoffs)
-        n = len(pay)
-        if self.members == 1 or n < 2:
-            # nothing to count; a lone row's exact median is a matrix-vector product
+        if self.members == 1:  # nothing to count
             return _stop_mask(pay, self.continuation_batch(j, states, pay))
         A = basis_matrix(states, pay, self.y0)
         coeffs = self.member_coeffs[:, j, :]
@@ -265,17 +279,16 @@ class CommitteeRule:
         A, col = A[idx], pay[idx, None]
         le = np.zeros(len(idx), dtype=np.intp)
         neg = np.zeros(z, dtype=np.intp)
-        blocks = _member_blocks(self.members)
-        width = max(b.stop - b.start for b in blocks)
+        width = min(self.members, _MEMBER_BLOCK)
         pbuf = np.empty(len(idx) * width)
         cbuf = np.empty(len(idx) * width, dtype=bool)
         k, odd = divmod(self.members, 2)
         rem = self.members
-        for blk in blocks:
-            m, w = len(idx), blk.stop - blk.start
-            if m < 2:
-                break  # a one-row product would take the matrix-vector kernel
-            preds = np.matmul(A, coeffs[blk].T, out=pbuf[: m * w].reshape(m, w))
+        for blk in np.split(coeffs, range(_MEMBER_BLOCK, self.members, _MEMBER_BLOCK)):
+            m, w = len(idx), len(blk)
+            if not m:
+                break  # no row left open
+            preds = _predict(A, blk, out=pbuf[: m * w].reshape(m, w))
             if self.shift:
                 np.add(preds, self.shift, out=preds)
             # a block has at most 64 members, so its counts fit in a byte
@@ -302,9 +315,7 @@ class CommitteeRule:
         exact[idx] = True
         rows = np.flatnonzero(exact)
         if rows.size:
-            # pad a lone row so the exact product stays matrix-matrix
-            take = rows if rows.size > 1 else np.append(rows, (rows[0] + 1) % n)
-            thr = self.continuation_batch(j, np.asarray(states)[take], pay[take])[: rows.size]
+            thr = self.continuation_batch(j, np.asarray(states)[rows], pay[rows])
             stop[rows] = _stop_mask(pay[rows], thr)
         return stop
 
@@ -342,15 +353,14 @@ def shift_rule(rule, epsilon: float):
     The copy keeps the rule's class, members and cost, and adds epsilon to
     its ``shift`` (so shifting twice adds the two first, with one rounding).
     Larger epsilon means a later stopper; epsilon 0 returns the rule itself.
+    The sum must be finite, so a non-finite epsilon is rejected too.
     """
-    if not math.isfinite(epsilon):
-        raise ValueError(f"shift must be finite, got {epsilon!r}")
     if epsilon == 0.0:
         return rule
     if not isinstance(rule, CommitteeRule):
         raise TypeError("shift requires a rule with a continuation value")
     shifted = copy.copy(rule)
-    shifted.shift = rule.shift + float(epsilon)
+    shifted.shift = _finite_shift(rule.shift + float(epsilon))
     return shifted
 
 

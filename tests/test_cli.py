@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, config validation, stable outputs."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -8,7 +9,7 @@ import textwrap
 
 import pytest
 
-from nccmc import cli, experiments
+from nccmc import cli, experiments, rng
 from nccmc.experiments import MlLevelRow, Table1Row
 from tests.conftest import short_tree_spec
 
@@ -285,6 +286,32 @@ def exits_2_before_training(tmp_path, capsys, monkeypatch, command, setting, key
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+class _DriverCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("job, driver, raw, fields", [
+    (cli._qcv_job, "qcv_estimate", {}, {}),
+    (cli._multilevel_job, "multilevel_estimate", {"ml.ladder": "2,4"}, {"ladder": (2, 4)}),
+], ids=["qcv", "multilevel"])
+def test_absent_keys_take_the_library_defaults(monkeypatch, job, driver, raw, fields):
+    args = argparse.Namespace(seed=1, threads=1)
+    seeds = {f"seed_{k}": rng.derive_seed(1, k) for k in ("training", "testing")}
+    _, _, rs = cli._build_problem(cli.ConfigReader({}), args)  # an empty GBM config
+    assert rs == experiments.RunSettings(**seeds)
+    seen = []
+
+    def driver_called(cfg):
+        seen.append(cfg)
+        raise _DriverCalled
+
+    monkeypatch.setattr(cli, driver, driver_called)
+    with pytest.raises(_DriverCalled):  # no run.*, qcv.* or ml.member_size key but the budget
+        job(cli.ConfigReader({"run.budget": "1e5", **raw}), args)()
+    params = cli._gbm_params(cli.ConfigReader({}))
+    assert seen == [experiments.ExperimentConfig(**seeds, params=params, budget=1e5, **fields)]
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):

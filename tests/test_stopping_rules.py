@@ -252,8 +252,18 @@ def test_shifting_twice_adds_the_shifts_first(members, a, b):
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
 def test_shift_must_be_finite(small_rule_pair, eps):
+    rule = small_rule_pair[0]
     with pytest.raises(ValueError):
-        shift_rule(small_rule_pair[0], eps)
+        shift_rule(rule, eps)
+    with pytest.raises(ValueError, match="shift must be finite"):
+        CommitteeRule(rule.member_coeffs, rule.y0, rule.d, shift=eps)
+
+
+@pytest.mark.parametrize("a, b", [(1e308, 1e308), (-1e308, -1e308)])
+def test_shifts_whose_sum_overflows_are_rejected(small_rule_pair, a, b):
+    rule = shift_rule(small_rule_pair[0], a)
+    with pytest.raises(ValueError, match="shift must be finite"):
+        shift_rule(rule, b)
 
 
 # --- a regression rule against its written-out formula ---------------------------
@@ -324,8 +334,11 @@ def test_committee_training_validation(small_paths, d2_params):
 
 def median_threshold(rule, j, states, payoffs):
     """The committee's stop threshold by definition: median of all member
-    predictions, plus the rule's shift."""
-    preds = basis_matrix(states, payoffs, rule.y0) @ rule.member_coeffs[:, j, :].T
+    predictions, plus the rule's shift.  With two or more members each row is
+    multiplied as part of a pair, so a lone row rounds as it does in a batch
+    (alone, BLAS would take its matrix-vector kernel, which rounds differently)."""
+    A, C = basis_matrix(states, payoffs, rule.y0), rule.member_coeffs[:, j, :]
+    preds = (np.repeat(A, 2, axis=0) @ C.T)[::2] if rule.members > 1 else A @ C.T
     thr = np.median(preds, axis=1)
     if rule.shift:
         thr = thr + rule.shift
@@ -384,6 +397,25 @@ def test_committee_prefix_ties_at_median(m):
             assert_matches_median(rule, states[:n], payoffs[:n])
         lone = np.where(np.arange(len(payoffs)) == 5, payoffs, 1e6)  # one tied row among clear stops
         assert_matches_median(rule, states, lone)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.05])
+@pytest.mark.parametrize("members", [2, 3, 64, 65, 129, 2000])
+def test_committee_row_decides_alone_as_in_its_batch(members, shift):
+    # payoffs at each row's threshold in the whole batch and one ulp either
+    # side: asked alone, as a pair, or in odd sub-batches at odd offsets, a
+    # row must decide as it does in the whole batch
+    gen = np.random.default_rng([members, 20])
+    rule = shift_rule(random_committee(gen, members, J=1, payoff_blind=True), shift)
+    states, _ = random_states(gen, 200)
+    payoffs = np.concatenate(at_threshold(rule, states))
+    states = np.tile(states, (3, 1))
+    n = len(payoffs)
+    whole = rule.decide_batch(0, states, payoffs)
+    for size, start in [(1, 0), (2, 0), (3, 1), (7, 5), (65, 3)]:
+        for a in range(start, n, size):
+            got = rule.decide_batch(0, states[a : a + size], payoffs[a : a + size])
+            assert np.array_equal(got, whole[a : a + size]), (size, a)
 
 
 def constant_committee(values):
@@ -519,7 +551,8 @@ def test_committee_early_exit_equals_definition(n, members, case, shift):
 def test_committee_decision_down_to_one_open_row(monkeypatch, members):
     # members in descending order and a payoff at their median: that row's
     # counts stay open to the last block, every other row stops by count as
-    # soon as rows can settle, and the lone open row takes the exact median
+    # soon as rows can settle, and the lone open row is counted alone; an odd
+    # committee's counts decide it, an even one's tie takes the exact median
     values = np.linspace(3.0, -1.0, members)
     rule = constant_committee(values)
     payoffs = np.full(40, 1e6)
@@ -528,7 +561,7 @@ def test_committee_decision_down_to_one_open_row(monkeypatch, members):
     want = _stop_mask(payoffs, rule.continuation_batch(0, states, payoffs))
     calls = exact_rows(monkeypatch, rule)
     assert np.array_equal(rule.decide_batch(0, states, payoffs), want)
-    assert calls == [2]  # the open row, padded with a neighbour
+    assert calls == ([1] if members % 2 == 0 else [])
     assert want.all()
 
 
