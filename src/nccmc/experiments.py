@@ -305,6 +305,7 @@ def qcv_estimate(cfg: ExperimentConfig) -> QcvReport:
     pool = simulate_training_paths(p, cfg.training_paths, cfg.seed_training)
     ruleB = train_tvr(pool, p)
     ruleA = train_committee(pool, p, cfg.committee_members, cfg.member_size, cfg.seed_training)
+    del pool  # no estimator run needs the training paths
     ((cal, R, rep, _),), plain, nested, simple = _telescope(
         cfg, GbmModel(p), [ruleB, ruleA], _QCV_TAGS)
 
@@ -399,6 +400,7 @@ def multilevel_estimate(cfg: ExperimentConfig) -> MultilevelReport:
     p = cfg.params
     pool = simulate_training_paths(p, cfg.training_paths, cfg.seed_training)
     committee = train_committee(pool, p, cfg.ladder[-1], cfg.member_size, cfg.seed_training)
+    del pool  # no estimator run needs the training paths
     cals, plain, nested, direct = _telescope(
         cfg, GbmModel(p), [committee.prefix(k) for k in cfg.ladder], _ML_TAGS)
 

@@ -51,10 +51,11 @@ CHUNK_SIZE = 16384
 
 # Stage-two words held at once (36 MB): a sub-batch's noise, each point's
 # raw words held across its dates, and per lane five states' worth (its
-# state, and at one date its gathered state, its variates, the copy numpy
-# makes of their raw words to convert them in place, and the stepped state)
-# plus LANE_WORDS for the lane's own arrays (payoffs, noise index, dates,
-# flags, temporaries).  Fixed: results must not depend on them.
+# state, and at one date its gathered state, its variates and the stepped
+# state, plus one state of headroom: rng converts raw words in small blocks,
+# holding no copy of them) plus LANE_WORDS for the lane's own arrays
+# (payoffs, noise index, dates, flags, temporaries).  Fixed: results must
+# not depend on them.
 NOISE_BUDGET = 9 * 2**19
 LANE_WORDS = 14
 
@@ -185,8 +186,8 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
     trunk's dates tau+1..J in a ragged buffer; each date converts only the
     live lanes' rows.  A sub-batch holds at most NOISE_BUDGET words of noise
     and lane state, a trunk's share being its points' raw words plus R
-    lanes of five states' worth and LANE_WORDS each (a trunk whose own
-    share is larger runs alone).
+    lanes of five states' worth (four held, one of headroom) and LANE_WORDS
+    each (a trunk whose own share is larger runs alone).
     Returns (means, variances, steps, evals); rows for trunks with S = 0
     stay zero and cost nothing.
     """

@@ -34,7 +34,7 @@ class and date), and return the requests' rows concatenated in request
 order.  Stage two fetches a whole sub-batch of trunks this way in one call:
 the per-request loop only re-keys one cached generator and fills one raw
 buffer.  ``to_uniforms`` and ``to_normals`` convert raw words to variates in
-place, in bulk numpy passes that release the GIL; ``uniforms`` and
+place, in numpy passes over row blocks that release the GIL; ``uniforms`` and
 ``normals`` are those conversions of ``raw_words``.  A point's words do not
 depend on how points are grouped, so the engine draws raw words and
 converts only the rows of the lanes it steps.
@@ -42,6 +42,7 @@ converts only the rows of the lanes it steps.
 
 from __future__ import annotations
 
+import math
 import threading
 import zlib
 
@@ -63,6 +64,9 @@ _MASK64 = (1 << 64) - 1
 
 # Philox-4x64 emits this many raw words per counter increment.
 _WORDS_PER_COUNTER = 4
+
+# Words per block of to_uniforms' conversion (128 KB).
+_CONVERT_WORDS = 2**14
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -116,13 +120,17 @@ def _philox():
     Switching streams writes the key's packed word and the counter into the
     cached dict and assigns it: the same words as building
     ``Philox(counter=0, key=key)`` and advancing it by ``counter``, without
-    the fresh OS-entropy seed sequence every build draws.  The dict's buffer
-    stays empty, so each stream starts on a whole counter.
+    the fresh OS-entropy seed sequence every build draws.  The dict holds
+    plain ints, which the state setter converts faster than numpy scalars,
+    and its buffer stays empty, so each stream starts on a whole counter.
     """
     cached = getattr(_local, "philox", None)
     if cached is None:
         bg = Philox(counter=0, key=np.zeros(2, dtype=np.uint64))
-        cached = _local.philox = (bg, bg.state)
+        state = bg.state
+        state["state"] = {"counter": [0, 0, 0, 0], "key": [0, 0]}
+        state["buffer"] = [0, 0, 0, 0]
+        cached = _local.philox = (bg, state)
     return cached
 
 
@@ -173,7 +181,12 @@ def to_uniforms(words: np.ndarray) -> np.ndarray:
     """Uniform (0, 1) variates from raw words, open at both ends, overwriting ``words``."""
     # 53-bit mantissa plus a half-ulp shift keeps 0 and 1 unattainable
     np.right_shift(words, np.uint64(11), out=words)
-    u = np.multiply(words, 2.0**-53, out=words.view(np.float64))
+    u = words.view(np.float64)
+    # numpy copies a uint64 input it casts into a float view of itself, so
+    # convert in row blocks of about _CONVERT_WORDS words to keep that copy small
+    rows = max(1, _CONVERT_WORDS // max(1, math.prod(words.shape[1:])))
+    for s in range(0, len(words), rows):
+        np.multiply(words[s:s + rows], 2.0**-53, out=u[s:s + rows])
     u += 2.0**-54
     return u
 

@@ -45,19 +45,19 @@ def basis_size(d: int) -> int:
     return 2 + d + d * (d + 1) // 2
 
 
-def basis_matrix(assets: np.ndarray, payoffs: np.ndarray, y0: float) -> np.ndarray:
+def basis_matrix(assets: np.ndarray, payoffs: np.ndarray, y0: float, out=None) -> np.ndarray:
     """Regression features: 1, scaled prices, scaled second moments, payoff.
 
     Columns: constant, Y_a / y0 for each asset, Y_a Y_b / y0^2 for a <= b,
     and the current payoff / y0.  Built a tile of rows at a time, column by
     column in a (B, tile) scratch, so each column is one contiguous pass;
-    the output is row-major (C-contiguous) and its bits do not depend on
-    the tiling.
+    the output is row-major (C-contiguous), written into ``out`` when given,
+    and its bits do not depend on the tiling.
     """
     assets = np.asarray(assets, dtype=float)
     payoffs = np.asarray(payoffs, dtype=float)
     n, d = assets.shape
-    out = np.empty((n, basis_size(d)))
+    out = np.empty((n, basis_size(d))) if out is None else out
     cols = np.empty((basis_size(d), min(n, _BASIS_TILE)))
     for s in range(0, n, _BASIS_TILE):
         t = min(n - s, _BASIS_TILE)
@@ -372,8 +372,9 @@ def _fit_backward(assets: np.ndarray, payoffs: np.ndarray, y0: float) -> np.ndar
         raise ValueError(f"need at least {B} paths to fit a {B}-column basis, got {n}")
     coeffs = np.empty((J, B))
     value = payoffs[:, J].copy()
+    A = np.empty((n, B))  # one basis buffer for every date: lstsq reads a copy
     for j in range(J - 1, -1, -1):
-        A = basis_matrix(assets[:, j], payoffs[:, j], y0)
+        basis_matrix(assets[:, j], payoffs[:, j], y0, out=A)
         # rcond guards rank-deficient designs (e.g. degenerate volatility):
         # small singular values are dropped rather than blown up.
         beta, _, _, _ = np.linalg.lstsq(A, value, rcond=1e-10)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import pytest
 
@@ -16,7 +17,7 @@ from nccmc.experiments import (
 from nccmc.calibration import choose_R, trunks_for_budget, v_profile
 from nccmc.nested_cmc import CHUNK_SIZE, estimate, floored_params, pilot
 from nccmc.rng import derive_seed
-from nccmc.process_models import GbmParams
+from nccmc.process_models import GbmParams, simulate_training_paths
 
 
 def small_config(d2_params, **kw):
@@ -246,6 +247,35 @@ def test_drivers_do_not_depend_on_threads(d2_params):
     assert reports[0] == reports[1]
     qcv, ml, table1 = reports[0]
     assert min(qcv.alloc_qcv[0], qcv.alloc_qcv_nested[0], ml.rows[0].N, table1[0].N) > CHUNK_SIZE
+
+
+@pytest.mark.parametrize("driver,knobs", [
+    (qcv_estimate, dict(committee_members=8)),
+    (multilevel_estimate, dict(ladder=(2, 4, 8))),
+], ids=["qcv", "multilevel"])
+def test_drivers_release_the_training_pool_before_any_estimator_runs(d2_params, monkeypatch,
+                                                                     driver, knobs):
+    from nccmc import experiments
+
+    pools, alive = [], []
+
+    def simulate(*args, **kwargs):
+        pool = simulate_training_paths(*args, **kwargs)
+        pools.append(weakref.ref(pool.assets))
+        return pool
+
+    class Entered(Exception):
+        pass
+
+    def telescope(*args, **kwargs):
+        alive.extend(ref() is not None for ref in pools)
+        raise Entered  # the estimator runs are not needed here
+
+    monkeypatch.setattr(experiments, "simulate_training_paths", simulate)
+    monkeypatch.setattr(experiments, "_telescope", telescope)
+    with pytest.raises(Entered):
+        driver(small_config(d2_params, budget=3e5, **knobs))
+    assert alive == [False]
 
 
 # --- config validation -----------------------------------------------------------------

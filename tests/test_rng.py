@@ -1,6 +1,7 @@
 """Stream addressing: determinism, block stability, and key separation."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -197,6 +198,24 @@ def test_conversions_of_raw_words_are_the_variates(width):
         want = [reference(fresh_words(*key, int(i), 0, int(n), width, int(f)))
                 for i, n, f in zip(index, n_points, first_point)]
         assert np.array_equal(got, np.concatenate(want))
+
+
+@pytest.mark.parametrize("width", [1, 3, 4])
+def test_conversion_in_place_holds_no_copy_of_its_input(width):
+    # 2^21 words (16 MB) in rows of `width`, a strided view unless width is 4;
+    # numpy copies a uint64 array it casts into a float view of itself, so a
+    # conversion in one pass peaks at the size of its input
+    words = rng.raw_words(3, rng.NS_TESTING, rng.TRUNK, 0, 1, 2**21 // width, width)
+    want = ndtri(reference_uniforms(words))
+    tracemalloc.start()
+    try:
+        got = rng.to_normals(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(got, words)
+    assert np.array_equal(got, want)
+    assert peak < 2**21 * 8 / 10, peak
 
 
 def test_counter_past_two_to_the_64_keeps_its_high_words():
