@@ -49,14 +49,15 @@ from .stopping_rules import FixedDateRule
 # Paths per scheduling unit.  Fixed: results must not depend on it.
 CHUNK_SIZE = 16384
 
-# Stage-two words held at once (36 MB): a sub-batch's noise, each point's
+# Stage-two words held at once (18 MB): a sub-batch's noise, each point's
 # raw words held across its dates, and per lane five states' worth (its
 # state, and at one date its gathered state, its variates and the stepped
 # state, plus one state of headroom: rng converts raw words in small blocks,
 # holding no copy of them) plus LANE_WORDS for the lane's own arrays
 # (payoffs, noise index, dates, flags, temporaries).  Fixed: results must
-# not depend on them.
-NOISE_BUDGET = 9 * 2**19
+# not depend on them.  Each thread holds its own sub-batch, so at two
+# threads a larger budget would set a run's peak above its training's.
+NOISE_BUDGET = 9 * 2**18
 LANE_WORDS = 14
 
 # One rule evaluation costs a tenth of one asset-date simulation step.

@@ -84,14 +84,30 @@ class GbmParams:
 
 @dataclass(frozen=True, slots=True)
 class TrainingPaths:
-    """A bundle of full paths used to fit regression stopping rules."""
+    """Training paths, kept at their dates 2, 4, ... below J, and their final payoffs.
 
-    assets: np.ndarray  # (n, n_dates, d)
-    payoffs: np.ndarray  # (n, n_dates)
+    Every path starts at y0.  An odd date is not kept (nor date J's states,
+    which no fit reads): ``states`` steps it from the date before with that
+    date's training noise, the bits simulate_training_paths stepped
+    (checkpointing for a reverse sweep, after Griewank & Walther's Revolve).
+    """
+
+    model: GbmModel
+    seed: int
+    kept: np.ndarray  # (n, (J - 1) // 2, d): dates 2, 4, ... below J
+    final: np.ndarray  # (n,): the payoffs at date J
 
     @property
     def n(self) -> int:
-        return self.assets.shape[0]
+        return len(self.final)
+
+    def states(self, j: int) -> np.ndarray:
+        """The (n, d) states at date j < J: a view of a kept date, else stepped."""
+        if j == 0:
+            return self.model.init_states(self.n)
+        if j % 2 == 0:
+            return self.kept[:, j // 2 - 1]
+        return _training_step(self.model, self.seed, j, self.states(j - 1))
 
 
 def _draw(self, seed: int, namespace: int, stream_class: int, index, date: int,
@@ -107,23 +123,25 @@ class GbmModel:
         self.J = params.J
         self.step_units = params.d
         self.draw_width = params.d
+        # once per model, each by the scalar expression of the formulas above
+        self._discounts = [float(np.exp(-params.r * t)) for t in params.dates]
+        self._drift = (params.r - params.delta - 0.5 * params.sigma**2) * params.dt
+        self._vol = params.sigma * np.sqrt(params.dt)
 
     def init_states(self, n: int) -> np.ndarray:
         return np.full((n, self.params.d), self.params.y0, dtype=float)
 
     def payoff_batch(self, j: int, states: np.ndarray) -> np.ndarray:
         """Discounted max-call payoff of each row at date j."""
-        p = self.params
         assets = np.asarray(states, dtype=float)
         if not np.all(np.isfinite(assets)):
             raise ValueError("non-finite asset values")
-        disc = float(np.exp(-p.r * p.dates[j]))
         # column by column: far faster than a reduction over a short inner axis,
         # and the same bits (the maximum is exact, and NaN was rejected above)
         best = assets[..., 0]
         for k in range(1, assets.shape[-1]):
             best = np.maximum(best, assets[..., k])
-        return disc * np.maximum(best - p.K, 0.0)
+        return self._discounts[j] * np.maximum(best - self.params.K, 0.0)
 
     draw = _draw
 
@@ -132,21 +150,25 @@ class GbmModel:
 
     def step_batch(self, j: int, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Exact GBM transition from date j-1 to date j, one normal per asset."""
-        p = self.params
         assets = np.asarray(states, dtype=float)
         z = np.asarray(draws, dtype=float)
         if not (np.all(np.isfinite(assets)) and np.all(np.isfinite(z))):
             raise ValueError("non-finite inputs to step_batch")
-        drift = (p.r - p.delta - 0.5 * p.sigma**2) * p.dt
         # assets * exp(drift + sigma sqrt(dt) z) in one temporary, the same bits
-        g = np.multiply(p.sigma * np.sqrt(p.dt), z)
-        g += drift
+        g = np.multiply(self._vol, z)
+        g += self._drift
         np.exp(g, out=g)
         return np.multiply(assets, g, out=g)
 
 
+def _training_step(model: GbmModel, seed: int, j: int, states: np.ndarray) -> np.ndarray:
+    # path p takes point p of date j's TRUNK stream, copied contiguous to convert fast
+    words = np.ascontiguousarray(model.draw(seed, rng.NS_TRAINING, rng.TRUNK, 0, j, len(states)))
+    return model.step_batch(j, states, model.variates(words))
+
+
 def simulate_training_paths(params: GbmParams, n: int, seed: int) -> TrainingPaths:
-    """Simulate n full paths in one batch, in the training namespace.
+    """Simulate n paths in one batch, in the training namespace, as TrainingPaths.
 
     Steps a GbmModel with the calls stage one makes: path p draws point p of
     each date's TRUNK stream, the noise stage one would give its path p under
@@ -155,16 +177,13 @@ def simulate_training_paths(params: GbmParams, n: int, seed: int) -> TrainingPat
     if n < 1:
         raise ValueError("n must be >= 1")
     model = GbmModel(params)
-    assets = np.empty((n, params.n_dates, params.d))
-    payoffs = np.empty((n, params.n_dates))
-    assets[:, 0] = model.init_states(n)
-    payoffs[:, 0] = model.payoff_batch(0, assets[:, 0])
+    kept = np.empty((n, (model.J - 1) // 2, params.d))
+    states = model.init_states(n)
     for j in range(1, model.J + 1):
-        # a contiguous copy: the draw's strided rows convert in short inner loops
-        z = model.variates(np.ascontiguousarray(model.draw(seed, rng.NS_TRAINING, rng.TRUNK, 0, j, n)))
-        assets[:, j] = model.step_batch(j, assets[:, j - 1], z)
-        payoffs[:, j] = model.payoff_batch(j, assets[:, j])
-    return TrainingPaths(assets=assets, payoffs=payoffs)
+        states = _training_step(model, seed, j, states)
+        if j % 2 == 0 and j < model.J:
+            kept[:, j // 2 - 1] = states
+    return TrainingPaths(model, seed, kept, model.payoff_batch(model.J, states))
 
 
 class TreeModel:

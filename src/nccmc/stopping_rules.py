@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .process_models import GbmParams, TrainingPaths, TreeModel
+from .process_models import GbmModel, GbmParams, TrainingPaths, TreeModel
 from .rng import derive_seed
 
 
@@ -364,22 +364,26 @@ def shift_rule(rule, epsilon: float):
     return shifted
 
 
-def _fit_backward(assets: np.ndarray, payoffs: np.ndarray, y0: float) -> np.ndarray:
-    n, n_dates, d = assets.shape
-    J = n_dates - 1
-    B = basis_size(d)
+def _fit_backward(states, final: np.ndarray, model: GbmModel, y0: float) -> np.ndarray:
+    """(J, B) coefficients by backward induction, one date at a time from J - 1
+    down: states(j) gives the fitted rows' date-j states, final their date-J payoffs."""
+    n, B = len(final), basis_size(model.params.d)
     if n < B:
         raise ValueError(f"need at least {B} paths to fit a {B}-column basis, got {n}")
-    coeffs = np.empty((J, B))
-    value = payoffs[:, J].copy()
+    coeffs = np.empty((model.J, B))
+    value = final
     A = np.empty((n, B))  # one basis buffer for every date: lstsq reads a copy
-    for j in range(J - 1, -1, -1):
-        basis_matrix(assets[:, j], payoffs[:, j], y0, out=A)
+    for j in range(model.J - 1, -1, -1):
+        assets = states(j)
+        pay = model.payoff_batch(j, assets)
+        basis_matrix(assets, pay, y0, out=A)
+        # freed before lstsq copies A, a stepped date leaves glibc no heap to keep
+        del assets
         # rcond guards rank-deficient designs (e.g. degenerate volatility):
         # small singular values are dropped rather than blown up.
         beta, _, _, _ = np.linalg.lstsq(A, value, rcond=1e-10)
         cont = A @ beta
-        value = np.maximum(payoffs[:, j], cont)
+        value = np.maximum(pay, cont)
         coeffs[j] = beta
     return coeffs
 
@@ -391,7 +395,7 @@ def train_tvr(paths: TrainingPaths, params: GbmParams) -> RegressionRule:
     of the payoff and the basis projection of the date-(j+1) value, fitted
     over every path.  Returns the rule that stops when payoff >= projection.
     """
-    coeffs = _fit_backward(paths.assets, paths.payoffs, params.y0)
+    coeffs = _fit_backward(paths.states, paths.final, paths.model, params.y0)
     return RegressionRule(coeffs, params.y0, params.d)
 
 
@@ -406,16 +410,17 @@ def train_committee(
 
     Each member is fitted on member_size paths drawn with replacement from
     the pool; resampling is driven by a seed derived per member, so a larger
-    committee extends a smaller one trained from the same seed.
+    committee extends a smaller one trained from the same seed.  The pool's
+    unkept dates are stepped once, for every member.
     """
     if members < 1:
         raise ValueError("members must be >= 1")
     if member_size < basis_size(params.d):
         raise ValueError("member_size smaller than the regression basis")
     coeffs = np.empty((members, params.J, basis_size(params.d)))
-    n = paths.n
+    states = [paths.states(j) for j in range(params.J)]
     for m in range(members):
         gen = np.random.default_rng(derive_seed(seed, f"committee-member-{m}"))
-        idx = gen.integers(0, n, size=member_size)
-        coeffs[m] = _fit_backward(paths.assets[idx], paths.payoffs[idx], params.y0)
+        idx = gen.integers(0, paths.n, size=member_size)
+        coeffs[m] = _fit_backward(lambda j: states[j][idx], paths.final[idx], paths.model, params.y0)
     return CommitteeRule(coeffs, params.y0, params.d)

@@ -3,7 +3,7 @@ import pytest
 
 from nccmc.nested_cmc import _run_lanes
 from nccmc.process_models import GbmParams, bundled_tree, simulate_training_paths
-from nccmc.rng import NS_TESTING, SUB
+from nccmc.rng import NS_TESTING, NS_TRAINING, SUB, TRUNK
 from nccmc.stopping_rules import TreeRule, train_tvr
 
 
@@ -43,6 +43,25 @@ def small_rule_pair(d2_params):
 @pytest.fixture(scope="session")
 def small_paths(d2_params):
     return simulate_training_paths(d2_params, 4000, 1234)
+
+
+def full_paths(paths):
+    """A training bundle's assets (n, n_dates, d) and payoffs (n, n_dates) at every date.
+
+    Dates below J are the bundle's own states; date J's assets are stepped
+    here from date J - 1 with that date's training noise, and date J's
+    payoffs are the bundle's final payoffs.
+    """
+    model, n, J = paths.model, paths.n, paths.model.J
+    assets = np.empty((n, J + 1, model.params.d))
+    payoffs = np.empty((n, J + 1))
+    for j in range(J):
+        assets[:, j] = paths.states(j)
+        payoffs[:, j] = model.payoff_batch(j, assets[:, j])
+    words = np.ascontiguousarray(model.draw(paths.seed, NS_TRAINING, TRUNK, 0, J, n))
+    assets[:, J] = model.step_batch(J, assets[:, J - 1], model.variates(words))
+    payoffs[:, J] = paths.final
+    return assets, payoffs
 
 
 def short_tree_spec():

@@ -261,7 +261,7 @@ def test_drivers_release_the_training_pool_before_any_estimator_runs(d2_params, 
 
     def simulate(*args, **kwargs):
         pool = simulate_training_paths(*args, **kwargs)
-        pools.append(weakref.ref(pool.assets))
+        pools.append(weakref.ref(pool.kept))
         return pool
 
     class Entered(Exception):

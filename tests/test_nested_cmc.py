@@ -17,9 +17,9 @@ from nccmc.nested_cmc import (
     pilot,
 )
 from nccmc.oracle import exact_delta
-from nccmc.process_models import GbmModel, GbmParams
+from nccmc.process_models import GbmModel, GbmParams, simulate_training_paths
 from nccmc.rng import NS_TESTING, SUB
-from nccmc.stopping_rules import FixedDateRule, TreeRule, train_committee
+from nccmc.stopping_rules import FixedDateRule, TreeRule, train_committee, train_tvr
 from tests.conftest import continuations
 
 
@@ -273,6 +273,32 @@ def test_bits_do_not_depend_on_batching(monkeypatch, chunk, tree2, tree2_rules, 
         assert got == expected
         runs.append(len(kernel_runs))
     assert runs[0] > 2 * runs[1]  # the small budget did split the chunks
+
+
+def test_halving_the_noise_budget_keeps_the_bits(monkeypatch, d2_params, small_rule_pair):
+    # one chunk of trunks at R large enough that 9 * 2**18 words split stage
+    # two where 9 * 2**19 do not: a regression pair at d = 2, and a d = 5
+    # regression rule against holding to date 9, cli_premium's pairing
+    d5 = dataclasses.replace(d2_params, d=5)
+    rule5 = train_tvr(simulate_training_paths(d5, 4000, 1234), d5)
+    problems = ((GbmModel(d2_params), *small_rule_pair, 40), (GbmModel(d5), rule5, FixedDateRule(9), 10))
+    kernel_runs = []
+    run_lanes = nested_cmc._run_lanes
+
+    def counted(*args):
+        kernel_runs.append(1)
+        return run_lanes(*args)
+
+    monkeypatch.setattr(nested_cmc, "_run_lanes", counted)
+    for model, A, B, R in problems:
+        got, runs = [], []
+        for budget in (9 * 2**19, 9 * 2**18):
+            monkeypatch.setattr(nested_cmc, "NOISE_BUDGET", budget)
+            kernel_runs.clear()
+            got.append(estimate(model, A, B, nested_cmc.CHUNK_SIZE, R, seed=21))
+            runs.append(len(kernel_runs))
+        assert got[0] == got[1]
+        assert runs[1] > runs[0]  # the smaller budget did move sub-batch boundaries
 
 
 # --- full estimator ----------------------------------------------------------------

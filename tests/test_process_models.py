@@ -14,7 +14,7 @@ from nccmc.process_models import (
     simulate_training_paths,
 )
 from nccmc.stopping_rules import FixedDateRule
-from tests.conftest import continuations
+from tests.conftest import continuations, full_paths
 
 
 def params(**kw):
@@ -70,6 +70,23 @@ def test_payoff_discounted():
     assert val == pytest.approx(20.0 * np.exp(-0.15), rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 5])
+def test_payoffs_and_steps_follow_the_formulas_at_every_date(d):
+    p = params(d=d, r=0.07, delta=0.02, sigma=0.3, n_dates=11)
+    model = GbmModel(p)
+    gen = np.random.default_rng(3)
+    states = 100.0 * np.exp(gen.normal(scale=0.3, size=(50, d)))
+    z = gen.normal(size=(50, d))
+    dt = p.T / (p.n_dates - 1)
+    for j in range(p.n_dates):
+        t = np.linspace(0.0, p.T, p.n_dates)[j]
+        payoff = float(np.exp(-p.r * t)) * np.maximum(states.max(axis=1) - p.K, 0.0)
+        assert np.array_equal(model.payoff_batch(j, states), payoff), j
+        if j:
+            step = states * np.exp((p.r - p.delta - 0.5 * p.sigma**2) * dt + p.sigma * np.sqrt(dt) * z)
+            assert np.array_equal(model.step_batch(j, states, z), step), j
+
+
 def test_payoff_rejects_nonfinite():
     with pytest.raises(ValueError):
         GbmModel(params()).payoff_batch(0, np.array([[np.nan, 1.0]]))
@@ -79,27 +96,47 @@ def test_payoff_rejects_nonfinite():
 
 def test_full_path_deterministic():
     p = params()
-    a = simulate_training_paths(p, 5, 5)
-    b = simulate_training_paths(p, 5, 5)
-    assert np.array_equal(a.assets, b.assets)
-    assert np.array_equal(a.payoffs, b.payoffs)
+    a = full_paths(simulate_training_paths(p, 5, 5))
+    b = full_paths(simulate_training_paths(p, 5, 5))
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
+
+
+@pytest.mark.parametrize("n_dates", [2, 3, 4, 10, 11])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_training_paths_equal_a_full_forward_simulation(d, n_dates):
+    # kept dates, stepped dates and final payoffs: the bits of every date of
+    # every path simulated forward in one batch, path p on point p of each
+    # date's training TRUNK stream
+    p = params(d=d, n_dates=n_dates)
+    model, n, seed = GbmModel(p), 300, 13
+    bundle = simulate_training_paths(p, n, seed)
+    assert bundle.kept.shape == (n, (p.J - 1) // 2, d)
+    states = np.full((n, d), p.y0)
+    for j in range(p.J + 1):
+        if j:
+            words = model.draw(seed, rng.NS_TRAINING, rng.TRUNK, 0, j, n)
+            states = model.step_batch(j, states, model.variates(np.ascontiguousarray(words)))
+        if j < p.J:
+            assert np.array_equal(bundle.states(j), states), j
+    assert np.array_equal(bundle.final, model.payoff_batch(p.J, states))
 
 
 def test_full_path_zero_vol_closed_form():
     p = params(sigma=0.0)
-    bundle = simulate_training_paths(p, 3, 5)
+    assets, payoffs = full_paths(simulate_training_paths(p, 3, 5))
     growth = np.exp((p.r - p.delta) * p.dates)
     for path in range(3):
-        assert np.allclose(bundle.assets[path, :, 0], p.y0 * growth, rtol=1e-12)
+        assert np.allclose(assets[path, :, 0], p.y0 * growth, rtol=1e-12)
         expected = np.exp(-p.r * p.dates) * np.maximum(p.y0 * growth - p.K, 0.0)
-        assert np.allclose(bundle.payoffs[path], expected, rtol=1e-12)
+        assert np.allclose(payoffs[path], expected, rtol=1e-12)
 
 
 def test_stored_payoffs_recomputable():
     p = params()
-    bundle = simulate_training_paths(p, 4, 8)
+    assets, payoffs = full_paths(simulate_training_paths(p, 4, 8))
     for j in range(p.n_dates):
-        assert np.array_equal(bundle.payoffs[:, j], GbmModel(p).payoff_batch(j, bundle.assets[:, j]))
+        assert np.array_equal(payoffs[:, j], GbmModel(p).payoff_batch(j, assets[:, j]))
 
 
 def test_training_batch_matches_per_path_streams():
@@ -108,11 +145,11 @@ def test_training_batch_matches_per_path_streams():
     p = params()
     model = GbmModel(p)
     hold = FixedDateRule(p.J)
-    bundle = simulate_training_paths(p, 7, 21)
+    assets, payoffs = full_paths(simulate_training_paths(p, 7, 21))
     for path in (0, 3, 6):
         _, _, xw, resume, _, _ = _trunk_block(model, hold, hold, 21, rng.NS_TRAINING, path, 1)
-        assert np.array_equal(resume[0], bundle.assets[path, p.J])
-        assert xw[0] == bundle.payoffs[path, p.J]
+        assert np.array_equal(resume[0], assets[path, p.J])
+        assert xw[0] == payoffs[path, p.J]
 
 
 def continuation_payoffs(p, tau, state, R, seed):
@@ -131,10 +168,10 @@ def continuation_payoffs(p, tau, state, R, seed):
 
 def test_continuation_zero_vol_matches_full_path_tail():
     p = params(sigma=0.0, y0=150.0)
-    full = simulate_training_paths(p, 1, 5)
-    pays = continuation_payoffs(p, 4, full.assets[0, 4], 3, seed=5)
-    assert full.payoffs[0, p.J] > 0
-    assert np.allclose(pays, full.payoffs[0, p.J], rtol=1e-12)
+    assets, payoffs = full_paths(simulate_training_paths(p, 1, 5))
+    pays = continuation_payoffs(p, 4, assets[0, 4], 3, seed=5)
+    assert payoffs[0, p.J] > 0
+    assert np.allclose(pays, payoffs[0, p.J], rtol=1e-12)
 
 
 def test_continuations_distinct_across_replications():

@@ -7,7 +7,7 @@ import pytest
 
 from nccmc.nested_cmc import _trunk_block
 from nccmc.process_models import GbmModel, GbmParams, simulate_training_paths
-from nccmc.rng import NS_TESTING
+from nccmc.rng import NS_TESTING, derive_seed
 from nccmc.stopping_rules import (
     CommitteeRule,
     FixedDateRule,
@@ -21,6 +21,7 @@ from nccmc.stopping_rules import (
     train_committee,
     train_tvr,
 )
+from tests.conftest import full_paths
 
 
 def params(**kw):
@@ -113,10 +114,11 @@ def test_decisions_depend_only_on_current_state(small_rule_pair, small_paths, d2
     # a row's decision is the same whatever rows share its batch
     committee = train_committee(small_paths, d2_params, members=9, member_size=80, seed=2)
     gen = np.random.default_rng(17)
+    assets, pays = full_paths(small_paths)
     for rule in (small_rule_pair[0], committee):
         for j in range(d2_params.J):
-            states = small_paths.assets[:300, j]
-            payoffs = small_paths.payoffs[:300, j]
+            states = assets[:300, j]
+            payoffs = pays[:300, j]
             whole = rule.decide_batch(j, states, payoffs)
             perm = gen.permutation(300)
             assert np.array_equal(rule.decide_batch(j, states[perm], payoffs[perm]), whole[perm])
@@ -132,14 +134,15 @@ def test_two_date_fit_predicts_sample_mean():
     p = params(n_dates=2)
     paths = simulate_training_paths(p, 600, 88)
     rule = train_tvr(paths, p)
-    pred = rule.continuation_batch(0, paths.assets[:, 0], paths.payoffs[:, 0])
-    assert np.allclose(pred, paths.payoffs[:, 1].mean(), atol=1e-8)
+    assets, payoffs = full_paths(paths)
+    pred = rule.continuation_batch(0, assets[:, 0], payoffs[:, 0])
+    assert np.allclose(pred, payoffs[:, 1].mean(), atol=1e-8)
 
 
 def test_constant_process_stops_immediately():
     p = params(d=1, y0=120.0, r=0.0, delta=0.0, sigma=0.0, n_dates=4)
     paths = simulate_training_paths(p, 50, 5)
-    assert np.ptp(paths.payoffs) == 0.0  # degenerate by construction
+    assert np.ptp(full_paths(paths)[1]) == 0.0  # degenerate by construction
     rule = train_tvr(paths, p)
     assert np.all(stop_dates(rule, p, 4, seed=6) == 0)
 
@@ -194,10 +197,10 @@ def test_basis_matrix_fills_out_with_the_bits_of_a_fresh_call():
 def test_fit_is_a_least_squares_per_date_in_one_basis_buffer():
     p = params(d=5)
     n, B = 20_000, basis_size(5)
-    paths = simulate_training_paths(p, n, 29)
+    assets, payoffs = full_paths(simulate_training_paths(p, n, 29))
     tracemalloc.start()
     try:
-        coeffs = _fit_backward(paths.assets, paths.payoffs, p.y0)
+        coeffs = _fit_backward(lambda j: assets[:, j], payoffs[:, p.J], GbmModel(p), p.y0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -205,13 +208,51 @@ def test_fit_is_a_least_squares_per_date_in_one_basis_buffer():
     # value vectors (lstsq's own copy is not traced); a fit that builds each
     # date's matrix afresh holds two at once, 2.25
     assert peak < 1.6 * n * B * 8, peak / (n * B * 8)
-    want = np.empty_like(coeffs)
-    value = paths.payoffs[:, p.J]
-    for j in reversed(range(p.J)):
-        A = basis_matrix(paths.assets[:, j], paths.payoffs[:, j], p.y0)
-        want[j] = np.linalg.lstsq(A, value, rcond=1e-10)[0]
-        value = np.maximum(paths.payoffs[:, j], A @ want[j])
-    assert np.array_equal(coeffs, want)
+    assert np.array_equal(coeffs, reference_fit(assets, payoffs, p.y0))
+
+
+def reference_fit(assets, payoffs, y0):
+    """Backward induction by hand: one np.linalg.lstsq per date on full arrays."""
+    J = payoffs.shape[1] - 1
+    coeffs = np.empty((J, basis_size(assets.shape[2])))
+    value = payoffs[:, J]
+    for j in reversed(range(J)):
+        A = basis_matrix(assets[:, j], payoffs[:, j], y0)
+        coeffs[j] = np.linalg.lstsq(A, value, rcond=1e-10)[0]
+        value = np.maximum(payoffs[:, j], A @ coeffs[j])
+    return coeffs
+
+
+@pytest.mark.parametrize("n_dates", [2, 3, 4, 10, 11])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_trained_coefficients_equal_a_per_date_fit_on_the_full_paths(d, n_dates):
+    # the pool keeps every other date and the fits step the rest: the same
+    # coefficients, to the last bit, as a fit on every date of every path
+    p = params(d=d, n_dates=n_dates)
+    paths = simulate_training_paths(p, 400, 61)
+    assets, payoffs = full_paths(paths)
+    assert np.array_equal(train_tvr(paths, p).member_coeffs[0], reference_fit(assets, payoffs, p.y0))
+    committee = train_committee(paths, p, members=3, member_size=150, seed=62)
+    for m in range(3):
+        idx = np.random.default_rng(derive_seed(62, f"committee-member-{m}")).integers(0, 400, size=150)
+        want = reference_fit(assets[idx], payoffs[idx], p.y0)
+        assert np.array_equal(committee.member_coeffs[m], want), m
+
+
+def test_training_holds_half_the_pool_and_one_date():
+    # the pool keeps 4 of the 10 dates' assets, and the fit steps one more
+    # date at a time: measured 0.84 of half the full (n, 10, 5) assets plus
+    # 2.5 basis matrices, where a pool of every date and its payoff table
+    # read 1.09
+    p = params(d=5)
+    n, B = 20_000, basis_size(5)
+    tracemalloc.start()
+    try:
+        train_tvr(simulate_training_paths(p, n, 29), p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * p.n_dates * p.d * 8 / 2 + 2.5 * n * B * 8
 
 
 # --- shift wrapper ---------------------------------------------------------------
@@ -234,11 +275,12 @@ def test_huge_shift_behaves_like_fixed_maturity(small_rule_pair, d2_params):
 
 def batch_taus(rule, bundle):
     """Vectorized first-stop dates along a bundle of full paths."""
-    n, n_dates, _ = bundle.assets.shape
+    assets, payoffs = full_paths(bundle)
+    n, n_dates, _ = assets.shape
     taus = np.full(n, n_dates - 1)
     undecided = np.ones(n, dtype=bool)
     for j in range(n_dates - 1):
-        stop = rule.decide_batch(j, bundle.assets[:, j], bundle.payoffs[:, j])
+        stop = rule.decide_batch(j, assets[:, j], payoffs[:, j])
         taus[undecided & stop] = j
         undecided &= ~stop
     return taus
