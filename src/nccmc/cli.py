@@ -585,7 +585,8 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--seed", type=int, default=None,
                        help="base seed; run.seed_training/run.seed_testing override it")
         q.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: NCCMC_THREADS or 1); never changes results")
+                       help="worker processes (default: NCCMC_THREADS or 1): forked on Linux, "
+                            "inline elsewhere; never changes results")
         q.add_argument("--out", default=".", help="output directory (default: current)")
         q.set_defaults(job=fn)
     return p

@@ -23,20 +23,27 @@ P(differ); it fetches a whole sub-batch's raw words, each trunk's dates
 tau+1..J only, in one batched draw.
 
 Everything is deterministic given (seed, namespace): paths and replications
-are addressed by counter-based streams, partial results land in preallocated
-index-addressed buffers, and reductions run in index order (numpy pairwise
-summation), so the thread count cannot change a single bit of the result:
-every thread count runs the same chunks and sub-batches.  A committee of
-two or more members decides each row as it does in any batch, but a
-one-member rule's threshold is one matrix-vector product per batch, which
-BLAS may round differently with the batch's size and the row's place in
-it; so a payoff within rounding of that threshold could decide differently
-under another chunk size or sub-batching.
+are addressed by counter-based streams, each chunk of CHUNK_SIZE paths
+returns its own arrays, which the caller writes into its N-vectors in chunk
+order, and reductions run in index order (numpy pairwise summation), so the
+thread count cannot change a single bit of the result: every thread count
+runs the same chunks and sub-batches.  ``threads`` is the number of worker
+processes: on Linux the chunks run in workers forked from the caller, which
+inherit the model, the rules and the module constants, so nothing is
+pickled on the way in and only each chunk's arrays come back.  The
+interpreter lock serialises the per-trunk stream switches of stage two, so
+threads would not scale.  Elsewhere (macOS's system BLAS is not fork-safe,
+Windows has no fork) every chunk runs inline, with the same bits.  A
+committee of two or more members decides each row as it does in any batch,
+but a one-member rule's threshold is one matrix-vector product per batch,
+which BLAS may round differently with the batch's size and the row's place
+in it; so a payoff within rounding of that threshold could decide
+differently under another chunk size or sub-batching.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,8 +62,9 @@ CHUNK_SIZE = 16384
 # state, plus one state of headroom: rng converts raw words in small blocks,
 # holding no copy of them) plus LANE_WORDS for the lane's own arrays
 # (payoffs, noise index, dates, flags, temporaries).  Fixed: results must
-# not depend on them.  Each thread holds its own sub-batch, so at two
-# threads a larger budget would set a run's peak above its training's.
+# not depend on them.  Each worker process holds its own sub-batch, and a
+# caller with workers holds none, so a larger budget raises every worker's
+# peak.
 NOISE_BUDGET = 9 * 2**18
 LANE_WORDS = 14
 
@@ -226,18 +234,48 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
     return means, variances, steps, evals
 
 
-def _run_chunked(task, N: int, threads: int):
-    """Run task(start, size) for every chunk of CHUNK_SIZE paths, in parallel if asked.
+# The task of this worker process, set by _set_task when the pool forks it.
+_task = None
 
-    Results are collected by chunk index, so the reduction that follows is
-    identical for any thread count.
+
+def _set_task(task):
+    global _task
+    _task = task
+
+
+def _call_task(start: int, n: int):
+    return _task(start, n)
+
+
+def _run_chunked(task, N: int, threads: int):
+    """Yield (start, task(start, size)) for every chunk of CHUNK_SIZE paths, in chunk order.
+
+    With threads > 1 and more than one chunk, on Linux, the chunks run in
+    min(threads, chunks) worker processes forked from the caller: each
+    worker inherits ``task`` (and through it the model, the rules and the
+    module constants) and returns only its chunks' results.  Otherwise they
+    run inline.  Either way the same chunks run and their results arrive
+    in chunk order, so the reduction that follows is identical for any
+    thread count.
     """
     jobs = [(s, min(CHUNK_SIZE, N - s)) for s in range(0, N, CHUNK_SIZE)]
-    if threads <= 1:
-        # inline: a one-worker pool raised a benchmark job's peak RSS up to 20 %, likely by its own malloc arena
-        return [task(s, n) for s, n in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(task, *zip(*jobs)))
+    workers = min(threads, len(jobs))
+    if workers <= 1 or sys.platform != "linux":
+        # inline: one worker would only add a fork and a copy of every
+        # result, and off Linux fork is missing (Windows) or unsafe under
+        # the system BLAS (macOS)
+        for s, n in jobs:
+            yield s, task(s, n)
+        return
+    # imported here, so that a run without workers never holds these
+    # modules (0.8 MB resident)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a fork pool starts all its workers at once, so never more than chunks
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_task, initargs=(task,)) as pool:
+        yield from zip((s for s, _ in jobs), pool.map(_call_task, *zip(*jobs)))
 
 
 def _mean_var(x: np.ndarray) -> tuple[float, float]:
@@ -265,19 +303,21 @@ def estimate(model, ruleA, ruleB, N: int, R: int, seed: int, threads: int = 1) -
     if R < 1:
         raise ValueError("R must be >= 1")
 
-    means = np.empty(N)
-    variances = np.empty(N)
-
     def task(start: int, n: int):
         tau, sign, xw, resume, t_steps, t_evals = _trunk_block(
             model, ruleA, ruleB, seed, NS_TESTING, start, n)
         m, v, s_steps, s_evals = _sub_block(
             model, ruleA, ruleB, seed, NS_TESTING, start, tau, sign, xw, resume, R)
-        means[start:start + n] = m
-        variances[start:start + n] = v
-        return t_steps, t_evals, s_steps, s_evals, np.count_nonzero(sign)
+        return m, v, (t_steps, t_evals, s_steps, s_evals, np.count_nonzero(sign))
 
-    t_steps, t_evals, s_steps, s_evals, differ = map(sum, zip(*_run_chunked(task, N, threads)))
+    means = np.empty(N)
+    variances = np.empty(N)
+    counts = []
+    for start, (m, v, c) in _run_chunked(task, N, threads):
+        means[start:start + m.size] = m
+        variances[start:start + v.size] = v
+        counts.append(c)
+    t_steps, t_evals, s_steps, s_evals, differ = map(sum, zip(*counts))
     work_trunk = WorkMeter(t_steps, t_evals)
     work_sub = WorkMeter(s_steps, s_evals)
 
@@ -306,14 +346,17 @@ def estimate_value(model, rule, N: int, seed: int, threads: int = 1) -> ValueEst
     if N < 2:
         raise ValueError("N must be >= 2")
     hold = FixedDateRule(model.J)
-    values = np.empty(N)
 
     def task(start: int, n: int):
         _, _, x_wedge, _, steps, evals = _trunk_block(model, rule, hold, seed, NS_TESTING, start, n)
-        values[start:start + n] = x_wedge
-        return steps, evals
+        return x_wedge, steps, evals
 
-    work = WorkMeter(*map(sum, zip(*_run_chunked(task, N, threads))))
+    values = np.empty(N)
+    steps = evals = 0
+    for start, (x_wedge, s, e) in _run_chunked(task, N, threads):
+        values[start:start + x_wedge.size] = x_wedge
+        steps, evals = steps + s, evals + e
+    work = WorkMeter(steps, evals)
     mean, var_hat = _mean_var(values)
     return ValueEstimate(mean=mean, var_hat=var_hat,
                          stderr=float(np.sqrt(var_hat / N)), N=N, work=work)

@@ -157,14 +157,11 @@ def raw_words(seed: int, namespace: int, stream_class: int, index, date: int, n_
         raise ValueError("negative point range")
     words = words_per_point(width)
     cpp = words // _WORDS_PER_COUNTER
-    out = np.empty(int(counts.sum()) * words, dtype=np.uint64)
     bg, state = _philox()
     key, counter = state["state"]["key"], state["state"]["counter"]
     key[0] = int(seed) & _MASK64
-    at = 0
-    for packed, n, first in zip(keys[:, 1].tolist(), counts.tolist(), starts.tolist()):
-        if n == 0:
-            continue
+
+    def draw(packed: int, n: int, first: int) -> np.ndarray:
         # first < 2^64 (an integer array entry), so the counter fits its two
         # low words and the high two stay at the cached zeros
         c = first * cpp
@@ -172,8 +169,19 @@ def raw_words(seed: int, namespace: int, stream_class: int, index, date: int, n_
         counter[0] = c & _MASK64
         counter[1] = c >> 64
         bg.state = state
-        out[at:at + n * words] = bg.random_raw(n * words)
-        at += n * words
+        return bg.random_raw(n * words)
+
+    requests = zip(keys[:, 1].tolist(), counts.tolist(), starts.tolist())
+    if counts.size == 1:
+        # one request: Philox's own buffer, no copy
+        out = draw(*next(requests))
+    else:
+        out = np.empty(int(counts.sum()) * words, dtype=np.uint64)
+        at = 0
+        for packed, n, first in requests:
+            if n:
+                out[at:at + n * words] = draw(packed, n, first)
+                at += n * words
     return out.reshape(-1, words)[:, :width]
 
 

@@ -1,7 +1,12 @@
 """Two-stage engine: the lane kernel under both stages, variance accounting."""
 
+import concurrent.futures
 import dataclasses
+import multiprocessing
+import os
+import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -420,6 +425,106 @@ def test_value_estimator_threads_stable(tree1):
     a = estimate_value(tree1, FixedDateRule(1), 30_000, seed=2, threads=1)
     b = estimate_value(tree1, FixedDateRule(1), 30_000, seed=2, threads=4)
     assert a == b
+
+
+# --- worker processes ---------------------------------------------------------------------
+
+on_linux = pytest.mark.skipif(sys.platform != "linux", reason="worker processes are forked on Linux only")
+
+
+class RecordingPool(ProcessPoolExecutor):
+    """A real fork pool that records the workers each call asks for."""
+
+    asked: list = []
+
+    def __init__(self, max_workers, **kwargs):
+        RecordingPool.asked.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+
+@on_linux
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_processes_keep_the_bits(monkeypatch, workers, tree2, tree2_rules, d2_params,
+                                        small_rule_pair):
+    # 3,500 paths in chunks of 1000: four chunks, so `workers` processes run them
+    monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", 1000)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "asked", [])
+    for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
+        want = (estimate(model, A, B, 3500, 3, seed=31), estimate_value(model, A, 3500, seed=32))
+        got = (estimate(model, A, B, 3500, 3, seed=31, threads=workers),
+               estimate_value(model, A, 3500, seed=32, threads=workers))
+        assert got == want
+        assert multiprocessing.active_children() == []
+    assert RecordingPool.asked == [workers] * 4
+
+
+class FailsInWorker(FixedDateRule):
+    """Stops at date 1, and raises when asked in any process but its maker's."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.maker = os.getpid()
+
+    def decide_batch(self, j, states, payoffs):
+        if os.getpid() != self.maker:
+            raise ValueError(f"asked at date {j} in a worker")
+        return super().decide_batch(j, states, payoffs)
+
+
+@on_linux
+def test_an_error_in_a_worker_reaches_the_caller(monkeypatch, tree2):
+    monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", 1000)
+    rule = FailsInWorker()
+    assert estimate(tree2, rule, FixedDateRule(2), 3500, 2, seed=1).N == 3500  # inline, no error
+    with pytest.raises(ValueError, match=r"^asked at date 0 in a worker$"):
+        estimate(tree2, rule, FixedDateRule(2), 3500, 2, seed=1, threads=2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError, match=r"^asked at date 0 in a worker$"):
+        estimate_value(tree2, rule, 3500, seed=1, threads=3)
+    assert multiprocessing.active_children() == []
+
+
+class InlinePool:
+    """Stands in for the fork pool: records the workers asked for and runs inline."""
+
+    asked: list = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        InlinePool.asked.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("platform,threads,N,asked", [
+    ("linux", 1, 3500, []),          # one thread: inline
+    ("linux", 8, 1000, []),          # one chunk: inline
+    ("linux", 2, 3500, [2, 2]),
+    ("linux", 8, 3500, [4, 4]),      # never more workers than chunks
+    ("linux", 8, 2001, [3, 3]),
+    ("darwin", 8, 3500, []),         # no worker processes off Linux
+    ("win32", 8, 3500, []),
+])
+def test_workers_never_outnumber_chunks(monkeypatch, platform, threads, N, asked, tree2, tree2_rules):
+    monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", 1000)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "asked", [])
+    monkeypatch.setattr(nested_cmc, "_task", None)
+    monkeypatch.setattr(nested_cmc.sys, "platform", platform)
+    A, B = tree2_rules
+    got = (estimate(tree2, A, B, N, 2, seed=5, threads=threads),
+           estimate_value(tree2, A, N, seed=6, threads=threads))
+    assert InlinePool.asked == asked
+    monkeypatch.setattr(nested_cmc.sys, "platform", "linux")
+    assert got == (estimate(tree2, A, B, N, 2, seed=5), estimate_value(tree2, A, N, seed=6))
 
 
 # --- pilot ------------------------------------------------------------------------------

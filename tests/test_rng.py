@@ -218,6 +218,23 @@ def test_conversion_in_place_holds_no_copy_of_its_input(width):
     assert peak < 2**21 * 8 / 10, peak
 
 
+def test_one_request_holds_its_words_once():
+    # 16,384 width-5 points own two counters each: one request returns
+    # Philox's own buffer of 8 words a point, where a copy would peak at twice that
+    n, width = 16384, 5
+    tracemalloc.start()
+    try:
+        one = rng.raw_words(3, rng.NS_TESTING, rng.SUB, 7, 0, n, width, first_point=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * n * rng.words_per_point(width) * 8, peak
+    # the same points, taken from a batched call whose second request holds them
+    batch = rng.raw_words(3, rng.NS_TESTING, rng.SUB, np.array([2, 7]), 0, np.array([5, n + 20]),
+                          width, first_point=np.array([0, 0]))
+    assert np.array_equal(one, batch[5 + 11:5 + 11 + n])
+
+
 def test_counter_past_two_to_the_64_keeps_its_high_words():
     # width 9 owns 3 counters a point, so this first point's counter is about
     # 2^64.6: it carries into the counter's second word
