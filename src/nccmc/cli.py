@@ -234,11 +234,11 @@ def _build_gbm_rule(r: ConfigReader, side: str, params: GbmParams, rs: RunSettin
     # shared derivation tag: rules trained from the same seed share noise
     seed = rng.derive_seed(rs.seed_training, "train")
     if kind == "tvr":
-        fit = lambda paths: train_tvr(paths, train_params)
+        fit = train_tvr
     elif kind == "committee":
         members = r.int(pre + "members", 100, 1)
         member_size = r.int(pre + "member_size", 4000, basis)
-        fit = lambda paths: train_committee(paths, train_params, members, member_size, seed)
+        fit = lambda paths: train_committee(paths, members, member_size, seed)
     elif kind == "fixed":
         if epsilon != 0.0:
             raise ConfigError(f"config key {pre}epsilon applies to tvr and committee rules, not fixed")

@@ -158,7 +158,7 @@ def param_uncertainty_study(cfg: ExperimentConfig) -> list[Table1Row]:
         raise ValueError("sigma_hats must be nonempty")
     p = cfg.params
     model = GbmModel(p)
-    ruleA = train_tvr(simulate_training_paths(p, cfg.training_paths, cfg.seed_training), p)
+    ruleA = train_tvr(simulate_training_paths(p, cfg.training_paths, cfg.seed_training))
     val = estimate_value(
         model, ruleA, cfg.testing_paths,
         rng.derive_seed(cfg.seed_testing, "study-value"), threads=cfg.threads,
@@ -166,8 +166,7 @@ def param_uncertainty_study(cfg: ExperimentConfig) -> list[Table1Row]:
 
     rows: list[Table1Row] = []
     for i, sh in enumerate(cfg.sigma_hats):
-        ph = replace(p, sigma=sh)
-        ruleB = train_tvr(simulate_training_paths(ph, cfg.training_paths, cfg.seed_training), ph)
+        ruleB = train_tvr(simulate_training_paths(replace(p, sigma=sh), cfg.training_paths, cfg.seed_training))
         cal, R_used, rep, N = calibrate(model, ruleA, ruleB, cfg, f"study-pilot-{i}")
         est = estimate(
             model, ruleA, ruleB, N, R_used,
@@ -303,8 +302,8 @@ def qcv_estimate(cfg: ExperimentConfig) -> QcvReport:
         raise ValueError("qcv_estimate needs a work budget")
     p = cfg.params
     pool = simulate_training_paths(p, cfg.training_paths, cfg.seed_training)
-    ruleB = train_tvr(pool, p)
-    ruleA = train_committee(pool, p, cfg.committee_members, cfg.member_size, cfg.seed_training)
+    ruleB = train_tvr(pool)
+    ruleA = train_committee(pool, cfg.committee_members, cfg.member_size, cfg.seed_training)
     del pool  # no estimator run needs the training paths
     ((cal, R, rep, _),), plain, nested, simple = _telescope(
         cfg, GbmModel(p), [ruleB, ruleA], _QCV_TAGS)
@@ -399,7 +398,7 @@ def multilevel_estimate(cfg: ExperimentConfig) -> MultilevelReport:
         raise ValueError("ladder must be nonempty")
     p = cfg.params
     pool = simulate_training_paths(p, cfg.training_paths, cfg.seed_training)
-    committee = train_committee(pool, p, cfg.ladder[-1], cfg.member_size, cfg.seed_training)
+    committee = train_committee(pool, cfg.ladder[-1], cfg.member_size, cfg.seed_training)
     del pool  # no estimator run needs the training paths
     cals, plain, nested, direct = _telescope(
         cfg, GbmModel(p), [committee.prefix(k) for k in cfg.ladder], _ML_TAGS)

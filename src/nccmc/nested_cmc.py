@@ -33,12 +33,7 @@ inherit the model, the rules and the module constants, so nothing is
 pickled on the way in and only each chunk's arrays come back.  The
 interpreter lock serialises the per-trunk stream switches of stage two, so
 threads would not scale.  Elsewhere (macOS's system BLAS is not fork-safe,
-Windows has no fork) every chunk runs inline, with the same bits.  A
-committee of two or more members decides each row as it does in any batch,
-but a one-member rule's threshold is one matrix-vector product per batch,
-which BLAS may round differently with the batch's size and the row's place
-in it; so a payoff within rounding of that threshold could decide
-differently under another chunk size or sub-batching.
+Windows has no fork) every chunk runs inline, with the same bits.
 """
 
 from __future__ import annotations
@@ -302,6 +297,8 @@ def estimate(model, ruleA, ruleB, N: int, R: int, seed: int, threads: int = 1) -
         raise ValueError("N must be >= 2")
     if R < 1:
         raise ValueError("R must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
 
     def task(start: int, n: int):
         tau, sign, xw, resume, t_steps, t_evals = _trunk_block(
@@ -345,6 +342,8 @@ def estimate_value(model, rule, N: int, seed: int, threads: int = 1) -> ValueEst
     """
     if N < 2:
         raise ValueError("N must be >= 2")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     hold = FixedDateRule(model.J)
 
     def task(start: int, n: int):

@@ -34,7 +34,7 @@ class and date), and return the requests' rows concatenated in request
 order.  Stage two fetches a whole sub-batch of trunks this way in one call:
 the per-request loop only re-keys one cached generator and fills one raw
 buffer.  ``to_uniforms`` and ``to_normals`` convert raw words to variates in
-place, in numpy passes over row blocks that release the GIL; ``uniforms`` and
+place, in row blocks that bound numpy's cast copy; ``uniforms`` and
 ``normals`` are those conversions of ``raw_words``.  A point's words do not
 depend on how points are grouped, so the engine draws raw words and
 converts only the rows of the lanes it steps.

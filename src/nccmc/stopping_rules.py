@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .process_models import GbmModel, GbmParams, TrainingPaths, TreeModel
+from .process_models import GbmModel, TrainingPaths, TreeModel
 from .rng import derive_seed
 
 
@@ -171,9 +171,11 @@ class CommitteeRule:
     the end (a count of exactly k in an even committee), and rows whose
     predictions might not be finite or might overflow when two are
     averaged, take the exact median.  Decisions equal the median rule's bit
-    for bit, and a row decides alone as it does in any batch: every member
-    prediction, counted or for the exact median, is made by ``_predict``,
-    the one place that knows how BLAS rounds a lone row or member.
+    for bit, and a row decides alone as it does in any batch.  With two or
+    more members, every prediction, counted or for the exact median, is made
+    by ``_predict``, the one place that knows how BLAS rounds a lone row or
+    member.  One member's threshold is numpy's own ``einsum`` loop over a
+    row-major basis: a sum per row that no batch changes.
 
     Before any count, a spread band settles most rows.  For each date the
     rule stores a centre c0, the coordinate-wise median of the members'
@@ -222,7 +224,7 @@ class CommitteeRule:
         self.d = int(d)
         self.shift = _finite_shift(shift)
         self.eval_cost = member_coeffs.shape[0]
-        # built once, so threads share them read-only; a shift copy shares them too
+        # built once: forked workers inherit them, and a shift copy shares them
         k = self.members // 2
         self._bands = [_spread_band(c, k) for c in member_coeffs.swapaxes(0, 1)] if k else None
 
@@ -239,7 +241,8 @@ class CommitteeRule:
         """The stop threshold of each row: median prediction plus the shift."""
         A = basis_matrix(states, payoffs, self.y0)
         if self.members == 1:
-            thr = A @ self.member_coeffs[0, j]
+            # numpy's own loop, not BLAS: a row rounds the same in any batch
+            thr = np.einsum("ij,j->i", A, self.member_coeffs[0, j])
         else:
             thr = np.median(_predict(A, self.member_coeffs[:, j, :]), axis=1)
         return thr + self.shift if self.shift else thr
@@ -364,7 +367,7 @@ def shift_rule(rule, epsilon: float):
     return shifted
 
 
-def _fit_backward(states, final: np.ndarray, model: GbmModel, y0: float) -> np.ndarray:
+def _fit_backward(states, final: np.ndarray, model: GbmModel) -> np.ndarray:
     """(J, B) coefficients by backward induction, one date at a time from J - 1
     down: states(j) gives the fitted rows' date-j states, final their date-J payoffs."""
     n, B = len(final), basis_size(model.params.d)
@@ -376,7 +379,7 @@ def _fit_backward(states, final: np.ndarray, model: GbmModel, y0: float) -> np.n
     for j in range(model.J - 1, -1, -1):
         assets = states(j)
         pay = model.payoff_batch(j, assets)
-        basis_matrix(assets, pay, y0, out=A)
+        basis_matrix(assets, pay, model.params.y0, out=A)
         # freed before lstsq copies A, a stepped date leaves glibc no heap to keep
         del assets
         # rcond guards rank-deficient designs (e.g. degenerate volatility):
@@ -388,39 +391,37 @@ def _fit_backward(states, final: np.ndarray, model: GbmModel, y0: float) -> np.n
     return coeffs
 
 
-def train_tvr(paths: TrainingPaths, params: GbmParams) -> RegressionRule:
+def train_tvr(paths: TrainingPaths) -> RegressionRule:
     """Fit a value-iteration regression rule on simulated paths.
 
     Backward induction from maturity: the date-j value is the pointwise max
     of the payoff and the basis projection of the date-(j+1) value, fitted
     over every path.  Returns the rule that stops when payoff >= projection.
+    The pool's model supplies y0, d and J: a rule learns the model its paths
+    were simulated under.
     """
-    coeffs = _fit_backward(paths.states, paths.final, paths.model, params.y0)
-    return RegressionRule(coeffs, params.y0, params.d)
+    p = paths.model.params
+    return RegressionRule(_fit_backward(paths.states, paths.final, paths.model), p.y0, p.d)
 
 
-def train_committee(
-    paths: TrainingPaths,
-    params: GbmParams,
-    members: int,
-    member_size: int,
-    seed: int,
-) -> CommitteeRule:
+def train_committee(paths: TrainingPaths, members: int, member_size: int, seed: int) -> CommitteeRule:
     """Bag value-iteration regression over bootstrap resamples of the paths.
 
     Each member is fitted on member_size paths drawn with replacement from
     the pool; resampling is driven by a seed derived per member, so a larger
     committee extends a smaller one trained from the same seed.  The pool's
-    unkept dates are stepped once, for every member.
+    unkept dates are stepped once, for every member.  As in ``train_tvr``,
+    the pool's model supplies y0, d and J.
     """
+    p = paths.model.params
     if members < 1:
         raise ValueError("members must be >= 1")
-    if member_size < basis_size(params.d):
+    if member_size < basis_size(p.d):
         raise ValueError("member_size smaller than the regression basis")
-    coeffs = np.empty((members, params.J, basis_size(params.d)))
-    states = [paths.states(j) for j in range(params.J)]
+    coeffs = np.empty((members, p.J, basis_size(p.d)))
+    states = [paths.states(j) for j in range(p.J)]
     for m in range(members):
         gen = np.random.default_rng(derive_seed(seed, f"committee-member-{m}"))
         idx = gen.integers(0, paths.n, size=member_size)
-        coeffs[m] = _fit_backward(lambda j: states[j][idx], paths.final[idx], paths.model, params.y0)
-    return CommitteeRule(coeffs, params.y0, params.d)
+        coeffs[m] = _fit_backward(lambda j: states[j][idx], paths.final[idx], paths.model)
+    return CommitteeRule(coeffs, p.y0, p.d)

@@ -37,7 +37,7 @@ def small_rule_pair(d2_params):
     paths = simulate_training_paths(d2_params, 4000, 1234)
     perturbed = replace(d2_params, sigma=0.23)
     paths_hat = simulate_training_paths(perturbed, 4000, 1234)
-    return train_tvr(paths, d2_params), train_tvr(paths_hat, perturbed)
+    return train_tvr(paths), train_tvr(paths_hat)
 
 
 @pytest.fixture(scope="session")

@@ -285,7 +285,7 @@ def test_halving_the_noise_budget_keeps_the_bits(monkeypatch, d2_params, small_r
     # two where 9 * 2**19 do not: a regression pair at d = 2, and a d = 5
     # regression rule against holding to date 9, cli_premium's pairing
     d5 = dataclasses.replace(d2_params, d=5)
-    rule5 = train_tvr(simulate_training_paths(d5, 4000, 1234), d5)
+    rule5 = train_tvr(simulate_training_paths(d5, 4000, 1234))
     problems = ((GbmModel(d2_params), *small_rule_pair, 40), (GbmModel(d5), rule5, FixedDateRule(9), 10))
     kernel_runs = []
     run_lanes = nested_cmc._run_lanes
@@ -313,7 +313,7 @@ def test_swapping_the_rules_negates_the_estimate(tree2, tree2_rules, d2_params, 
     # S and the survivor swap with the rules: every replication value
     # changes sign, so the estimate does and nothing else moves
     gbm = GbmModel(d2_params)
-    committee = train_committee(small_paths, d2_params, members=8, member_size=300, seed=3)
+    committee = train_committee(small_paths, members=8, member_size=300, seed=3)
     problems = ((tree2, *tree2_rules, 3), (gbm, small_rule_pair[0], committee, 4),
                 (gbm, *small_rule_pair, 1), (gbm, small_rule_pair[1], FixedDateRule(9), 4))
     for model, A, B, R in problems:
@@ -402,6 +402,11 @@ def test_estimate_validates_sizes(tree2, tree2_rules):
         estimate(tree2, A, B, 10, 0, seed=1)
     with pytest.raises(ValueError, match="N must be >= 2"):
         estimate_value(tree2, A, 1, seed=1)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            estimate(tree2, A, B, 10, 4, seed=1, threads=threads)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            estimate_value(tree2, A, 10, seed=1, threads=threads)
 
 
 def test_estimate_unbiased_on_tree(tree2, tree2_rules):
@@ -593,3 +598,6 @@ def test_pilot_validates_sizes(tree2, tree2_rules):
         pilot(tree2, A, B, 99, 8, seed=1)
     with pytest.raises(ValueError):
         pilot(tree2, A, B, 500, 1, seed=1)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            pilot(tree2, A, B, 500, 8, seed=1, threads=threads)
