@@ -24,13 +24,14 @@ tau+1..J only, in one batched draw.
 
 Everything is deterministic given (seed, namespace): paths and replications
 are addressed by counter-based streams, each chunk of CHUNK_SIZE paths
-returns its own arrays, which the caller writes into its N-vectors in chunk
-order, and reductions run in index order (numpy pairwise summation), so the
+returns its own arrays and counts, which ``_run_chunked``, the one place
+that merges chunks, writes into N-vectors and sums in chunk order, and
+reductions run in index order (numpy pairwise summation), so the
 thread count cannot change a single bit of the result: every thread count
 runs the same chunks and sub-batches.  ``threads`` is the number of worker
 processes: on Linux the chunks run in workers forked from the caller, which
 inherit the model, the rules and the module constants, so nothing is
-pickled on the way in and only each chunk's arrays come back.  The
+pickled on the way in and only each chunk's results come back.  The
 interpreter lock serialises the per-trunk stream switches of stage two, so
 threads would not scale.  Elsewhere (macOS's system BLAS is not fork-safe,
 Windows has no fork) every chunk runs inline, with the same bits.
@@ -38,6 +39,7 @@ Windows has no fork) every chunk runs inline, with the same bits.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -243,34 +245,49 @@ def _call_task(start: int, n: int):
 
 
 def _run_chunked(task, N: int, threads: int):
-    """Yield (start, task(start, size)) for every chunk of CHUNK_SIZE paths, in chunk order.
+    """Run task(start, size) on every chunk of CHUNK_SIZE of N paths and merge the results.
 
-    With threads > 1 and more than one chunk, on Linux, the chunks run in
+    N must be at least 2 and threads at least 1.  Each task returns
+    (arrays, counts): the chunk's rows of some N-vectors and some integer
+    counts.  Returns (vectors, totals): each array written at its chunk's
+    start, and each count summed in chunk order.  With
+    threads > 1 and more than one chunk, on Linux, the chunks run in
     min(threads, chunks) worker processes forked from the caller: each
     worker inherits ``task`` (and through it the model, the rules and the
     module constants) and returns only its chunks' results.  Otherwise they
-    run inline.  Either way the same chunks run and their results arrive
-    in chunk order, so the reduction that follows is identical for any
-    thread count.
+    run inline.  Either way the same chunks run and merge in chunk order,
+    so the result is identical for any thread count.
     """
-    jobs = [(s, min(CHUNK_SIZE, N - s)) for s in range(0, N, CHUNK_SIZE)]
-    workers = min(threads, len(jobs))
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    starts = range(0, N, CHUNK_SIZE)
+    sizes = [min(CHUNK_SIZE, N - s) for s in starts]
+    workers = min(threads, len(sizes))
     if workers <= 1 or sys.platform != "linux":
         # inline: one worker would only add a fork and a copy of every
         # result, and off Linux fork is missing (Windows) or unsafe under
         # the system BLAS (macOS)
-        for s, n in jobs:
-            yield s, task(s, n)
-        return
-    # imported here, so that a run without workers never holds these
-    # modules (0.8 MB resident)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        pool = contextlib.nullcontext()
+    else:
+        # imported here, so that a run without workers never holds these
+        # modules (0.8 MB resident)
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    # a fork pool starts all its workers at once, so never more than chunks
-    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_set_task, initargs=(task,)) as pool:
-        yield from zip((s for s, _ in jobs), pool.map(_call_task, *zip(*jobs)))
+        # a fork pool starts all its workers at once, so never more than chunks
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_set_task, initargs=(task,))
+    vectors, counts = [], []
+    with pool as executor:
+        results = executor.map(_call_task, starts, sizes) if executor else map(task, starts, sizes)
+        for start, (arrays, chunk_counts) in zip(starts, results):
+            vectors = vectors or [np.empty(N, dtype=a.dtype) for a in arrays]
+            for vec, a in zip(vectors, arrays):
+                vec[start:start + a.size] = a
+            counts.append(chunk_counts)
+    return vectors, [sum(c) for c in zip(*counts)]
 
 
 def _mean_var(x: np.ndarray) -> tuple[float, float]:
@@ -293,28 +310,17 @@ def estimate(model, ruleA, ruleB, N: int, R: int, seed: int, threads: int = 1) -
     minus v2_hat/R, floored at zero.  Deterministic for fixed seed whatever
     the thread count.
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
     if R < 1:
         raise ValueError("R must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
 
     def task(start: int, n: int):
         tau, sign, xw, resume, t_steps, t_evals = _trunk_block(
             model, ruleA, ruleB, seed, NS_TESTING, start, n)
         m, v, s_steps, s_evals = _sub_block(
             model, ruleA, ruleB, seed, NS_TESTING, start, tau, sign, xw, resume, R)
-        return m, v, (t_steps, t_evals, s_steps, s_evals, np.count_nonzero(sign))
+        return (m, v), (t_steps, t_evals, s_steps, s_evals, np.count_nonzero(sign))
 
-    means = np.empty(N)
-    variances = np.empty(N)
-    counts = []
-    for start, (m, v, c) in _run_chunked(task, N, threads):
-        means[start:start + m.size] = m
-        variances[start:start + v.size] = v
-        counts.append(c)
-    t_steps, t_evals, s_steps, s_evals, differ = map(sum, zip(*counts))
+    (means, variances), (t_steps, t_evals, s_steps, s_evals, differ) = _run_chunked(task, N, threads)
     work_trunk = WorkMeter(t_steps, t_evals)
     work_sub = WorkMeter(s_steps, s_evals)
 
@@ -340,21 +346,13 @@ def estimate_value(model, rule, N: int, seed: int, threads: int = 1) -> ValueEst
     and never stops first, so each path's x_wedge is its payoff at the
     rule's stopping date.
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     hold = FixedDateRule(model.J)
 
     def task(start: int, n: int):
         _, _, x_wedge, _, steps, evals = _trunk_block(model, rule, hold, seed, NS_TESTING, start, n)
-        return x_wedge, steps, evals
+        return (x_wedge,), (steps, evals)
 
-    values = np.empty(N)
-    steps = evals = 0
-    for start, (x_wedge, s, e) in _run_chunked(task, N, threads):
-        values[start:start + x_wedge.size] = x_wedge
-        steps, evals = steps + s, evals + e
+    (values,), (steps, evals) = _run_chunked(task, N, threads)
     work = WorkMeter(steps, evals)
     mean, var_hat = _mean_var(values)
     return ValueEstimate(mean=mean, var_hat=var_hat,

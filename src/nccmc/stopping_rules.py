@@ -95,8 +95,9 @@ def _stop_mask(pay: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     return stop
 
 
-# Members per prediction block of a committee decision.  Counts are integer
-# sums, so the block size changes memory and speed, never a decision.
+# Most members per prediction block of a committee decision; the blocks are
+# even.  Counts are integer sums, so the block size changes memory and speed,
+# never a decision.
 _MEMBER_BLOCK = 64
 
 # Rows whose predictions may exceed half the largest double go to the exact
@@ -106,19 +107,17 @@ _PRED_LIMIT = np.finfo(float).max / 4
 
 
 def _predict(A: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
-    """A @ coeffs.T, every entry rounded as in a product of two or more rows and members.
+    """A @ coeffs.T for two or more members, every entry rounded as in a product of two or more rows.
 
     This is the one place that knows the kernel fact: BLAS multiplies a lone
-    row or a lone member with its matrix-vector kernel, which rounds
-    differently from the matrix-matrix kernel of any larger product.  So a
-    lone row or member is doubled before the product and sliced back after.
+    row with its matrix-vector kernel, which rounds differently from the
+    matrix-matrix kernel of any larger product.  So a lone row is doubled
+    before the product and sliced back after; any other product is written
+    into ``out`` when given.
     """
-    out = np.empty((len(A), len(coeffs))) if out is None else out
-    r, c = 1 + (len(A) == 1), 1 + (len(coeffs) == 1)
-    if r == c == 1:
-        return np.matmul(A, coeffs.T, out=out)
-    out[...] = (np.repeat(A, r, axis=0) @ np.repeat(coeffs, c, axis=0).T)[::r, ::c]
-    return out
+    if len(A) == 1:
+        return (np.repeat(A, 2, axis=0) @ coeffs.T)[:1]
+    return np.matmul(A, coeffs.T, out=out)
 
 
 def _finite_shift(shift: float) -> float:
@@ -159,7 +158,8 @@ class CommitteeRule:
     storage, which the multilevel estimator relies on for coupling.
 
     One member's prediction is its own median.  More members are counted,
-    not sorted: per block of members, each open row tallies the shifted
+    not sorted: the members split into ceil(M / 64) even blocks, so none
+    holds a lone member, and per block each open row tallies the shifted
     predictions at or below its payoff, and the rows whose payoff is not
     positive, kept as a prefix of the open rows, also tally those below
     zero.  With k = M // 2, more than k predictions at or below the payoff
@@ -173,8 +173,8 @@ class CommitteeRule:
     averaged, take the exact median.  Decisions equal the median rule's bit
     for bit, and a row decides alone as it does in any batch.  With two or
     more members, every prediction, counted or for the exact median, is made
-    by ``_predict``, the one place that knows how BLAS rounds a lone row or
-    member.  One member's threshold is numpy's own ``einsum`` loop over a
+    by ``_predict``, the one place that knows how BLAS rounds a lone row.
+    One member's threshold is numpy's own ``einsum`` loop over a
     row-major basis: a sum per row that no batch changes.
 
     Before any count, a spread band settles most rows.  For each date the
@@ -248,7 +248,11 @@ class CommitteeRule:
         return thr + self.shift if self.shift else thr
 
     def _band_settles(self, j: int, A: np.ndarray, pay: np.ndarray, scale: np.ndarray):
-        """(stops, continues): the rows date j's band settles, none whose scale exceeds _PRED_LIMIT."""
+        """(stops, continues): the rows date j's band settles.
+
+        Rows whose scale exceeds _PRED_LIMIT may come out either way: the
+        caller decides them by the exact median.
+        """
         if self._bands[j] is None:
             return np.zeros(len(pay), dtype=bool), np.zeros(len(pay), dtype=bool)
         c0, Wh, r, rho = self._bands[j]
@@ -257,9 +261,8 @@ class CommitteeRule:
             centre = A @ c0 + self.shift  # + 0.0 only turns -0.0 into 0.0, which compares the same
             half = np.sqrt(np.square(A @ Wh).sum(axis=1)) * r + np.abs(A).max(axis=1) * rho
             half = half * (1 + tol) + tol * (scale + abs(self.shift))
-            sure = scale <= _PRED_LIMIT
-            stops = sure & (pay > 0.0) & (pay - centre > half)
-            goes = sure & ((centre - pay > half) | (~(pay > 0.0) & (centre + half < 0.0)))
+            stops = (pay > 0.0) & (pay - centre > half)
+            goes = (centre - pay > half) | (~(pay > 0.0) & (centre + half < 0.0))
         return stops, goes
 
     def decide_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
@@ -282,12 +285,13 @@ class CommitteeRule:
         A, col = A[idx], pay[idx, None]
         le = np.zeros(len(idx), dtype=np.intp)
         neg = np.zeros(z, dtype=np.intp)
-        width = min(self.members, _MEMBER_BLOCK)
-        pbuf = np.empty(len(idx) * width)
-        cbuf = np.empty(len(idx) * width, dtype=bool)
+        # even blocks of at most _MEMBER_BLOCK members: none holds a lone member
+        blocks = np.array_split(coeffs, -(-self.members // _MEMBER_BLOCK))
+        pbuf = np.empty(len(idx) * len(blocks[0]))
+        cbuf = np.empty(len(idx) * len(blocks[0]), dtype=bool)
         k, odd = divmod(self.members, 2)
         rem = self.members
-        for blk in np.split(coeffs, range(_MEMBER_BLOCK, self.members, _MEMBER_BLOCK)):
+        for blk in blocks:
             m, w = len(idx), len(blk)
             if not m:
                 break  # no row left open
@@ -327,10 +331,7 @@ class RegressionRule(CommitteeRule):
     """One fitted regression, coeffs of shape (J, B): a one-member committee."""
 
     def __init__(self, coeffs: np.ndarray, y0: float, d: int):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.ndim != 2 or coeffs.shape[1] != basis_size(d):
-            raise ValueError("coefficient array must be (J, basis_size(d))")
-        super().__init__(coeffs[None], y0, d)
+        super().__init__(np.asarray(coeffs, dtype=float)[None], y0, d)
 
 
 class TreeRule:

@@ -532,6 +532,53 @@ def test_workers_never_outnumber_chunks(monkeypatch, platform, threads, N, asked
     assert got == (estimate(tree2, A, B, N, 2, seed=5), estimate_value(tree2, A, N, seed=6))
 
 
+# --- chunk merging --------------------------------------------------------------------
+
+def toy_task(start, n):
+    """A chunk's arrays (its path indices, as floats and as bytes mod 7) and
+    counts (its size, its start and one)."""
+    index = np.arange(start, start + n)
+    return (index * 0.5, (index % 7).astype(np.int8)), (n, start, 1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_chunked_merges_chunks_in_order(monkeypatch, threads):
+    # 3,500 paths in chunks of 1000: three full chunks and one of 500, the
+    # same values inline and from two worker processes
+    monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", 1000)
+    (halves, mod7), totals = nested_cmc._run_chunked(toy_task, 3500, threads)
+    index = np.arange(3500)
+    assert halves.dtype == np.float64 and mod7.dtype == np.int8
+    assert np.array_equal(halves, index * 0.5)
+    assert np.array_equal(mod7, index % 7)
+    assert totals == [3500, 0 + 1000 + 2000 + 3000, 4]
+    assert multiprocessing.active_children() == []
+
+
+def test_size_errors_come_before_any_chunk_runs(tree2, tree2_rules):
+    A, B = tree2_rules
+    ran = []
+
+    def task(start, n):
+        ran.append(start)
+        return toy_task(start, n)
+
+    for N, threads, message in ((1, 1, "N must be >= 2"), (0, 2, "N must be >= 2"),
+                                (10, 0, "threads must be >= 1"), (10, -3, "threads must be >= 1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            nested_cmc._run_chunked(task, N, threads)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate(tree2, A, B, N, 4, seed=1, threads=threads)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_value(tree2, A, N, seed=1, threads=threads)
+    assert ran == []
+    # the pilot bounds its own size first, and its threads reach the same check
+    with pytest.raises(ValueError, match="^N_pilot must be >= 100$"):
+        pilot(tree2, A, B, 1, 8, seed=1)
+    with pytest.raises(ValueError, match="^threads must be >= 1$"):
+        pilot(tree2, A, B, 500, 8, seed=1, threads=0)
+
+
 # --- pilot ------------------------------------------------------------------------------
 
 def test_pilot_recovers_tree_components(tree2, tree2_rules):

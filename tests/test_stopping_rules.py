@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nccmc import stopping_rules
 from nccmc.nested_cmc import _trunk_block
 from nccmc.process_models import GbmModel, GbmParams, simulate_training_paths
 from nccmc.rng import NS_TESTING, derive_seed
@@ -496,6 +497,31 @@ def test_committee_row_decides_alone_as_in_its_batch(members, shift):
         for a in range(start, n, size):
             got = rule.decide_batch(0, states[a : a + size], payoffs[a : a + size])
             assert np.array_equal(got, whole[a : a + size]), (size, a)
+
+
+@pytest.mark.parametrize("members", [2, 3, 64, 65, 129, 2000])
+def test_every_prediction_multiplies_two_or_more_members(monkeypatch, members):
+    # rows whose payoff sits on the median stay open to the last block, so
+    # every block of members is multiplied; the blocks are even, so none is a
+    # lone member, and the product doubles only a lone row
+    gen = np.random.default_rng([members, 26])
+    rule = random_committee(gen, members, J=1, payoff_blind=True)
+    states, _ = random_states(gen, 300)
+    predict, calls = stopping_rules._predict, []
+
+    def spy(A, coeffs, out=None):
+        calls.append((len(coeffs), out is not None))
+        return predict(A, coeffs, out)
+
+    monkeypatch.setattr(stopping_rules, "_predict", spy)
+    for payoffs in at_threshold(rule, states):
+        for n in (1, 2, 300):
+            calls.clear()
+            assert_matches_median(rule, states[:n], payoffs[:n])
+            assert min(w for w, _ in calls) >= 2, calls
+        counted = [w for w, blocked in calls if blocked]
+        assert sum(counted) == members  # the whole batch counted every block
+        assert max(counted) - min(counted) <= 1 and max(counted) <= 64
 
 
 def constant_committee(values):
