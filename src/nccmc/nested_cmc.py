@@ -13,14 +13,14 @@ within-trunk variance.
 Both stages run one date loop, the lane kernel ``_run_lanes``: each date it
 steps the live lanes, prices them, asks every rule of the run about them and
 retires the lanes that stop.  A stage supplies each lane's first decision
-date (0 for a trunk, tau + 1 for a continuation), the rules (both for the
-trunks, the survivor for a continuation) and the noise as raw words; the
-kernel is the one place that turns them into variates, and only for the
-rows it steps.  Stage two runs the trunks where rule A survives, then
-those where rule B does, each group in sub-batches whose noise and lane
-state fit in NOISE_BUDGET words, so its memory does not grow with N, R or
-P(differ); it fetches a whole sub-batch's raw words, each trunk's dates
-tau+1..J only, in one batched draw.
+date (0 for a trunk, tau + 1 for a continuation), the rules (both for a
+comparison's trunks, the one rule for a value run's, the survivor for a
+continuation) and the noise as raw words; the kernel is the one place that
+turns them into variates, and only for the rows it steps.  Stage two runs
+the trunks where rule A survives, then those where rule B does, each group
+in sub-batches whose noise and lane state fit in NOISE_BUDGET words, so its
+memory does not grow with N, R or P(differ); it fetches a whole sub-batch's
+raw words, each trunk's dates tau+1..J only, in one batched draw.
 
 Everything is deterministic given (seed, namespace): paths and replications
 are addressed by counter-based streams, each chunk of CHUNK_SIZE paths
@@ -48,7 +48,6 @@ import numpy as np
 
 from .calibration import CalibParams
 from .rng import NS_TESTING, SUB, TRUNK, words_per_point
-from .stopping_rules import FixedDateRule
 
 # Paths per scheduling unit.  Fixed: results must not depend on it.
 CHUNK_SIZE = 16384
@@ -161,12 +160,15 @@ def _run_lanes(model, rules, first, states, payoff, noise):
     return tau, votes, steps, evals
 
 
-def _trunk_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int, n: int):
-    """Stage one for paths [p0, p0+n): runs to the earlier stopping date.
+def _trunk_block(model, rules, seed: int, namespace: int, p0: int, n: int):
+    """Stage one for paths [p0, p0+n): runs to the earliest stopping date of ``rules``.
 
-    Path p consults both rules from date 0 and draws point p of each date's
-    TRUNK stream.  Returns (tau, sign, x_wedge, resume_states, steps, evals),
-    resume states in a row buffer matching the model's state layout.
+    Path p consults each of ``rules`` (a tuple of one or two) from date 0
+    and draws point p of each date's TRUNK stream.  The sign is that of
+    tau_first - tau_last, from the first and last rule's votes, so it is 0
+    on every path for one rule.  Returns (tau, sign, x_wedge,
+    resume_states, steps, evals), resume states in a row buffer matching
+    the model's state layout.
     """
     states = model.init_states(n)
     payoff = model.payoff_batch(0, states)
@@ -174,9 +176,9 @@ def _trunk_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int, n: int
     def noise(j, rows):
         return model.draw(seed, namespace, TRUNK, 0, j, n, first_point=p0)[rows]
 
-    tau, (sA, sB), steps, evals = _run_lanes(
-        model, (ruleA, ruleB), np.zeros(n, dtype=np.int64), states, payoff, noise)
-    sign = np.where(sA & sB, 0, np.where(sA, -1, 1)).astype(np.int8)
+    tau, votes, steps, evals = _run_lanes(
+        model, rules, np.zeros(n, dtype=np.int64), states, payoff, noise)
+    sign = np.where(votes[0] & votes[-1], 0, np.where(votes[0], -1, 1)).astype(np.int8)
     return tau, sign, payoff, states, steps, evals
 
 
@@ -315,7 +317,7 @@ def estimate(model, ruleA, ruleB, N: int, R: int, seed: int, threads: int = 1) -
 
     def task(start: int, n: int):
         tau, sign, xw, resume, t_steps, t_evals = _trunk_block(
-            model, ruleA, ruleB, seed, NS_TESTING, start, n)
+            model, (ruleA, ruleB), seed, NS_TESTING, start, n)
         m, v, s_steps, s_evals = _sub_block(
             model, ruleA, ruleB, seed, NS_TESTING, start, tau, sign, xw, resume, R)
         return (m, v), (t_steps, t_evals, s_steps, s_evals, np.count_nonzero(sign))
@@ -342,14 +344,12 @@ def estimate(model, ruleA, ruleB, N: int, R: int, seed: int, threads: int = 1) -
 def estimate_value(model, rule, N: int, seed: int, threads: int = 1) -> ValueEstimate:
     """Plain Monte Carlo for E[X_tau] of one rule over N paths.
 
-    Runs stage one against a rule that holds to maturity: it costs nothing
-    and never stops first, so each path's x_wedge is its payoff at the
-    rule's stopping date.
+    Runs stage one against that rule alone, so each path's x_wedge is its
+    payoff at the rule's stopping date.
     """
-    hold = FixedDateRule(model.J)
 
     def task(start: int, n: int):
-        _, _, x_wedge, _, steps, evals = _trunk_block(model, rule, hold, seed, NS_TESTING, start, n)
+        _, _, x_wedge, _, steps, evals = _trunk_block(model, (rule,), seed, NS_TESTING, start, n)
         return (x_wedge,), (steps, evals)
 
     (values,), (steps, evals) = _run_chunked(task, N, threads)

@@ -32,18 +32,18 @@ count and first point either as scalars (one request) or as equal-length
 integer arrays (one request per entry, sharing seed, namespace, stream
 class and date), and return the requests' rows concatenated in request
 order.  Stage two fetches a whole sub-batch of trunks this way in one call:
-the per-request loop only re-keys one cached generator and fills one raw
-buffer.  ``to_uniforms`` and ``to_normals`` convert raw words to variates in
-place, in row blocks that bound numpy's cast copy; ``uniforms`` and
-``normals`` are those conversions of ``raw_words``.  A point's words do not
-depend on how points are grouped, so the engine draws raw words and
-converts only the rows of the lanes it steps.
+each call builds one generator, and the per-request loop only re-keys it
+and fills one raw buffer.  No generator outlives its call, so threads never
+share one.  ``to_uniforms`` and ``to_normals`` convert raw words to
+variates in place, in row blocks that bound numpy's cast copy;
+``uniforms`` and ``normals`` are those conversions of ``raw_words``.  A
+point's words do not depend on how points are grouped, so the engine draws
+raw words and converts only the rows of the lanes it steps.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import zlib
 
 import numpy as np
@@ -111,29 +111,6 @@ def words_per_point(width: int) -> int:
     return -(-width // _WORDS_PER_COUNTER) * _WORDS_PER_COUNTER
 
 
-_local = threading.local()
-
-
-def _philox():
-    """This thread's Philox generator and the state dict its streams are set from.
-
-    Switching streams writes the key's packed word and the counter into the
-    cached dict and assigns it: the same words as building
-    ``Philox(counter=0, key=key)`` and advancing it by ``counter``, without
-    the fresh OS-entropy seed sequence every build draws.  The dict holds
-    plain ints, which the state setter converts faster than numpy scalars,
-    and its buffer stays empty, so each stream starts on a whole counter.
-    """
-    cached = getattr(_local, "philox", None)
-    if cached is None:
-        bg = Philox(counter=0, key=np.zeros(2, dtype=np.uint64))
-        state = bg.state
-        state["state"] = {"counter": [0, 0, 0, 0], "key": [0, 0]}
-        state["buffer"] = [0, 0, 0, 0]
-        cached = _local.philox = (bg, state)
-    return cached
-
-
 def raw_words(seed: int, namespace: int, stream_class: int, index, date: int, n_points, width: int,
               first_point=0) -> np.ndarray:
     """Raw 64-bit words for points [first_point, first_point + n_points) of stream ``index``.
@@ -157,13 +134,18 @@ def raw_words(seed: int, namespace: int, stream_class: int, index, date: int, n_
         raise ValueError("negative point range")
     words = words_per_point(width)
     cpp = words // _WORDS_PER_COUNTER
-    bg, state = _philox()
-    key, counter = state["state"]["key"], state["state"]["counter"]
-    key[0] = int(seed) & _MASK64
+    # a request re-keys this call's generator by assigning a state of plain
+    # ints, which the setter converts faster than numpy scalars: the words of
+    # Philox(counter=0, key=key) advanced by the counter, without a fresh
+    # OS-entropy seed sequence per request.  The buffer stays empty, so each
+    # request starts on a whole counter
+    bg = Philox(counter=0, key=np.zeros(2, dtype=np.uint64))
+    key, counter = [int(seed) & _MASK64, 0], [0, 0, 0, 0]
+    state = {**bg.state, "state": {"counter": counter, "key": key}, "buffer": [0, 0, 0, 0]}
 
     def draw(packed: int, n: int, first: int) -> np.ndarray:
         # first < 2^64 (an integer array entry), so the counter fits its two
-        # low words and the high two stay at the cached zeros
+        # low words and the high two stay zero
         c = first * cpp
         key[1] = packed
         counter[0] = c & _MASK64

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nccmc.nested_cmc import _run_lanes
-from nccmc.process_models import GbmParams, bundled_tree, simulate_training_paths
+from nccmc.oracle import _branches, _check_size, _stop_table
+from nccmc.process_models import GbmParams, TreeModel, bundled_tree, simulate_training_paths
 from nccmc.rng import NS_TESTING, NS_TRAINING, SUB, TRUNK
 from nccmc.stopping_rules import TreeRule, train_tvr
 
@@ -121,3 +122,32 @@ def continuations(model, A, B, seed, trunk_index, tau, sign, x_wedge, resume, R)
         steps, evals = steps + s_steps, evals + s_evals
     vals = np.repeat(sign, R) * (payoff - lane_xw)
     return vals.reshape(n, R), steps, evals
+
+
+def exact_total_variance(tree: TreeModel, ruleA, ruleB) -> float:
+    """Exact Var(X_{tau_A} - X_{tau_B}) by direct full-path enumeration.
+
+    Independent of the atom decomposition, so it can check v1 + v2 against
+    the law of total variance.
+    """
+    _check_size(tree)
+    sA, sB = _stop_table(tree, ruleA), _stop_table(tree, ruleB)
+    pay = tree.payoffs.tolist()
+    m1 = m2 = 0.0
+    # each node's (path probability, X_tau_A, X_tau_B) while a rule runs on,
+    # a payoff None until its rule stops
+    reach = [(1.0, None, None)] + [None] * (tree.n_nodes - 1)
+    for node, at in enumerate(reach):
+        if at is None:
+            continue
+        prob, xA, xB = at
+        xA = pay[node] if xA is None and sA[node] else xA
+        xB = pay[node] if xB is None and sB[node] else xB
+        if xA is None or xB is None:
+            for child, p in _branches(tree, node):
+                reach[child] = (prob * p, xA, xB)
+            continue
+        d = xA - xB
+        m1 += prob * d
+        m2 += prob * d * d
+    return m2 - m1**2

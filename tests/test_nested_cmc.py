@@ -30,7 +30,7 @@ from tests.conftest import continuations
 
 def trunk(model, A, B, i, seed):
     """Stage one for path i alone: (tau, sign, x_wedge, resume, steps, evals)."""
-    tau, sign, xw, resume, steps, evals = _trunk_block(model, A, B, seed, NS_TESTING, i, 1)
+    tau, sign, xw, resume, steps, evals = _trunk_block(model, (A, B), seed, NS_TESTING, i, 1)
     return int(tau[0]), int(sign[0]), float(xw[0]), resume, steps, evals
 
 
@@ -68,10 +68,10 @@ def test_trunk_meter_counts_steps(tree2):
 def test_path_alone_equals_its_batch_row(tree2, tree2_rules, d2_params, small_rule_pair):
     p0, n = 37, 40
     for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
-        tau, sign, xw, resume, _, _ = _trunk_block(model, A, B, 5, NS_TESTING, p0, n)
+        tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, NS_TESTING, p0, n)
         assert np.count_nonzero(sign) > 0
         for k in range(n):
-            t, s, x, r, _, _ = _trunk_block(model, A, B, 5, NS_TESTING, p0 + k, 1)
+            t, s, x, r, _, _ = _trunk_block(model, (A, B), 5, NS_TESTING, p0 + k, 1)
             assert (t[0], s[0], x[0]) == (tau[k], sign[k], xw[k])
             assert np.array_equal(r[0], resume[k])
 
@@ -80,7 +80,7 @@ def test_path_alone_equals_its_batch_row(tree2, tree2_rules, d2_params, small_ru
 
 def test_coinciding_trunk_replicates_for_free(tree2):
     A = B = FixedDateRule(2)
-    tau, sign, xw, resume, _, _ = _trunk_block(tree2, A, B, 1, NS_TESTING, 0, 1)
+    tau, sign, xw, resume, _, _ = _trunk_block(tree2, (A, B), 1, NS_TESTING, 0, 1)
     means, variances, steps, evals = _sub_block(tree2, A, B, 1, NS_TESTING, 0, tau, sign, xw, resume, 8)
     assert np.array_equal(means, np.zeros(1)) and np.array_equal(variances, np.zeros(1))
     assert steps == 0 and evals == 0
@@ -88,7 +88,7 @@ def test_coinciding_trunk_replicates_for_free(tree2):
 
 def replication_values(model, A, B, n, R, seed):
     """Stage two's (trunk, replication) values for the differing trunks of paths [0, n)."""
-    tau, sign, xw, resume, _, _ = _trunk_block(model, A, B, seed, NS_TESTING, 0, n)
+    tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), seed, NS_TESTING, 0, n)
     diff = np.nonzero(sign)[0]
     vals, _, _ = continuations(model, A, B, seed, diff, tau[diff], sign[diff], xw[diff],
                                resume[diff], R)
@@ -135,7 +135,7 @@ def test_stage_two_reads_each_trunks_sub_stream(tree2, tree2_rules, d2_params, s
     # reading its trunk's SUB stream by hand
     R = 4
     for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
-        tau, sign, xw, resume, _, _ = _trunk_block(model, A, B, 5, NS_TESTING, 0, 300)
+        tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, NS_TESTING, 0, 300)
         means, variances, steps, evals = _sub_block(model, A, B, 5, NS_TESTING, 0,
                                                     tau, sign, xw, resume, R)
         diff = np.nonzero(sign)[0]
@@ -153,7 +153,7 @@ def test_stage_two_draws_once_per_sub_batch(monkeypatch, tree2, tree2_rules, d2_
     # where B does, each once
     p0, R = 40, 4
     for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
-        tau, sign, xw, resume, _, _ = _trunk_block(model, A, B, 5, NS_TESTING, p0, 3000)
+        tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, NS_TESTING, p0, 3000)
         groups = [np.nonzero(sign > 0)[0], np.nonzero(sign < 0)[0]]
         assert all(g.size for g in groups)
         requests, sub_batches = [], []
@@ -340,7 +340,7 @@ def test_estimate_matches_single_trunk_api(tree2, tree2_rules, d2_params, small_
         means, variances = np.empty(N), np.empty(N)
         t_steps = t_evals = s_steps = s_evals = 0
         for i in range(N):
-            tau, sign, xw, resume, steps, evals = _trunk_block(model, A, B, 21, NS_TESTING, i, 1)
+            tau, sign, xw, resume, steps, evals = _trunk_block(model, (A, B), 21, NS_TESTING, i, 1)
             t_steps, t_evals = t_steps + steps, t_evals + evals
             m, v, steps, evals = _sub_block(model, A, B, 21, NS_TESTING, i, tau, sign, xw, resume, R)
             s_steps, s_evals = s_steps + steps, s_evals + evals
@@ -430,6 +430,41 @@ def test_value_estimator_threads_stable(tree1):
     a = estimate_value(tree1, FixedDateRule(1), 30_000, seed=2, threads=1)
     b = estimate_value(tree1, FixedDateRule(1), 30_000, seed=2, threads=4)
     assert a == b
+
+
+def test_a_value_run_asks_only_its_own_rule(monkeypatch, tree2, tree2_rules, d2_params, small_rule_pair):
+    # every chunk's trunks (lanes from date 0) ask the value run's one rule
+    # and a comparison's two; stage two's lanes (from tau + 1) ask one
+    kernel_runs = []
+    run_lanes = nested_cmc._run_lanes
+
+    def recorded(model, rules, first, *args):
+        kernel_runs.append((int(first.min()), len(rules)))
+        return run_lanes(model, rules, first, *args)
+
+    monkeypatch.setattr(nested_cmc, "_run_lanes", recorded)
+    monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", 1000)
+    problems = ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair))
+    for model, (A, B) in problems:
+        kernel_runs.clear()
+        estimate_value(model, A, 3500, seed=3)
+        assert kernel_runs == [(0, 1)] * 4
+        kernel_runs.clear()
+        estimate(model, A, B, 3500, 2, seed=3)
+        assert [n for first, n in kernel_runs if first == 0] == [2] * 4
+        assert {n for first, n in kernel_runs if first > 0} == {1}
+    monkeypatch.undo()
+    # one rule alone: sign 0 on every path, and the stops, payoffs, states
+    # and steps of the rule against itself (which counts its evaluations
+    # twice) or against holding to maturity (which costs nothing)
+    for model, (A, _) in problems:
+        tau, sign, xw, resume, steps, evals = _trunk_block(model, (A,), 5, NS_TESTING, 0, 3000)
+        assert np.all(sign == 0)
+        assert 0 < np.count_nonzero(tau < model.J) < tau.size
+        for pair, times in (((A, A), 2), ((A, FixedDateRule(model.J)), 1)):
+            t, _, x, r, s, e = _trunk_block(model, pair, 5, NS_TESTING, 0, 3000)
+            assert np.array_equal(t, tau) and np.array_equal(x, xw) and np.array_equal(r, resume)
+            assert (s, e) == (steps, times * evals)
 
 
 # --- worker processes ---------------------------------------------------------------------

@@ -11,11 +11,10 @@ from nccmc.oracle import (
     enumerate_atoms,
     exact_components,
     exact_delta,
-    exact_total_variance,
 )
 from nccmc.process_models import load_tree
 from nccmc.stopping_rules import FixedDateRule, TreeRule
-from tests.conftest import short_tree_spec
+from tests.conftest import exact_total_variance, short_tree_spec
 
 
 def symmetric_tree(high):

@@ -147,7 +147,7 @@ def test_training_batch_matches_per_path_streams():
     hold = FixedDateRule(p.J)
     assets, payoffs = full_paths(simulate_training_paths(p, 7, 21))
     for path in (0, 3, 6):
-        _, _, xw, resume, _, _ = _trunk_block(model, hold, hold, 21, rng.NS_TRAINING, path, 1)
+        _, _, xw, resume, _, _ = _trunk_block(model, (hold,), 21, rng.NS_TRAINING, path, 1)
         assert np.array_equal(resume[0], assets[path, p.J])
         assert xw[0] == payoffs[path, p.J]
 
@@ -184,7 +184,7 @@ def test_continuation_from_maturity_rejected(d2_params, small_rule_pair):
     # both rules stop at J, so a trunk that reaches it always has S = 0 and
     # stage two never resumes a path there
     A, B = small_rule_pair
-    tau, sign, *_ = _trunk_block(GbmModel(d2_params), A, B, 12, rng.NS_TESTING, 0, 4000)
+    tau, sign, *_ = _trunk_block(GbmModel(d2_params), (A, B), 12, rng.NS_TESTING, 0, 4000)
     assert np.any(tau == d2_params.J)
     assert np.all(sign[tau == d2_params.J] == 0)
     assert np.count_nonzero(sign) > 0

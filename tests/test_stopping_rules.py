@@ -93,8 +93,8 @@ def test_tree_rule_rejects_unknown_label(tree2):
 # --- stopping dates in the stage-one kernel ------------------------------------
 
 def stop_dates(rule, p, n, seed):
-    """Each path's stopping date under rule, from stage one against itself."""
-    return _trunk_block(GbmModel(p), rule, rule, seed, NS_TESTING, 0, n)[0]
+    """Each path's stopping date under rule, from stage one against it alone."""
+    return _trunk_block(GbmModel(p), (rule,), seed, NS_TESTING, 0, n)[0]
 
 
 def test_evaluate_fixed_maturity_and_stop_everywhere():
@@ -826,7 +826,7 @@ def test_band_settles_most_rows_of_a_trained_committee():
         return decide_batch(j, states, payoffs)
 
     rule.decide_batch = spy
-    _trunk_block(GbmModel(p), rule, FixedDateRule(p.J), 1, NS_TESTING, 0, 8000)
+    _trunk_block(GbmModel(p), (rule,), 1, NS_TESTING, 0, 8000)
     rows = settled = 0
     for j, states, payoffs in calls:
         want = _stop_mask(payoffs, rule.continuation_batch(j, states, payoffs))
