@@ -16,7 +16,9 @@ retires the lanes that stop.  A stage supplies each lane's first decision
 date (0 for a trunk, tau + 1 for a continuation), the rules (both for a
 comparison's trunks, the one rule for a value run's, the survivor for a
 continuation) and the noise as raw words; the kernel is the one place that
-turns them into variates, and only for the rows it steps.  Stage two runs
+turns them into variates, and only for the rows it steps.  Lane rows of
+state and noise move as fixed-size records (``process_models.gather_rows``
+and ``scatter_rows``), one copy per row, not per element.  Stage two runs
 the trunks where rule A survives, then those where rule B does, each group
 in sub-batches whose noise and lane state fit in NOISE_BUDGET words, so its
 memory does not grow with N, R or P(differ); it fetches a whole sub-batch's
@@ -47,6 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .calibration import CalibParams
+from .process_models import gather_rows, scatter_rows
 from .rng import NS_TESTING, SUB, TRUNK, words_per_point
 
 # Paths per scheduling unit.  Fixed: results must not depend on it.
@@ -121,8 +124,11 @@ def _run_lanes(model, rules, first, states, payoff, noise):
     ``noise(j, rows)`` gives a fresh copy of the raw words that carry lanes
     ``rows`` to date j; only those rows become variates, in place.
     ``states`` and ``payoff`` are advanced in place and end at each lane's
-    stop date.  Returns (tau, votes, steps, evals): the stop dates and
-    votes[i], rule i's decision there (True at J).
+    stop date; the live rows of ``states`` move as records (as both
+    stages' ``noise`` moves its rows), so its last axis must be
+    contiguous.  Returns
+    (tau, votes, steps, evals): the stop dates and votes[i], rule i's
+    decision there (True at J).
     """
     J, n = model.J, len(first)
     tau = np.zeros(n, dtype=np.int64)
@@ -134,11 +140,11 @@ def _run_lanes(model, rules, first, states, payoff, noise):
         rows = np.nonzero(alive & (first <= j))[0]
         if rows.size == 0:
             continue
-        lane_states = states[rows]
+        lane_states = gather_rows(states, rows)
         if j > 0:
             lane_states = model.step_batch(j, lane_states, model.variates(noise(j, rows)))
             lane_payoff = model.payoff_batch(j, lane_states)
-            states[rows] = lane_states
+            scatter_rows(states, rows, lane_states)
             payoff[rows] = lane_payoff
             steps += rows.size * model.step_units
         else:
@@ -174,7 +180,7 @@ def _trunk_block(model, rules, seed: int, namespace: int, p0: int, n: int):
     payoff = model.payoff_batch(0, states)
 
     def noise(j, rows):
-        return model.draw(seed, namespace, TRUNK, 0, j, n, first_point=p0)[rows]
+        return gather_rows(model.draw(seed, namespace, TRUNK, 0, j, n, first_point=p0), rows)
 
     tau, votes, steps, evals = _run_lanes(
         model, rules, np.zeros(n, dtype=np.int64), states, payoff, noise)
@@ -222,7 +228,7 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
             payoff = lane_xw.copy()
             _, _, s_steps, s_evals = _run_lanes(
                 model, (rule,), np.repeat(tau[k] + 1, R), np.repeat(resume[k], R, axis=0),
-                payoff, lambda j, rows: buf[base[rows] + j * R])
+                payoff, lambda j, rows: gather_rows(buf, base[rows] + j * R))
             vals = (s * (payoff - lane_xw)).reshape(k.size, R)
             means[k] = vals.mean(axis=1)
             if R > 1:

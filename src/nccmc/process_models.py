@@ -21,9 +21,12 @@ enumerable Markov trees used as exact test fixtures.  A model exposes
 States are row-indexed numpy arrays so the engine can scatter and gather
 paths freely; the streams module guarantees that path ``p`` sees the same
 noise whether it is simulated alone or inside any batch, so a caller may
-convert only the rows it steps.  A model's dynamics live in its methods
-only: training paths step a GbmModel with the calls stage one makes, so
-training and both stages run one process.
+convert only the rows it steps.  ``gather_rows`` and ``scatter_rows`` move
+the rows of a state, noise or basis array each as one fixed-size record:
+the bytes fancy indexing moves, element by element, at a fraction of its
+cost.  A model's dynamics live in its methods only: training paths step a
+GbmModel with the calls stage one makes, so training and both stages run
+one process.
 """
 
 from __future__ import annotations
@@ -35,6 +38,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+
+
+def _records(a: np.ndarray) -> np.ndarray:
+    """A 1-D view of a 2-D array's rows, one void record per row.
+
+    numpy raises ValueError unless the last axis is contiguous (a
+    row stride of its own is fine).
+    """
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0]
+
+
+def gather_rows(a: np.ndarray, rows) -> np.ndarray:
+    """a[rows] as a new C-contiguous array, the same bytes, each row copied as one record.
+
+    ``rows`` is an integer or boolean index of a's first axis.  A 1-D ``a``
+    is indexed as it is; a 2-D one needs a contiguous last axis, else
+    ValueError.  numpy's fancy indexing walks each row's elements through
+    its general iterator; a 1-D index over records copies a row at once.
+    """
+    if a.ndim == 1:
+        return a[rows]
+    return _records(a)[rows].view(a.dtype).reshape(-1, a.shape[1])
+
+
+def scatter_rows(a: np.ndarray, rows, values: np.ndarray) -> None:
+    """a[rows] = values, the same bytes, each row written as one record.
+
+    As ``gather_rows``; a 2-D ``values`` must also match a's dtype and row
+    length (a record assignment would silently cast or pad bytes).
+    """
+    if a.ndim == 1:
+        a[rows] = values
+        return
+    if values.dtype != a.dtype or values.shape[1:] != a.shape[1:]:
+        raise ValueError(f"rows of {values.dtype} {values.shape} do not fit rows of {a.dtype} {a.shape}")
+    _records(a)[rows] = _records(values)
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .process_models import GbmModel, TrainingPaths, TreeModel
+from .process_models import GbmModel, TrainingPaths, TreeModel, gather_rows
 from .rng import derive_seed
 
 
@@ -282,7 +282,7 @@ class CommitteeRule:
         zero = todo & ~(pay > 0.0)
         idx = np.concatenate([np.flatnonzero(zero), np.flatnonzero(todo & ~zero)])
         z = np.count_nonzero(zero)
-        A, col = A[idx], pay[idx, None]
+        A, col = gather_rows(A, idx), pay[idx, None]
         le = np.zeros(len(idx), dtype=np.intp)
         neg = np.zeros(z, dtype=np.intp)
         # even blocks of at most _MEMBER_BLOCK members: none holds a lone member
@@ -315,7 +315,7 @@ class CommitteeRule:
             goes[:z] |= neg > k
             keep = ~(stops | goes)
             stop[idx[stops]] = True
-            idx, A, col, le = idx[keep], A[keep], col[keep], le[keep]
+            idx, A, col, le = idx[keep], gather_rows(A, keep), gather_rows(col, keep), le[keep]
             neg = neg[keep[:z]]
             z = len(neg)
         exact = ~sure
@@ -424,5 +424,5 @@ def train_committee(paths: TrainingPaths, members: int, member_size: int, seed: 
     for m in range(members):
         gen = np.random.default_rng(derive_seed(seed, f"committee-member-{m}"))
         idx = gen.integers(0, paths.n, size=member_size)
-        coeffs[m] = _fit_backward(lambda j: states[j][idx], paths.final[idx], paths.model)
+        coeffs[m] = _fit_backward(lambda j: gather_rows(states[j], idx), paths.final[idx], paths.model)
     return CommitteeRule(coeffs, p.y0, p.d)

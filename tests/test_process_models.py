@@ -10,7 +10,9 @@ from nccmc.process_models import (
     GbmParams,
     TreeModel,
     bundled_tree,
+    gather_rows,
     load_tree,
+    scatter_rows,
     simulate_training_paths,
 )
 from nccmc.stopping_rules import FixedDateRule
@@ -275,6 +277,17 @@ def test_draw_returns_raw_words(tree2):
                                                    model.draw_width, first_point=first_point))
 
 
+def test_draws_have_a_contiguous_last_axis(tree2):
+    # the lane kernel gathers noise rows as records, which needs each row's
+    # words side by side; one request (Philox's own buffer) and a batch
+    for model in [GbmModel(params(d=d)) for d in range(1, 7)] + [tree2]:
+        one = model.draw(3, rng.NS_TESTING, rng.TRUNK, 0, 1, 7, first_point=2)
+        batch = model.draw(3, rng.NS_TESTING, rng.SUB, np.array([4, 9]), 0, np.array([3, 5]),
+                           first_point=np.array([0, 7]))
+        for words in (one, batch):
+            assert words.ndim == 2 and words.strides[1] == words.itemsize
+
+
 def test_tree_branch_frequencies(tree2):
     m = tree2
     states = m.init_states(40_000)
@@ -307,3 +320,83 @@ def test_tree_payoffs_attached_to_nodes(tree2):
     m = tree2
     node = m.label_to_id["1/0"]
     assert m.payoff_batch(2, np.array([node]))[0] == 2.0
+
+
+# --- rows as records -------------------------------------------------------------
+
+def _bits(n, d, seed):
+    """(n, d) float64 of random bit patterns, with NaN payloads and signed zeros."""
+    gen = np.random.default_rng(seed)
+    a = gen.integers(0, 2**64, size=(n, d), dtype=np.uint64, endpoint=False).view(np.float64)
+    a.flat[::5] = -0.0
+    a.flat[1::7] = 0.0
+    bits = a.view(np.uint64)
+    bits.flat[2::6] = 0x7FF8000000000001  # quiet NaN with a payload
+    bits.flat[3::11] = 0xFFF0000000000123  # signalling NaN, sign bit set
+    return a
+
+
+def _row_arrays():
+    n = 23
+    arrays = {f"float64 d={d}": _bits(n, d, d) for d in range(1, 7)}
+    arrays["int64 tree states"] = np.random.default_rng(7).integers(0, 9, size=n)
+    for w in range(1, 7):
+        # raw_words' views of whole-counter rows: (n, 4)[:, :w] or (n, 8)[:, :w]
+        arrays[f"noise width {w}"] = rng.raw_words(5, rng.NS_TESTING, rng.TRUNK, 0, 1, n, w)
+    pool = np.stack([_bits(n, 3, 11), _bits(n, 3, 12), _bits(n, 3, 13)], axis=1)
+    arrays["row-strided (n, 3, 3)[:, 1]"] = pool[:, 1]
+    return arrays
+
+
+_ROW_INDICES = {
+    "empty": np.array([], dtype=np.intp),
+    "all": np.arange(23),
+    "unsorted": np.array([17, 2, 22, 0, 9, 4]),
+    "repeated": np.array([3, 3, 0, 3, 22, 0]),
+    "mask": np.arange(23) % 3 != 1,
+}
+
+
+def _same_layout(a):
+    """A copy of a that keeps a's row stride: columns past a's own stay zero."""
+    if a.ndim == 1:
+        return (a.copy(),) * 2
+    wide = np.zeros((len(a), a.strides[0] // a.itemsize), a.dtype)
+    wide[:, :a.shape[1]] = a
+    return wide, wide[:, :a.shape[1]]
+
+
+@pytest.mark.parametrize("rows", _ROW_INDICES.values(), ids=_ROW_INDICES.keys())
+@pytest.mark.parametrize("name", _row_arrays().keys())
+def test_rows_move_as_records_with_the_bytes_of_fancy_indexing(name, rows):
+    a = _row_arrays()[name]
+    got = gather_rows(a, rows)
+    want = a[rows]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+    if a.dtype == np.float64:
+        values = _bits(len(want), a.shape[1], 4)
+    else:
+        values = np.random.default_rng(4).integers(0, 2**62, size=want.shape).astype(a.dtype)
+    # into a's own layout, row stride included, as into a kept training date
+    (fancy_all, fancy), (records_all, records) = _same_layout(a), _same_layout(a)
+    fancy[rows] = values
+    scatter_rows(records, rows, values)
+    assert records_all.tobytes() == fancy_all.tobytes()
+
+
+def test_row_records_need_a_contiguous_last_axis():
+    a = np.arange(24.0).reshape(6, 4)
+    with pytest.raises(ValueError):
+        gather_rows(a[:, ::2], [0, 1])
+    with pytest.raises(ValueError):
+        scatter_rows(a[:, ::2], [0, 1], np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        scatter_rows(a, [0, 1], np.zeros((2, 8))[:, ::2])
+    # a record assignment would cast, pad or cut these bytes, so they are refused
+    with pytest.raises(ValueError):
+        scatter_rows(a, [0, 1], np.zeros((2, 4), dtype=np.float32))
+    with pytest.raises(ValueError):
+        scatter_rows(a, [0, 1], np.zeros((2, 3)))
