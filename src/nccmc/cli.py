@@ -5,7 +5,8 @@ Plumbing only: parse a flat key=value config into the library's
 rules, call the library (every pilot through ``calibrate``), and write
 CSV/JSON files whose bytes depend on nothing but the config and seed.
 Wall-clock timestamps go to the run manifest, never into result files, so
-reruns and different --threads settings produce identical outputs.
+reruns and different --threads settings produce identical outputs on one
+numpy and BLAS install at one BLAS thread count.
 
 Exit codes: 0 success, 2 bad config or arguments, 3 runtime failure,
 4 failed consistency check (oracle-check).
@@ -36,7 +37,7 @@ from .experiments import (
     qcv_estimate,
 )
 from .nested_cmc import estimate
-from .oracle import exact_components, exact_delta
+from .oracle import exact_delta, exact_moments
 from .process_models import GbmModel, GbmParams, TreeModel, bundled_tree, load_tree, simulate_training_paths
 from .stopping_rules import FixedDateRule, TreeRule, basis_size, shift_rule, train_committee, train_tvr
 
@@ -374,8 +375,7 @@ def _pilot_job(r: ConfigReader, args) -> _Job:
             + (" (degenerate)" if cal.degenerate else ""),
         ]
         if isinstance(model, TreeModel):
-            delta = exact_delta(model, ruleA, ruleB)
-            v1x, v2x = exact_components(model, ruleA, ruleB)
+            delta, v1x, v2x = exact_moments(model, ruleA, ruleB)
             info["oracle"] = {"delta": delta, "v1": v1x, "v2": v2x}
             lines.append(f"oracle: delta={delta:.6g} v1={v1x:.6g} v2={v2x:.6g}")
         return _Result({"pilot.json": info}, lines)
@@ -516,14 +516,15 @@ def _vprofile_job(r: ConfigReader, args) -> _Job:
 
 
 def _run(args) -> int:
+    source = "--threads" if args.threads is not None else "NCCMC_THREADS"
     if args.threads is None:
-        env = os.environ.get("NCCMC_THREADS", "1")
+        env = os.environ.get(source, "1")
         try:
             args.threads = int(env)
         except ValueError:
-            raise ConfigError(f"NCCMC_THREADS must be an integer, got {env!r}") from None
+            raise ConfigError(f"{source} must be an integer, got {env!r}") from None
     if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
+        raise ConfigError(f"{source} must be >= 1")
     raw = _read_config(args.config)
     r = ConfigReader(raw)
     run = args.job(r, args)
@@ -556,7 +557,8 @@ output columns (see docs/format.md for full details):
                   R_star, gamma_star, work_units
   vprofile.csv    R, V (budget-normalized variance profile at R)
 All floats are written with 17 significant digits; reruns with the same
-config and seed are byte-identical, regardless of --threads.
+config and seed, on one numpy and BLAS install at one BLAS thread count,
+are byte-identical, regardless of --threads.
 """
 
 

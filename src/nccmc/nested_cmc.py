@@ -24,19 +24,20 @@ in sub-batches whose noise and lane state fit in NOISE_BUDGET words, so its
 memory does not grow with N, R or P(differ); it fetches a whole sub-batch's
 raw words, each trunk's dates tau+1..J only, in one batched draw.
 
-Everything is deterministic given (seed, namespace): paths and replications
-are addressed by counter-based streams, each chunk of CHUNK_SIZE paths
-returns its own arrays and counts, which ``_run_chunked``, the one place
-that merges chunks, writes into N-vectors and sums in chunk order, and
-reductions run in index order (numpy pairwise summation), so the
-thread count cannot change a single bit of the result: every thread count
-runs the same chunks and sub-batches.  ``threads`` is the number of worker
-processes: on Linux the chunks run in workers forked from the caller, which
-inherit the model, the rules and the module constants, so nothing is
-pickled on the way in and only each chunk's results come back.  The
-interpreter lock serialises the per-trunk stream switches of stage two, so
-threads would not scale.  Elsewhere (macOS's system BLAS is not fork-safe,
-Windows has no fork) every chunk runs inline, with the same bits.
+Everything is deterministic given the seed: the estimators draw in the
+testing namespace, paths and replications are addressed by counter-based
+streams, each chunk of CHUNK_SIZE paths returns its own arrays and counts,
+which ``_run_chunked``, the one place that merges chunks, writes into
+N-vectors and sums in chunk order, and reductions run in index order (numpy
+pairwise summation), so the thread count cannot change a single bit of the
+result: every thread count runs the same chunks and sub-batches.
+``threads`` is the number of worker processes: on Linux the chunks run in
+workers forked from the caller, which inherit the model, the rules and the
+module constants, so nothing is pickled on the way in and only each chunk's
+results come back.  The interpreter lock serialises the per-trunk stream
+switches of stage two, so threads would not scale.  Elsewhere (macOS's
+system BLAS is not fork-safe, Windows has no fork) every chunk runs inline,
+with the same bits.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def _run_lanes(model, rules, first, states, payoff, noise):
     return tau, votes, steps, evals
 
 
-def _trunk_block(model, rules, seed: int, namespace: int, p0: int, n: int):
+def _trunk_block(model, rules, seed: int, p0: int, n: int):
     """Stage one for paths [p0, p0+n): runs to the earliest stopping date of ``rules``.
 
     Path p consults each of ``rules`` (a tuple of one or two) from date 0
@@ -180,7 +181,7 @@ def _trunk_block(model, rules, seed: int, namespace: int, p0: int, n: int):
     payoff = model.payoff_batch(0, states)
 
     def noise(j, rows):
-        return gather_rows(model.draw(seed, namespace, TRUNK, 0, j, n, first_point=p0), rows)
+        return gather_rows(model.draw(seed, NS_TESTING, TRUNK, 0, j, n, first_point=p0), rows)
 
     tau, votes, steps, evals = _run_lanes(
         model, rules, np.zeros(n, dtype=np.int64), states, payoff, noise)
@@ -188,8 +189,7 @@ def _trunk_block(model, rules, seed: int, namespace: int, p0: int, n: int):
     return tau, sign, payoff, states, steps, evals
 
 
-def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
-               tau, sign, x_wedge, resume, R: int):
+def _sub_block(model, ruleA, ruleB, seed: int, p0: int, tau, sign, x_wedge, resume, R: int):
     """Stage two for one trunk block: R continuations per differing trunk.
 
     Trunk p owns one SUB stream (key date 0) whose point (j-1)*R + (r-1) is
@@ -221,7 +221,7 @@ def _sub_block(model, ruleA, ruleB, seed: int, namespace: int, p0: int,
             hi = max(lo + 1, int(np.searchsorted(ends, spent + NOISE_BUDGET, side="right")))
             k, counts = diff[lo:hi], points[lo:hi]
             offsets = np.cumsum(counts) - counts
-            buf = model.draw(seed, namespace, SUB, p0 + k, 0, counts, first_point=tau[k] * R)
+            buf = model.draw(seed, NS_TESTING, SUB, p0 + k, 0, counts, first_point=tau[k] * R)
             # lane (i, r) reads point (j - tau_i - 1)*R + r of trunk i's block at date j
             base = np.repeat(offsets - (tau[k] + 1) * R, R) + np.tile(np.arange(R), k.size)
             lane_xw = np.repeat(x_wedge[k], R)
@@ -322,10 +322,8 @@ def estimate(model, ruleA, ruleB, N: int, R: int, seed: int, threads: int = 1) -
         raise ValueError("R must be >= 1")
 
     def task(start: int, n: int):
-        tau, sign, xw, resume, t_steps, t_evals = _trunk_block(
-            model, (ruleA, ruleB), seed, NS_TESTING, start, n)
-        m, v, s_steps, s_evals = _sub_block(
-            model, ruleA, ruleB, seed, NS_TESTING, start, tau, sign, xw, resume, R)
+        tau, sign, xw, resume, t_steps, t_evals = _trunk_block(model, (ruleA, ruleB), seed, start, n)
+        m, v, s_steps, s_evals = _sub_block(model, ruleA, ruleB, seed, start, tau, sign, xw, resume, R)
         return (m, v), (t_steps, t_evals, s_steps, s_evals, np.count_nonzero(sign))
 
     (means, variances), (t_steps, t_evals, s_steps, s_evals, differ) = _run_chunked(task, N, threads)
@@ -355,7 +353,7 @@ def estimate_value(model, rule, N: int, seed: int, threads: int = 1) -> ValueEst
     """
 
     def task(start: int, n: int):
-        _, _, x_wedge, _, steps, evals = _trunk_block(model, (rule,), seed, NS_TESTING, start, n)
+        _, _, x_wedge, _, steps, evals = _trunk_block(model, (rule,), seed, start, n)
         return (x_wedge,), (steps, evals)
 
     (values,), (steps, evals) = _run_chunked(task, N, threads)

@@ -4,14 +4,14 @@ For tree models every quantity the estimator targets has a closed value: the
 atoms of the stopped sigma-field are the nodes where the earlier rule stops,
 and conditional moments of the survivor's payoff are finite sums over the
 subtree.  Each rule is asked once per date about every node of that depth,
-and one sweep from the leaves back to the root gives those moments below
-every node.  These exact values anchor the estimator and pilot tests.
+one sweep from the leaves back to the root gives those moments below
+every node, and one walk down from the root adds each atom's terms as it
+reaches the atom.  These exact values anchor the estimator and pilot tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,23 +22,6 @@ MAX_PATHS = 10**6
 
 class TreeSizeError(RuntimeError):
     """Raised when a tree is too large to enumerate exactly."""
-
-
-@dataclass(frozen=True, slots=True)
-class EnumeratedAtom:
-    """One atom of the information available at the earlier stopping date.
-
-    prefix labels the node where the first rule stopped; conditional_mean
-    and conditional_var are the exact moments of S*(X_stop - x_wedge) given
-    the atom (identically zero when the rules coincide there).
-    """
-
-    prefix: str
-    probability: float
-    S: int
-    x_wedge: float
-    conditional_mean: float
-    conditional_var: float
 
 
 def _check_size(tree: TreeModel) -> None:
@@ -76,16 +59,22 @@ def _continuations(tree: TreeModel, stops: list[bool]) -> tuple[list[float], lis
     return m1, m2
 
 
-def enumerate_atoms(tree: TreeModel, ruleA, ruleB) -> list[EnumeratedAtom]:
-    """All atoms of the earlier-stop sigma-field, with exact moments."""
+def exact_moments(tree: TreeModel, ruleA, ruleB) -> tuple[float, float, float]:
+    """Exact (delta, v1, v2) from one walk over the atoms of the earlier-stop
+    sigma-field: delta = E[X_{tau_A} - X_{tau_B}], v1 the variance of the
+    difference's conditional mean given that information, v2 the mean of its
+    conditional variance."""
     _check_size(tree)
     sA, sB = _stop_table(tree, ruleA), _stop_table(tree, ruleB)
     # S > 0: tau_A > tau_B, so rule A survives, and does not stop at the atom
     conts = {1: _continuations(tree, sA), -1: _continuations(tree, sB)}
     pay = tree.payoffs.tolist()
-    atoms = []
+    # each atom adds its terms as the walk reaches it; an atom where the
+    # rules coincide adds zero to each
+    delta = second = v2 = 0.0
+    masses = []
     # each node's path probability while no rule has stopped above it;
-    # preorder reaches a node after its parent and lists the atoms in walk order
+    # preorder reaches a node after its parent
     reach = [1.0] + [None] * (tree.n_nodes - 1)
     for node, prob in enumerate(reach):
         if prob is None:
@@ -94,35 +83,26 @@ def enumerate_atoms(tree: TreeModel, ruleA, ruleB) -> list[EnumeratedAtom]:
             for child, p in _branches(tree, node):
                 reach[child] = prob * p
             continue
+        masses.append(prob)
         S = sB[node] - sA[node]
-        mean = var = 0.0
         if S:
             m1, m2 = conts[S][0][node], conts[S][1][node]
-            mean, var = S * (m1 - pay[node]), max(m2 - m1 * m1, 0.0)
-        atoms.append(EnumeratedAtom(tree.labels[node], prob, S, pay[node], mean, var))
+            mean = S * (m1 - pay[node])
+            delta += prob * mean
+            second += prob * mean**2
+            v2 += prob * max(m2 - m1 * m1, 0.0)
     # load_tree lets a node's probabilities miss 1 by 1e-12, branch_probs adds
     # 2 b eps (b children) and a path's product rounds once a date; over J dates,
     # twice J times that bounds the compounding while J times it is below 1,
     # and fsum rounds once
     eps = np.finfo(float).eps
     bound = 2 * tree.J * (1e-12 + (2 * int(tree.n_children.max()) + 1) * eps) + eps
-    total = math.fsum(a.probability for a in atoms)
+    total = math.fsum(masses)
     if abs(total - 1.0) > bound:
         raise AssertionError(f"atom probabilities sum to {total!r}")
-    return atoms
+    return delta, max(second - delta * delta, 0.0), v2
 
 
 def exact_delta(tree: TreeModel, ruleA, ruleB) -> float:
-    """Exact E[X_{tau_A} - X_{tau_B}] as a probability-weighted sum."""
-    return sum(a.probability * a.conditional_mean for a in enumerate_atoms(tree, ruleA, ruleB))
-
-
-def exact_components(tree: TreeModel, ruleA, ruleB) -> tuple[float, float]:
-    """Exact (v1, v2): variance of the conditional mean of the difference
-    given the earlier-stop information, and mean of its conditional variance."""
-    atoms = enumerate_atoms(tree, ruleA, ruleB)
-    mean = sum(a.probability * a.conditional_mean for a in atoms)
-    v1 = sum(a.probability * a.conditional_mean**2 for a in atoms) - mean * mean
-    v2 = sum(a.probability * a.conditional_var for a in atoms)
-    return max(v1, 0.0), v2
-
+    """Exact E[X_{tau_A} - X_{tau_B}]: the first of ``exact_moments``."""
+    return exact_moments(tree, ruleA, ruleB)[0]

@@ -87,8 +87,8 @@ def _integers(x, what: str) -> np.ndarray:
     return x
 
 
-def _pack_key(seed: int, namespace: int, stream_class: int, index, date: int) -> np.ndarray:
-    """Philox keys (seed word, packed word) for one index, or one row per index of an array."""
+def _pack_key(namespace: int, stream_class: int, index, date: int) -> np.ndarray:
+    """Philox's packed key word (key[1]) for one index, or one word per index of an array."""
     if not 0 <= namespace < 16:
         raise ValueError(f"namespace out of range: {namespace}")
     if not 0 <= stream_class < 16:
@@ -102,8 +102,7 @@ def _pack_key(seed: int, namespace: int, stream_class: int, index, date: int) ->
     # dtype must be explicit: a plain int list with a word above 2^63 would
     # be coerced to float64, silently rounding away the low key bits
     fields = np.uint64((namespace << 60) | (stream_class << 56) | date)
-    packed = fields | (index.astype(np.uint64) << np.uint64(16))
-    return np.stack([np.full(packed.shape, int(seed) & _MASK64, dtype=np.uint64), packed], axis=-1)
+    return fields | (index.astype(np.uint64) << np.uint64(16))
 
 
 def words_per_point(width: int) -> int:
@@ -125,10 +124,10 @@ def raw_words(seed: int, namespace: int, stream_class: int, index, date: int, n_
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    keys = _pack_key(seed, namespace, stream_class, index, date).reshape(-1, 2)
+    keys = _pack_key(namespace, stream_class, index, date).ravel()
     counts = _integers(n_points, "n_points").ravel()
     starts = _integers(first_point, "first_point").ravel()
-    if not keys.shape[0] == counts.size == starts.size:
+    if not keys.size == counts.size == starts.size:
         raise ValueError("index, n_points and first_point must have one entry per request")
     if np.any(counts < 0) or np.any(starts < 0):
         raise ValueError("negative point range")
@@ -153,7 +152,7 @@ def raw_words(seed: int, namespace: int, stream_class: int, index, date: int, n_
         bg.state = state
         return bg.random_raw(n * words)
 
-    requests = zip(keys[:, 1].tolist(), counts.tolist(), starts.tolist())
+    requests = zip(keys.tolist(), counts.tolist(), starts.tolist())
     if counts.size == 1:
         # one request: Philox's own buffer, no copy
         out = draw(*next(requests))

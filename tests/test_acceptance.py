@@ -27,7 +27,7 @@ from nccmc.experiments import (
     qcv_estimate,
 )
 from nccmc.nested_cmc import estimate
-from nccmc.oracle import exact_components, exact_delta
+from nccmc.oracle import exact_delta, exact_moments
 from nccmc.process_models import GbmModel, GbmParams, bundled_tree
 from nccmc.stopping_rules import TreeRule
 from tests.conftest import random_calib_params
@@ -60,7 +60,7 @@ def test_criterion_1_tree_estimates_match_enumeration():
 def test_criterion_2_variance_follows_the_two_component_law():
     t0 = time.monotonic()
     tree, A, B = tree_problem()
-    v1, v2 = exact_components(tree, A, B)
+    _, v1, v2 = exact_moments(tree, A, B)
     N, reps, base = 1000, 200, 2026
     ratios = []
     for R in (1, 4, 16):

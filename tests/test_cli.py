@@ -9,7 +9,7 @@ import textwrap
 
 import pytest
 
-from nccmc import cli, experiments, rng
+from nccmc import cli, experiments, oracle, rng
 from nccmc.experiments import MlLevelRow, Table1Row
 from tests.conftest import short_tree_spec
 
@@ -145,6 +145,8 @@ def test_bad_thread_env_exits_2(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("env, flag, message", [
     ("lots", [], "error: NCCMC_THREADS must be an integer, got 'lots'"),
     ("2", ["--threads", "0"], "error: --threads must be >= 1"),
+    ("0", [], "error: NCCMC_THREADS must be >= 1"),
+    ("-2", [], "error: NCCMC_THREADS must be >= 1"),
 ])
 def test_thread_errors_come_before_the_config_is_read(tmp_path, monkeypatch, capsys, env, flag, message):
     monkeypatch.setenv("NCCMC_THREADS", env)
@@ -335,11 +337,20 @@ def test_help_documents_output_columns(capsys):
 
 # --- pilot and oracle glue -----------------------------------------------------------
 
-def test_tree_pilot_reports_oracle(tmp_path):
+def test_tree_pilot_reports_oracle(tmp_path, monkeypatch):
+    # the oracle block is one walk: one stop table per rule
+    stop_table, tables = oracle._stop_table, []
+
+    def spy(tree, rule):
+        tables.append(rule)
+        return stop_table(tree, rule)
+
+    monkeypatch.setattr(oracle, "_stop_table", spy)
     out = tmp_path / "o"
     cfg = config(tmp_path, TREE_AB + "run.n_pilot=2000\nrun.r_pilot=8\n")
     rc = cli.main(["pilot", "--config", cfg, "--seed", "3", "--out", str(out)])
     assert rc == 0
+    assert len(tables) == 2 and tables[0] is not tables[1]
     info = read_json(out, "pilot.json")
     assert info["oracle"]["delta"] == pytest.approx(-0.26, abs=1e-12)
     assert info["oracle"]["v1"] == pytest.approx(0.0864, abs=1e-12)
@@ -360,6 +371,9 @@ def test_pilot_flags_identical_rules(tmp_path):
     assert info["degenerate"] is True
     assert info["p_differ"] == 0.0
     assert info["R_rounded"] == 1
+    # the oracle block prints floats, not int 0
+    assert info["oracle"] == {"delta": 0.0, "v1": 0.0, "v2": 0.0}
+    assert all(type(v) is float for v in info["oracle"].values())
     # the no-nesting calibration, with the same keys as a sound pilot's
     assert (info["R_star"], info["gamma_star"], info["speedup"]) == (1.0, 1.0, 1.0)
     assert (info["gain_lower"], info["gain_upper"], info["condition_holds"]) == (1.0, 1.0, False)

@@ -23,14 +23,14 @@ from nccmc.nested_cmc import (
 )
 from nccmc.oracle import exact_delta
 from nccmc.process_models import GbmModel, GbmParams, simulate_training_paths
-from nccmc.rng import NS_TESTING, SUB
+from nccmc.rng import SUB
 from nccmc.stopping_rules import FixedDateRule, TreeRule, train_committee, train_tvr
 from tests.conftest import continuations
 
 
 def trunk(model, A, B, i, seed):
     """Stage one for path i alone: (tau, sign, x_wedge, resume, steps, evals)."""
-    tau, sign, xw, resume, steps, evals = _trunk_block(model, (A, B), seed, NS_TESTING, i, 1)
+    tau, sign, xw, resume, steps, evals = _trunk_block(model, (A, B), seed, i, 1)
     return int(tau[0]), int(sign[0]), float(xw[0]), resume, steps, evals
 
 
@@ -68,10 +68,10 @@ def test_trunk_meter_counts_steps(tree2):
 def test_path_alone_equals_its_batch_row(tree2, tree2_rules, d2_params, small_rule_pair):
     p0, n = 37, 40
     for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
-        tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, NS_TESTING, p0, n)
+        tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, p0, n)
         assert np.count_nonzero(sign) > 0
         for k in range(n):
-            t, s, x, r, _, _ = _trunk_block(model, (A, B), 5, NS_TESTING, p0 + k, 1)
+            t, s, x, r, _, _ = _trunk_block(model, (A, B), 5, p0 + k, 1)
             assert (t[0], s[0], x[0]) == (tau[k], sign[k], xw[k])
             assert np.array_equal(r[0], resume[k])
 
@@ -80,15 +80,15 @@ def test_path_alone_equals_its_batch_row(tree2, tree2_rules, d2_params, small_ru
 
 def test_coinciding_trunk_replicates_for_free(tree2):
     A = B = FixedDateRule(2)
-    tau, sign, xw, resume, _, _ = _trunk_block(tree2, (A, B), 1, NS_TESTING, 0, 1)
-    means, variances, steps, evals = _sub_block(tree2, A, B, 1, NS_TESTING, 0, tau, sign, xw, resume, 8)
+    tau, sign, xw, resume, _, _ = _trunk_block(tree2, (A, B), 1, 0, 1)
+    means, variances, steps, evals = _sub_block(tree2, A, B, 1, 0, tau, sign, xw, resume, 8)
     assert np.array_equal(means, np.zeros(1)) and np.array_equal(variances, np.zeros(1))
     assert steps == 0 and evals == 0
 
 
 def replication_values(model, A, B, n, R, seed):
     """Stage two's (trunk, replication) values for the differing trunks of paths [0, n)."""
-    tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), seed, NS_TESTING, 0, n)
+    tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), seed, 0, n)
     diff = np.nonzero(sign)[0]
     vals, _, _ = continuations(model, A, B, seed, diff, tau[diff], sign[diff], xw[diff],
                                resume[diff], R)
@@ -135,9 +135,8 @@ def test_stage_two_reads_each_trunks_sub_stream(tree2, tree2_rules, d2_params, s
     # reading its trunk's SUB stream by hand
     R = 4
     for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
-        tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, NS_TESTING, 0, 300)
-        means, variances, steps, evals = _sub_block(model, A, B, 5, NS_TESTING, 0,
-                                                    tau, sign, xw, resume, R)
+        tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, 0, 300)
+        means, variances, steps, evals = _sub_block(model, A, B, 5, 0, tau, sign, xw, resume, R)
         diff = np.nonzero(sign)[0]
         vals, by_hand_steps, by_hand_evals = continuations(
             model, A, B, 5, diff, tau[diff], sign[diff], xw[diff], resume[diff], R)
@@ -153,7 +152,7 @@ def test_stage_two_draws_once_per_sub_batch(monkeypatch, tree2, tree2_rules, d2_
     # where B does, each once
     p0, R = 40, 4
     for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
-        tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, NS_TESTING, p0, 3000)
+        tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, p0, 3000)
         groups = [np.nonzero(sign > 0)[0], np.nonzero(sign < 0)[0]]
         assert all(g.size for g in groups)
         requests, sub_batches = [], []
@@ -175,7 +174,7 @@ def test_stage_two_draws_once_per_sub_batch(monkeypatch, tree2, tree2_rules, d2_
             monkeypatch.setattr(nested_cmc, "NOISE_BUDGET", budget)
             requests.clear()
             sub_batches.clear()
-            _sub_block(model, A, B, 5, NS_TESTING, p0, tau, sign, xw, resume, R)
+            _sub_block(model, A, B, 5, p0, tau, sign, xw, resume, R)
             assert len(requests) == len(sub_batches)
             assert np.array_equal(np.concatenate(requests), p0 + np.concatenate(groups))
             calls.append(len(requests))
@@ -228,8 +227,8 @@ def test_stage_two_memory_follows_the_noise_budget(monkeypatch, tree2):
         x_wedge = model.payoff_batch(0, resume)
         tracemalloc.start()
         try:
-            means, _, steps, _ = _sub_block(model, FixedDateRule(0), FixedDateRule(model.J), 1,
-                                            NS_TESTING, 0, tau, sign, x_wedge, resume, R)
+            means, _, steps, _ = _sub_block(model, FixedDateRule(0), FixedDateRule(model.J), 1, 0,
+                                            tau, sign, x_wedge, resume, R)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -340,9 +339,9 @@ def test_estimate_matches_single_trunk_api(tree2, tree2_rules, d2_params, small_
         means, variances = np.empty(N), np.empty(N)
         t_steps = t_evals = s_steps = s_evals = 0
         for i in range(N):
-            tau, sign, xw, resume, steps, evals = _trunk_block(model, (A, B), 21, NS_TESTING, i, 1)
+            tau, sign, xw, resume, steps, evals = _trunk_block(model, (A, B), 21, i, 1)
             t_steps, t_evals = t_steps + steps, t_evals + evals
-            m, v, steps, evals = _sub_block(model, A, B, 21, NS_TESTING, i, tau, sign, xw, resume, R)
+            m, v, steps, evals = _sub_block(model, A, B, 21, i, tau, sign, xw, resume, R)
             s_steps, s_evals = s_steps + steps, s_evals + evals
             means[i], variances[i] = m[0], v[0]
         assert est.delta_hat == float(np.mean(means))
@@ -458,11 +457,11 @@ def test_a_value_run_asks_only_its_own_rule(monkeypatch, tree2, tree2_rules, d2_
     # and steps of the rule against itself (which counts its evaluations
     # twice) or against holding to maturity (which costs nothing)
     for model, (A, _) in problems:
-        tau, sign, xw, resume, steps, evals = _trunk_block(model, (A,), 5, NS_TESTING, 0, 3000)
+        tau, sign, xw, resume, steps, evals = _trunk_block(model, (A,), 5, 0, 3000)
         assert np.all(sign == 0)
         assert 0 < np.count_nonzero(tau < model.J) < tau.size
         for pair, times in (((A, A), 2), ((A, FixedDateRule(model.J)), 1)):
-            t, _, x, r, s, e = _trunk_block(model, pair, 5, NS_TESTING, 0, 3000)
+            t, _, x, r, s, e = _trunk_block(model, pair, 5, 0, 3000)
             assert np.array_equal(t, tau) and np.array_equal(x, xw) and np.array_equal(r, resume)
             assert (s, e) == (steps, times * evals)
 
@@ -617,10 +616,10 @@ def test_size_errors_come_before_any_chunk_runs(tree2, tree2_rules):
 # --- pilot ------------------------------------------------------------------------------
 
 def test_pilot_recovers_tree_components(tree2, tree2_rules):
-    from nccmc.oracle import exact_components
+    from nccmc.oracle import exact_moments
 
     A, B = tree2_rules
-    v1, v2 = exact_components(tree2, A, B)
+    _, v1, v2 = exact_moments(tree2, A, B)
     cal = pilot(tree2, A, B, 100_000, 10, seed=3)
     assert not cal.degenerate
     assert cal.v1 == pytest.approx(v1, rel=0.10)

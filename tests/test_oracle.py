@@ -6,12 +6,7 @@ import pytest
 import nccmc.oracle as oracle
 from nccmc import nested_cmc
 from nccmc.nested_cmc import estimate, pilot
-from nccmc.oracle import (
-    TreeSizeError,
-    enumerate_atoms,
-    exact_components,
-    exact_delta,
-)
+from nccmc.oracle import TreeSizeError, exact_delta, exact_moments
 from nccmc.process_models import load_tree
 from nccmc.stopping_rules import FixedDateRule, TreeRule
 from tests.conftest import exact_total_variance, short_tree_spec
@@ -31,8 +26,8 @@ def test_one_period_hand_values(tree1):
     # stop-now value 1 vs continuation mean 1.5; trunk information is
     # trivial so all variance is conditional
     A, B = FixedDateRule(0), FixedDateRule(1)
-    assert exact_delta(tree1, A, B) == pytest.approx(-0.5, abs=1e-15)
-    v1, v2 = exact_components(tree1, A, B)
+    delta, v1, v2 = exact_moments(tree1, A, B)
+    assert delta == pytest.approx(-0.5, abs=1e-15)
     assert v1 == pytest.approx(0.0, abs=1e-15)
     assert v2 == pytest.approx(2.25, abs=1e-15)
 
@@ -41,8 +36,8 @@ def test_two_period_hand_values(tree2, tree2_rules):
     A, B = tree2_rules
     # atom at node 0 (p=0.6): diffs {-2, +1} -> mean -0.5, var 2.25;
     # atom at node 1 (p=0.4): diffs {+1.5, -0.5} at odds 3:7 -> mean 0.1, var 0.84
-    assert exact_delta(tree2, A, B) == pytest.approx(-0.26, abs=1e-12)
-    v1, v2 = exact_components(tree2, A, B)
+    delta, v1, v2 = exact_moments(tree2, A, B)
+    assert delta == pytest.approx(-0.26, abs=1e-12)
     assert v1 == pytest.approx(0.0864, abs=1e-12)
     assert v2 == pytest.approx(1.686, abs=1e-12)
 
@@ -50,7 +45,10 @@ def test_two_period_hand_values(tree2, tree2_rules):
 def test_equal_rules_have_no_difference(tree2):
     rule = TreeRule(tree2, ["0"])
     assert exact_delta(tree2, rule, rule) == 0.0
-    assert exact_components(tree2, rule, rule) == (0.0, 0.0)
+    # floats, not int 0: the equal-rules pilot.json prints 0.0
+    moments = exact_moments(tree2, rule, rule)
+    assert moments == (0.0, 0.0, 0.0)
+    assert [type(m) for m in moments] == [float, float, float]
 
 
 @pytest.mark.parametrize("labels_a,labels_b", [
@@ -58,37 +56,23 @@ def test_equal_rules_have_no_difference(tree2):
     (["0", "1"], []),
     ([], ["1"]),
     (["root"], ["0", "1"]),
+    # the rules coincide at node 0, whose atom adds no variance
+    (["0"], ["0", "1"]),
 ])
 def test_variance_decomposition(tree2, labels_a, labels_b):
     A = TreeRule(tree2, labels_a)
     B = TreeRule(tree2, labels_b)
-    v1, v2 = exact_components(tree2, A, B)
+    _, v1, v2 = exact_moments(tree2, A, B)
     total = exact_total_variance(tree2, A, B)
     assert v1 + v2 == pytest.approx(total, rel=1e-10, abs=1e-12)
-
-
-def test_atom_probabilities_sum_to_one(tree2, tree2_rules):
-    atoms = enumerate_atoms(tree2, *tree2_rules)
-    assert sum(a.probability for a in atoms) == pytest.approx(1.0, abs=1e-12)
-    assert all(a.S in (-1, 0, 1) for a in atoms)
-
-
-def test_coinciding_atom_carries_no_variance(tree2):
-    A = TreeRule(tree2, ["0"])
-    B = TreeRule(tree2, ["0", "1"])
-    atoms = enumerate_atoms(tree2, A, B)
-    for a in atoms:
-        if a.S == 0:
-            assert a.conditional_mean == 0.0 and a.conditional_var == 0.0
 
 
 @pytest.mark.parametrize("labels_a,labels_b", [(["0/0"], []), (["0"], ["1"]), (["root"], [])])
 def test_oracle_accepts_what_the_loader_accepts(labels_a, labels_b):
     tree = load_tree(short_tree_spec())
     A, B = TreeRule(tree, labels_a), TreeRule(tree, labels_b)
-    atoms = enumerate_atoms(tree, A, B)
-    assert sum(a.probability for a in atoms) == pytest.approx(1.0, abs=1e-11)
-    values = [exact_delta(tree, A, B), *exact_components(tree, A, B), exact_total_variance(tree, A, B)]
+    # exact_moments raises if the atoms' mass misses 1 by more than its bound
+    values = [*exact_moments(tree, A, B), exact_total_variance(tree, A, B)]
     assert np.all(np.isfinite(values))
 
 
@@ -99,7 +83,7 @@ def test_atom_check_trips_when_mass_is_lost(tree2, monkeypatch, node):
     monkeypatch.setattr(tree2, "branch_probs", lambda n: probs(n) * (0.9 if n == node else 1.0))
     hold = TreeRule(tree2, [])
     with pytest.raises(AssertionError, match="atom probabilities sum to"):
-        enumerate_atoms(tree2, hold, hold)
+        exact_moments(tree2, hold, hold)
 
 
 def test_each_rule_is_asked_once_a_date(monkeypatch):
@@ -114,7 +98,7 @@ def test_each_rule_is_asked_once_a_date(monkeypatch):
             return decide(j, states, payoffs)
 
         monkeypatch.setattr(rule, "decide_batch", spy)
-    enumerate_atoms(tree, A, B)
+    exact_moments(tree, A, B)
     assert calls == {"A": [0, 1, 2, 3], "B": [0, 1, 2, 3]}
 
 
@@ -149,11 +133,11 @@ def random_tree_problem(seed, J=None, width=None):
 def test_random_trees_match_the_oracle(monkeypatch):
     for seed in range(20):
         tree, A, B = random_tree_problem(seed)
-        v1, v2 = exact_components(tree, A, B)
+        delta, v1, v2 = exact_moments(tree, A, B)
         assert v1 + v2 == pytest.approx(exact_total_variance(tree, A, B), rel=1e-12, abs=1e-12)
 
         est = estimate(tree, A, B, 20_000, 4, seed=100 + seed)
-        gap = est.delta_hat - exact_delta(tree, A, B)
+        gap = est.delta_hat - delta
         assert abs(gap) < 4 * est.stderr if est.stderr > 0 else gap == 0.0
         # two chunks at two threads; at N = 2,000 a small budget still means
         # hundreds of sub-batches
@@ -166,7 +150,7 @@ def test_random_trees_match_the_oracle(monkeypatch):
     # and a deeper 3-ary tree, of 3,280 nodes, for the oracle alone
     tree, A, B = random_tree_problem(20, J=7, width=3)
     assert tree.n_nodes == 3280
-    v1, v2 = exact_components(tree, A, B)
+    _, v1, v2 = exact_moments(tree, A, B)
     assert v1 + v2 == pytest.approx(exact_total_variance(tree, A, B), rel=1e-12, abs=1e-12)
 
 
@@ -177,7 +161,7 @@ def test_random_tree_pilots_match_the_exact_components():
     K = 16
     for seed in range(20):
         tree, A, B = random_tree_problem(seed)
-        exact = np.array(exact_components(tree, A, B))
+        exact = np.array(exact_moments(tree, A, B)[1:])
         got = np.array([[p.v1, p.v2] for p in (pilot(tree, A, B, 2000, 8, seed=1000 + 100 * seed + k)
                                                for k in range(K))])
         gap = got.mean(axis=0) - exact

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nccmc import rng
+from nccmc import nested_cmc, rng
 from nccmc.nested_cmc import _trunk_block
 from nccmc.process_models import (
     GbmModel,
@@ -141,15 +141,16 @@ def test_stored_payoffs_recomputable():
         assert np.array_equal(payoffs[:, j], GbmModel(p).payoff_batch(j, assets[:, j]))
 
 
-def test_training_batch_matches_per_path_streams():
-    # stage one run alone on path p, holding to maturity, ends where the
-    # training batch's path p does
+def test_training_batch_matches_per_path_streams(monkeypatch):
+    # stage one run alone on path p, holding to maturity, in the training
+    # namespace, ends where the training batch's path p does
     p = params()
     model = GbmModel(p)
     hold = FixedDateRule(p.J)
     assets, payoffs = full_paths(simulate_training_paths(p, 7, 21))
+    monkeypatch.setattr(nested_cmc, "NS_TESTING", rng.NS_TRAINING)
     for path in (0, 3, 6):
-        _, _, xw, resume, _, _ = _trunk_block(model, (hold,), 21, rng.NS_TRAINING, path, 1)
+        _, _, xw, resume, _, _ = _trunk_block(model, (hold,), 21, path, 1)
         assert np.array_equal(resume[0], assets[path, p.J])
         assert xw[0] == payoffs[path, p.J]
 
@@ -186,7 +187,7 @@ def test_continuation_from_maturity_rejected(d2_params, small_rule_pair):
     # both rules stop at J, so a trunk that reaches it always has S = 0 and
     # stage two never resumes a path there
     A, B = small_rule_pair
-    tau, sign, *_ = _trunk_block(GbmModel(d2_params), (A, B), 12, rng.NS_TESTING, 0, 4000)
+    tau, sign, *_ = _trunk_block(GbmModel(d2_params), (A, B), 12, 0, 4000)
     assert np.any(tau == d2_params.J)
     assert np.all(sign[tau == d2_params.J] == 0)
     assert np.count_nonzero(sign) > 0

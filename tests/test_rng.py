@@ -57,19 +57,20 @@ def test_large_seed_keeps_dates_distinct():
 
 
 def test_pack_key_dtype_is_unsigned():
-    key = rng._pack_key(2**64 - 1, 1, 1, 2**40 - 1, 2**16 - 1)
+    key = rng._pack_key(1, 1, 2**40 - 1, 2**16 - 1)
     assert key.dtype == np.uint64
+    assert int(key) == 1 << 60 | 1 << 56 | (2**40 - 1) << 16 | 2**16 - 1
 
 
 def test_key_field_ranges_validated():
     with pytest.raises(ValueError):
-        rng._pack_key(1, 16, 0, 0, 0)
+        rng._pack_key(16, 0, 0, 0)
     with pytest.raises(ValueError):
-        rng._pack_key(1, 0, 16, 0, 0)
+        rng._pack_key(0, 16, 0, 0)
     with pytest.raises(ValueError):
-        rng._pack_key(1, 0, 0, 1 << 40, 0)
+        rng._pack_key(0, 0, 1 << 40, 0)
     with pytest.raises(ValueError):
-        rng._pack_key(1, 0, 0, 0, 1 << 16)
+        rng._pack_key(0, 0, 0, 1 << 16)
     with pytest.raises(ValueError):
         rng.raw_words(1, 0, 0, 0, 0, 10, 0)
 
@@ -106,7 +107,8 @@ def test_stream_key_replications_distinct():
 def fresh_words(seed, namespace, stream_class, index, date, n_points, width, first_point):
     """raw_words as a freshly built Philox generator produces them."""
     cpp = -(-width // 4)
-    bg = Philox(counter=0, key=rng._pack_key(seed, namespace, stream_class, index, date))
+    key = np.array([seed, rng._pack_key(namespace, stream_class, index, date)], dtype=np.uint64)
+    bg = Philox(counter=0, key=key)
     bg.advance(first_point * cpp)
     return bg.random_raw(n_points * cpp * 4).reshape(n_points, cpp * 4)[:, :width]
 

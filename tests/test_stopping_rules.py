@@ -8,7 +8,7 @@ import pytest
 from nccmc import stopping_rules
 from nccmc.nested_cmc import _trunk_block
 from nccmc.process_models import GbmModel, GbmParams, simulate_training_paths
-from nccmc.rng import NS_TESTING, derive_seed
+from nccmc.rng import derive_seed
 from nccmc.stopping_rules import (
     CommitteeRule,
     FixedDateRule,
@@ -94,7 +94,7 @@ def test_tree_rule_rejects_unknown_label(tree2):
 
 def stop_dates(rule, p, n, seed):
     """Each path's stopping date under rule, from stage one against it alone."""
-    return _trunk_block(GbmModel(p), (rule,), seed, NS_TESTING, 0, n)[0]
+    return _trunk_block(GbmModel(p), (rule,), seed, 0, n)[0]
 
 
 def test_evaluate_fixed_maturity_and_stop_everywhere():
@@ -826,7 +826,7 @@ def test_band_settles_most_rows_of_a_trained_committee():
         return decide_batch(j, states, payoffs)
 
     rule.decide_batch = spy
-    _trunk_block(GbmModel(p), (rule,), 1, NS_TESTING, 0, 8000)
+    _trunk_block(GbmModel(p), (rule,), 1, 0, 8000)
     rows = settled = 0
     for j, states, payoffs in calls:
         want = _stop_mask(payoffs, rule.continuation_batch(j, states, payoffs))
