@@ -38,7 +38,7 @@ from .experiments import (
 )
 from .nested_cmc import estimate
 from .oracle import exact_delta, exact_moments
-from .process_models import GbmModel, GbmParams, TreeModel, bundled_tree, load_tree, simulate_training_paths
+from .process_models import GbmModel, GbmParams, TreeModel, bundled_tree, simulate_training_paths
 from .stopping_rules import FixedDateRule, TreeRule, basis_size, shift_rule, train_committee, train_tvr
 
 
@@ -80,15 +80,16 @@ def _config_digest(cfg: dict[str, str]) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _within(x, low=None, above=None):
-    """x when it is finite, >= low and > above (each bound when given); else ValueError."""
-    if -math.inf < x < math.inf and (low is None or x >= low) and (above is None or x > above):
+def _within(x, low=None, above=None, high=None):
+    """x when it is finite, >= low, > above and <= high (each bound when given); else ValueError."""
+    if (-math.inf < x < math.inf and (low is None or x >= low) and (above is None or x > above)
+            and (high is None or x <= high)):
         return x
     raise ValueError(x)
 
 
-def _bounds(what: str, low=None, above=None) -> str:
-    return what + (f" >= {low}" if low is not None else "") + (f" > {above}" if above is not None else "")
+def _bounds(what: str, low=None, above=None, high=None) -> str:
+    return what + " and".join(f" {op} {x}" for op, x in ((">=", low), (">", above), ("<=", high)) if x is not None)
 
 
 def _items(v: str, convert) -> tuple:
@@ -126,8 +127,9 @@ class ConfigReader:
     def str(self, key: str, default: Optional[str] = None) -> Optional[str]:
         return self.parse(key, str, "a string", default)
 
-    def int(self, key: str, default: Optional[int] = None, low=None) -> Optional[int]:
-        return self.parse(key, lambda v: _within(int(v), low), _bounds("an integer", low), default)
+    def int(self, key: str, default: Optional[int] = None, low=None, high=None) -> Optional[int]:
+        return self.parse(key, lambda v: _within(int(v), low, high=high),
+                          _bounds("an integer", low, high=high), default)
 
     def float(self, key: str, default: Optional[float] = None, low=None, above=None) -> Optional[float]:
         return self.parse(key, lambda v: _within(float(v), low, above),
@@ -172,7 +174,7 @@ def _gbm_params(r: ConfigReader) -> GbmParams:
         K=r.float("model.strike", 100.0, above=0),
         y0=r.float("model.y0", 90.0, above=0),
         T=r.float("model.maturity", 3.0, above=0),
-        n_dates=r.int("model.dates", 10, 2),
+        n_dates=r.int("model.dates", 10, 2, rng.DATE_LIMIT),
     )
 
 
@@ -216,10 +218,10 @@ def _build_tree(r: ConfigReader) -> Optional[TreeModel]:
     if path:
         try:
             with open(path) as fh:
-                return load_tree(json.load(fh))
+                return TreeModel(json.load(fh))
         except OSError as e:
             raise ConfigError(f"config key tree.file: cannot read {path}: {e}") from e
-        except ValueError as e:  # not JSON, or not a tree
+        except (ValueError, RecursionError) as e:  # not JSON, not a tree, or nested too deeply
             raise ConfigError(f"config key tree.file: {path} is not a valid tree: {e}") from None
     return None
 
@@ -516,15 +518,8 @@ def _vprofile_job(r: ConfigReader, args) -> _Job:
 
 
 def _run(args) -> int:
-    source = "--threads" if args.threads is not None else "NCCMC_THREADS"
-    if args.threads is None:
-        env = os.environ.get(source, "1")
-        try:
-            args.threads = int(env)
-        except ValueError:
-            raise ConfigError(f"{source} must be an integer, got {env!r}") from None
     if args.threads < 1:
-        raise ConfigError(f"{source} must be >= 1")
+        raise ConfigError("--threads must be >= 1")
     raw = _read_config(args.config)
     r = ConfigReader(raw)
     run = args.job(r, args)
@@ -586,8 +581,8 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--config", required=True, help="flat key=value config file")
         q.add_argument("--seed", type=int, default=None,
                        help="base seed; run.seed_training/run.seed_testing override it")
-        q.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: NCCMC_THREADS or 1): forked on Linux, "
+        q.add_argument("--threads", type=int, default=1,
+                       help="worker processes (default: 1): forked on Linux, "
                             "inline elsewhere; never changes results")
         q.add_argument("--out", default=".", help="output directory (default: current)")
         q.set_defaults(job=fn)

@@ -91,7 +91,7 @@ def exact_moments(tree: TreeModel, ruleA, ruleB) -> tuple[float, float, float]:
             delta += prob * mean
             second += prob * mean**2
             v2 += prob * max(m2 - m1 * m1, 0.0)
-    # load_tree lets a node's probabilities miss 1 by 1e-12, branch_probs adds
+    # TreeModel lets a node's probabilities miss 1 by 1e-12, branch_probs adds
     # 2 b eps (b children) and a path's product rounds once a date; over J dates,
     # twice J times that bounds the compounding while J times it is below 1,
     # and fsum rounds once

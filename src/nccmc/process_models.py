@@ -226,7 +226,8 @@ def simulate_training_paths(params: GbmParams, n: int, seed: int) -> TrainingPat
 
 
 class TreeModel:
-    """A finite Markov tree with a payoff at every node.
+    """A finite Markov tree with a payoff at every node, built from a parsed
+    tree JSON document ``{"root": node}``.
 
     All leaves must sit at the same depth J so the payoff is defined at every
     date along every path.  Nodes are numbered in depth-first preorder, so a
@@ -239,7 +240,9 @@ class TreeModel:
     rounded below 1 lands.
     """
 
-    def __init__(self, root: dict):
+    def __init__(self, document: dict):
+        if not isinstance(document, dict) or "root" not in document:
+            raise ValueError("a tree document is an object with a top-level 'root'")
         payoffs: list[float] = []
         depths: list[int] = []
         labels: list[str] = []
@@ -273,7 +276,7 @@ class TreeModel:
                 branches[nid] = ([add(c, depth + 1, sub) for c, sub in zip(children, subs)], np.cumsum(probs))
             return nid
 
-        add(root, 0, "root")
+        add(document["root"], 0, "root")
 
         self.n_nodes = len(payoffs)
         self.payoffs = np.array(payoffs)
@@ -323,11 +326,6 @@ class TreeModel:
         return self._id_table[states, pick]
 
 
-def load_tree(spec: dict) -> TreeModel:
-    """Build a TreeModel from a parsed tree JSON document."""
-    return TreeModel(spec.get("root", spec) if isinstance(spec, dict) else spec)
-
-
 def bundled_tree(name: str) -> TreeModel:
     """Load one of the tree fixtures shipped with the package.
 
@@ -336,4 +334,4 @@ def bundled_tree(name: str) -> TreeModel:
     from importlib import resources
 
     ref = resources.files("nccmc").joinpath("data", f"{name}.json")
-    return load_tree(json.loads(ref.read_text()))
+    return TreeModel(json.loads(ref.read_text()))

@@ -60,6 +60,10 @@ SUB = 1
 NS_TESTING = 0
 NS_TRAINING = 1
 
+# Date keys fill the packed key's low 16 bits, so a model has at most this
+# many dates (0..DATE_LIMIT - 1).
+DATE_LIMIT = 1 << 16
+
 _MASK64 = (1 << 64) - 1
 
 # Philox-4x64 emits this many raw words per counter increment.
@@ -93,7 +97,7 @@ def _pack_key(namespace: int, stream_class: int, index, date: int) -> np.ndarray
         raise ValueError(f"namespace out of range: {namespace}")
     if not 0 <= stream_class < 16:
         raise ValueError(f"stream class out of range: {stream_class}")
-    if not 0 <= date < (1 << 16):
+    if not 0 <= date < DATE_LIMIT:
         raise ValueError(f"date index out of range: {date}")
     index = _integers(index, "stream index")
     bad = (index < 0) | (index >= (1 << 40))

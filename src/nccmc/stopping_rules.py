@@ -120,13 +120,6 @@ def _predict(A: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(A, coeffs.T, out=out)
 
 
-def _finite_shift(shift: float) -> float:
-    shift = float(shift)
-    if not math.isfinite(shift):
-        raise ValueError(f"shift must be finite, got {shift!r}")
-    return shift
-
-
 def _spread_band(coeffs: np.ndarray, k: int):
     """One date's spread band, (c0, Wh, r*, rho), or None (see CommitteeRule)."""
     top = np.abs(coeffs).max()
@@ -150,8 +143,9 @@ def _spread_band(coeffs: np.ndarray, k: int):
 class CommitteeRule:
     """Stops when the payoff reaches the median member prediction plus a shift.
 
-    member_coeffs has shape (M, J, B); a nonzero ``shift`` is added to the
-    median with one rounding.  eval_cost is M: the cost model
+    member_coeffs has shape (M, J, B), with B = basis_size(d) for the
+    model's d; a nonzero ``shift``, set only by ``shift_rule``, is added to
+    the median with one rounding.  eval_cost is M: the cost model
     charges every decision all M members, although counting (below) often
     settles a row before the last of them is evaluated.  ``prefix(m)`` views
     the first m members as their own committee, sharing the coefficient
@@ -213,16 +207,16 @@ class CommitteeRule:
     ``prefix(m)`` builds its own bands; a ``shift_rule`` copy shares them.
     """
 
-    def __init__(self, member_coeffs: np.ndarray, y0: float, d: int, shift: float = 0.0):
+    def __init__(self, member_coeffs: np.ndarray, y0: float):
         member_coeffs = np.asarray(member_coeffs, dtype=float)
-        if member_coeffs.ndim != 3 or member_coeffs.shape[2] != basis_size(d):
-            raise ValueError("coefficient array must be (M, J, basis_size(d))")
+        B = member_coeffs.shape[2] if member_coeffs.ndim == 3 else 0
+        if B not in map(basis_size, range(1, B)):
+            raise ValueError("coefficient array must be (M, J, basis_size(d)) for some d >= 1")
         if member_coeffs.shape[0] < 1:
             raise ValueError("committee needs at least one member")
         self.member_coeffs = member_coeffs
         self.y0 = float(y0)
-        self.d = int(d)
-        self.shift = _finite_shift(shift)
+        self.shift = 0.0
         self.eval_cost = member_coeffs.shape[0]
         # built once: forked workers inherit them, and a shift copy shares them
         k = self.members // 2
@@ -235,7 +229,7 @@ class CommitteeRule:
     def prefix(self, m: int) -> "CommitteeRule":
         if not 1 <= m <= self.members:
             raise ValueError(f"prefix size {m} outside 1..{self.members}")
-        return CommitteeRule(self.member_coeffs[:m], self.y0, self.d, self.shift)
+        return shift_rule(CommitteeRule(self.member_coeffs[:m], self.y0), self.shift)
 
     def continuation_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
         """The stop threshold of each row: median prediction plus the shift."""
@@ -330,8 +324,8 @@ class CommitteeRule:
 class RegressionRule(CommitteeRule):
     """One fitted regression, coeffs of shape (J, B): a one-member committee."""
 
-    def __init__(self, coeffs: np.ndarray, y0: float, d: int):
-        super().__init__(np.asarray(coeffs, dtype=float)[None], y0, d)
+    def __init__(self, coeffs: np.ndarray, y0: float):
+        super().__init__(np.asarray(coeffs, dtype=float)[None], y0)
 
 
 class TreeRule:
@@ -357,14 +351,18 @@ def shift_rule(rule, epsilon: float):
     The copy keeps the rule's class, members and cost, and adds epsilon to
     its ``shift`` (so shifting twice adds the two first, with one rounding).
     Larger epsilon means a later stopper; epsilon 0 returns the rule itself.
-    The sum must be finite, so a non-finite epsilon is rejected too.
+    The sum must be finite, so a non-finite epsilon is rejected too.  This
+    is the one way to shift a rule.
     """
     if epsilon == 0.0:
         return rule
     if not isinstance(rule, CommitteeRule):
         raise TypeError("shift requires a rule with a continuation value")
+    shift = rule.shift + float(epsilon)
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift!r}")
     shifted = copy.copy(rule)
-    shifted.shift = _finite_shift(rule.shift + float(epsilon))
+    shifted.shift = shift
     return shifted
 
 
@@ -401,8 +399,7 @@ def train_tvr(paths: TrainingPaths) -> RegressionRule:
     The pool's model supplies y0, d and J: a rule learns the model its paths
     were simulated under.
     """
-    p = paths.model.params
-    return RegressionRule(_fit_backward(paths.states, paths.final, paths.model), p.y0, p.d)
+    return RegressionRule(_fit_backward(paths.states, paths.final, paths.model), paths.model.params.y0)
 
 
 def train_committee(paths: TrainingPaths, members: int, member_size: int, seed: int) -> CommitteeRule:
@@ -425,4 +422,4 @@ def train_committee(paths: TrainingPaths, members: int, member_size: int, seed: 
         gen = np.random.default_rng(derive_seed(seed, f"committee-member-{m}"))
         idx = gen.integers(0, paths.n, size=member_size)
         coeffs[m] = _fit_backward(lambda j: gather_rows(states[j], idx), paths.final[idx], paths.model)
-    return CommitteeRule(coeffs, p.y0, p.d)
+    return CommitteeRule(coeffs, p.y0)

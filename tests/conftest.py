@@ -67,7 +67,7 @@ def full_paths(paths):
 
 def short_tree_spec():
     """Two dates, binary, every branch probability 0.5 - 0.45e-12: each node
-    sums to within load_tree's 1e-12 of 1, and the atoms to 1 - 1.8e-12."""
+    sums to within TreeModel's 1e-12 of 1, and the atoms to 1 - 1.8e-12."""
     q = 0.5 - 0.45e-12
     return {"root": {"payoff": 1.0, "children": [
         {"prob": q, "payoff": 2.0, "children": [{"prob": q, "payoff": 3.0}, {"prob": q, "payoff": 1.0}]},

@@ -109,8 +109,13 @@ def test_unknown_tree_label_exits_2(tmp_path, capsys):
     '[1]',
     '{"root": {"payoff": 1, "children": 5}}',
     '{"root": {"payoff": NaN, "children": [{"prob": 1, "payoff": 0}]}}',
+    '{"payoff": 1, "children": [{"prob": 1, "payoff": 0}]}',
+    '{"payoff": 1.0}',
+    '{"root": {"payoff": 1, "children": [' + '{"prob": 1, "payoff": 1, "children": [' * 1500
+    + '{"prob": 1, "payoff": 0}' + ']}' * 1500 + ']}}',
 ], ids=["not-json", "probs-sum-to-1.4", "child-without-payoff", "root-not-object", "payoff-not-number",
-        "document-not-object", "children-not-a-list", "payoff-not-finite"])
+        "document-not-object", "children-not-a-list", "payoff-not-finite", "bare-root-node", "no-root",
+        "chain-1500-levels"])
 def test_bad_tree_file_exits_2_and_names_it(tmp_path, capsys, doc):
     tree = tmp_path / "tree.json"
     tree.write_text(doc)
@@ -134,27 +139,26 @@ def test_bad_thread_count_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_bad_thread_env_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NCCMC_THREADS", "lots")
-    cfg = config(tmp_path, TREE_AB)
-    rc = cli.main(["pilot", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "NCCMC_THREADS" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("env, flag, message", [
-    ("lots", [], "error: NCCMC_THREADS must be an integer, got 'lots'"),
-    ("2", ["--threads", "0"], "error: --threads must be >= 1"),
-    ("0", [], "error: NCCMC_THREADS must be >= 1"),
-    ("-2", [], "error: NCCMC_THREADS must be >= 1"),
-])
-def test_thread_errors_come_before_the_config_is_read(tmp_path, monkeypatch, capsys, env, flag, message):
-    monkeypatch.setenv("NCCMC_THREADS", env)
-    rc = cli.main(["pilot", "--config", str(tmp_path / "absent.cfg"), "--seed", "1", *flag,
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_thread_errors_come_before_the_config_is_read(tmp_path, capsys, threads):
+    rc = cli.main(["pilot", "--config", str(tmp_path / "absent.cfg"), "--seed", "1", "--threads", threads,
                    "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert capsys.readouterr().err == message + "\n"
+    assert capsys.readouterr().err == "error: --threads must be >= 1\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_threads_default_to_one(tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(["pilot", "--config", config(tmp_path, TREE_AB), "--seed", "1", "--out", str(out)]) == 0
+    assert read_json(out, "manifest.json")["threads"] == 1
+
+
+def test_model_dates_reach_the_date_key_limit():
+    # date keys 0..DATE_LIMIT - 1: the most dates a model may have
+    params = cli._gbm_params(cli.ConfigReader({"model.dates": str(rng.DATE_LIMIT)}))
+    assert params.J == rng.DATE_LIMIT - 1
+    rng._pack_key(0, rng.TRUNK, 0, params.J)
 
 
 @pytest.mark.parametrize("budget", ["-5", "0", "nan", "inf"])
@@ -219,6 +223,8 @@ def test_bad_rule_size_exits_2_before_training(tmp_path, capsys, monkeypatch, se
     ("estimate", "model.y0=-90", "model.y0"),
     ("estimate", "model.maturity=0", "model.maturity"),
     ("estimate", "model.dates=1", "model.dates"),
+    ("estimate", "model.dates=65538", "model.dates"),
+    ("estimate", "model.dates=65537", "model.dates"),
     ("estimate", "run.training_paths=6", "run.training_paths"),
     ("estimate", "rules.a.training_paths=6", "rules.a.training_paths"),
     ("estimate", "rules.b.sigma=-0.1", "rules.b.sigma"),
@@ -493,17 +499,6 @@ def test_manifest_tracks_config_identity(tmp_path):
     assert ma["command"] == "estimate"
     other = run_estimate(tmp_path, "d", extra="run.replications=2\n")
     assert read_json(other, "manifest.json")["config_digest"] != ma["config_digest"]
-
-
-def test_thread_env_fallback_matches_explicit(tmp_path, monkeypatch):
-    a = run_estimate(tmp_path, "a", threads="2")
-    monkeypatch.setenv("NCCMC_THREADS", "2")
-    out = tmp_path / "env"
-    cfg = config(tmp_path, GBM_SMALL, name="env.cfg")
-    rc = cli.main(["estimate", "--config", cfg, "--seed", "42", "--out", str(out)])
-    assert rc == 0
-    assert (a / "estimate.csv").read_bytes() == (out / "estimate.csv").read_bytes()
-    assert read_json(out, "manifest.json")["threads"] == 2
 
 
 def test_calibrated_r_beats_plain_coupling_at_equal_budget(tmp_path):

@@ -7,13 +7,13 @@ import nccmc.oracle as oracle
 from nccmc import nested_cmc
 from nccmc.nested_cmc import estimate, pilot
 from nccmc.oracle import TreeSizeError, exact_delta, exact_moments
-from nccmc.process_models import load_tree
+from nccmc.process_models import TreeModel
 from nccmc.stopping_rules import FixedDateRule, TreeRule
 from tests.conftest import exact_total_variance, short_tree_spec
 
 
 def symmetric_tree(high):
-    return load_tree({"root": {"payoff": 1.0, "children": [
+    return TreeModel({"root": {"payoff": 1.0, "children": [
         {"prob": 0.5, "payoff": high}, {"prob": 0.5, "payoff": 0.0}]}})
 
 
@@ -69,7 +69,7 @@ def test_variance_decomposition(tree2, labels_a, labels_b):
 
 @pytest.mark.parametrize("labels_a,labels_b", [(["0/0"], []), (["0"], ["1"]), (["root"], [])])
 def test_oracle_accepts_what_the_loader_accepts(labels_a, labels_b):
-    tree = load_tree(short_tree_spec())
+    tree = TreeModel(short_tree_spec())
     A, B = TreeRule(tree, labels_a), TreeRule(tree, labels_b)
     # exact_moments raises if the atoms' mass misses 1 by more than its bound
     values = [*exact_moments(tree, A, B), exact_total_variance(tree, A, B)]
@@ -124,7 +124,7 @@ def random_tree_problem(seed, J=None, width=None):
             spec["children"] = [dict(node(depth + 1), prob=float(q)) for q in w / w.sum()]
         return spec
 
-    tree = load_tree({"root": node(0)})
+    tree = TreeModel({"root": node(0)})
     labels = tree.labels[1:]
     rules = [TreeRule(tree, [lab for lab in labels if gen.random() < 0.3]) for _ in "AB"]
     return tree, *rules

@@ -11,7 +11,6 @@ from nccmc.process_models import (
     TreeModel,
     bundled_tree,
     gather_rows,
-    load_tree,
     scatter_rows,
     simulate_training_paths,
 )
@@ -243,18 +242,28 @@ def test_model_adapter_consistency():
 
 def test_tree_validation():
     with pytest.raises(ValueError):
-        load_tree({"root": {"payoff": 1.0, "children": [
+        TreeModel({"root": {"payoff": 1.0, "children": [
             {"prob": 0.6, "payoff": 1.0}, {"prob": 0.5, "payoff": 2.0}]}})
     with pytest.raises(ValueError):
-        load_tree({"root": {"payoff": 1.0, "children": [
+        TreeModel({"root": {"payoff": 1.0, "children": [
             {"prob": 0.5, "payoff": 1.0},
             {"prob": 0.5, "payoff": 2.0, "children": [
                 {"prob": 1.0, "payoff": 0.0}]}]}})
     with pytest.raises(ValueError):
-        load_tree({"root": {"payoff": 1.0}})
+        TreeModel({"root": {"payoff": 1.0}})
     with pytest.raises(ValueError, match="negative branch probability at node 'root'"):
-        load_tree({"root": {"payoff": 1.0, "children": [
+        TreeModel({"root": {"payoff": 1.0, "children": [
             {"prob": 1.5, "payoff": 1.0}, {"prob": -0.5, "payoff": 2.0}]}})
+
+
+@pytest.mark.parametrize("doc", [
+    {"payoff": 1.0, "children": [{"prob": 1.0, "payoff": 0.0}]},
+    {"tree": {"payoff": 1.0, "children": [{"prob": 1.0, "payoff": 0.0}]}},
+    [{"payoff": 1.0, "children": [{"prob": 1.0, "payoff": 0.0}]}],
+], ids=["bare-root-node", "no-root-key", "not-an-object"])
+def test_tree_document_needs_a_top_level_root(doc):
+    with pytest.raises(ValueError, match="top-level 'root'"):
+        TreeModel(doc)
 
 
 def test_bundled_trees_load():
@@ -302,7 +311,7 @@ def test_tree_top_uniform_reaches_the_last_child_of_the_widest_node():
     # ten children of 0.1: their cumulative sum rounds to 1 - 2^-53, below
     # the largest uniform, 1 - 2^-54, which must still pick child 9
     tenth = [{"prob": 0.1, "payoff": float(k)} for k in range(10)]
-    m = load_tree({"root": {"payoff": 0.0, "children": [
+    m = TreeModel({"root": {"payoff": 0.0, "children": [
         {"prob": 0.5, "payoff": 0.0, "children": tenth},
         {"prob": 0.5, "payoff": 0.0, "children": [{"prob": 1.0, "payoff": 1.0}]}]}})
     assert np.cumsum([0.1] * 10)[-1] < 1.0 - 2.0**-54

@@ -35,7 +35,7 @@ def constant_rule(c: float, d: int = 1) -> RegressionRule:
     """A one-date regression rule whose predicted continuation is identically c."""
     coeffs = np.zeros((1, basis_size(d)))
     coeffs[:, 0] = c
-    return RegressionRule(coeffs, y0=90.0, d=d)
+    return RegressionRule(coeffs, y0=90.0)
 
 
 def decide(rule, j, state, payoff) -> bool:
@@ -161,16 +161,27 @@ def test_all_zero_payoffs_stop_at_first_date():
 @pytest.mark.parametrize("shape,message", [
     ((9, 7), "coefficient array"), ((2, 9, 6), "coefficient array"),
     ((2, 9, 7, 1), "coefficient array"), ((0, 9, 7), "at least one member"),
-], ids=["two-dims", "wrong-basis", "four-dims", "no-members"])
+    ((2, 9, 1), "coefficient array"), ((2, 9, 0), "coefficient array"),
+], ids=["two-dims", "wrong-basis", "four-dims", "no-members", "one-column", "no-columns"])
 def test_committee_rejects_misshapen_coefficients(shape, message):
     with pytest.raises(ValueError, match=message):
-        CommitteeRule(np.zeros(shape), 90.0, 2)
+        CommitteeRule(np.zeros(shape), 90.0)
 
 
 @pytest.mark.parametrize("shape", [(7,), (9, 6), (1, 9, 7)], ids=["one-dim", "wrong-basis", "three-dims"])
 def test_regression_rule_rejects_misshapen_coefficients(shape):
     with pytest.raises(ValueError, match="coefficient array"):
-        RegressionRule(np.zeros(shape), 90.0, 2)
+        RegressionRule(np.zeros(shape), 90.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_coefficient_width_is_a_basis_size(d):
+    # widths 4, 7 and 22 are basis_size(1), (2) and (5); the width is the one
+    # record of d a rule keeps
+    B = basis_size(d)
+    assert B == {1: 4, 2: 7, 5: 22}[d]
+    assert CommitteeRule(np.zeros((3, 2, B)), 90.0).member_coeffs.shape == (3, 2, B)
+    assert RegressionRule(np.zeros((2, B)), 90.0).members == 1
 
 
 def test_training_needs_enough_paths():
@@ -329,10 +340,8 @@ def test_shifting_twice_adds_the_shifts_first(members, a, b):
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
 def test_shift_must_be_finite(small_rule_pair, eps):
     rule = small_rule_pair[0]
-    with pytest.raises(ValueError):
-        shift_rule(rule, eps)
     with pytest.raises(ValueError, match="shift must be finite"):
-        CommitteeRule(rule.member_coeffs, rule.y0, rule.d, shift=eps)
+        shift_rule(rule, eps)
 
 
 @pytest.mark.parametrize("a, b", [(1e308, 1e308), (-1e308, -1e308)])
@@ -368,7 +377,7 @@ def test_regression_rule_decides_by_the_formula(d, n):
         states[0, 0] = np.inf
         states[1, -1] = np.nan
         payoffs[2] = np.nan
-    base = RegressionRule(coeffs, y0=90.0, d=d)
+    base = RegressionRule(coeffs, y0=90.0)
     for shift in (0.0, 0.25, -1e-17, 0.25 + (-1.0 + 1e-9)):
         rule = shift_rule(base, shift)
         for j in range(J):
@@ -381,7 +390,7 @@ def test_regression_rule_decides_by_the_formula(d, n):
 def test_committee_median_decides():
     members = np.zeros((3, 1, basis_size(1)))
     members[:, 0, 0] = [1.0, 5.0, 9.0]
-    rule = CommitteeRule(members, y0=90.0, d=1)
+    rule = CommitteeRule(members, y0=90.0)
     y = np.array([100.0])
     assert rule.continuation_batch(0, y[None], np.array([0.0]))[0] == 5.0
     assert decide(rule, 0, y, 5.0)
@@ -442,7 +451,7 @@ def random_committee(gen, members, J=3, payoff_blind=False):
     if payoff_blind:
         # predictions ignore the payoff column, so a payoff can sit exactly on them
         coeffs[:, :, -1] = 0.0
-    return CommitteeRule(coeffs, y0=90.0, d=2)
+    return CommitteeRule(coeffs, y0=90.0)
 
 
 def random_states(gen, n):
@@ -528,7 +537,7 @@ def constant_committee(values):
     """Members whose predictions are exactly the given constants."""
     coeffs = np.zeros((len(values), 1, basis_size(1)))
     coeffs[:, 0, 0] = values
-    return CommitteeRule(coeffs, y0=90.0, d=1)
+    return CommitteeRule(coeffs, y0=90.0)
 
 
 @pytest.mark.parametrize(
@@ -570,7 +579,7 @@ def test_committee_median_overflow():
     # two finite predictions whose mean overflows to inf: no payoff reaches it
     coeffs = np.zeros((2, 1, basis_size(1)))
     coeffs[:, 0, 0] = 9e307
-    rule = CommitteeRule(coeffs, y0=1e308, d=1)
+    rule = CommitteeRule(coeffs, y0=1e308)
     pay = np.array([9e307, 1.7e308])
     assert_matches_median(rule, np.zeros((2, 1)), pay)
     assert not rule.decide_batch(0, np.zeros((2, 1)), pay).any()
@@ -605,7 +614,7 @@ def test_committee_non_finite_predictions(members):
     for bad in (np.inf, -np.inf, np.nan, 1e308):
         coeffs = rule.member_coeffs.copy()
         coeffs[0, :, 0] = bad  # one member's predictions are non-finite or huge on every row
-        assert_matches_median(CommitteeRule(coeffs, 90.0, 2), states, payoffs)
+        assert_matches_median(CommitteeRule(coeffs, 90.0), states, payoffs)
 
 
 # --- committee decisions: rows leave the count once settled ------------------------
@@ -695,7 +704,7 @@ def test_even_committee_ties_stay_open_to_the_exact_median(monkeypatch, values, 
 def test_committee_decision_never_builds_the_prediction_matrix():
     M, n = 2000, 16384
     gen = np.random.default_rng(3)
-    rule = CommitteeRule(gen.normal(size=(M, 1, basis_size(3))), y0=90.0, d=3)
+    rule = CommitteeRule(gen.normal(size=(M, 1, basis_size(3))), y0=90.0)
     states = 90.0 * np.exp(gen.normal(scale=0.3, size=(n, 3)))
     payoffs = np.maximum(states.max(axis=1) - 100.0, 0.0)
     full_mb = n * M * 8 / 2**20  # 250 MB, and np.median copies it once more
@@ -780,7 +789,7 @@ def test_band_of_a_rank_deficient_spread(members, spread):
     if spread != "identical":
         moved = slice(members // 2, None) if spread == "half identical" else slice(None)
         coeffs[moved, :, 2] += gen.normal(size=coeffs[moved, :, 2].shape)
-    rule = CommitteeRule(coeffs, y0=90.0, d=2)
+    rule = CommitteeRule(coeffs, y0=90.0)
     for shifted in (rule, shift_rule(rule, 0.5), shift_rule(rule, -1e-300), shift_rule(rule, 3e8)):
         assert_band_edges_decide_by_definition(shifted, states)
         assert_matches_definition(shifted, states, payoffs)
@@ -797,6 +806,22 @@ def test_band_of_prefix_and_shift_copies():
     for r in prefixes + (shifted,):
         assert_band_edges_decide_by_definition(r, states, blind=False)
         assert_matches_definition(r, states, payoffs)
+
+
+def test_prefix_of_a_shifted_committee_keeps_the_shift():
+    # prefix re-applies the shift through shift_rule: its own bands, and the
+    # decisions of the prefix shifted afterwards, bit for bit
+    gen = np.random.default_rng(29)
+    rule = random_committee(gen, 200, J=2)
+    states, payoffs = random_states(gen, 300)
+    shifted = shift_rule(rule, 0.3)
+    first, then = shifted.prefix(64), shift_rule(rule.prefix(64), 0.3)
+    assert first.shift == then.shift == 0.3 and first.members == 64
+    assert first._bands is not shifted._bands
+    for j in range(2):
+        for pay in (payoffs, *at_threshold(then, states)):
+            assert np.array_equal(first.decide_batch(j, states, pay), then.decide_batch(j, states, pay))
+    assert_matches_definition(first, states, payoffs)
 
 
 @pytest.mark.parametrize("members", [2, 3, 64, 65])
