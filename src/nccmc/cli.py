@@ -183,15 +183,12 @@ def _run_settings(r: ConfigReader, args, basis: Optional[int] = None, need_budge
     """run.* keys as a ``cls``, a RunSettings built with the further fields
     ``more``; training paths must cover a GBM model's regression basis
     (tree models train nothing).  Only the fields a key sets are passed, so
-    an absent key takes the default of ``cls``."""
-    def seed(kind: str) -> Optional[int]:
-        derived = None if args.seed is None else rng.derive_seed(args.seed, kind)
-        return r.int(f"run.seed_{kind}", derived)
-
-    seed_training, seed_testing = seed("training"), seed("testing")
-    if seed_training is None or seed_testing is None:
-        raise ConfigError("need --seed or run.seed_training and run.seed_testing")
+    an absent key takes the default of ``cls``.  Both seeds derive from
+    --seed; run.seed_training may set the training seed instead."""
+    if args.seed is None:
+        raise ConfigError("need --seed")
     given = dict(
+        seed_training=r.int("run.seed_training", rng.derive_seed(args.seed, "training")),
         training_paths=r.int("run.training_paths", low=basis),
         testing_paths=r.int("run.testing_paths", low=2),
         n_pilot=r.int("run.n_pilot", low=100),
@@ -201,7 +198,7 @@ def _run_settings(r: ConfigReader, args, basis: Optional[int] = None, need_budge
         budget=r.require("run.budget", "float", above=0) if need_budget else r.float("run.budget", above=0),
         **more,
     )
-    return cls(seed_training=seed_training, seed_testing=seed_testing, threads=args.threads,
+    return cls(seed_testing=rng.derive_seed(args.seed, "testing"), threads=args.threads,
                **{k: v for k, v in given.items() if v is not None})
 
 
@@ -234,14 +231,15 @@ def _build_gbm_rule(r: ConfigReader, side: str, params: GbmParams, rs: RunSettin
     train_params = replace(params, sigma=r.float(pre + "sigma", params.sigma, low=0))
     n_train = r.int(pre + "training_paths", rs.training_paths, basis)
     epsilon = r.float(pre + "epsilon", 0.0)
-    # shared derivation tag: rules trained from the same seed share noise
+    # shared derivation tag: rules trained from the same seed share noise, and
+    # a committee draws its bootstrap rows from its pool's seed
     seed = rng.derive_seed(rs.seed_training, "train")
     if kind == "tvr":
         fit = train_tvr
     elif kind == "committee":
         members = r.int(pre + "members", 100, 1)
         member_size = r.int(pre + "member_size", 4000, basis)
-        fit = lambda paths: train_committee(paths, members, member_size, seed)
+        fit = lambda paths: train_committee(paths, members, member_size)
     elif kind == "fixed":
         if epsilon != 0.0:
             raise ConfigError(f"config key {pre}epsilon applies to tvr and committee rules, not fixed")
@@ -289,11 +287,14 @@ def _write_json(path: str, obj) -> None:
 
 
 class Outputs:
-    """Collects result files and writes the manifest at the end."""
+    """Collects result files and writes the manifest at the end.
+
+    The directory is made when the first file is written, so a run that
+    fails leaves none; ``started`` is the time the command started.
+    """
 
     def __init__(self, args, raw_cfg: dict[str, str]):
         self.dir = args.out
-        os.makedirs(self.dir, exist_ok=True)
         self.command = args.command
         self.digest = _config_digest(raw_cfg)
         self.seed = args.seed
@@ -302,6 +303,7 @@ class Outputs:
         self.paths: list[str] = []
 
     def path(self, name: str) -> str:
+        os.makedirs(self.dir, exist_ok=True)
         p = os.path.join(self.dir, name)
         self.paths.append(p)
         return p
@@ -580,7 +582,8 @@ def _parser() -> argparse.ArgumentParser:
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         q.add_argument("--config", required=True, help="flat key=value config file")
         q.add_argument("--seed", type=int, default=None,
-                       help="base seed; run.seed_training/run.seed_testing override it")
+                       help="base seed (required): the testing seed is derived from it, "
+                            "and so is the training seed unless run.seed_training sets it")
         q.add_argument("--threads", type=int, default=1,
                        help="worker processes (default: 1): forked on Linux, "
                             "inline elsewhere; never changes results")

@@ -21,7 +21,7 @@ difference on few, and compare against pricing the costly rule directly.
 into a cheap base estimate plus per-level increment corrections, each with
 its own calibrated replication count and a global budget allocation.
 Control variates are the two-level case of that ladder, so both studies run
-one driver, ``_telescope``.
+one driver, ``_telescope``, which also simulates the pool their rules train on.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from .calibration import (
     trunks_for_budget,
     v_profile,
 )
-from .nested_cmc import NestedEstimate, ValueEstimate, estimate, estimate_value, floored_params, pilot
+from .nested_cmc import (NestedEstimate, ValueEstimate, estimate, estimate_value, floored, floored_params,
+                         pilot)
 from .process_models import GbmModel, GbmParams, simulate_training_paths
 from .stopping_rules import basis_size, train_committee, train_tvr
 
@@ -217,17 +218,26 @@ class _LadderRun:
     var: float
 
 
-def _telescope(cfg: ExperimentConfig, model, rules: list, tags: dict):
-    """Price the last of ``rules`` (cheapest first) by telescoping, and directly.
+def _telescope(cfg: ExperimentConfig, train, tags: dict):
+    """Price the last rule ``train`` fits (cheapest first) by telescoping, and directly.
 
-    Increment i corrects rule i-1's value to rule i's with a nested run at
-    its own pilot-calibrated R.  Path counts come from one budget allocation
-    over the base level's probed variance and cost and each increment's
-    v1 + v2/R and rho1 + rho2 R.  The ladder runs once at R = 1 everywhere
-    and once calibrated; the finest rule is also priced directly at the
-    same budget.  Returns (each increment's ``calibrate`` result, R = 1 pass,
-    calibrated pass, direct value).
+    ``train(pool)`` fits the study's rules on ``cfg.training_paths`` paths
+    simulated at ``cfg.seed_training``; the pool is freed before any
+    estimator runs.  Increment i corrects rule i-1's value to rule i's with
+    a nested run at its own pilot-calibrated R.  Path counts come from one
+    budget allocation over the base level's probed variance and cost and
+    each increment's v1 + v2/R and rho1 + rho2 R; a base variance at or
+    below zero is floored as ``floored_params`` floors one.  The ladder
+    runs once at R = 1 everywhere and once calibrated; the finest rule is
+    also priced directly at the same budget.  Returns (each increment's
+    ``calibrate`` result, R = 1 pass, calibrated pass, direct value).
     """
+    if cfg.budget is None:
+        raise ValueError("a telescoping study needs a work budget")
+    # the pool is an argument only: it dies when train returns
+    rules = train(simulate_training_paths(cfg.params, cfg.training_paths, cfg.seed_training))
+    model = GbmModel(cfg.params)
+
     def seed(key: str, **kw) -> int:
         return rng.derive_seed(cfg.seed_testing, tags[key].format(**kw))
 
@@ -239,7 +249,8 @@ def _telescope(cfg: ExperimentConfig, model, rules: list, tags: dict):
             for i in range(1, L + 1)]
 
     def run_ladder(Rs: list[int], run: str) -> _LadderRun:
-        levels = [(probe0.var_hat, probe0.work.units() / probe0.N)]
+        levels = [(floored(probe0.var_hat, max(probe0.var_hat, 1.0)),
+                   probe0.work.units() / probe0.N)]
         levels += [(cal.v1 + cal.v2 / R, cal.rho1 + cal.rho2 * R) for (cal, *_), R in zip(cals, Rs)]
         # the estimators need two samples for a variance
         counts = [max(2, c) for c in ml_allocation(levels, cfg.budget)]
@@ -298,15 +309,9 @@ def qcv_estimate(cfg: ExperimentConfig) -> QcvReport:
     ratio from the main run's own component estimates, for comparison
     against the pilot's prediction.
     """
-    if cfg.budget is None:
-        raise ValueError("qcv_estimate needs a work budget")
-    p = cfg.params
-    pool = simulate_training_paths(p, cfg.training_paths, cfg.seed_training)
-    ruleB = train_tvr(pool)
-    ruleA = train_committee(pool, cfg.committee_members, cfg.member_size, cfg.seed_training)
-    del pool  # no estimator run needs the training paths
     ((cal, R, rep, _),), plain, nested, simple = _telescope(
-        cfg, GbmModel(p), [ruleB, ruleA], _QCV_TAGS)
+        cfg, lambda pool: [train_tvr(pool), train_committee(pool, cfg.committee_members, cfg.member_size)],
+        _QCV_TAGS)
 
     if R >= 2 and not cal.degenerate:
         run_params = floored_params(nested.incs[0])
@@ -392,16 +397,14 @@ def multilevel_estimate(cfg: ExperimentConfig) -> MultilevelReport:
     budget, reporting all three variances, and checks the combined estimate
     against the direct one.
     """
-    if cfg.budget is None:
-        raise ValueError("multilevel_estimate needs a work budget")
     if not cfg.ladder:
         raise ValueError("ladder must be nonempty")
-    p = cfg.params
-    pool = simulate_training_paths(p, cfg.training_paths, cfg.seed_training)
-    committee = train_committee(pool, cfg.ladder[-1], cfg.member_size, cfg.seed_training)
-    del pool  # no estimator run needs the training paths
-    cals, plain, nested, direct = _telescope(
-        cfg, GbmModel(p), [committee.prefix(k) for k in cfg.ladder], _ML_TAGS)
+
+    def train(pool) -> list:
+        committee = train_committee(pool, cfg.ladder[-1], cfg.member_size)
+        return [committee.prefix(k) for k in cfg.ladder]
+
+    cals, plain, nested, direct = _telescope(cfg, train, _ML_TAGS)
 
     def work(run: _LadderRun) -> float:  # base + sum(trunk + sub): the order sets the last bit
         return run.base.work.units() + sum(

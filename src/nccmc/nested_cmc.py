@@ -363,6 +363,11 @@ def estimate_value(model, rule, N: int, seed: int, threads: int = 1) -> ValueEst
                          stderr=float(np.sqrt(var_hat / N)), N=N, work=work)
 
 
+def floored(x: float, scale: float) -> float:
+    """x, or 1e-12 times scale, the size of x's kind, when x is at or below zero."""
+    return 1e-12 * scale if x <= 0.0 else x
+
+
 def floored_params(est: NestedEstimate) -> CalibParams:
     """Calibration parameters (v1, v2, rho1, rho2) measured from a finished run.
 
@@ -380,7 +385,7 @@ def floored_params(est: NestedEstimate) -> CalibParams:
     scale_v = max(v1, v2, 1.0)
     scale_r = max(rho1, rho2, 1.0)
     comps = ((v1, scale_v), (v2, scale_v), (rho1, scale_r), (rho2, scale_r))
-    v1, v2, rho1, rho2 = (1e-12 * scale if x <= 0.0 else x for x, scale in comps)
+    v1, v2, rho1, rho2 = (floored(x, scale) for x, scale in comps)
     return CalibParams(v1=v1, v2=v2, rho1=rho1, rho2=rho2, p_differ=est.p_differ,
                        degenerate=any(x <= 0.0 for x, _ in comps))
 

@@ -232,7 +232,8 @@ class TreeModel:
     All leaves must sit at the same depth J so the payoff is defined at every
     date along every path.  Nodes are numbered in depth-first preorder, so a
     node's children come after it; the human-readable label of a node is its
-    path of child indices joined by '/', with the root labelled 'root'.
+    path of child indices joined by '/', with the root labelled 'root', and
+    ``label_to_id`` maps each label to its node, in preorder.
     ``depths`` and ``n_children`` are per-node arrays, and the branching is
     one pair of tables, row i for node i: the children's cumulative
     probabilities, padded with 1.0, and their ids, padded with the last child
@@ -245,7 +246,7 @@ class TreeModel:
             raise ValueError("a tree document is an object with a top-level 'root'")
         payoffs: list[float] = []
         depths: list[int] = []
-        labels: list[str] = []
+        label_to_id: dict[str, int] = {}
         branches: list[tuple[list[int], np.ndarray]] = []
 
         def number(node, label: str, key: str) -> float:
@@ -261,7 +262,7 @@ class TreeModel:
             nid = len(payoffs)
             payoffs.append(number(node, label, "payoff"))
             depths.append(depth)
-            labels.append(label)
+            label_to_id[label] = nid
             branches.append(([], np.empty(0)))
             children = node.get("children", [])
             if not isinstance(children, list):
@@ -280,8 +281,7 @@ class TreeModel:
 
         self.n_nodes = len(payoffs)
         self.payoffs = np.array(payoffs)
-        self.labels = labels
-        self.label_to_id = {lab: i for i, lab in enumerate(labels)}
+        self.label_to_id = label_to_id
         self.depths = np.array(depths)
         self.n_children = np.array([len(ids) for ids, _ in branches])
 

@@ -402,14 +402,14 @@ def train_tvr(paths: TrainingPaths) -> RegressionRule:
     return RegressionRule(_fit_backward(paths.states, paths.final, paths.model), paths.model.params.y0)
 
 
-def train_committee(paths: TrainingPaths, members: int, member_size: int, seed: int) -> CommitteeRule:
+def train_committee(paths: TrainingPaths, members: int, member_size: int) -> CommitteeRule:
     """Bag value-iteration regression over bootstrap resamples of the paths.
 
     Each member is fitted on member_size paths drawn with replacement from
-    the pool; resampling is driven by a seed derived per member, so a larger
-    committee extends a smaller one trained from the same seed.  The pool's
-    unkept dates are stepped once, for every member.  As in ``train_tvr``,
-    the pool's model supplies y0, d and J.
+    the pool; resampling is driven by a seed derived per member from the
+    pool's seed, so a larger committee extends a smaller one trained on the
+    same pool.  The pool's unkept dates are stepped once, for every member.
+    As in ``train_tvr``, the pool's model supplies y0, d and J.
     """
     p = paths.model.params
     if members < 1:
@@ -419,7 +419,7 @@ def train_committee(paths: TrainingPaths, members: int, member_size: int, seed: 
     coeffs = np.empty((members, p.J, basis_size(p.d)))
     states = [paths.states(j) for j in range(p.J)]
     for m in range(members):
-        gen = np.random.default_rng(derive_seed(seed, f"committee-member-{m}"))
+        gen = np.random.default_rng(derive_seed(paths.seed, f"committee-member-{m}"))
         idx = gen.integers(0, paths.n, size=member_size)
         coeffs[m] = _fit_backward(lambda j: gather_rows(states[j], idx), paths.final[idx], paths.model)
     return CommitteeRule(coeffs, p.y0)

@@ -80,11 +80,14 @@ def test_malformed_config_line_exits_2_and_names_the_line(tmp_path, capsys, line
     assert not out.exists()
 
 
-def test_missing_seed_exits_2(tmp_path, capsys):
-    cfg = config(tmp_path, TREE_AB)
+@pytest.mark.parametrize("extra", ["", "run.seed_training=3\n"], ids=["bare", "training-seed-key"])
+def test_missing_seed_exits_2(tmp_path, capsys, extra):
+    # the testing seed derives from --seed alone
+    cfg = config(tmp_path, TREE_AB + extra)
     rc = cli.main(["pilot", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_tree_stop_exits_2(tmp_path):
@@ -231,6 +234,7 @@ def test_bad_rule_size_exits_2_before_training(tmp_path, capsys, monkeypatch, se
     ("estimate", "rules.a.kind=greedy", "rules.a.kind"),
     ("estimate", "run.budget=inf", "run.budget"),
     ("estimate", "rules.a.bogus=1", "rules.a.bogus"),
+    ("estimate", "run.seed_testing=5", "run.seed_testing"),
     ("vprofile", "vprofile.points=1", "vprofile.points"),
     ("vprofile", "vprofile.r_max=0", "vprofile.r_max"),
     ("vprofile", "vprofile.r_max=-5", "vprofile.r_max"),
@@ -330,6 +334,19 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
                    "--out", str(out)])
     assert rc == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("estimator failed")
+
+    monkeypatch.setattr(cli, "estimate", fail)
+    out = tmp_path / "o"
+    rc = cli.main(["estimate", "--config", config(tmp_path, TREE_AB), "--seed", "1",
+                   "--out", str(out)])
+    assert rc == 3
+    assert "estimator failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_documents_output_columns(capsys):
@@ -582,6 +599,20 @@ def test_multilevel_command(tmp_path):
     info = read_json(out, "multilevel.json")
     assert len(info["rows"]) == 2
     assert info["budget"] == 1e5
+
+
+@pytest.mark.parametrize("command,knobs", [
+    ("qcv", "qcv.members=4\nqcv.member_size=200\n"),
+    ("multilevel", "ml.ladder=2,4\nml.member_size=200\n"),
+], ids=["qcv", "multilevel"])
+def test_study_runs_when_every_probe_path_pays_the_same(tmp_path, command, knobs):
+    # far out of the money every path pays 0, so every variance is 0
+    out = tmp_path / "o"
+    cfg = config(tmp_path, "model.y0=20\nrun.budget=2e5\nrun.training_paths=2000\n"
+                 "run.n_pilot=200\nrun.r_pilot=4\n" + knobs)
+    assert cli.main([command, "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+    lines = (out / f"{command}.csv").read_text().strip().split("\n")
+    assert all(math.isfinite(float(x)) for ln in lines[1:] for x in ln.split(",")[1:])
 
 
 def test_csv_columns_match_the_rows_and_the_help(tmp_path, capsys):

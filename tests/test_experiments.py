@@ -267,15 +267,31 @@ def test_drivers_release_the_training_pool_before_any_estimator_runs(d2_params, 
     class Entered(Exception):
         pass
 
-    def telescope(*args, **kwargs):
+    def first_estimator_run(*args, **kwargs):
         alive.extend(ref() is not None for ref in pools)
         raise Entered  # the estimator runs are not needed here
 
     monkeypatch.setattr(experiments, "simulate_training_paths", simulate)
-    monkeypatch.setattr(experiments, "_telescope", telescope)
+    for name in ("estimate_value", "estimate", "pilot"):
+        monkeypatch.setattr(experiments, name, first_estimator_run)
     with pytest.raises(Entered):
         driver(small_config(d2_params, budget=3e5, **knobs))
     assert alive == [False]
+
+
+@pytest.mark.parametrize("driver,knobs,variances", [
+    (qcv_estimate, dict(committee_members=4), ("var_simple", "var_qcv", "var_qcv_nested")),
+    (multilevel_estimate, dict(ladder=(2, 4)), ("var_simple", "var_ml", "var_ml_nested")),
+], ids=["qcv", "multilevel"])
+def test_drivers_run_when_every_probe_path_pays_the_same(d2_params, driver, knobs, variances):
+    # far out of the money every path pays 0, so the cheap rule's probe
+    # variance is 0: the allocation gets it floored, as a pilot's would be
+    cfg = small_config(dataclasses.replace(d2_params, y0=20.0), training_paths=2000, n_pilot=200,
+                       r_pilot=4, member_size=200, budget=2e5, **knobs)
+    rep = driver(cfg)
+    numbers = [x for x in dataclasses.astuple(rep) if isinstance(x, float)]
+    assert numbers and all(math.isfinite(x) for x in numbers)
+    assert [getattr(rep, v) for v in variances] == [0.0, 0.0, 0.0]
 
 
 # --- config validation -----------------------------------------------------------------

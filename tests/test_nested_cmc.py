@@ -312,7 +312,7 @@ def test_swapping_the_rules_negates_the_estimate(tree2, tree2_rules, d2_params, 
     # S and the survivor swap with the rules: every replication value
     # changes sign, so the estimate does and nothing else moves
     gbm = GbmModel(d2_params)
-    committee = train_committee(small_paths, members=8, member_size=300, seed=3)
+    committee = train_committee(small_paths, members=8, member_size=300)
     problems = ((tree2, *tree2_rules, 3), (gbm, small_rule_pair[0], committee, 4),
                 (gbm, *small_rule_pair, 1), (gbm, small_rule_pair[1], FixedDateRule(9), 4))
     for model, A, B, R in problems:

@@ -125,7 +125,7 @@ def random_tree_problem(seed, J=None, width=None):
         return spec
 
     tree = TreeModel({"root": node(0)})
-    labels = tree.labels[1:]
+    labels = list(tree.label_to_id)[1:]
     rules = [TreeRule(tree, [lab for lab in labels if gen.random() < 0.3]) for _ in "AB"]
     return tree, *rules
 

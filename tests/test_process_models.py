@@ -270,8 +270,8 @@ def test_bundled_trees_load():
     t1 = bundled_tree("tree_1period")
     t2 = bundled_tree("tree_2period")
     assert t1.J == 1 and t2.J == 2
-    assert t2.label_to_id["root"] == 0
-    assert set(t2.labels) == {"root", "0", "1", "0/0", "0/1", "1/0", "1/1"}
+    # labels number the nodes in preorder
+    assert t2.label_to_id == {"root": 0, "0": 1, "0/0": 2, "0/1": 3, "1": 4, "1/0": 5, "1/1": 6}
     with pytest.raises(FileNotFoundError):
         bundled_tree("no_such_tree")
 
