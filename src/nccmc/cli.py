@@ -24,6 +24,8 @@ import time
 from dataclasses import asdict, fields, replace
 from typing import Callable, NamedTuple, Optional
 
+import numpy as np
+
 from . import __version__, rng
 from .calibration import CalibParams, CalibReport, v_profile
 from .experiments import (
@@ -36,7 +38,7 @@ from .experiments import (
     param_uncertainty_study,
     qcv_estimate,
 )
-from .nested_cmc import estimate
+from .nested_cmc import estimate, floored
 from .oracle import exact_delta, exact_moments
 from .process_models import GbmModel, GbmParams, TreeModel, bundled_tree, simulate_training_paths
 from .stopping_rules import FixedDateRule, TreeRule, basis_size, shift_rule, train_committee, train_tvr
@@ -317,12 +319,18 @@ class Outputs:
         _write_json(self.path(name), obj)
 
     def manifest(self) -> None:
+        # numpy, its BLAS and LAPACK, and the BLAS threads: what trained
+        # coefficients' bits depend on beyond the config
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
         _write_json(os.path.join(self.dir, "manifest.json"), {
             "command": self.command,
             "config_digest": self.digest,
             "seed": self.seed,
             "threads": self.threads,
             "version": __version__,
+            "numpy": np.__version__,
+            **{lib: {key: deps[lib].get(key) for key in ("name", "version")} for lib in ("blas", "lapack")},
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "started": self.started,
             "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "outputs": self.paths,
@@ -395,6 +403,11 @@ def _estimate_job(r: ConfigReader, args) -> _Job:
         R, N, extra = rs.replications, rs.testing_paths, {}
         if R is None or rs.budget is not None:
             cal, R, rep, N = calibrate(model, ruleA, ruleB, rs, "pilot")
+            # both costs at the pilot's floor: no trunk did any work, and the
+            # budget would buy some 10^12 trunks per work unit
+            if rs.budget is not None and max(cal.rho1, cal.rho2) <= floored(0.0, 1.0):
+                raise ConfigError("config key run.budget cannot size this run: the pilot's trunks did no work "
+                                  "(both rules stop at date 0), so set run.testing_paths instead")
             extra["pilot"] = _calib_dict(cal, rep)
         est = estimate(
             model, ruleA, ruleB, N, R,

@@ -32,6 +32,7 @@ import copy
 import math
 
 import numpy as np
+from numpy.linalg import _linalg, _umath_linalg
 
 from .process_models import GbmModel, TrainingPaths, TreeModel, gather_rows
 from .rng import derive_seed
@@ -95,9 +96,9 @@ def _stop_mask(pay: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     return stop
 
 
-# Most members per prediction block of a committee decision; the blocks are
-# even.  Counts are integer sums, so the block size changes memory and speed,
-# never a decision.
+# Most members per prediction block of a committee decision, whose blocks
+# are even, and per stacked fit in training.  Counts are integer sums and
+# each member fits alone, so the size changes memory and speed, never a bit.
 _MEMBER_BLOCK = 64
 
 # Rows whose predictions may exceed half the largest double go to the exact
@@ -367,26 +368,33 @@ def shift_rule(rule, epsilon: float):
 
 
 def _fit_backward(states, final: np.ndarray, model: GbmModel) -> np.ndarray:
-    """(J, B) coefficients by backward induction, one date at a time from J - 1
-    down: states(j) gives the fitted rows' date-j states, final their date-J payoffs."""
-    n, B = len(final), basis_size(model.params.d)
+    """(w, J, B) coefficients of w same-size fits by backward induction, one
+    date at a time from J - 1 down: final is their (w, n) date-J payoffs,
+    and states(j) their date-j states, fit after fit, as one (w n, d) array.
+
+    Per date the stack shares one basis buffer and one call of the gufunc
+    np.linalg.lstsq wraps, LAPACK gelsd on each fit's own rows, and one
+    stacked product: every fit's bits are those of a lstsq of its own.
+    """
+    (w, n), B = final.shape, basis_size(model.params.d)
     if n < B:
         raise ValueError(f"need at least {B} paths to fit a {B}-column basis, got {n}")
-    coeffs = np.empty((model.J, B))
-    value = final
-    A = np.empty((n, B))  # one basis buffer for every date: lstsq reads a copy
+    coeffs = np.empty((w, model.J, B))
+    value = final[..., None]
+    A = np.empty((w, n, B))  # one basis buffer for every date: gelsd reads a copy
     for j in range(model.J - 1, -1, -1):
         assets = states(j)
         pay = model.payoff_batch(j, assets)
-        basis_matrix(assets, pay, model.params.y0, out=A)
-        # freed before lstsq copies A, a stepped date leaves glibc no heap to keep
+        basis_matrix(assets, pay, model.params.y0, out=A.reshape(w * n, B))
+        # freed before gelsd copies A, a stepped date leaves glibc no heap to keep
         del assets
         # rcond guards rank-deficient designs (e.g. degenerate volatility):
-        # small singular values are dropped rather than blown up.
-        beta, _, _, _ = np.linalg.lstsq(A, value, rcond=1e-10)
-        cont = A @ beta
-        value = np.maximum(pay, cont)
-        coeffs[j] = beta
+        # small singular values are dropped rather than blown up.  The
+        # errstate is lstsq's own: a gelsd that does not converge raises
+        with np.errstate(all="ignore", invalid="call", call=_linalg._raise_linalgerror_lstsq):
+            beta = _umath_linalg.lstsq(A, value, 1e-10, signature="ddd->ddid")[0]
+        value = np.maximum(pay.reshape(w, n, 1), np.matmul(A, beta))
+        coeffs[:, j] = beta[..., 0]
     return coeffs
 
 
@@ -399,7 +407,7 @@ def train_tvr(paths: TrainingPaths) -> RegressionRule:
     The pool's model supplies y0, d and J: a rule learns the model its paths
     were simulated under.
     """
-    return RegressionRule(_fit_backward(paths.states, paths.final, paths.model), paths.model.params.y0)
+    return RegressionRule(_fit_backward(paths.states, paths.final[None], paths.model)[0], paths.model.params.y0)
 
 
 def train_committee(paths: TrainingPaths, members: int, member_size: int) -> CommitteeRule:
@@ -408,8 +416,9 @@ def train_committee(paths: TrainingPaths, members: int, member_size: int) -> Com
     Each member is fitted on member_size paths drawn with replacement from
     the pool; resampling is driven by a seed derived per member from the
     pool's seed, so a larger committee extends a smaller one trained on the
-    same pool.  The pool's unkept dates are stepped once, for every member.
-    As in ``train_tvr``, the pool's model supplies y0, d and J.
+    same pool.  The pool's unkept dates are stepped once, for every member,
+    and members fit in stacks of at most 64, each stack's rows gathered once
+    per date.  As in ``train_tvr``, the pool's model supplies y0, d and J.
     """
     p = paths.model.params
     if members < 1:
@@ -418,8 +427,10 @@ def train_committee(paths: TrainingPaths, members: int, member_size: int) -> Com
         raise ValueError("member_size smaller than the regression basis")
     coeffs = np.empty((members, p.J, basis_size(p.d)))
     states = [paths.states(j) for j in range(p.J)]
-    for m in range(members):
-        gen = np.random.default_rng(derive_seed(paths.seed, f"committee-member-{m}"))
-        idx = gen.integers(0, paths.n, size=member_size)
-        coeffs[m] = _fit_backward(lambda j: gather_rows(states[j], idx), paths.final[idx], paths.model)
+    for s in range(0, members, _MEMBER_BLOCK):
+        gens = (np.random.default_rng(derive_seed(paths.seed, f"committee-member-{m}"))
+                for m in range(s, min(s + _MEMBER_BLOCK, members)))
+        idx = np.stack([g.integers(0, paths.n, size=member_size) for g in gens])
+        fit = _fit_backward(lambda j: gather_rows(states[j], idx.ravel()), paths.final[idx], paths.model)
+        coeffs[s : s + len(fit)] = fit
     return CommitteeRule(coeffs, p.y0)

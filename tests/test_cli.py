@@ -4,9 +4,14 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from nccmc import cli, experiments, oracle, rng
@@ -518,6 +523,22 @@ def test_manifest_tracks_config_identity(tmp_path):
     assert read_json(other, "manifest.json")["config_digest"] != ma["config_digest"]
 
 
+@pytest.mark.parametrize("threads", [None, "3"], ids=["unset", "set"])
+def test_manifest_records_what_the_bits_depend_on(tmp_path, monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    out = tmp_path / "o"
+    assert cli.main(["pilot", "--config", config(tmp_path, TREE_AB), "--seed", "1", "--out", str(out)]) == 0
+    manifest = read_json(out, "manifest.json")
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    assert manifest["numpy"] == np.__version__
+    for lib in ("blas", "lapack"):
+        assert manifest[lib] == {"name": deps[lib]["name"], "version": deps[lib]["version"]}
+    assert manifest["openblas_num_threads"] == threads
+
+
 def test_calibrated_r_beats_plain_coupling_at_equal_budget(tmp_path):
     plain = run_estimate(tmp_path, "plain", extra="run.budget=2e5\nrun.replications=1\n")
     tuned = run_estimate(tmp_path, "tuned", extra="run.budget=2e5\n")
@@ -543,6 +564,28 @@ def test_rule_stopping_at_date_0_runs_at_r1(tmp_path, budget):
     assert info["p_differ"] == 1.0
     assert info["pilot"]["degenerate"] is True
     assert info["pilot"]["R_rounded"] == 1
+
+
+def test_a_budget_buys_no_trunks_from_floored_costs(tmp_path):
+    # both rules stop at date 0 and cost nothing to ask, so the pilot floors
+    # rho1 and rho2 at 1e-12, from which a budget of 1e6 would buy 5e17
+    # trunks.  Under a 2 GB address-space cap, as CI's ulimit -v 2000000, a
+    # run that tried would fail with a MemoryError (exit 3) inside the cap
+    out = tmp_path / "o"
+    cfg = config(tmp_path, "rules.a.kind=fixed\nrules.b.kind=fixed\nrun.budget=1e6\n")
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024, resource.RLIM_INFINITY))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    res = subprocess.run([sys.executable, "-m", "nccmc.cli", "estimate", "--config", cfg, "--seed", "1",
+                          "--out", str(out)], capture_output=True, text=True, preexec_fn=cap,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert res.returncode == 2, res.stderr
+    assert "run.budget" in res.stderr
+    assert not out.exists()
+    # the pilot reports what it measured, floors and all, as before
+    for command in ("pilot", "vprofile"):
+        assert cli.main([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path / command)]) == 0
+    pilot = read_json(tmp_path / "pilot", "pilot.json")
+    assert (pilot["rho1"], pilot["rho2"], pilot["degenerate"]) == (1e-12, 1e-12, True)
 
 
 def test_r1_run_reports_no_inner_variance(tmp_path):

@@ -1,5 +1,8 @@
 """Rule semantics: tie handling, shifts, committees, training."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -212,12 +215,12 @@ def test_fit_is_a_least_squares_per_date_in_one_basis_buffer():
     assets, payoffs = full_paths(simulate_training_paths(p, n, 29))
     tracemalloc.start()
     try:
-        coeffs = _fit_backward(lambda j: assets[:, j], payoffs[:, p.J], GbmModel(p))
+        coeffs = _fit_backward(lambda j: assets[:, j], payoffs[None, :, p.J], GbmModel(p))[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # measured 1.25 basis matrices: the one buffer, its tile scratch and the
-    # value vectors (lstsq's own copy is not traced); a fit that builds each
+    # value vectors (gelsd's own copy is not traced); a fit that builds each
     # date's matrix afresh holds two at once, 2.25
     assert peak < 1.6 * n * B * 8, peak / (n * B * 8)
     assert np.array_equal(coeffs, reference_fit(assets, payoffs, p.y0))
@@ -249,6 +252,58 @@ def test_trained_coefficients_equal_a_per_date_fit_on_the_full_paths(d, n_dates)
         idx = np.random.default_rng(derive_seed(61, f"committee-member-{m}")).integers(0, 400, size=150)
         want = reference_fit(assets[idx], payoffs[idx], p.y0)
         assert np.array_equal(committee.member_coeffs[m], want), m
+
+
+@pytest.mark.parametrize("members", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_stacked_committee_fits_equal_one_lstsq_per_member(d, members):
+    # members fit in stacks of at most 64, one gelsd each on its own rows:
+    # the bits of a per-member np.linalg.lstsq per date, whatever the stack
+    p = params(d=d)
+    paths = simulate_training_paths(p, 300, 17)
+    assets, payoffs = full_paths(paths)
+    got = train_committee(paths, members, member_size=40).member_coeffs
+    for m in range(members):
+        idx = np.random.default_rng(derive_seed(17, f"committee-member-{m}")).integers(0, 300, size=40)
+        assert np.array_equal(got[m], reference_fit(assets[idx], payoffs[idx], p.y0)), m
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_fit_whose_svd_fails_raises_as_lstsq_does():
+    # a finite price whose square overflows puts an inf in the design: gelsd
+    # does not converge, and the stacked solve says so as np.linalg.lstsq
+    # does, although the other fit of the stack converges
+    p = params()
+    clean, payoffs = full_paths(simulate_training_paths(p, 200, 5))
+    assets = clean.copy()
+    assets[7, p.J - 1, 0] = 1e200
+    with pytest.raises(np.linalg.LinAlgError):
+        reference_fit(assets, payoffs, p.y0)
+    stack = np.concatenate([clean, assets])
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        _fit_backward(lambda j: stack[:, j], np.stack([payoffs[:, p.J]] * 2), GbmModel(p))
+
+
+_COMMITTEE_BYTES = """
+import hashlib
+from nccmc.process_models import GbmParams, simulate_training_paths
+from nccmc.stopping_rules import train_committee
+p = GbmParams(d=3, r=0.05, delta=0.1, sigma=0.2, K=100.0, y0=90.0, T=3.0, n_dates=10)
+pool = simulate_training_paths(p, 20_000, 101)
+for size in (500, 4000):
+    print(hashlib.sha256(train_committee(pool, 65, size).member_coeffs.tobytes()).hexdigest())
+"""
+
+
+def test_committee_bits_do_not_depend_on_the_blas_thread_count():
+    # a member's gelsd on 500 or 4000 rows rounds the same at one and two
+    # BLAS threads (unlike train_tvr's fit on a whole pool, at d = 3)
+    src = os.path.dirname(os.path.dirname(stopping_rules.__file__))
+    out = [subprocess.run([sys.executable, "-c", _COMMITTEE_BYTES], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": t}).stdout
+           for t in ("1", "2")]
+    assert len(out[0].split()) == 2
+    assert out[0] == out[1]
 
 
 def test_training_holds_half_the_pool_and_one_date():
