@@ -186,7 +186,9 @@ def _run_settings(r: ConfigReader, args, basis: Optional[int] = None, need_budge
     ``more``; training paths must cover a GBM model's regression basis
     (tree models train nothing).  Only the fields a key sets are passed, so
     an absent key takes the default of ``cls``.  Both seeds derive from
-    --seed; run.seed_training may set the training seed instead."""
+    --seed; run.seed_training may set the training seed instead.  The
+    studies simulate their training paths at the training seed itself, and
+    ``_build_gbm_rule`` at a seed derived from it."""
     if args.seed is None:
         raise ConfigError("need --seed")
     given = dict(
@@ -596,7 +598,9 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--config", required=True, help="flat key=value config file")
         q.add_argument("--seed", type=int, default=None,
                        help="base seed (required): the testing seed is derived from it, "
-                            "and so is the training seed unless run.seed_training sets it")
+                            "and so is the training seed unless run.seed_training sets it; "
+                            "pilot, estimate and vprofile train at a seed derived from the "
+                            "training seed, the studies at the training seed itself")
         q.add_argument("--threads", type=int, default=1,
                        help="worker processes (default: 1): forked on Linux, "
                             "inline elsewhere; never changes results")

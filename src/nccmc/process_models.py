@@ -211,7 +211,9 @@ def simulate_training_paths(params: GbmParams, n: int, seed: int) -> TrainingPat
 
     Steps a GbmModel with the calls stage one makes: path p draws point p of
     each date's TRUNK stream, the noise stage one would give its path p under
-    that seed in the training namespace.
+    that seed in the training namespace.  A date below J whose prices reach
+    2^511 y0, where the squares of a fit's scaled prices would overflow,
+    raises ValueError before any fit runs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -220,6 +222,9 @@ def simulate_training_paths(params: GbmParams, n: int, seed: int) -> TrainingPat
     states = model.init_states(n)
     for j in range(1, model.J + 1):
         states = _training_step(model, seed, j, states)
+        if j < model.J and not states.max() / params.y0 < 2.0**511:
+            raise ValueError(f"training prices at date {j} reach {states.max() / params.y0:.3g} y0: "
+                             "their squares overflow the regression basis")
         if j % 2 == 0 and j < model.J:
             kept[:, j // 2 - 1] = states
     return TrainingPaths(model, seed, kept, model.payoff_batch(model.J, states))

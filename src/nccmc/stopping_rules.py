@@ -12,11 +12,12 @@ evaluations at a tenth of a simulation unit each.
 
 Every trained rule is one type, ``CommitteeRule``: it stops when the
 immediate payoff is at least the median of its members' predicted
-continuation values plus its shift (ties stop).  One exception: a zero
-payoff never stops against a strictly negative threshold.  Far out of the
-money the quadratic fit routinely dips below zero while the true
-continuation value is merely small, and cashing out a worthless position on
-that artifact would distort stopping times badly.  Each member is a
+continuation values plus its shift (ties stop), and a payoff that is not
+positive never stops.  Continuing from a worthless position is never worse
+than cashing it out, and far out of the money the quadratic fit routinely
+dips below zero while the true continuation value is merely small: stopping
+there on that artifact would distort stopping times badly (Longstaff and
+Schwartz likewise decide only in-the-money paths).  Each member is a
 value-iteration regression (Tsitsiklis-Van Roy style): backward induction
 where the date-j continuation value is the least-squares projection of the
 date-(j+1) value onto a fixed polynomial basis.  ``train_tvr`` fits one
@@ -88,14 +89,6 @@ class FixedDateRule:
         return np.full(len(payoffs), j >= self.stop_from)
 
 
-def _stop_mask(pay: np.ndarray, threshold: np.ndarray) -> np.ndarray:
-    stop = pay >= threshold
-    # never stop a worthless position on a strictly negative prediction:
-    # out of the money the fit extrapolates, and its sign there is noise
-    stop &= (pay > 0.0) | (threshold >= 0.0)
-    return stop
-
-
 # Most members per prediction block of a committee decision, whose blocks
 # are even, and per stacked fit in training.  Counts are integer sums and
 # each member fits alone, so the size changes memory and speed, never a bit.
@@ -142,7 +135,11 @@ def _spread_band(coeffs: np.ndarray, k: int):
 
 
 class CommitteeRule:
-    """Stops when the payoff reaches the median member prediction plus a shift.
+    """Stops when a positive payoff reaches the median member prediction plus a shift.
+
+    A payoff that is not positive (zero, negative or NaN) never stops, and
+    only the other rows reach the basis, the band, the counts and the exact
+    median below, so each of them sees positive payoffs only.
 
     member_coeffs has shape (M, J, B), with B = basis_size(d) for the
     model's d; a nonzero ``shift``, set only by ``shift_rule``, is added to
@@ -155,13 +152,12 @@ class CommitteeRule:
     One member's prediction is its own median.  More members are counted,
     not sorted: the members split into ceil(M / 64) even blocks, so none
     holds a lone member, and per block each open row tallies the shifted
-    predictions at or below its payoff, and the rows whose payoff is not
-    positive, kept as a prefix of the open rows, also tally those below
-    zero.  With k = M // 2, more than k predictions at or below the payoff
-    put the median there too, and fewer than k + M % 2 put it above;
-    likewise for zero (a shift is monotone in floating point).  After each
-    block, a row whose counts can no longer cross these bounds, whatever
-    the members still to come predict, is decided and leaves the open rows.
+    predictions at or below its payoff.  With k = M // 2, more than k
+    predictions at or below the payoff put the median there too, and fewer
+    than k + M % 2 put it above (a shift is monotone in floating point).
+    After each block, a row whose counts can no longer cross these bounds,
+    whatever the members still to come predict, is decided and leaves the
+    open rows.
     So the counts decide every row of an odd committee.  Rows still open at
     the end (a count of exactly k in an even committee), and rows whose
     predictions might not be finite or might overflow when two are
@@ -183,12 +179,10 @@ class CommitteeRule:
     and rho the largest residual |delta_m - Wh z_m|_1.  Since
     A.c_m - A.c0 = (Wh^T A).z_m + A.(delta_m - Wh z_m) whatever Wh and z_m
     are, at least k + 1 members predict within
-    h = |Wh^T A|_2 r* + |A|_inf rho of A.c0.  So a row with a positive
-    payoff more than h above the shifted centre stops, and a row more than
-    h below it continues, as does one whose payoff is not positive once
-    the centre plus h is below zero: the full counts would say the same.
-    A zero payoff stops only at a median of exactly zero, which no band
-    settles.  Rows inside the band are counted.
+    h = |Wh^T A|_2 r* + |A|_inf rho of A.c0.  So a row whose payoff is
+    more than h above the shifted centre stops, and a row more than h
+    below it continues: the full counts would say the same.  Rows inside
+    the band are counted.
 
     The band must hold for the values the count compares: fl(A.c_m), then
     the shift added with one rounding.  With eps = 2^-52, B columns,
@@ -256,14 +250,21 @@ class CommitteeRule:
             centre = A @ c0 + self.shift  # + 0.0 only turns -0.0 into 0.0, which compares the same
             half = np.sqrt(np.square(A @ Wh).sum(axis=1)) * r + np.abs(A).max(axis=1) * rho
             half = half * (1 + tol) + tol * (scale + abs(self.shift))
-            stops = (pay > 0.0) & (pay - centre > half)
-            goes = (centre - pay > half) | (~(pay > 0.0) & (centre + half < 0.0))
-        return stops, goes
+            return pay - centre > half, centre - pay > half
 
     def decide_batch(self, j: int, states: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        pay = np.asarray(payoffs)
+        payoffs = np.asarray(payoffs)
+        stop = np.zeros(len(payoffs), dtype=bool)
+        # a payoff that is not positive (NaN included) never stops: only the other rows are asked
+        live = np.flatnonzero(payoffs > 0.0)
+        if live.size:
+            stop[live] = self._decide_positive(j, gather_rows(np.asarray(states), live), payoffs[live])
+        return stop
+
+    def _decide_positive(self, j: int, states: np.ndarray, pay: np.ndarray) -> np.ndarray:
+        """decide_batch on rows whose payoffs are all positive."""
         if self.members == 1:  # nothing to count
-            return _stop_mask(pay, self.continuation_batch(j, states, pay))
+            return pay >= self.continuation_batch(j, states, pay)
         A = basis_matrix(states, pay, self.y0)
         coeffs = self.member_coeffs[:, j, :]
         # |A_i . c| <= sum|A_i| * max|c|; NaN or inf anywhere fails the test too
@@ -271,15 +272,9 @@ class CommitteeRule:
             scale = np.abs(A).sum(axis=1) * np.abs(coeffs).max()
         sure = scale <= _PRED_LIMIT
         stop, goes = self._band_settles(j, A, pay, scale)
-        todo = sure & ~(stop | goes)
-        # the open rows, those whose payoff is not positive first: only they
-        # count predictions below zero
-        zero = todo & ~(pay > 0.0)
-        idx = np.concatenate([np.flatnonzero(zero), np.flatnonzero(todo & ~zero)])
-        z = np.count_nonzero(zero)
+        idx = np.flatnonzero(sure & ~(stop | goes))  # the open rows
         A, col = gather_rows(A, idx), pay[idx, None]
         le = np.zeros(len(idx), dtype=np.intp)
-        neg = np.zeros(z, dtype=np.intp)
         # even blocks of at most _MEMBER_BLOCK members: none holds a lone member
         blocks = np.array_split(coeffs, -(-self.members // _MEMBER_BLOCK))
         pbuf = np.empty(len(idx) * len(blocks[0]))
@@ -296,29 +291,20 @@ class CommitteeRule:
             # a block has at most 64 members, so its counts fit in a byte
             c = np.less_equal(preds, col, out=cbuf[: m * w].reshape(m, w))
             le += np.add.reduce(c.view(np.uint8), axis=1, dtype=np.uint8)
-            c = np.less(preds[:z], 0.0, out=c[:z])
-            neg += np.add.reduce(c.view(np.uint8), axis=1, dtype=np.uint8)
             rem -= w
             if rem >= k + odd:
                 continue  # no row settles until more than half the members are in
-            # stop once more than k are at or below the payoff and, for a zero
-            # payoff, k + odd below zero are out of reach; continue once k + odd
-            # at or below the payoff are out of reach, or more than k are below zero
-            stops = le > k
-            stops[:z] &= neg + rem < k + odd
-            goes = le + rem < k + odd
-            goes[:z] |= neg > k
+            # stop once more than k are at or below the payoff; continue once
+            # k + odd at or below it are out of reach
+            stops, goes = le > k, le + rem < k + odd
             keep = ~(stops | goes)
             stop[idx[stops]] = True
             idx, A, col, le = idx[keep], gather_rows(A, keep), gather_rows(col, keep), le[keep]
-            neg = neg[keep[:z]]
-            z = len(neg)
         exact = ~sure
         exact[idx] = True
         rows = np.flatnonzero(exact)
         if rows.size:
-            thr = self.continuation_batch(j, np.asarray(states)[rows], pay[rows])
-            stop[rows] = _stop_mask(pay[rows], thr)
+            stop[rows] = pay[rows] >= self.continuation_batch(j, states[rows], pay[rows])
         return stop
 
 

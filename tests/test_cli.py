@@ -341,6 +341,49 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_prices_whose_squares_overflow_exit_3_before_any_fit(tmp_path):
+    # at r = 150 the training prices pass 2^511 y0 at date 8 of 9, where the
+    # squares of the scaled prices overflow the basis: the command names that
+    # date on one stderr line, and LAPACK never runs to print on stdout
+    out = tmp_path / "o"
+    cfg = config(tmp_path, "model.r=150\nrun.training_paths=2000\nrun.n_pilot=200\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    res = subprocess.run([sys.executable, "-m", "nccmc.cli", "pilot", "--config", cfg, "--seed", "1",
+                          "--out", str(out)], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: ValueError: training prices at date 8 reach 1.14e+174 y0: "
+        "their squares overflow the regression basis"]
+    assert not out.exists()
+
+
+class _Trained(Exception):
+    pass
+
+
+@pytest.mark.parametrize("key", ["", "run.seed_training=1234\n"], ids=["derived", "set"])
+@pytest.mark.parametrize("command", ["pilot", "estimate", "vprofile", "table1", "qcv", "multilevel"])
+def test_training_seed_each_command_simulates_at(tmp_path, monkeypatch, command, key):
+    # the studies simulate their pool at run.seed_training itself; pilot,
+    # estimate and vprofile simulate theirs at a seed derived from it
+    seeds = []
+
+    def record(params, n, seed):
+        seeds.append(seed)
+        raise _Trained
+
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "simulate_training_paths", record)
+    text = TRAINING_CONFIGS.get(command, GBM_SMALL) + key
+    rc = cli.main([command, "--config", config(tmp_path, text), "--seed", "5", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    training = 1234 if key else rng.derive_seed(5, "training")
+    study = command in ("table1", "qcv", "multilevel")
+    assert seeds == [training if study else rng.derive_seed(training, "train")]
+
+
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("estimator failed")

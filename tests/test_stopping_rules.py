@@ -18,7 +18,6 @@ from nccmc.stopping_rules import (
     RegressionRule,
     TreeRule,
     _fit_backward,
-    _stop_mask,
     basis_matrix,
     basis_size,
     shift_rule,
@@ -46,6 +45,11 @@ def decide(rule, j, state, payoff) -> bool:
     return bool(rule.decide_batch(j, np.array([state]), np.array([payoff]))[0])
 
 
+def by_definition(rule, j, states, pay):
+    """The decisions by definition: a positive payoff at or above the exact threshold stops."""
+    return (pay >= rule.continuation_batch(j, states, pay)) & (pay > 0.0)
+
+
 # --- basis -------------------------------------------------------------------
 
 def test_basis_size_counts_monomials():
@@ -67,9 +71,12 @@ def test_payoff_equal_to_continuation_stops():
     assert not decide(rule, 0, [100.0], 4.999)
 
 
-def test_zero_payoff_zero_continuation_stops():
+def test_zero_payoff_zero_continuation_continues():
+    # a worthless position never stops, not even on a tie with a zero threshold
     rule = constant_rule(0.0)
-    assert decide(rule, 0, [80.0], 0.0)
+    assert not decide(rule, 0, [80.0], 0.0)
+    assert not decide(rule, 0, [80.0], -0.0)
+    assert decide(rule, 0, [80.0], 5e-324)  # the least positive payoff does
 
 
 def test_zero_payoff_negative_continuation_continues():
@@ -151,13 +158,14 @@ def test_constant_process_stops_immediately():
     assert np.all(stop_dates(rule, p, 4, seed=6) == 0)
 
 
-def test_all_zero_payoffs_stop_at_first_date():
+def test_all_zero_payoffs_run_to_maturity():
     # out-of-the-money degenerate process: fitted continuation is exactly 0,
-    # and the 0 >= 0 tie stops
+    # and a zero payoff never stops, so every path runs to date J
     p = params(d=1, y0=50.0, r=0.0, delta=0.0, sigma=0.0, n_dates=4)
     paths = simulate_training_paths(p, 50, 5)
     rule = train_tvr(paths)
-    assert np.all(stop_dates(rule, p, 4, seed=6) == 0)
+    assert not rule.member_coeffs.any()
+    assert np.all(stop_dates(rule, p, 4, seed=6) == p.J)
 
 
 # d = 2 with ten dates: J = 9 decision dates, a 7-column basis
@@ -409,13 +417,13 @@ def test_shifts_whose_sum_overflows_are_rejected(small_rule_pair, a, b):
 # --- a regression rule against its written-out formula ---------------------------
 
 def regression_formula(coeffs, y0, shift, j, states, payoffs):
-    """Stop when payoff >= A . coeffs[j] plus the shift, except a zero payoff
-    against a negative threshold.  The product is numpy's own einsum loop, a
-    sum per row, as the rule computes it in any batch."""
+    """Stop when a positive payoff >= A . coeffs[j] plus the shift.  The
+    product is numpy's own einsum loop, a sum per row, as the rule computes
+    it in any batch."""
     thr = np.einsum("ij,j->i", basis_matrix(states, payoffs, y0), coeffs[j])
     if shift:
         thr = thr + shift
-    return (payoffs >= thr) & ((payoffs > 0.0) | (thr >= 0.0))
+    return (payoffs >= thr) & (payoffs > 0.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -494,7 +502,7 @@ def assert_matches_median(rule, states, payoffs):
     pay = np.asarray(payoffs)
     for j in range(rule.member_coeffs.shape[1]):
         thr = median_threshold(rule, j, states, pay)
-        want = (pay >= thr) & ((pay > 0.0) | (thr >= 0.0))
+        want = (pay >= thr) & (pay > 0.0)
         got = rule.decide_batch(j, states, pay)
         assert got.dtype == bool
         assert np.array_equal(got, want), (j, len(pay))
@@ -526,7 +534,7 @@ def test_committee_counting_equals_median(members):
     rule = random_committee(gen, members)
     states, payoffs = random_states(gen, 400)
     assert_matches_median(rule, states, payoffs)
-    assert_matches_median(rule, states, np.zeros(len(states)))  # zero payoffs meet the guard
+    assert_matches_median(rule, states, np.zeros(len(states)))  # zero payoffs never stop
     for n in (0, 1, 2, 3):
         assert_matches_median(rule, states[:n], payoffs[:n])
 
@@ -565,12 +573,17 @@ def test_committee_row_decides_alone_as_in_its_batch(members, shift):
 
 @pytest.mark.parametrize("members", [2, 3, 64, 65, 129, 2000])
 def test_every_prediction_multiplies_two_or_more_members(monkeypatch, members):
-    # rows whose payoff sits on the median stay open to the last block, so
-    # every block of members is multiplied; the blocks are even, so none is a
-    # lone member, and the product doubles only a lone row
+    # rows whose positive payoff sits on the median stay open to the last
+    # block, so every block of members is multiplied; the blocks are even, so
+    # none is a lone member, and the product doubles only a lone row
     gen = np.random.default_rng([members, 26])
-    rule = random_committee(gen, members, J=1, payoff_blind=True)
+    coeffs = random_committee(gen, members, J=1, payoff_blind=True).member_coeffs
     states, _ = random_states(gen, 300)
+    # every member's constant lifted so that every threshold, and the payoffs
+    # at it and one ulp either side, are positive
+    coeffs[:, :, 0] += 1.0 - median_threshold(CommitteeRule(coeffs, 90.0), 0, states, np.zeros(300)).min()
+    rule = CommitteeRule(coeffs, y0=90.0)
+    assert (at_threshold(rule, states)[1] > 0.0).all()
     predict, calls = stopping_rules._predict, []
 
     def spy(A, coeffs, out=None):
@@ -625,8 +638,10 @@ def test_shifted_median_rounds_onto_zero():
     a, b = 1.0 + 2.0**-52, 1.0 + 2.0**-51
     rule = shift_rule(constant_committee([a] * 3 + [b] * 3), -b)
     pay = np.array([-0.0, 0.0, 1e-300])
+    assert rule.continuation_batch(0, np.full((3, 1), 80.0), pay).tolist() == [0.0] * 3
     assert_matches_median(rule, np.full((3, 1), 80.0), pay)
-    assert rule.decide_batch(0, np.full((3, 1), 80.0), pay).all()
+    # the zero payoffs continue on the zero threshold; the least bit of value stops
+    assert rule.decide_batch(0, np.full((3, 1), 80.0), pay).tolist() == [False, False, True]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -672,6 +687,101 @@ def test_committee_non_finite_predictions(members):
         assert_matches_median(CommitteeRule(coeffs, 90.0), states, payoffs)
 
 
+# --- the gate: a payoff that is not positive never stops ---------------------------
+
+def assert_moves_only_zero_ties(rule, states, payoffs):
+    """Decisions equal those of the earlier convention, written out here,
+    except where a payoff of +-0 meets a threshold of exactly +-0: that row
+    stopped and now continues.  Returns how many such rows there were."""
+    ties = 0
+    for j in range(rule.member_coeffs.shape[1]):
+        thr = median_threshold(rule, j, states, payoffs)
+        # earlier: a zero payoff continued only against a strictly negative threshold
+        before = (payoffs >= thr) & ((payoffs > 0.0) | (thr >= 0.0))
+        tie = (payoffs == 0.0) & (thr == 0.0)
+        now = rule.decide_batch(j, states, payoffs)
+        assert np.array_equal(now[~tie], before[~tie]), (rule.members, rule.shift, j)
+        assert before[tie].all() and not now[tie].any(), (rule.members, rule.shift, j)
+        ties += np.count_nonzero(tie)
+    return ties
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.05, -0.25])
+@pytest.mark.parametrize("members", [1, 2, 3, 64, 65, 2000])
+def test_gate_moves_only_zero_ties(members, shift):
+    gen = np.random.default_rng([members, 34])
+    n = 210
+    for blind in (True, False):
+        plain = random_committee(gen, members, J=2, payoff_blind=blind)
+        base = shift_rule(plain, shift)
+        states, _ = random_states(gen, n)
+        states[1] = states[0]
+        thr = median_threshold(base, 0, states, np.zeros(n))
+        kinds = [gen.exponential(2.0, n), np.zeros(n), np.full(n, -0.0), -gen.exponential(2.0, n),
+                 np.full(n, np.nan), np.full(n, 5e-324), thr]
+        payoffs = np.choose(np.arange(n) % 7, kinds)
+        payoffs[:2] = 0.0, -0.0
+        assert assert_moves_only_zero_ties(base, states, payoffs) == 0
+        # shifted by minus its own median at rows 0 and 1 (one state), whose
+        # payoffs are +-0: their date-0 thresholds are exactly 0
+        onto_zero = shift_rule(plain, -median_threshold(plain, 0, states[:1], np.zeros(1))[0])
+        assert assert_moves_only_zero_ties(onto_zero, states, payoffs) >= 2
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [-1.0] * 5 + [1.0] * 5,  # median 0.0
+        [-1.0] * 1000 + [1.0] * 1000,
+        [-2.0] * 3 + [-0.0] * 4 + [3.0] * 3,  # median -0.0
+        [-5e-324] * 5 + [0.0] * 5,  # the median halves a subnormal to -0.0
+        [0.0, 0.0],
+        [-0.0],
+        [0.0] * 65,
+    ],
+)
+def test_gate_moves_only_zero_ties_of_constant_committees(values):
+    rule = constant_committee(values)
+    pay = np.array([-1.0, -0.0, 0.0, 5e-324, 0.5, np.nan])
+    states = np.full((len(pay), 1), 80.0)
+    assert assert_moves_only_zero_ties(rule, states, pay) == 2  # 0.0 and -0.0
+    assert assert_moves_only_zero_ties(shift_rule(rule, 0.5), states, pay) == 0
+    # the mean of adjacent a < b rounds up to b, and the shift takes b to 0
+    a, b = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+    assert assert_moves_only_zero_ties(shift_rule(constant_committee([a] * 3 + [b] * 3), -b), states, pay) == 2
+
+
+@pytest.mark.parametrize("members", [1, 2, 3, 65, 2000])
+def test_no_worthless_row_reaches_the_basis_or_a_prediction(monkeypatch, members):
+    gen = np.random.default_rng([members, 35])
+    rule = random_committee(gen, members, J=2)
+    n = 500
+    states, payoffs = random_states(gen, n)
+    # positive payoffs well above the underflow of payoff / y0, among ones that are not
+    kinds = [payoffs + 1e-3, np.zeros(n), np.full(n, -0.0), np.full(n, -1.0), np.full(n, np.nan)]
+    payoffs = np.choose(np.arange(n) % 5, kinds)
+    want = [(payoffs >= median_threshold(rule, j, states, payoffs)) & (payoffs > 0.0) for j in range(2)]
+    basis, predict = stopping_rules.basis_matrix, stopping_rules._predict
+    seen = {"basis": [], "predict": []}
+
+    def basis_spy(assets, pay, y0, out=None):
+        seen["basis"].append(np.asarray(pay).copy())
+        return basis(assets, pay, y0, out)
+
+    def predict_spy(A, coeffs, out=None):
+        seen["predict"].append(A[:, -1] * rule.y0)  # the payoff column
+        return predict(A, coeffs, out)
+
+    monkeypatch.setattr(stopping_rules, "basis_matrix", basis_spy)
+    monkeypatch.setattr(stopping_rules, "_predict", predict_spy)
+    for j in range(2):
+        assert np.array_equal(rule.decide_batch(j, states, payoffs), want[j])
+    assert seen["basis"][0].tolist() == payoffs[payoffs > 0.0].tolist()
+    assert (members == 1) != bool(seen["predict"])
+    for kind, rows in seen.items():
+        assert all((r > 0.0).all() for r in rows), kind
+
+
 # --- committee decisions: rows leave the count once settled ------------------------
 
 # No shift, a small one, and one of -0.25, which the shifts 1e-300 then -0.25
@@ -681,9 +791,9 @@ SHIFTS = pytest.mark.parametrize("case, shift", [(0, 0.0), (1, 0.05), (2, 1e-300
 
 
 def assert_matches_definition(rule, states, payoffs):
-    """Each date's decisions equal the stop mask of the exact threshold, bit for bit."""
+    """Each date's decisions equal the definition on the exact threshold, bit for bit."""
     for j in range(rule.member_coeffs.shape[1]):
-        want = _stop_mask(payoffs, rule.continuation_batch(j, states, payoffs))
+        want = by_definition(rule, j, states, payoffs)
         got = rule.decide_batch(j, states, payoffs)
         assert np.array_equal(got, want), (rule.members, rule.shift, j, len(payoffs))
 
@@ -708,8 +818,8 @@ def test_committee_early_exit_equals_definition(n, members, case, shift):
     gen = np.random.default_rng([n, members, case])
     rule = shift_rule(random_committee(gen, members, J=2, payoff_blind=True), shift)
     states, _ = random_states(gen, n)
-    # interleaved so the zero-payoff rows move to the front of the open set:
-    # positive, 0.0, -0.0, NaN, and payoffs exactly at the date-0 threshold
+    # interleaved with rows that never stop: positive, 0.0, -0.0, NaN, and
+    # payoffs exactly at the date-0 threshold
     thr = rule.continuation_batch(0, states, np.zeros(n))
     kinds = [gen.exponential(2.0, n), np.zeros(n), np.full(n, -0.0), np.full(n, np.nan), thr]
     payoffs = np.choose(np.arange(n) % 5, kinds)
@@ -728,7 +838,7 @@ def test_committee_decision_down_to_one_open_row(monkeypatch, members):
     payoffs = np.full(40, 1e6)
     payoffs[17] = np.median(values)
     states = np.full((40, 1), 80.0)
-    want = _stop_mask(payoffs, rule.continuation_batch(0, states, payoffs))
+    want = by_definition(rule, 0, states, payoffs)
     calls = exact_rows(monkeypatch, rule)
     assert np.array_equal(rule.decide_batch(0, states, payoffs), want)
     assert calls == ([1] if members % 2 == 0 else [])
@@ -747,13 +857,26 @@ def test_committee_decision_down_to_one_open_row(monkeypatch, members):
     ],
 )
 def test_even_committee_ties_stay_open_to_the_exact_median(monkeypatch, values, payoff):
+    # a positive tie is counted through every block and takes the exact
+    # median; a zero payoff continues before any member is counted
     rule = constant_committee(values)
     payoffs = np.full(6, payoff)
     states = np.full((6, 1), 80.0)
-    want = _stop_mask(payoffs, rule.continuation_batch(0, states, payoffs))
+    want = by_definition(rule, 0, states, payoffs)
     calls = exact_rows(monkeypatch, rule)
+    predict, counted = stopping_rules._predict, []
+
+    def spy(A, coeffs, out=None):
+        counted.append(len(A))
+        return predict(A, coeffs, out)
+
+    monkeypatch.setattr(stopping_rules, "_predict", spy)
     assert np.array_equal(rule.decide_batch(0, states, payoffs), want)
-    assert calls == [6]  # no row settled in any block
+    if payoff > 0.0:
+        assert calls == [6]  # no row settled in any block
+        assert counted == [6] * -(-len(values) // 64) + [6]  # every block, then the median
+    else:
+        assert not want.any() and calls == [] and counted == []
 
 
 def test_committee_decision_never_builds_the_prediction_matrix():
@@ -815,7 +938,7 @@ def assert_band_edges_decide_by_definition(rule, states, blind=True):
             st, lo, hi = band_edge(rule, j, states, thr, outside)
             settled += len(st)
             for pay in (lo, hi):
-                want = _stop_mask(pay, rule.continuation_batch(j, st, pay))
+                want = by_definition(rule, j, st, pay)
                 assert np.array_equal(rule.decide_batch(j, st, pay), want), (j, rule.shift)
     assert settled > 0  # the band does settle rows, so its edges were tested
 
@@ -839,7 +962,7 @@ def test_band_of_a_rank_deficient_spread(members, spread):
     states, payoffs = random_states(gen, 200)
     coeffs = np.repeat(gen.normal(scale=3.0, size=(1, 2, basis_size(2))), members, axis=0)
     coeffs[:, :, -1] = 0.0
-    # thresholds straddle zero: only positive ones leave the band open around them
+    # thresholds straddle zero, and only positive payoffs reach the band
     coeffs[:, :, 0] -= np.median(basis_matrix(states, payoffs, 90.0) @ coeffs[0].T, axis=0)
     if spread != "identical":
         moved = slice(members // 2, None) if spread == "half identical" else slice(None)
@@ -880,18 +1003,28 @@ def test_prefix_of_a_shifted_committee_keeps_the_shift():
 
 
 @pytest.mark.parametrize("members", [2, 3, 64, 65])
-def test_band_of_zero_payoffs(members):
-    # constant members spread over [c - 1, c + 1]: a band far above or below
-    # zero settles zero payoffs (they continue); one that straddles zero, or
-    # holds a median of exactly zero, does not
+def test_band_of_zero_payoffs(monkeypatch, members):
+    # constant members spread over [c - 1, c + 1], with bands far above,
+    # far below, across and exactly on zero: whatever the band, zero and
+    # negative payoffs continue without reaching it, and only the positive
+    # rows of a batch are asked
     rule = constant_committee(np.linspace(-1.0, 1.0, members))
-    states = np.full((4, 1), 80.0)
-    for c, settles in ((-3.0, True), (3.0, True), (0.0, False), (-1e-300, False), (0.25, False)):
+    pay = np.array([0.0, -0.0, 0.5, -2.0, np.nan, 5e-324, 4.0])
+    states = np.full((len(pay), 1), 80.0)
+    band, asked = CommitteeRule._band_settles, []
+
+    def spy(self, j, A, payoffs, scale):
+        asked.append(payoffs.copy())
+        return band(self, j, A, payoffs, scale)
+
+    monkeypatch.setattr(CommitteeRule, "_band_settles", spy)
+    for c in (-3.0, 3.0, 0.0, -1e-300, 0.25):
         shifted = shift_rule(rule, c)
-        for pay in (np.zeros(4), np.full(4, -0.0)):
-            assert (band_settled(shifted, 0, states, pay) == settles).all(), c
-            want = _stop_mask(pay, shifted.continuation_batch(0, states, pay))
-            assert np.array_equal(shifted.decide_batch(0, states, pay), want), c
+        for p in (pay, pay[:2], pay[3:5]):
+            asked.clear()
+            st = states[: len(p)]
+            assert np.array_equal(shifted.decide_batch(0, st, p), by_definition(shifted, 0, st, p)), c
+            assert [a.tolist() for a in asked] == ([p[p > 0.0].tolist()] if (p > 0.0).any() else [])
 
 
 def test_band_settles_most_rows_of_a_trained_committee():
@@ -907,12 +1040,14 @@ def test_band_settles_most_rows_of_a_trained_committee():
 
     rule.decide_batch = spy
     _trunk_block(GbmModel(p), (rule,), 1, 0, 8000)
-    rows = settled = 0
+    rows = banded = settled = 0
     for j, states, payoffs in calls:
-        want = _stop_mask(payoffs, rule.continuation_batch(j, states, payoffs))
+        want = by_definition(rule, j, states, payoffs)
         assert np.array_equal(decide_batch(j, states, payoffs), want), j
         rows += len(payoffs)
-        settled += np.count_nonzero(band_settled(rule, j, states, payoffs))
-    # measured 60 % of 64,862 rows
+        live = payoffs > 0.0  # only these reach the band
+        banded += np.count_nonzero(live)
+        settled += np.count_nonzero(band_settled(rule, j, states[live], payoffs[live]))
+    # measured 45 % of the 23,566 rows with a positive payoff, of 65,845 asked
     assert rows >= 50_000
-    assert settled > 0.4 * rows
+    assert settled > 0.4 * banded
