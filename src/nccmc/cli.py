@@ -56,9 +56,9 @@ class CheckFailure(Exception):
 
 def _read_config(path: str) -> dict[str, str]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     out: dict[str, str] = {}
     for lineno, line in enumerate(lines, 1):
@@ -186,9 +186,7 @@ def _run_settings(r: ConfigReader, args, basis: Optional[int] = None, need_budge
     ``more``; training paths must cover a GBM model's regression basis
     (tree models train nothing).  Only the fields a key sets are passed, so
     an absent key takes the default of ``cls``.  Both seeds derive from
-    --seed; run.seed_training may set the training seed instead.  The
-    studies simulate their training paths at the training seed itself, and
-    ``_build_gbm_rule`` at a seed derived from it."""
+    --seed; run.seed_training may set the training seed instead."""
     if args.seed is None:
         raise ConfigError("need --seed")
     given = dict(
@@ -218,7 +216,7 @@ def _build_tree(r: ConfigReader) -> Optional[TreeModel]:
             raise ConfigError(f"config key tree.name: no bundled tree named {name!r}") from None
     if path:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 return TreeModel(json.load(fh))
         except OSError as e:
             raise ConfigError(f"config key tree.file: cannot read {path}: {e}") from e
@@ -235,9 +233,6 @@ def _build_gbm_rule(r: ConfigReader, side: str, params: GbmParams, rs: RunSettin
     train_params = replace(params, sigma=r.float(pre + "sigma", params.sigma, low=0))
     n_train = r.int(pre + "training_paths", rs.training_paths, basis)
     epsilon = r.float(pre + "epsilon", 0.0)
-    # shared derivation tag: rules trained from the same seed share noise, and
-    # a committee draws its bootstrap rows from its pool's seed
-    seed = rng.derive_seed(rs.seed_training, "train")
     if kind == "tvr":
         fit = train_tvr
     elif kind == "committee":
@@ -251,7 +246,7 @@ def _build_gbm_rule(r: ConfigReader, side: str, params: GbmParams, rs: RunSettin
         return lambda: rule
     else:
         raise ConfigError(f"config key {pre}kind must be tvr, committee, or fixed, got {kind!r}")
-    return lambda: shift_rule(fit(simulate_training_paths(train_params, n_train, seed)), epsilon)
+    return lambda: shift_rule(fit(simulate_training_paths(train_params, n_train, rs.seed_training)), epsilon)
 
 
 def _build_problem(r: ConfigReader, args):
@@ -397,33 +392,39 @@ def _pilot_job(r: ConfigReader, args) -> _Job:
     return run
 
 
+def _run_estimate(model, ruleA, ruleB, rs: RunSettings) -> tuple[dict, dict]:
+    """The estimate's row, and its extra fields: the pilot block when a pilot
+    sized the run, as it does when R is auto or a budget is set."""
+    R, N, extra = rs.replications, rs.testing_paths, {}
+    if R is None or rs.budget is not None:
+        cal, R, rep, N = calibrate(model, ruleA, ruleB, rs, "pilot")
+        # both costs at the pilot's floor: no trunk did any work, and the
+        # budget would buy some 10^12 trunks per work unit
+        if rs.budget is not None and max(cal.rho1, cal.rho2) <= floored(0.0, 1.0):
+            raise ConfigError("config key run.budget cannot size this run: the pilot's trunks did no work "
+                              "(both rules stop at date 0), so set run.testing_paths instead")
+        extra["pilot"] = _calib_dict(cal, rep)
+    est = estimate(
+        model, ruleA, ruleB, N, R,
+        rng.derive_seed(rs.seed_testing, "estimate"), threads=rs.threads,
+    )
+    row = {
+        "N": est.N, "R": est.R, "delta_hat": est.delta_hat, "stderr": est.stderr,
+        "v1_hat": est.v1_hat, "v2_hat": est.v2_hat, "p_differ": est.p_differ,
+        "work_units": est.work_trunk.units() + est.work_sub.units(),
+    }
+    return row, extra
+
+
 def _estimate_job(r: ConfigReader, args) -> _Job:
     model, rules, rs = _build_problem(r, args)
 
     def run() -> _Result:
-        ruleA, ruleB = rules()
-        R, N, extra = rs.replications, rs.testing_paths, {}
-        if R is None or rs.budget is not None:
-            cal, R, rep, N = calibrate(model, ruleA, ruleB, rs, "pilot")
-            # both costs at the pilot's floor: no trunk did any work, and the
-            # budget would buy some 10^12 trunks per work unit
-            if rs.budget is not None and max(cal.rho1, cal.rho2) <= floored(0.0, 1.0):
-                raise ConfigError("config key run.budget cannot size this run: the pilot's trunks did no work "
-                                  "(both rules stop at date 0), so set run.testing_paths instead")
-            extra["pilot"] = _calib_dict(cal, rep)
-        est = estimate(
-            model, ruleA, ruleB, N, R,
-            rng.derive_seed(rs.seed_testing, "estimate"), threads=rs.threads,
-        )
-        row = {
-            "N": est.N, "R": est.R, "delta_hat": est.delta_hat, "stderr": est.stderr,
-            "v1_hat": est.v1_hat, "v2_hat": est.v2_hat, "p_differ": est.p_differ,
-            "work_units": est.work_trunk.units() + est.work_sub.units(),
-        }
+        row, extra = _run_estimate(model, *rules(), rs)
         csv_row = [-1.0 if x is None else x for x in row.values()]  # v2_hat at R = 1
         return _Result(
             {"estimate.csv": (list(row), [csv_row]), "estimate.json": {**row, **extra}},
-            [f"delta_hat={est.delta_hat:.6g} stderr={est.stderr:.6g} N={est.N} R={est.R}"],
+            [f"delta_hat={row['delta_hat']:.6g} stderr={row['stderr']:.6g} N={row['N']} R={row['R']}"],
         )
 
     return run
@@ -490,26 +491,18 @@ def _oracle_check_job(r: ConfigReader, args) -> _Job:
 
     def run() -> _Result:
         ruleA, ruleB = rules()
-        R = rs.replications if rs.replications is not None else 5
-        delta = exact_delta(model, ruleA, ruleB)
-        est = estimate(
-            model, ruleA, ruleB, rs.testing_paths, R,
-            rng.derive_seed(rs.seed_testing, "oracle-check"), threads=rs.threads,
-        )
-        err = float(abs(est.delta_hat - delta))
+        row, extra = _run_estimate(model, ruleA, ruleB, rs)
+        delta, delta_hat, stderr = exact_delta(model, ruleA, ruleB), row["delta_hat"], row["stderr"]
+        err = float(abs(delta_hat - delta))
         # stderr 0 happens when the rules agree everywhere; then the estimate
         # must be exact
-        ok = bool(err < 4.0 * est.stderr) if est.stderr > 0 else err == 0.0
-        info = {
-            "delta_exact": delta, "delta_hat": est.delta_hat, "stderr": est.stderr,
-            "abs_error": err, "N": est.N, "R": est.R, "passed": ok,
-        }
+        ok = bool(err < 4.0 * stderr) if stderr > 0 else err == 0.0
         return _Result(
-            {"oracle_check.json": info},
-            [f"delta_exact={delta:.6g} delta_hat={est.delta_hat:.6g} stderr={est.stderr:.6g} "
+            {"oracle_check.json": {**row, **extra, "delta_exact": delta, "abs_error": err, "passed": ok}},
+            [f"delta_exact={delta:.6g} delta_hat={delta_hat:.6g} stderr={stderr:.6g} "
              f"{'PASS' if ok else 'FAIL'}"],
             None if ok else
-            f"|delta_hat - delta| = {err:.6g} exceeds 4*stderr = {4 * est.stderr:.6g}",
+            f"|delta_hat - delta| = {err:.6g} exceeds 4*stderr = {4 * stderr:.6g}",
         )
 
     return run
@@ -589,7 +582,7 @@ def _parser() -> argparse.ArgumentParser:
         "table1": (_table1_job, "parameter-uncertainty study over a sigma_hat grid"),
         "qcv": (_qcv_job, "control-variate pricing of a costly rule at matched budget"),
         "multilevel": (_multilevel_job, "fidelity-ladder telescoping at matched budget"),
-        "oracle-check": (_oracle_check_job, "compare the estimator against exact tree enumeration"),
+        "oracle-check": (_oracle_check_job, "run estimate and compare it with exact tree enumeration"),
         "vprofile": (_vprofile_job, "export the V(R) variance-profile grid"),
     }
     for name, (fn, help_) in cmds.items():
@@ -598,9 +591,7 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--config", required=True, help="flat key=value config file")
         q.add_argument("--seed", type=int, default=None,
                        help="base seed (required): the testing seed is derived from it, "
-                            "and so is the training seed unless run.seed_training sets it; "
-                            "pilot, estimate and vprofile train at a seed derived from the "
-                            "training seed, the studies at the training seed itself")
+                            "and so is the training seed unless run.seed_training sets it")
         q.add_argument("--threads", type=int, default=1,
                        help="worker processes (default: 1): forked on Linux, "
                             "inline elsewhere; never changes results")

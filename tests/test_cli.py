@@ -16,6 +16,7 @@ import pytest
 
 from nccmc import cli, experiments, oracle, rng
 from nccmc.experiments import MlLevelRow, Table1Row
+from nccmc.stopping_rules import train_tvr
 from tests.conftest import short_tree_spec
 
 GBM_SMALL = """
@@ -121,17 +122,29 @@ def test_unknown_tree_label_exits_2(tmp_path, capsys):
     '{"payoff": 1.0}',
     '{"root": {"payoff": 1, "children": [' + '{"prob": 1, "payoff": 1, "children": [' * 1500
     + '{"prob": 1, "payoff": 0}' + ']}' * 1500 + ']}}',
+    '{"root": {"payoff": 1.0, "note": "caf\xe9"}}',
 ], ids=["not-json", "probs-sum-to-1.4", "child-without-payoff", "root-not-object", "payoff-not-number",
         "document-not-object", "children-not-a-list", "payoff-not-finite", "bare-root-node", "no-root",
-        "chain-1500-levels"])
+        "chain-1500-levels", "latin-1-not-utf-8"])
 def test_bad_tree_file_exits_2_and_names_it(tmp_path, capsys, doc):
     tree = tmp_path / "tree.json"
-    tree.write_text(doc)
+    tree.write_bytes(doc.encode("latin-1"))
     cfg = config(tmp_path, f"tree.file={tree}\ntree.stop_a=0\ntree.stop_b=1\n")
     rc = cli.main(["pilot", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "tree.file" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_config_that_is_not_utf8_exits_2_and_names_it(tmp_path, capsys):
+    # a Latin-1 e-acute in a comment is not UTF-8, whatever the locale
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes((textwrap.dedent(TREE_AB) + "# caf\xe9\n").encode("latin-1"))
+    out = tmp_path / "o"
+    rc = cli.main(["estimate", "--config", str(cfg), "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert str(cfg) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -354,7 +367,7 @@ def test_prices_whose_squares_overflow_exit_3_before_any_fit(tmp_path):
     assert res.returncode == 3, res.stderr
     assert res.stdout == ""
     assert res.stderr.splitlines() == [
-        "error: ValueError: training prices at date 8 reach 1.14e+174 y0: "
+        "error: ValueError: training prices at date 8 reach 1.23e+174 y0: "
         "their squares overflow the regression basis"]
     assert not out.exists()
 
@@ -366,8 +379,7 @@ class _Trained(Exception):
 @pytest.mark.parametrize("key", ["", "run.seed_training=1234\n"], ids=["derived", "set"])
 @pytest.mark.parametrize("command", ["pilot", "estimate", "vprofile", "table1", "qcv", "multilevel"])
 def test_training_seed_each_command_simulates_at(tmp_path, monkeypatch, command, key):
-    # the studies simulate their pool at run.seed_training itself; pilot,
-    # estimate and vprofile simulate theirs at a seed derived from it
+    # every command simulates its pool at run.seed_training itself
     seeds = []
 
     def record(params, n, seed):
@@ -379,9 +391,30 @@ def test_training_seed_each_command_simulates_at(tmp_path, monkeypatch, command,
     text = TRAINING_CONFIGS.get(command, GBM_SMALL) + key
     rc = cli.main([command, "--config", config(tmp_path, text), "--seed", "5", "--out", str(tmp_path / "o")])
     assert rc == 3
-    training = 1234 if key else rng.derive_seed(5, "training")
-    study = command in ("table1", "qcv", "multilevel")
-    assert seeds == [training if study else rng.derive_seed(training, "train")]
+    assert seeds == [1234 if key else rng.derive_seed(5, "training")]
+
+
+def test_estimate_trains_the_rules_table1_trains(tmp_path, monkeypatch):
+    # one seed, sigma and training_paths give one pool and one rule, whichever
+    # command trains it
+    coeffs = {}
+
+    def record(command):
+        def fit(paths):
+            rule = train_tvr(paths)
+            coeffs.setdefault(command, []).append(rule.member_coeffs)
+            if len(coeffs[command]) == 2:
+                raise _Trained
+            return rule
+        return fit
+
+    base = "run.training_paths=3000\nrun.seed_training=11\n"
+    for command, text, module in [("estimate", "rules.b.sigma=0.23\n", cli),
+                                  ("table1", "study.sigma_hats=0.23\n", experiments)]:
+        monkeypatch.setattr(module, "train_tvr", record(command))
+        cfg = config(tmp_path, base + text, name=f"{command}.cfg")
+        assert cli.main([command, "--config", cfg, "--seed", "5", "--out", str(tmp_path / command)]) == 3
+    assert [c.tobytes() for c in coeffs["estimate"]] == [c.tobytes() for c in coeffs["table1"]]
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
@@ -475,13 +508,29 @@ def test_tree_short_of_mass_within_the_loader_bound(tmp_path):
     assert info["passed"] is True and math.isfinite(info["delta_exact"])
 
 
-def test_oracle_check_reports_failure_with_exit_4(tmp_path, capsys):
-    # two coupled paths cannot resolve the difference: deterministic miss
-    cfg = config(tmp_path, TREE_AB + "run.testing_paths=2\nrun.replications=1\n")
-    rc = cli.main(["oracle-check", "--config", cfg, "--seed", "6", "--out",
-                   str(tmp_path / "o")])
+def test_oracle_check_reports_failure_with_exit_4(tmp_path, capsys, monkeypatch):
+    # an exact value far from any estimate: the check fails whatever the sample
+    monkeypatch.setattr(cli, "exact_delta", lambda model, ruleA, ruleB: 100.0)
+    out = tmp_path / "o"
+    rc = cli.main(["oracle-check", "--config", config(tmp_path, TREE_AB), "--seed", "6", "--out", str(out)])
     assert rc == 4
     assert "FAIL" in capsys.readouterr().out
+    info = read_json(out, "oracle_check.json")
+    assert info["passed"] is False and info["delta_exact"] == 100.0
+
+
+@pytest.mark.parametrize("extra", ["", "run.replications=3\nrun.testing_paths=5000\n",
+                                   "run.budget=2e5\n"], ids=["auto", "fixed", "budget"])
+def test_oracle_check_checks_the_estimate_run(tmp_path, extra):
+    # the same run as estimate's, bit for bit, plus the exact comparison
+    cfg = config(tmp_path, TREE_AB + "run.n_pilot=500\nrun.r_pilot=8\n" + extra)
+    for command in ("estimate", "oracle-check"):
+        assert cli.main([command, "--config", cfg, "--seed", "7", "--out", str(tmp_path / command)]) == 0
+    est = read_json(tmp_path / "estimate", "estimate.json")
+    check = read_json(tmp_path / "oracle-check", "oracle_check.json")
+    assert ("pilot" in est) == ("replications" not in extra)
+    assert set(check) == set(est) | {"delta_exact", "abs_error", "passed"}
+    assert {k: check[k] for k in est} == est
 
 
 # --- estimator outputs ------------------------------------------------------------------
@@ -701,10 +750,25 @@ def test_study_runs_when_every_probe_path_pays_the_same(tmp_path, command, knobs
     assert all(math.isfinite(float(x)) for ln in lines[1:] for x in ln.split(",")[1:])
 
 
+def documented_columns(epilog):
+    """Each CSV file's column list in the --help epilog, notes in parentheses dropped."""
+    docs = {}
+    for line in epilog.splitlines():
+        named = re.match(r"  (\S+\.csv)\s+(.*)", line)
+        if named:
+            name, docs[named[1]] = named[1], named[2]
+        elif line.startswith("   ") and docs:
+            docs[name] += " " + line.strip()
+    return {name: [c.strip() for c in re.sub(r"\([^)]*\)", "", text).split(",")]
+            for name, text in docs.items()}
+
+
 def test_csv_columns_match_the_rows_and_the_help(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli.main(["--help"])
     help_text = capsys.readouterr().out
+    assert cli._COLUMN_DOCS in help_text
+    documented = documented_columns(cli._COLUMN_DOCS)
     runs = [
         ("estimate", TREE_AB + "run.testing_paths=500\nrun.n_pilot=500\n", None),
         ("table1", STUDY_BASE + "study.sigma_hats=0.23\nrun.n_pilot=500\n", Table1Row),
@@ -714,17 +778,16 @@ def test_csv_columns_match_the_rows_and_the_help(tmp_path, capsys):
          "run.budget=1e5\n", MlLevelRow),
         ("vprofile", TREE_AB + "run.n_pilot=500\nvprofile.points=4\n", None),
     ]
+    headers = {}
     for command, text, row_type in runs:
         out = tmp_path / command
         cfg = config(tmp_path, text, name=f"{command}.cfg")
         assert cli.main([command, "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
         written, = out.glob("*.csv")
-        header = written.read_text().split("\n", 1)[0].split(",")
+        headers[written.name] = written.read_text().split("\n", 1)[0].split(",")
         if row_type is not None:
-            assert header == [f.name for f in dataclasses.fields(row_type)]
-        assert written.name in help_text
-        for col in header:
-            assert re.search(rf"\b{col}\b", help_text), (written.name, col)
+            assert headers[written.name] == [f.name for f in dataclasses.fields(row_type)]
+    assert documented == headers
 
 
 # --- profile export -------------------------------------------------------------------
