@@ -226,33 +226,34 @@ def _build_tree(r: ConfigReader) -> Optional[TreeModel]:
 
 
 def _build_gbm_rule(r: ConfigReader, side: str, params: GbmParams, rs: RunSettings):
-    """Read rules.<side>.*; the returned call trains the rule."""
+    """Read rules.<side>.*, only the keys the rule's kind reads: the rule's
+    training set, (GBM parameters at its sigma, path count) or None for a
+    fixed rule, and the call that fits the rule on that set's pool."""
     pre = f"rules.{side}."
     basis = basis_size(params.d)
     kind = r.str(pre + "kind", "tvr")
-    train_params = replace(params, sigma=r.float(pre + "sigma", params.sigma, low=0))
-    n_train = r.int(pre + "training_paths", rs.training_paths, basis)
-    epsilon = r.float(pre + "epsilon", 0.0)
+    if kind == "fixed":
+        rule = FixedDateRule(r.int(pre + "stop_from", 0, 0))
+        return None, lambda pool: rule
     if kind == "tvr":
         fit = train_tvr
     elif kind == "committee":
         members = r.int(pre + "members", 100, 1)
         member_size = r.int(pre + "member_size", 4000, basis)
         fit = lambda paths: train_committee(paths, members, member_size)
-    elif kind == "fixed":
-        if epsilon != 0.0:
-            raise ConfigError(f"config key {pre}epsilon applies to tvr and committee rules, not fixed")
-        rule = FixedDateRule(r.int(pre + "stop_from", 0, 0))
-        return lambda: rule
     else:
         raise ConfigError(f"config key {pre}kind must be tvr, committee, or fixed, got {kind!r}")
-    return lambda: shift_rule(fit(simulate_training_paths(train_params, n_train, rs.seed_training)), epsilon)
+    training = (replace(params, sigma=r.float(pre + "sigma", params.sigma, low=0)),
+                r.int(pre + "training_paths", rs.training_paths, basis))
+    epsilon = r.float(pre + "epsilon", 0.0)
+    return training, lambda pool: shift_rule(fit(pool), epsilon)
 
 
 def _build_problem(r: ConfigReader, args):
     """The model (a JSON tree or the GBM benchmark), a call returning the
     rule pair, and the run settings.  GBM rules train only when the call is
-    made."""
+    made: each distinct training set's pool is simulated once, and freed
+    before the next one is."""
     tree = _build_tree(r)
     if tree is not None:
         rs = _run_settings(r, args)
@@ -264,9 +265,17 @@ def _build_problem(r: ConfigReader, args):
         return tree, lambda: rules, rs
     params = _gbm_params(r)
     rs = _run_settings(r, args, basis_size(params.d))
-    train_a = _build_gbm_rule(r, "a", params, rs)
-    train_b = _build_gbm_rule(r, "b", params, rs)
-    return GbmModel(params), lambda: (train_a(), train_b()), rs
+    sides = [_build_gbm_rule(r, side, params, rs) for side in "ab"]
+
+    def train():
+        rules = {}
+        for training in dict.fromkeys(key for key, _ in sides):
+            pool = None if training is None else simulate_training_paths(*training, rs.seed_training)
+            rules.update({i: fit(pool) for i, (key, fit) in enumerate(sides) if key == training})
+            del pool
+        return rules[0], rules[1]
+
+    return GbmModel(params), train, rs
 
 
 # --- output ------------------------------------------------------------------
@@ -400,7 +409,7 @@ def _run_estimate(model, ruleA, ruleB, rs: RunSettings) -> tuple[dict, dict]:
         cal, R, rep, N = calibrate(model, ruleA, ruleB, rs, "pilot")
         # both costs at the pilot's floor: no trunk did any work, and the
         # budget would buy some 10^12 trunks per work unit
-        if rs.budget is not None and max(cal.rho1, cal.rho2) <= floored(0.0, 1.0):
+        if rs.budget is not None and max(cal.rho1, cal.rho2) <= floored(0.0):
             raise ConfigError("config key run.budget cannot size this run: the pilot's trunks did no work "
                               "(both rules stop at date 0), so set run.testing_paths instead")
         extra["pilot"] = _calib_dict(cal, rep)

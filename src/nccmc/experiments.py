@@ -227,10 +227,11 @@ def _telescope(cfg: ExperimentConfig, train, tags: dict):
     a nested run at its own pilot-calibrated R.  Path counts come from one
     budget allocation over the base level's probed variance and cost and
     each increment's v1 + v2/R and rho1 + rho2 R; a base variance at or
-    below zero is floored as ``floored_params`` floors one.  The ladder
-    runs once at R = 1 everywhere and once calibrated; the finest rule is
-    also priced directly at the same budget.  Returns (each increment's
-    ``calibrate`` result, R = 1 pass, calibrated pass, direct value).
+    below zero is floored by ``floored`` at 1e-12, as a pilot's are.  The
+    ladder runs once at R = 1 everywhere and once calibrated; the finest
+    rule is also priced directly at the same budget.  Returns (each
+    increment's ``calibrate`` result, R = 1 pass, calibrated pass, direct
+    value).
     """
     if cfg.budget is None:
         raise ValueError("a telescoping study needs a work budget")
@@ -249,7 +250,7 @@ def _telescope(cfg: ExperimentConfig, train, tags: dict):
             for i in range(1, L + 1)]
 
     def run_ladder(Rs: list[int], run: str) -> _LadderRun:
-        levels = [(floored(probe0.var_hat, max(probe0.var_hat, 1.0)),
+        levels = [(floored(probe0.var_hat),
                    probe0.work.units() / probe0.N)]
         levels += [(cal.v1 + cal.v2 / R, cal.rho1 + cal.rho2 * R) for (cal, *_), R in zip(cals, Rs)]
         # the estimators need two samples for a variance

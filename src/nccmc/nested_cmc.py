@@ -363,9 +363,9 @@ def estimate_value(model, rule, N: int, seed: int, threads: int = 1) -> ValueEst
                          stderr=float(np.sqrt(var_hat / N)), N=N, work=work)
 
 
-def floored(x: float, scale: float) -> float:
-    """x, or 1e-12 times scale, the size of x's kind, when x is at or below zero."""
-    return 1e-12 * scale if x <= 0.0 else x
+def floored(x: float, *kind: float) -> float:
+    """x, or 1e-12 times the largest of its kind's values and 1 when x is at or below zero."""
+    return 1e-12 * max((*kind, 1.0)) if x <= 0.0 else x
 
 
 def floored_params(est: NestedEstimate) -> CalibParams:
@@ -377,17 +377,12 @@ def floored_params(est: NestedEstimate) -> CalibParams:
     disagreed, a variance vanished, or every trunk stopped at date 0) are
     floored at a tiny positive value and the result is flagged degenerate.
     """
-    rho1 = est.work_trunk.units() / est.N
-    rho2 = est.work_sub.units() / (est.N * est.R)
-    v1 = est.v1_hat
-    v2 = est.v2_hat if est.v2_hat is not None else 0.0
+    v = (est.v1_hat, est.v2_hat if est.v2_hat is not None else 0.0)
+    rho = (est.work_trunk.units() / est.N, est.work_sub.units() / (est.N * est.R))
     # each floor is 1e-12 times the scale of its kind (variance or cost)
-    scale_v = max(v1, v2, 1.0)
-    scale_r = max(rho1, rho2, 1.0)
-    comps = ((v1, scale_v), (v2, scale_v), (rho1, scale_r), (rho2, scale_r))
-    v1, v2, rho1, rho2 = (floored(x, scale) for x, scale in comps)
+    v1, v2, rho1, rho2 = (floored(x, *kind) for kind in (v, rho) for x in kind)
     return CalibParams(v1=v1, v2=v2, rho1=rho1, rho2=rho2, p_differ=est.p_differ,
-                       degenerate=any(x <= 0.0 for x, _ in comps))
+                       degenerate=any(x <= 0.0 for x in v + rho))
 
 
 def pilot(model, ruleA, ruleB, N_pilot: int, R_pilot: int, seed: int,

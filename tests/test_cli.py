@@ -10,12 +10,14 @@ import resource
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
 
 from nccmc import cli, experiments, oracle, rng
 from nccmc.experiments import MlLevelRow, Table1Row
+from nccmc.process_models import simulate_training_paths
 from nccmc.stopping_rules import train_tvr
 from tests.conftest import short_tree_spec
 
@@ -249,6 +251,11 @@ def test_bad_rule_size_exits_2_before_training(tmp_path, capsys, monkeypatch, se
     ("estimate", "run.training_paths=6", "run.training_paths"),
     ("estimate", "rules.a.training_paths=6", "rules.a.training_paths"),
     ("estimate", "rules.b.sigma=-0.1", "rules.b.sigma"),
+    # a fixed rule reads rules.X.stop_from alone: a key of a trained rule is unknown
+    ("estimate", "rules.b.kind=fixed\nrules.b.sigma=0.3", "rules.b.sigma"),
+    ("estimate", "rules.b.kind=fixed\nrules.b.sigma\nrules.b.training_paths=5000", "rules.b.training_paths"),
+    ("estimate", "rules.b.kind=fixed\nrules.b.sigma\nrules.b.training_paths\nrules.b.epsilon=0",
+     "rules.b.epsilon"),
     ("estimate", "rules.a.kind=greedy", "rules.a.kind"),
     ("estimate", "run.budget=inf", "run.budget"),
     ("estimate", "rules.a.bogus=1", "rules.a.bogus"),
@@ -392,6 +399,35 @@ def test_training_seed_each_command_simulates_at(tmp_path, monkeypatch, command,
     rc = cli.main([command, "--config", config(tmp_path, text), "--seed", "5", "--out", str(tmp_path / "o")])
     assert rc == 3
     assert seeds == [1234 if key else rng.derive_seed(5, "training")]
+
+
+@pytest.mark.parametrize("command", ["pilot", "estimate", "vprofile"])
+def test_each_training_set_simulates_one_pool_at_a_time(tmp_path, monkeypatch, command):
+    # rules with one sigma and training_paths share one pool; rules whose
+    # sigmas differ simulate one pool each, the first dead before the second
+    # is simulated.  Per pool: a weak reference to its kept states, and
+    # whether every earlier pool was dead when it was simulated
+    pools = []
+
+    def spy(*args):
+        dead = all(ref() is None for ref, _ in pools)
+        paths = simulate_training_paths(*args)
+        pools.append((weakref.ref(paths.kept), dead))
+        return paths
+
+    def trained(*args):
+        raise _Trained
+
+    monkeypatch.setattr(cli, "simulate_training_paths", spy)
+    monkeypatch.setattr(cli, "calibrate", trained)
+    counts = []
+    for sigma_b in ["", "rules.b.sigma=0.23\n"]:
+        pools.clear()
+        cfg = config(tmp_path, "run.training_paths=3000\n" + sigma_b)
+        assert cli.main([command, "--config", cfg, "--seed", "5", "--out", str(tmp_path / "o")]) == 3
+        assert all(dead for _, dead in pools)
+        counts.append(len(pools))
+    assert counts == [1, 2]
 
 
 def test_estimate_trains_the_rules_table1_trains(tmp_path, monkeypatch):

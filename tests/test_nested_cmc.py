@@ -18,6 +18,7 @@ from nccmc.nested_cmc import (
     _trunk_block,
     estimate,
     estimate_value,
+    floored,
     floored_params,
     pilot,
 )
@@ -645,6 +646,20 @@ def test_pilot_floors_zero_components(tree2):
     assert cal.rho1 > 1.0
     assert cal.rho2 == 1e-12 * cal.rho1
     assert cal == floored_params(estimate(tree2, rule, rule, 500, 8, seed=3))
+
+
+@pytest.mark.parametrize("x, kind, expected", [
+    (0.0, (), 1e-12),
+    (0.0, (3.0, 0.0), 3e-12),
+    (-2.0, (-2.0, 0.5), 1e-12),
+    (-1e-300, (4e6,), 4e-6),
+    (0.25, (0.25, 9.0), 0.25),
+    (1e-300, (1e-300, 7.0), 1e-300),
+], ids=["zero-alone", "zero", "negative", "tiny-negative", "positive", "tiny-positive"])
+def test_floored_scales_by_its_kind(x, kind, expected):
+    # at or below zero: 1e-12 times the largest of x's kind and 1; above
+    # zero, x itself however small
+    assert floored(x, *kind) == expected
 
 
 def test_floored_params_keeps_positive_components(tree2, tree2_rules):
