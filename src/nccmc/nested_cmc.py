@@ -16,13 +16,17 @@ retires the lanes that stop.  A stage supplies each lane's first decision
 date (0 for a trunk, tau + 1 for a continuation), the rules (both for a
 comparison's trunks, the one rule for a value run's, the survivor for a
 continuation) and the noise as raw words; the kernel is the one place that
-turns them into variates, and only for the rows it steps.  Lane rows of
-state and noise move as fixed-size records (``process_models.gather_rows``
+turns them into variates, and only for the rows it steps.  A lane that no
+rule it asks can stop before a later date (every such rule fixed, stopping
+from its ``stop_from``) moves there in one exact step when the model jumps
+(a GBM does, a tree does not), reading its landing date's noise.  Lane rows
+of state and noise move as fixed-size records (``process_models.gather_rows``
 and ``scatter_rows``), one copy per row, not per element.  Stage two runs
 the trunks where rule A survives, then those where rule B does, each group
 in sub-batches whose noise and lane state fit in NOISE_BUDGET words, so its
 memory does not grow with N, R or P(differ); it fetches a whole sub-batch's
-raw words, each trunk's dates tau+1..J only, in one batched draw.
+raw words, each trunk's dates from its lanes' first date to J only, in one
+batched draw.
 
 Everything is deterministic given the seed: the estimators draw in the
 testing namespace, paths and replications are addressed by counter-based
@@ -76,9 +80,10 @@ RULE_EVAL_UNIT = 0.1
 class WorkMeter:
     """Deterministic work counters: simulation steps and rule evaluations.
 
-    ``steps`` counts single-asset single-date simulation updates; a d-asset
-    date advance on one path counts d.  ``rule_evals`` counts elementary
-    predictor evaluations (a committee of M members counts M per decision).
+    ``steps`` counts single-asset simulation updates; a d-asset advance on
+    one path counts d, over one date or in one jump over several.
+    ``rule_evals`` counts elementary predictor evaluations (a committee of M
+    members counts M per decision).
     Units blend the two with rule evaluations at a tenth of a step, a fixed
     package-wide weighting.
     """
@@ -116,18 +121,28 @@ class ValueEstimate:
     work: WorkMeter
 
 
+def _skip_to(model, rules):
+    """The first date at which one of ``rules`` could stop (at most J) on a
+    model that jumps, where a lane asking only them moves there in one
+    step; 0 on a model that does not."""
+    return min(min(rule.stop_from for rule in rules), model.J) if model.jumps else 0
+
+
 def _run_lanes(model, rules, first, states, payoff, noise):
     """The date loop of both stages: advance lanes until each one stops.
 
-    Lane i is first stepped and asked at date first[i] (date 0 takes no
-    step).  Every live lane asks each of ``rules`` at dates before J and
-    stops at the first date one of them says so, and at J in any case.
+    Lane i's state is at date first[i] - 1 (date 0 for first[i] = 0, which
+    takes no step).  It is first stepped and asked at date first[i], or at
+    the later ``_skip_to`` date, before which none of ``rules`` can stop:
+    it then reaches that date in one step over the dates between, charged
+    as one step.  Every live lane asks each of ``rules`` at dates before J
+    and stops at the first date one of them says so, and at J in any case.
     ``noise(j, rows)`` gives a fresh copy of the raw words that carry lanes
-    ``rows`` to date j; only those rows become variates, in place.
-    ``states`` and ``payoff`` are advanced in place and end at each lane's
-    stop date; the live rows of ``states`` move as records (as both
-    stages' ``noise`` moves its rows), so its last axis must be
-    contiguous.  Returns
+    ``rows`` to date j (a jump reads its landing date's); only those rows
+    become variates, in place.  ``states`` and ``payoff`` are advanced in
+    place and end at each lane's stop date; the live rows of ``states``
+    move as records (as both stages' ``noise`` moves its rows), so its last
+    axis must be contiguous.  Returns
     (tau, votes, steps, evals): the stop dates and votes[i], rule i's
     decision there (True at J).
     """
@@ -137,13 +152,22 @@ def _run_lanes(model, rules, first, states, payoff, noise):
     alive = np.ones(n, dtype=bool)
     cost = sum(rule.eval_cost for rule in rules)
     steps = evals = 0
-    for j in range(int(first.min()), J + 1):
-        rows = np.nonzero(alive & (first <= j))[0]
+    skip = _skip_to(model, rules)
+    # with skip at most 1, no lane's first move spans more than one date
+    start = np.maximum(first, skip) if skip > 1 else first
+    for j in range(int(start.min()), J + 1):
+        rows = np.nonzero(alive & (start <= j))[0]
         if rows.size == 0:
             continue
         lane_states = gather_rows(states, rows)
         if j > 0:
-            lane_states = model.step_batch(j, lane_states, model.variates(noise(j, rows)))
+            z = model.variates(noise(j, rows))
+            if skip > 1:
+                # a lane's first move spans the dates from its state's, max(first - 1, 0)
+                h = np.where(start[rows] == j, j - np.maximum(first[rows] - 1, 0), 1)
+                lane_states = model.step_batch(j, lane_states, z, h)
+            else:
+                lane_states = model.step_batch(j, lane_states, z)
             lane_payoff = model.payoff_batch(j, lane_states)
             scatter_rows(states, rows, lane_states)
             payoff[rows] = lane_payoff
@@ -197,11 +221,13 @@ def _sub_block(model, ruleA, ruleB, seed: int, p0: int, tau, sign, x_wedge, resu
     tau + 1 and ask only the surviving rule: the trunks with S > 0 run on
     rule A, then those with S < 0 on rule B.  Each group walks its trunks in
     sub-batches, one draw per sub-batch putting the raw words of each
-    trunk's dates tau+1..J in a ragged buffer; each date converts only the
-    live lanes' rows.  A sub-batch holds at most NOISE_BUDGET words of noise
-    and lane state, a trunk's share being its points' raw words plus R
-    lanes of five states' worth (four held, one of headroom) and LANE_WORDS
-    each (a trunk whose own share is larger runs alone).
+    trunk's dates d0..J in a ragged buffer, d0 being its lanes' first date
+    (tau + 1, or the survivor's ``_skip_to`` date when a lane jumps
+    there); each date converts only the live lanes' rows.  A sub-batch
+    holds at most NOISE_BUDGET words of noise and lane state, a trunk's
+    share being its points' raw words plus R lanes of five states' worth
+    (four held, one of headroom) and LANE_WORDS each (a trunk whose own
+    share is larger runs alone).
     Returns (means, variances, steps, evals); rows for trunks with S = 0
     stay zero and cost nothing.
     """
@@ -213,17 +239,18 @@ def _sub_block(model, ruleA, ruleB, seed: int, p0: int, tau, sign, x_wedge, resu
     # S > 0: tau_A > tau_B, so rule A runs on
     for rule, s in ((ruleA, 1), (ruleB, -1)):
         diff = np.nonzero(sign == s)[0]
-        points = (model.J - tau[diff]) * R
+        d0 = np.maximum(tau[diff] + 1, _skip_to(model, (rule,)))
+        points = (model.J + 1 - d0) * R
         ends = np.cumsum(points * words_per_point(width) + R * (5 * width + LANE_WORDS))
         lo = 0
         while lo < diff.size:
             spent = ends[lo - 1] if lo else 0
             hi = max(lo + 1, int(np.searchsorted(ends, spent + NOISE_BUDGET, side="right")))
-            k, counts = diff[lo:hi], points[lo:hi]
+            k, counts, k0 = diff[lo:hi], points[lo:hi], d0[lo:hi]
             offsets = np.cumsum(counts) - counts
-            buf = model.draw(seed, NS_TESTING, SUB, p0 + k, 0, counts, first_point=tau[k] * R)
-            # lane (i, r) reads point (j - tau_i - 1)*R + r of trunk i's block at date j
-            base = np.repeat(offsets - (tau[k] + 1) * R, R) + np.tile(np.arange(R), k.size)
+            buf = model.draw(seed, NS_TESTING, SUB, p0 + k, 0, counts, first_point=(k0 - 1) * R)
+            # lane (i, r) reads point (j - d0_i)*R + r of trunk i's block at date j
+            base = np.repeat(offsets - k0 * R, R) + np.tile(np.arange(R), k.size)
             lane_xw = np.repeat(x_wedge[k], R)
             payoff = lane_xw.copy()
             _, _, s_steps, s_evals = _run_lanes(

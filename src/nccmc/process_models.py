@@ -17,6 +17,10 @@ enumerable Markov trees used as exact test fixtures.  A model exposes
     variates(words)                 draw's words as the variates step_batch
                     takes (normals or uniforms), converted in place
     step_batch(j, states, draws)    advance states from date j-1 to date j
+    jumps       whether step_batch(j, states, draws, h) advances states from
+                date j-h to date j in one step, on one point of noise (h one
+                horizon or one per row); a GBM's transition is exact over any
+                horizon, a tree's k-date transition needs k draws
 
 States are row-indexed numpy arrays so the engine can scatter and gather
 paths freely; the streams module guarantees that path ``p`` sees the same
@@ -162,6 +166,7 @@ class GbmModel:
         self.J = params.J
         self.step_units = params.d
         self.draw_width = params.d
+        self.jumps = True
         # once per model, each by the scalar expression of the formulas above
         self._discounts = [float(np.exp(-params.r * t)) for t in params.dates]
         self._drift = (params.r - params.delta - 0.5 * params.sigma**2) * params.dt
@@ -187,15 +192,24 @@ class GbmModel:
     def variates(self, words: np.ndarray) -> np.ndarray:
         return rng.to_normals(words)
 
-    def step_batch(self, j: int, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Exact GBM transition from date j-1 to date j, one normal per asset."""
+    def step_batch(self, j: int, states: np.ndarray, draws: np.ndarray, h=1) -> np.ndarray:
+        """Exact GBM transition from date j-h to date j, one normal per asset.
+
+        ``h`` is one horizon in dates or one per row.  Over h dates the log
+        price moves by drift h + sigma sqrt(h dt) z; at h = 1 everywhere
+        that is the one-date step, by its own coefficients.
+        """
         assets = np.asarray(states, dtype=float)
         z = np.asarray(draws, dtype=float)
         if not (np.all(np.isfinite(assets)) and np.all(np.isfinite(z))):
             raise ValueError("non-finite inputs to step_batch")
-        # assets * exp(drift + sigma sqrt(dt) z) in one temporary, the same bits
-        g = np.multiply(self._vol, z)
-        g += self._drift
+        vol, drift = self._vol, self._drift
+        if np.any(np.not_equal(h, 1)):
+            h = np.reshape(h, (-1, 1))
+            vol, drift = self.params.sigma * np.sqrt(h * self.params.dt), self._drift * h
+        # assets * exp(drift + vol z) in one temporary, the same bits
+        g = np.multiply(vol, z)
+        g += drift
         np.exp(g, out=g)
         return np.multiply(assets, g, out=g)
 
@@ -298,6 +312,7 @@ class TreeModel:
             raise ValueError("tree must have at least one transition")
         self.step_units = 1
         self.draw_width = 1
+        self.jumps = False
 
         maxb = int(self.n_children.max())
         self._cum_table = np.ones((self.n_nodes, maxb))

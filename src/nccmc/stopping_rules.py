@@ -8,7 +8,9 @@ at J themselves, so no rule knows maturity.
 Rules carry an ``eval_cost``: the number of elementary predictor evaluations
 one decision costs.  Fixed-date rules cost nothing, a committee of M
 regression members costs M.  The work meters in the engine charge rule
-evaluations at a tenth of a simulation unit each.
+evaluations at a tenth of a simulation unit each.  Rules also carry
+``stop_from``, the first date at which they can stop: a fixed-date rule's
+own date, 0 for every other rule.
 
 Every trained rule is one type, ``CommitteeRule``: it stops when the
 immediate payoff is at least the median of its members' predicted
@@ -202,6 +204,8 @@ class CommitteeRule:
     ``prefix(m)`` builds its own bands; a ``shift_rule`` copy shares them.
     """
 
+    stop_from = 0
+
     def __init__(self, member_coeffs: np.ndarray, y0: float):
         member_coeffs = np.asarray(member_coeffs, dtype=float)
         B = member_coeffs.shape[2] if member_coeffs.ndim == 3 else 0
@@ -319,6 +323,7 @@ class TreeRule:
     """Stops on a fixed set of tree nodes."""
 
     eval_cost = 1
+    stop_from = 0
 
     def __init__(self, model: TreeModel, stop_labels):
         ids = []

@@ -24,7 +24,7 @@ from nccmc.nested_cmc import (
 )
 from nccmc.oracle import exact_delta
 from nccmc.process_models import GbmModel, GbmParams, simulate_training_paths
-from nccmc.rng import SUB
+from nccmc.rng import NS_TESTING, SUB, TRUNK
 from nccmc.stopping_rules import FixedDateRule, TreeRule, train_committee, train_tvr
 from tests.conftest import continuations
 
@@ -213,15 +213,21 @@ def test_only_the_rows_that_step_become_variates(monkeypatch, tree2, tree2_rules
 
 def test_stage_two_memory_follows_the_noise_budget(monkeypatch, tree2):
     # 2048 trunks that always disagree at R = 100, d = 5 would need a
-    # 73.7 MB noise tensor at once; sub-batches hold 2 MB of noise at a time.
-    # A point's raw words count too: 8 for a 5-wide point, 4 for a 2-wide
-    # one and 4 for the tree's single uniform, held while the draw converts
-    # them
+    # 73.7 MB noise tensor at once if their lanes stepped every date;
+    # sub-batches hold 2 MB of noise at a time.  A point's raw words count
+    # too: 8 for a 5-wide point, 4 for a 2-wide one and 4 for the tree's
+    # single uniform, held while the draw converts them.  Holding to
+    # maturity, a GBM's lanes jump there and draw one date each (still 13 MB
+    # at d = 5); a GBM that does not jump, and the tree, step every date
     budget = 2**18
     monkeypatch.setattr(nested_cmc, "NOISE_BUDGET", budget)
-    gbm = [GbmModel(GbmParams(d=d, r=0.05, delta=0.1, sigma=0.2, K=100.0, y0=90.0, T=3.0, n_dates=10))
-           for d in (5, 2)]
-    for model, R in ((gbm[0], 100), (gbm[1], 100), (tree2, 1000)):
+    problems = [(tree2, 1000)]
+    for d in (5, 2):
+        p = GbmParams(d=d, r=0.05, delta=0.1, sigma=0.2, K=100.0, y0=90.0, T=3.0, n_dates=10)
+        stepping = GbmModel(p)
+        stepping.jumps = False
+        problems += [(GbmModel(p), 100), (stepping, 100)]
+    for model, R in problems:
         n = 2048
         tau, sign = np.zeros(n, dtype=np.int64), np.full(n, -1, dtype=np.int8)
         resume = model.init_states(n)
@@ -233,10 +239,14 @@ def test_stage_two_memory_follows_the_noise_budget(monkeypatch, tree2):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert steps == n * R * model.J * model.step_units
+        dates = 1 if model.jumps else model.J
+        assert steps == n * R * dates * model.step_units
         assert np.all(np.isfinite(means))
-        dense = n * model.J * R * model.draw_width * 8
-        assert peak < 1.25 * budget * 8 < dense / 10
+        assert peak < 1.25 * budget * 8
+        # every lane's variates at once: ten times the bound when lanes step
+        # every date, and over it when they jump
+        dense = n * dates * R * model.draw_width * 8
+        assert 1.25 * budget * 8 < dense / (10 if dates > 1 else 1)
 
 
 def test_thin_lanes_follow_the_budget(monkeypatch, tree2):
@@ -304,6 +314,102 @@ def test_halving_the_noise_budget_keeps_the_bits(monkeypatch, d2_params, small_r
             runs.append(len(kernel_runs))
         assert got[0] == got[1]
         assert runs[1] > runs[0]  # the smaller budget did move sub-batch boundaries
+
+
+# --- lanes that jump ----------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fixed_survivors(d2_params, small_rule_pair):
+    """A regression rule against a fixed rule on a GBM, with the fixed rule's stop date.
+
+    At d = 5 the fixed rule holds to date 9 = J (cli_premium's pairing), so
+    its lanes jump to maturity.  At d = 2 it holds to date 5: lanes frozen
+    before date 4 jump to date 5 and stop there, while the regression rule
+    survives the trunks the fixed one stopped at date 5 and steps on.
+    """
+    d5 = dataclasses.replace(d2_params, d=5)
+    rule5 = train_tvr(simulate_training_paths(d5, 4000, 1234))
+    return ((GbmModel(d5), rule5, FixedDateRule(9)),
+            (GbmModel(d2_params), small_rule_pair[0], FixedDateRule(5)))
+
+
+def test_jumping_lanes_keep_the_bits(monkeypatch, fixed_survivors):
+    # chunks of 1000 or 16384 paths, a halved noise budget, one or two
+    # workers: the same estimate to the last bit
+    kernel_runs = []
+    run_lanes = nested_cmc._run_lanes
+
+    def counted(*args):
+        kernel_runs.append(1)
+        return run_lanes(*args)
+
+    monkeypatch.setattr(nested_cmc, "_run_lanes", counted)
+    for model, A, B in fixed_survivors:
+        expected = estimate(model, A, B, nested_cmc.CHUNK_SIZE, 10, seed=21)
+        assert expected.p_differ > 0 and expected.work_sub.steps > 0
+        runs = []
+        for chunk, budget, threads in ((16384, 9 * 2**19, 1), (16384, 9 * 2**18, 1),
+                                       (1000, 9 * 2**18, 1), (1000, 9 * 2**18, 2)):
+            monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", chunk)
+            monkeypatch.setattr(nested_cmc, "NOISE_BUDGET", budget)
+            kernel_runs.clear()
+            assert estimate(model, A, B, 16384, 10, seed=21, threads=threads) == expected
+            runs.append(len(kernel_runs))
+        assert runs[1] > runs[0]  # the halved budget did move sub-batch boundaries
+        monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", 16384)
+        monkeypatch.setattr(nested_cmc, "NOISE_BUDGET", 9 * 2**18)
+
+
+def test_a_fixed_survivor_draws_only_the_dates_its_lanes_reach(monkeypatch, fixed_survivors):
+    # each trunk the fixed rule survives asks its SUB stream for the points
+    # of dates d0..J, d0 = max(tau + 1, stop_from), from point (d0 - 1) R
+    # on: (J - d0 + 1) R points where stepping lanes would take (J - tau) R.
+    # The regression rule's trunks still ask for dates tau + 1..J
+    R, J = 4, 9
+    for model, A, B in fixed_survivors:
+        tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, 0, 3000)
+        requests = []
+        draw = type(model).draw
+
+        def spy_draw(self, seed, namespace, stream_class, index, date, n_points, first_point=0):
+            if stream_class == SUB:
+                requests.append(np.broadcast_arrays(index, n_points, first_point))
+            return draw(self, seed, namespace, stream_class, index, date, n_points, first_point)
+
+        monkeypatch.setattr(type(model), "draw", spy_draw)
+        _sub_block(model, A, B, 5, 0, tau, sign, xw, resume, R)
+        monkeypatch.undo()
+        index, counts, firsts = (np.concatenate(a) for a in zip(*requests))
+        a, b = np.nonzero(sign > 0)[0], np.nonzero(sign < 0)[0]
+        assert np.array_equal(index, np.concatenate([a, b]))
+        d0 = np.maximum(tau[b] + 1, B.stop_from)
+        assert np.any(d0 > tau[b] + 1)
+        assert np.array_equal(counts[a.size:], (J - d0 + 1) * R)
+        assert np.array_equal(firsts[a.size:], (d0 - 1) * R)
+        assert np.array_equal(counts[:a.size], (J - tau[a]) * R)
+        assert np.array_equal(firsts[:a.size], tau[a] * R)
+
+
+def test_a_value_run_of_a_fixed_rule_jumps_from_date_0(d2_params):
+    # holding to maturity, each trunk reaches J in one step on its date-J
+    # TRUNK point, charged once
+    model, n = GbmModel(d2_params), 500
+    _, _, xw, resume, steps, evals = _trunk_block(model, (FixedDateRule(model.J),), 4, 0, n)
+    words = np.ascontiguousarray(model.draw(4, NS_TESTING, TRUNK, 0, model.J, n))
+    at_J = model.step_batch(model.J, model.init_states(n), model.variates(words), model.J)
+    assert np.array_equal(resume, at_J)
+    assert np.array_equal(xw, model.payoff_batch(model.J, at_J))
+    assert (steps, evals) == (n * model.step_units, 0)
+
+
+def test_tree_lanes_step_every_date(tree2):
+    # a tree cannot jump: the fixed survivor's lanes step dates 1 and 2, as
+    # they would on any model before jumps, with the same bits
+    N, R = 5000, 4
+    est = estimate(tree2, FixedDateRule(0), FixedDateRule(2), N, R, seed=3)
+    assert est.work_sub.steps == N * R * 2
+    assert est.delta_hat == float.fromhex("-0x1.76f0068db8bacp-1")
+    assert est.v2_hat == float.fromhex("0x1.4509f788f1641p+1")
 
 
 # --- full estimator ----------------------------------------------------------------

@@ -88,6 +88,46 @@ def test_payoffs_and_steps_follow_the_formulas_at_every_date(d):
             assert np.array_equal(model.step_batch(j, states, z), step), j
 
 
+@pytest.mark.parametrize("d", [1, 5])
+def test_a_one_date_horizon_keeps_the_step_bits(d):
+    # h = 1, given once or per row, is the one-date step to the bit; in a
+    # batch of mixed horizons each row steps as it would alone
+    p = params(d=d, r=0.07, delta=0.02, sigma=0.3)
+    model, n = GbmModel(p), 60
+    gen = np.random.default_rng(4)
+    states = 100.0 * np.exp(gen.normal(scale=0.3, size=(n, d)))
+    z = gen.normal(size=(n, d))
+    dt = p.dt
+    one = states * np.exp((p.r - p.delta - 0.5 * p.sigma**2) * dt + p.sigma * np.sqrt(dt) * z)
+    assert model.step_batch(3, states, z).tobytes() == one.tobytes()
+    assert model.step_batch(3, states, z, 1).tobytes() == one.tobytes()
+    assert model.step_batch(3, states, z, np.ones(n, dtype=np.int64)).tobytes() == one.tobytes()
+    h = np.where(np.arange(n) % 3 == 0, 4, 1)
+    mixed = model.step_batch(6, states, z, h)
+    assert mixed[h == 1].tobytes() == one[h == 1].tobytes()
+    assert mixed[h == 4].tobytes() == model.step_batch(6, states[h == 4], z[h == 4], 4).tobytes()
+
+
+@pytest.mark.parametrize("h", [2, 5, 8])
+@pytest.mark.parametrize("d", [2, 5])
+def test_a_jump_has_the_law_of_h_steps(d, h):
+    # log(S_j / S_{j-h}) of one jump over h dates, on the package's own
+    # normals: mean drift h and variance sigma^2 h dt, the law of h exact
+    # one-date steps.  Over m = n d independent log returns the sample
+    # mean's standard error is sqrt(var / m) and a normal sample
+    # variance's is var sqrt(2 / (m - 1))
+    p = params(d=d, sigma=0.3)
+    model, n = GbmModel(p), 40_000
+    words = np.ascontiguousarray(model.draw(3, rng.NS_TESTING, rng.SUB, h, 0, n))
+    states = 100.0 * np.exp(np.random.default_rng(h).normal(scale=0.3, size=(n, d)))
+    x = np.log(model.step_batch(p.J, states, model.variates(words), h) / states)
+    mean = (p.r - p.delta - 0.5 * p.sigma**2) * h * p.dt
+    var = p.sigma**2 * h * p.dt
+    m = x.size
+    assert abs(x.mean() - mean) < 4 * np.sqrt(var / m)
+    assert abs(x.var(ddof=1) - var) < 4 * var * np.sqrt(2 / (m - 1))
+
+
 def test_payoff_rejects_nonfinite():
     with pytest.raises(ValueError):
         GbmModel(params()).payoff_batch(0, np.array([[np.nan, 1.0]]))
@@ -142,9 +182,10 @@ def test_stored_payoffs_recomputable():
 
 def test_training_batch_matches_per_path_streams(monkeypatch):
     # stage one run alone on path p, holding to maturity, in the training
-    # namespace, ends where the training batch's path p does
+    # namespace, ends where the training batch's path p does when its lane
+    # steps every date (a GBM that jumps would reach J in one step)
     p = params()
-    model = GbmModel(p)
+    model = stepping(p)
     hold = FixedDateRule(p.J)
     assets, payoffs = full_paths(simulate_training_paths(p, 7, 21))
     monkeypatch.setattr(nested_cmc, "NS_TESTING", rng.NS_TRAINING)
@@ -154,32 +195,45 @@ def test_training_batch_matches_per_path_streams(monkeypatch):
         assert xw[0] == payoffs[path, p.J]
 
 
-def continuation_payoffs(p, tau, state, R, seed):
+def stepping(p):
+    """A GbmModel on p that does not jump: its lanes step every date."""
+    model = GbmModel(p)
+    model.jumps = False
+    return model
+
+
+def continuation_payoffs(p, tau, state, R, seed, model=None):
     """Maturity payoffs of R stage-two continuations of one trunk frozen at tau.
 
     The surviving rule holds to maturity; with S = -1 and x_wedge 0 each
-    replication value is minus its discounted maturity payoff.
+    replication value is minus its discounted maturity payoff.  Each lane
+    of a GBM that jumps (the default model) reaches J in one step, charged
+    once; one of a model that does not steps every date.
     """
+    model = model or GbmModel(p)
     vals, steps, _ = continuations(
-        GbmModel(p), FixedDateRule(0), FixedDateRule(p.J), seed,
+        model, FixedDateRule(0), FixedDateRule(p.J), seed,
         [0], np.array([tau]), np.array([-1], dtype=np.int8), np.array([0.0]),
         np.asarray(state, dtype=float)[None], R)
-    assert steps == R * (p.J - tau) * p.d
+    assert steps == R * (p.J - tau if not model.jumps else 1) * p.d
     return -vals[0]
 
 
 def test_continuation_zero_vol_matches_full_path_tail():
+    # jumped to maturity or stepped there
     p = params(sigma=0.0, y0=150.0)
     assets, payoffs = full_paths(simulate_training_paths(p, 1, 5))
-    pays = continuation_payoffs(p, 4, assets[0, 4], 3, seed=5)
     assert payoffs[0, p.J] > 0
-    assert np.allclose(pays, payoffs[0, p.J], rtol=1e-12)
+    for model in (GbmModel(p), stepping(p)):
+        pays = continuation_payoffs(p, 4, assets[0, 4], 3, seed=5, model=model)
+        assert np.allclose(pays, payoffs[0, p.J], rtol=1e-12)
 
 
 def test_continuations_distinct_across_replications():
     p = params(K=1e-9)  # every payoff positive, so no ties at zero
-    pays = continuation_payoffs(p, 3, [95.0, 101.0], 50, seed=5)
-    assert np.unique(pays).size == 50
+    for model in (GbmModel(p), stepping(p)):
+        pays = continuation_payoffs(p, 3, [95.0, 101.0], 50, seed=5, model=model)
+        assert np.unique(pays).size == 50
 
 
 def test_continuation_from_maturity_rejected(d2_params, small_rule_pair):
@@ -195,11 +249,33 @@ def test_continuation_from_maturity_rejected(d2_params, small_rule_pair):
 def test_pooled_continuations_have_gbm_mean():
     # with a strike of ~0 the maturity payoff is linear in the asset
     p = params(d=1, K=1e-9)
-    pays = continuation_payoffs(p, 4, [105.0], 3000, seed=77)
     horizon = p.T - p.dates[4]
     expected = np.exp(-p.r * p.T) * (105.0 * np.exp((p.r - p.delta) * horizon) - p.K)
-    se = pays.std(ddof=1) / np.sqrt(len(pays))
-    assert abs(pays.mean() - expected) < 3 * se
+    for model in (GbmModel(p), stepping(p)):
+        pays = continuation_payoffs(p, 4, [105.0], 3000, seed=77, model=model)
+        se = pays.std(ddof=1) / np.sqrt(len(pays))
+        assert abs(pays.mean() - expected) < 3 * se
+
+
+def test_jumped_and_stepped_lanes_price_alike():
+    # 40 frozen trunk states, each continued R times to maturity by lanes
+    # that jump there and by lanes that step there: the two mean discounted
+    # maturity payoffs agree within 4 combined standard errors.  Given the
+    # frozen states every replication is independent, so a mean over them
+    # has variance mean_k(var_k) / (n R), var_k trunk k's sample variance
+    p = params()
+    n, R = 40, 500
+    gen = np.random.default_rng(11)
+    tau = gen.integers(0, p.J - 1, size=n)  # every lane jumps two dates or more
+    resume = 90.0 * np.exp(gen.normal(scale=0.2, size=(n, p.d)))
+    means, variances = [], []
+    for model in (GbmModel(p), stepping(p)):
+        vals, steps, _ = continuations(model, FixedDateRule(0), FixedDateRule(p.J), 9, np.arange(n), tau,
+                                       np.full(n, -1, dtype=np.int8), np.zeros(n), resume, R)
+        assert steps == R * (n if model.jumps else int(np.sum(p.J - tau))) * p.d
+        means.append(-vals.mean())
+        variances.append(vals.var(axis=1, ddof=1).mean() / vals.size)
+    assert abs(means[0] - means[1]) < 4 * np.sqrt(sum(variances))
 
 
 # --- parameter validation ------------------------------------------------------
