@@ -150,29 +150,35 @@ class Table1Row:
 def param_uncertainty_study(cfg: ExperimentConfig) -> list[Table1Row]:
     """Price E[X at the true-volatility rule minus X at each perturbed rule].
 
-    Trains the reference rule once, then per perturbed volatility: train on
-    the same driving noise, pilot, calibrate R, and run the full two-stage
-    estimate.  The perturbed rule's own value is reported as the reference
+    Trains the reference rule, then one rule per other distinct perturbed
+    volatility on the same driving noise (a volatility equal to the true
+    one is the reference rule itself).  Pilots each pair and calibrates its
+    R and trunk count, then runs one stage-one pass: the reference rule's
+    value run, watching every perturbed rule, which yields each pair's
+    trunks; each pair's stage two runs on its own trunks.  Every run after
+    the pilots shares the value run's seed, so each row equals the pair's
+    own ``estimate`` at that seed, and its ``work_units`` is that run's
+    cost.  The perturbed rule's own value is reported as the reference
     value minus the estimated difference.
     """
     if not cfg.sigma_hats:
         raise ValueError("sigma_hats must be nonempty")
     p = cfg.params
     model = GbmModel(p)
-    ruleA = train_tvr(simulate_training_paths(p, cfg.training_paths, cfg.seed_training))
-    val = estimate_value(
-        model, ruleA, cfg.testing_paths,
-        rng.derive_seed(cfg.seed_testing, "study-value"), threads=cfg.threads,
-    )
+    rules = {}
+    for sigma in (p.sigma, *cfg.sigma_hats):
+        if sigma not in rules:
+            rules[sigma] = train_tvr(simulate_training_paths(replace(p, sigma=sigma), cfg.training_paths,
+                                                             cfg.seed_training))
+    ruleA = rules[p.sigma]
+    cals = [calibrate(model, ruleA, rules[sh], cfg, f"study-pilot-{i}") for i, sh in enumerate(cfg.sigma_hats)]
+    seed = rng.derive_seed(cfg.seed_testing, "study-value")
+    val = estimate_value(model, ruleA, cfg.testing_paths, seed, threads=cfg.threads,
+                         against=[(rules[sh], N) for sh, (*_, N) in zip(cfg.sigma_hats, cals)])
 
     rows: list[Table1Row] = []
-    for i, sh in enumerate(cfg.sigma_hats):
-        ruleB = train_tvr(simulate_training_paths(replace(p, sigma=sh), cfg.training_paths, cfg.seed_training))
-        cal, R_used, rep, N = calibrate(model, ruleA, ruleB, cfg, f"study-pilot-{i}")
-        est = estimate(
-            model, ruleA, ruleB, N, R_used,
-            rng.derive_seed(cfg.seed_testing, f"study-main-{i}"), threads=cfg.threads,
-        )
+    for sh, (cal, R_used, rep, N), trunks in zip(cfg.sigma_hats, cals, val.pairs):
+        est = estimate(model, ruleA, rules[sh], N, R_used, seed, threads=cfg.threads, trunks=trunks)
         rows.append(Table1Row(
             sigma_hat=sh,
             delta_hat=est.delta_hat,
@@ -190,7 +196,7 @@ def param_uncertainty_study(cfg: ExperimentConfig) -> list[Table1Row]:
             gamma_star=rep.gamma_star,
             speedup=1.0 / rep.gamma_star,
             N=est.N,
-            work_units=est.work_trunk.units() + est.work_sub.units(),
+            work_units=trunks.work.units() + est.work_sub.units(),
             degenerate=cal.degenerate,
         ))
     return rows

@@ -115,7 +115,7 @@ def continuations(model, A, B, seed, trunk_index, tau, sign, x_wedge, resume, R)
         if lanes.size == 0:
             continue
         group_payoff, group_states = payoff[lanes], states[lanes]
-        _, _, s_steps, s_evals = _run_lanes(
+        _, _, s_steps, s_evals, _ = _run_lanes(
             model, (rule,), first[lanes], group_states, group_payoff,
             lambda j, rows: dense[k[lanes[rows]], j - 1, r[lanes[rows]]])
         payoff[lanes] = group_payoff

@@ -15,9 +15,11 @@ from nccmc.experiments import (
     qcv_estimate,
 )
 from nccmc.calibration import choose_R, trunks_for_budget, v_profile
-from nccmc.nested_cmc import CHUNK_SIZE, estimate, floored_params, pilot
+from nccmc import nested_cmc
+from nccmc.nested_cmc import CHUNK_SIZE, estimate, estimate_value, floored_params, pilot
 from nccmc.rng import derive_seed
-from nccmc.process_models import GbmParams, simulate_training_paths
+from nccmc.process_models import GbmModel, GbmParams, simulate_training_paths
+from nccmc.stopping_rules import train_tvr
 
 
 def small_config(d2_params, **kw):
@@ -86,6 +88,53 @@ def test_study_is_deterministic(d2_params):
     c, = param_uncertainty_study(small_config(d2_params, sigma_hats=(0.23,),
                                               seed_testing=203))
     assert c.delta_hat != a.delta_hat
+
+
+@pytest.mark.parametrize("chunk", [1000, 16384])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("budget", [None, 1.6e5])
+def test_study_rows_equal_their_own_estimates(monkeypatch, d2_params, chunk, threads, budget):
+    # one pass and one seed: each row is its pair's own estimate at the
+    # value run's seed, over its first N paths, and the value a plain value
+    # run's, bit for bit, whatever the chunks, workers or budget
+    monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", chunk)
+    cfg = small_config(d2_params, sigma_hats=(0.21, 0.23), testing_paths=5000, budget=budget,
+                       threads=threads)
+    rows = param_uncertainty_study(cfg)
+
+    def rule(sigma):
+        pool = simulate_training_paths(dataclasses.replace(d2_params, sigma=sigma), cfg.training_paths,
+                                       cfg.seed_training)
+        return train_tvr(pool)
+
+    model, A, seed = GbmModel(d2_params), rule(d2_params.sigma), derive_seed(cfg.seed_testing, "study-value")
+    value = estimate_value(model, A, cfg.testing_paths, seed)
+    for row in rows:
+        own = estimate(model, A, rule(row.sigma_hat), row.N, row.R_used, seed)
+        assert (row.delta_hat, row.stderr, row.p_differ) == (own.delta_hat, own.stderr, own.p_differ)
+        assert row.work_units == own.work_trunk.units() + own.work_sub.units()
+        assert (row.value_a, row.value_a_stderr, row.value_b) == (value.mean, value.stderr,
+                                                                  value.mean - own.delta_hat)
+    Ns = sorted(row.N for row in rows)
+    assert Ns == [5000, 5000] if budget is None else Ns[0] < 5000 < Ns[1]
+
+
+def test_study_trains_each_distinct_volatility_once(d2_params, monkeypatch):
+    # the true volatility is rule A's, and a repeated one trains once
+    from nccmc import experiments
+
+    sigmas = []
+
+    def simulate(params, *args):
+        sigmas.append(params.sigma)
+        return simulate_training_paths(params, *args)
+
+    monkeypatch.setattr(experiments, "simulate_training_paths", simulate)
+    rows = param_uncertainty_study(small_config(d2_params, sigma_hats=(0.23, d2_params.sigma, 0.23)))
+    assert sigmas == [d2_params.sigma, 0.23]
+    assert rows[1].degenerate and rows[1].delta_hat == 0.0
+    # the repeated volatility's rows differ only through their own pilots
+    assert rows[0].p_differ == rows[2].p_differ > 0
 
 
 def test_study_requires_sigma_hats(d2_params):

@@ -1,6 +1,7 @@
 """Two-stage engine: the lane kernel under both stages, variance accounting."""
 
 import concurrent.futures
+import ctypes
 import dataclasses
 import multiprocessing
 import os
@@ -82,7 +83,7 @@ def test_path_alone_equals_its_batch_row(tree2, tree2_rules, d2_params, small_ru
 def test_coinciding_trunk_replicates_for_free(tree2):
     A = B = FixedDateRule(2)
     tau, sign, xw, resume, _, _ = _trunk_block(tree2, (A, B), 1, 0, 1)
-    means, variances, steps, evals = _sub_block(tree2, A, B, 1, 0, tau, sign, xw, resume, 8)
+    means, variances, steps, evals = _sub_block(tree2, A, B, 1, np.arange(1), tau, sign, xw, resume, 8)
     assert np.array_equal(means, np.zeros(1)) and np.array_equal(variances, np.zeros(1))
     assert steps == 0 and evals == 0
 
@@ -137,7 +138,7 @@ def test_stage_two_reads_each_trunks_sub_stream(tree2, tree2_rules, d2_params, s
     R = 4
     for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
         tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, 0, 300)
-        means, variances, steps, evals = _sub_block(model, A, B, 5, 0, tau, sign, xw, resume, R)
+        means, variances, steps, evals = _sub_block(model, A, B, 5, np.arange(300), tau, sign, xw, resume, R)
         diff = np.nonzero(sign)[0]
         vals, by_hand_steps, by_hand_evals = continuations(
             model, A, B, 5, diff, tau[diff], sign[diff], xw[diff], resume[diff], R)
@@ -175,7 +176,7 @@ def test_stage_two_draws_once_per_sub_batch(monkeypatch, tree2, tree2_rules, d2_
             monkeypatch.setattr(nested_cmc, "NOISE_BUDGET", budget)
             requests.clear()
             sub_batches.clear()
-            _sub_block(model, A, B, 5, p0, tau, sign, xw, resume, R)
+            _sub_block(model, A, B, 5, p0 + np.arange(3000), tau, sign, xw, resume, R)
             assert len(requests) == len(sub_batches)
             assert np.array_equal(np.concatenate(requests), p0 + np.concatenate(groups))
             calls.append(len(requests))
@@ -234,7 +235,7 @@ def test_stage_two_memory_follows_the_noise_budget(monkeypatch, tree2):
         x_wedge = model.payoff_batch(0, resume)
         tracemalloc.start()
         try:
-            means, _, steps, _ = _sub_block(model, FixedDateRule(0), FixedDateRule(model.J), 1, 0,
+            means, _, steps, _ = _sub_block(model, FixedDateRule(0), FixedDateRule(model.J), 1, np.arange(n),
                                             tau, sign, x_wedge, resume, R)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -377,7 +378,7 @@ def test_a_fixed_survivor_draws_only_the_dates_its_lanes_reach(monkeypatch, fixe
             return draw(self, seed, namespace, stream_class, index, date, n_points, first_point)
 
         monkeypatch.setattr(type(model), "draw", spy_draw)
-        _sub_block(model, A, B, 5, 0, tau, sign, xw, resume, R)
+        _sub_block(model, A, B, 5, np.arange(3000), tau, sign, xw, resume, R)
         monkeypatch.undo()
         index, counts, firsts = (np.concatenate(a) for a in zip(*requests))
         a, b = np.nonzero(sign > 0)[0], np.nonzero(sign < 0)[0]
@@ -448,7 +449,7 @@ def test_estimate_matches_single_trunk_api(tree2, tree2_rules, d2_params, small_
         for i in range(N):
             tau, sign, xw, resume, steps, evals = _trunk_block(model, (A, B), 21, i, 1)
             t_steps, t_evals = t_steps + steps, t_evals + evals
-            m, v, steps, evals = _sub_block(model, A, B, 21, i, tau, sign, xw, resume, R)
+            m, v, steps, evals = _sub_block(model, A, B, 21, np.array([i]), tau, sign, xw, resume, R)
             s_steps, s_evals = s_steps + steps, s_evals + evals
             means[i], variances[i] = m[0], v[0]
         assert est.delta_hat == float(np.mean(means))
@@ -573,6 +574,106 @@ def test_a_value_run_asks_only_its_own_rule(monkeypatch, tree2, tree2_rules, d2_
             assert (s, e) == (steps, times * evals)
 
 
+# --- one trunk pass for many pairs -----------------------------------------------------------
+
+def pass_and_pairs(model, A, against, N, R, seed, threads=1):
+    """A value run of A watching ``against`` ((rule B, N_B) pairs), checked
+    against the runs it replaces: its value is a plain value run's, and each
+    pair's stage two on its trunks is the pair's own estimate, bit for bit,
+    but for the trunk work the pass reports.  Returns (pass, pair estimates).
+    """
+    val = estimate_value(model, A, N, seed, threads=threads, against=against)
+    plain = estimate_value(model, A, N, seed)
+    assert (val.mean, val.var_hat, val.stderr, val.N) == (plain.mean, plain.var_hat, plain.stderr, plain.N)
+    ests = []
+    for (B, n_b), trunks in zip(against, val.pairs, strict=True):
+        own = estimate(model, A, B, n_b, R, seed)
+        est = estimate(model, A, B, n_b, R, seed, threads=threads, trunks=trunks)
+        assert est == dataclasses.replace(own, work_trunk=WorkMeter())
+        assert trunks.work == own.work_trunk
+        assert trunks.N == n_b and np.all(np.diff(trunks.paths) > 0)
+        ests.append(est)
+    return val, ests
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_pass_serves_every_pair(monkeypatch, threads, tree2, tree2_rules, d2_params, small_rule_pair):
+    # chunks of 1000: pairs over fewer and more paths than the value's,
+    # their last chunks cut short, and the rule against itself
+    monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", 1000)
+    for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
+        val, ests = pass_and_pairs(model, A, [(B, 2500), (A, 3500), (B, 4321)], 3500, 3, 9, threads)
+        assert ests[0].p_differ > 0 and ests[1].p_differ == 0 and val.pairs[1].paths.size == 0
+        # the longer prefix holds the shorter one's trunks first
+        assert np.array_equal(val.pairs[2].paths[:val.pairs[0].paths.size], val.pairs[0].paths)
+
+
+def test_a_pass_watches_fixed_rules_that_jump(d2_params, small_rule_pair):
+    # holding to date 5 against holding to 7 or to maturity: every lane
+    # jumps to date 5, so each pair freezes there and its survivor jumps on
+    model = GbmModel(d2_params)
+    val, ests = pass_and_pairs(model, FixedDateRule(5), [(FixedDateRule(7), 3000), (FixedDateRule(9), 2000)],
+                               3000, 2, 4)
+    assert val.work.steps == 3000 * model.step_units
+    assert all(np.all(t.tau == 5) and np.all(t.sign == -1) for t in val.pairs)
+    assert [e.work_sub.steps for e in ests] == [3000 * 2 * model.step_units, 2000 * 2 * model.step_units]
+    # every prefix a pass reads needs two paths for a variance, as any run
+    for sizes in ((1, 3000), (3000, 1)):
+        with pytest.raises(ValueError, match="^N must be >= 2$"):
+            estimate_value(model, FixedDateRule(5), sizes[0], 4, against=[(FixedDateRule(7), sizes[1])])
+    # a watched rule that could stop before the rule would move the jump
+    # of the value's lanes: refused
+    for watched in (FixedDateRule(3), small_rule_pair[0]):
+        with pytest.raises(ValueError, match="must not stop before the rule can"):
+            estimate_value(model, FixedDateRule(5), 3000, 4, against=[(watched, 3000)])
+
+
+class Asked:
+    """Stands in for ``rule`` and keeps the states of the rows asked at each date."""
+
+    def __init__(self, rule):
+        self.rule, self.eval_cost, self.stop_from = rule, rule.eval_cost, rule.stop_from
+        self.asked = {}
+
+    def decide_batch(self, j, states, payoffs):
+        self.asked.setdefault(j, []).append(np.array(states))
+        return self.rule.decide_batch(j, states, payoffs)
+
+    def rows(self, j):
+        """The rows asked at date j, in one order whatever the batches."""
+        rows = np.concatenate(self.asked.get(j, [np.empty((0, 2))]))
+        return rows[np.lexsort(rows.T)]
+
+
+def test_a_watched_rule_is_asked_only_until_its_pair_freezes(monkeypatch, d2_params, small_rule_pair):
+    # GBM states tell lanes apart: at every date the pass asks each watched
+    # rule about the very lanes the pair's own stage one asks it about, so
+    # never about a lane whose pair has frozen.  The pass's meter is every
+    # step it takes and every row each rule is asked, times the rule's cost
+    model, (A, B) = GbmModel(d2_params), small_rule_pair
+    in_pass = [Asked(A), Asked(B), Asked(A)]
+    steps = []
+    step_batch = GbmModel.step_batch
+
+    def counted(self, j, states, *args):
+        steps.append(len(states))
+        return step_batch(self, j, states, *args)
+
+    monkeypatch.setattr(GbmModel, "step_batch", counted)
+    val = estimate_value(model, in_pass[0], 3000, 5, against=[(in_pass[1], 3000), (in_pass[2], 3000)])
+    monkeypatch.undo()
+    assert val.work == WorkMeter(sum(steps) * model.step_units,
+                                 sum(len(r.rows(j)) * r.eval_cost for r in in_pass for j in r.asked))
+    for watched in in_pass[1:]:
+        alone = Asked(watched.rule)
+        _trunk_block(model, (A, alone), 5, 0, 3000)
+        assert len(alone.asked) > 1
+        for j in range(model.J):
+            assert np.array_equal(watched.rows(j), alone.rows(j))
+    # A against itself freezes where A stops: it is asked what A is
+    assert all(np.array_equal(in_pass[2].rows(j), in_pass[0].rows(j)) for j in range(model.J))
+
+
 # --- worker processes ---------------------------------------------------------------------
 
 on_linux = pytest.mark.skipif(sys.platform != "linux", reason="worker processes are forked on Linux only")
@@ -631,6 +732,30 @@ def test_an_error_in_a_worker_reaches_the_caller(monkeypatch, tree2):
     assert multiprocessing.active_children() == []
 
 
+@on_linux
+def test_a_committee_estimate_keeps_its_bits_in_workers(monkeypatch, d2_params, small_paths, small_rule_pair):
+    # a committee decides by BLAS matrix products, which each worker runs on one BLAS thread
+    monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", 1000)
+    committee = train_committee(small_paths, members=8, member_size=300)
+    model = GbmModel(d2_params)
+    one = estimate(model, committee, small_rule_pair[1], 3500, 3, seed=17)
+    assert one.p_differ > 0
+    assert estimate(model, committee, small_rule_pair[1], 3500, 3, seed=17, threads=2) == one
+
+
+blas_threads = nested_cmc._openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+
+
+@on_linux
+@pytest.mark.skipif(blas_threads is None, reason="numpy bundles no OpenBLAS that reports its threads")
+def test_a_worker_runs_one_blas_thread(monkeypatch):
+    monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", 1000)
+    before = blas_threads()
+    (seen,), _ = nested_cmc._run_chunked(lambda start, n: ((np.full(n, blas_threads()),), ()), 2000, 2)
+    assert np.all(seen == 1)
+    assert blas_threads() == before  # the caller's own are left alone
+
+
 class InlinePool:
     """Stands in for the fork pool: records the workers asked for and runs inline."""
 
@@ -664,6 +789,8 @@ def test_workers_never_outnumber_chunks(monkeypatch, platform, threads, N, asked
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "asked", [])
     monkeypatch.setattr(nested_cmc, "_task", None)
+    # the stand-in starts its "workers" in this process, whose BLAS threads are its own
+    monkeypatch.setattr(nested_cmc, "_openblas", lambda *symbol: None)
     monkeypatch.setattr(nested_cmc.sys, "platform", platform)
     A, B = tree2_rules
     got = (estimate(tree2, A, B, N, 2, seed=5, threads=threads),

@@ -1,11 +1,13 @@
 """Exact tree enumeration against hand-computed values and random trees."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import nccmc.oracle as oracle
 from nccmc import nested_cmc
-from nccmc.nested_cmc import estimate, pilot
+from nccmc.nested_cmc import estimate, estimate_value, pilot
 from nccmc.oracle import TreeSizeError, exact_delta, exact_moments
 from nccmc.process_models import TreeModel
 from nccmc.stopping_rules import FixedDateRule, TreeRule
@@ -152,6 +154,28 @@ def test_random_trees_match_the_oracle(monkeypatch):
     assert tree.n_nodes == 3280
     _, v1, v2 = exact_moments(tree, A, B)
     assert v1 + v2 == pytest.approx(exact_total_variance(tree, A, B), rel=1e-12, abs=1e-12)
+
+
+def test_one_pass_prices_two_watched_tree_rules(monkeypatch):
+    # rule A's value run watching B and a third rule C: each pair's stage
+    # two on its trunks is its own estimate, bit for bit, over a prefix of
+    # the pass, and within 4 standard errors of the exact difference, the
+    # band of the random-tree check above (of 20 pairs, one lies 3.17 out)
+    monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", 4096)
+    for seed in range(10):
+        tree, A, B = random_tree_problem(seed)
+        gen = np.random.default_rng(500 + seed)
+        C = TreeRule(tree, [lab for lab in list(tree.label_to_id)[1:] if gen.random() < 0.3])
+        val = estimate_value(tree, A, 10_000, seed=300 + seed, against=[(B, 10_000), (C, 7_000)])
+        plain = estimate_value(tree, A, 10_000, seed=300 + seed)
+        assert val == dataclasses.replace(plain, work=val.work, pairs=val.pairs)
+        assert val.work.steps == plain.work.steps and val.work.rule_evals > plain.work.rule_evals
+        for (rule, n), trunks in zip(((B, 10_000), (C, 7_000)), val.pairs, strict=True):
+            est = estimate(tree, A, rule, n, 4, seed=300 + seed, trunks=trunks)
+            own = estimate(tree, A, rule, n, 4, seed=300 + seed)
+            assert est == dataclasses.replace(own, work_trunk=est.work_trunk) and trunks.work == own.work_trunk
+            gap = est.delta_hat - exact_delta(tree, A, rule)
+            assert abs(gap) < 4 * est.stderr if est.stderr > 0 else gap == 0.0
 
 
 def test_random_tree_pilots_match_the_exact_components():
