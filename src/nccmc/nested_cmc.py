@@ -11,29 +11,30 @@ with v1 the variance of the per-trunk conditional mean and v2 the expected
 within-trunk variance.
 
 Both stages run one date loop, the lane kernel ``_run_lanes``: each date it
-steps the live lanes, prices them, asks every rule of the run about them and
+steps the live lanes, prices them, asks the run's one rule about them and
 retires the lanes that stop.  A stage supplies each lane's first decision
-date (0 for a trunk, tau + 1 for a continuation), the rules (both for a
-comparison's trunks, the one rule for a value run's, the survivor for a
-continuation) and the noise as raw words; the kernel is the one place that
-turns them into variates, and only for the rows it steps.  A run may also
-watch rules that end no lane: a watched rule B is asked about a lane only
-until it first says stop or the lane stops, which is where the pair (A, B)
-freezes in its own stage one, since min(tau_A, tau_B) <= tau_A.  So one
-value run of rule A that watches B_1..B_K is stage one of every pair
-(A, B_i) at once: ``estimate_value(..., against=)`` keeps each pair's
-differing trunks, and ``estimate(..., trunks=)`` runs only stage two on
-them, with the bits of the pair's own run at that seed.  A lane that no
-rule it asks can stop before a later date (every such rule fixed, stopping
-from its ``stop_from``) moves there in one exact step when the model jumps
-(a GBM does, a tree does not), reading its landing date's noise.  Lane rows
-of state and noise move as fixed-size records (``process_models.gather_rows``
-and ``scatter_rows``), one copy per row, not per element.  Stage two runs
-the trunks where rule A survives, then those where rule B does, each group
-in sub-batches whose noise and lane state fit in NOISE_BUDGET words, so its
-memory does not grow with N, R or P(differ); it fetches a whole sub-batch's
-raw words, each trunk's dates from its lanes' first date to J only, in one
-batched draw.
+date (0 for a trunk, tau + 1 for a continuation), the rule (rule A for
+trunks, the survivor for a continuation) and the noise as raw words; the
+kernel is the one place that turns them into variates, and only for the
+rows it steps.  Trunks also watch rules that end no lane: a watched rule B
+is asked about its pair's first N_B lanes, each only until B first says
+stop or the lane stops, which is where the pair (A, B) freezes in its own
+stage one, since min(tau_A, tau_B) <= tau_A; the kernel keeps each pair's
+freeze and meters what the pair's own stage one spends.  So a comparison's
+stage one is rule A watching B until the pair freezes, and one value run of
+rule A that watches B_1..B_K is stage one of every pair (A, B_i) at once:
+``estimate_value(..., against=)`` keeps each pair's differing trunks, and
+``estimate(..., trunks=)`` runs only stage two on them, with the bits of the
+pair's own run at that seed.  A lane that no rule it asks can stop before a
+later date (every such rule fixed, stopping from its ``stop_from``) moves
+there in one exact step when the model jumps (a GBM does, a tree does not),
+reading its landing date's noise.  Lane rows of state and noise move as
+fixed-size records (``process_models.gather_rows`` and ``scatter_rows``),
+one copy per row, not per element.  Stage two runs the trunks where rule A
+survives, then those where rule B does, each group in sub-batches whose
+noise and lane state fit in NOISE_BUDGET words, so its memory does not grow
+with N, R or P(differ); it fetches a whole sub-batch's raw words, each
+trunk's dates from its lanes' first date to J only, in one batched draw.
 
 Everything is deterministic given the seed: the estimators draw in the
 testing namespace, paths and replications are addressed by counter-based
@@ -160,38 +161,39 @@ def _skip_to(model, rules):
     return min(min(rule.stop_from for rule in rules), model.J) if model.jumps else 0
 
 
-def _run_lanes(model, rules, first, states, payoff, noise, watched=()):
+def _run_lanes(model, rule, first, states, payoff, noise, watched=(), until_frozen=False):
     """The date loop of both stages: advance lanes until each one stops.
 
     Lane i's state is at date first[i] - 1 (date 0 for first[i] = 0, which
     takes no step).  It is first stepped and asked at date first[i], or at
-    the later ``_skip_to`` date, before which none of ``rules`` or
-    ``watched`` can stop: it then reaches that date in one step over the
-    dates between, charged as one step.  Every live lane asks each of
-    ``rules`` at dates before J and stops at the first date one of them says
-    so, and at J in any case.  A ``watched`` rule ends no lane: it is asked
-    on a live lane only until it first says stop, and its watch of the lane
-    freezes then, or when the lane stops if that comes first.
+    the later ``_skip_to`` date, before which neither ``rule`` nor a watched
+    rule can stop: it then reaches that date in one step over the dates
+    between, charged as one step.  Every live lane asks ``rule`` at dates
+    before J and stops at the first date it says so, and at J in any case.
+    ``watched`` holds (rule B, n_B) pairs.  B ends no lane: it is asked
+    about each of the first n_B lanes, while live, until it first says stop,
+    and its pair (``rule``, B) freezes on the lane then, or when the lane
+    stops if that comes first, as in the pair's own stage one.  With
+    ``until_frozen`` a lane also stops once all its watches have frozen:
+    with one watch of every lane, that is the pair's own stage one.
     ``noise(j, rows)`` gives a fresh copy of the raw words that carry lanes
     ``rows`` to date j (a jump reads its landing date's); only those rows
     become variates, in place.  ``states`` and ``payoff`` are advanced in
     place and end at each lane's stop date; the live rows of ``states``
     move as records (as both stages' ``noise`` moves its rows), so its last
-    axis must be contiguous.  Returns
-    (tau, votes, steps, evals, frozen): the stop dates, votes[i], rule i's
-    decision there (True at J), and per watched rule the date, its vote,
-    the payoff and the state at which each lane's watch froze.
+    axis must be contiguous.  Returns (steps, evals, frozen): the run's
+    counts and, per watch, the date, sign(tau - tau_B), payoff and state at
+    which each of its lanes froze, and [steps, evals], what the pair's own
+    stage one spends on them: each step of a lane up to its freeze date,
+    and an ask of both rules at each date of it before J.
     """
     J, n = model.J, len(first)
-    tau = np.zeros(n, dtype=np.int64)
-    votes = [np.zeros(n, dtype=bool) for _ in rules]
     alive = np.ones(n, dtype=bool)
-    watching = [np.ones(n, dtype=bool) for _ in watched]
-    frozen = [(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool), np.zeros(n), np.empty_like(states))
-              for _ in watched]
-    cost = sum(rule.eval_cost for rule in rules)
+    watching = [np.arange(n) < n_b for _, n_b in watched]
+    frozen = [(np.zeros(n_b, dtype=np.int64), np.zeros(n_b, dtype=np.int8), np.zeros(n_b),
+               np.empty_like(states[:n_b]), [0, 0]) for _, n_b in watched]
     steps = evals = 0
-    skip = _skip_to(model, (*rules, *watched))
+    skip = _skip_to(model, (rule, *(rule_b for rule_b, _ in watched)))
     # with skip at most 1, no lane's first move spans more than one date
     start = np.maximum(first, skip) if skip > 1 else first
     for j in range(int(start.min()), J + 1):
@@ -214,81 +216,61 @@ def _run_lanes(model, rules, first, states, payoff, noise, watched=()):
         else:
             lane_payoff = payoff[rows]
         if j < J:
-            says = [rule.decide_batch(j, lane_states, lane_payoff) for rule in rules]
-            evals += rows.size * cost
-            stop = np.any(says, axis=0)
+            stop = rule.decide_batch(j, lane_states, lane_payoff)
+            evals += rows.size * rule.eval_cost
         else:
             stop = np.ones(rows.size, dtype=bool)
-            says = [stop] * len(rules)
-        for rule, open_, (date, verdict, x, at) in zip(watched, watching, frozen):
+        for (rule_b, _), open_, (date, sign, x, at, meter) in zip(watched, watching, frozen):
             ask = np.nonzero(open_[rows])[0]
             if ask.size == 0:
                 continue
+            if j > 0:
+                meter[0] += ask.size * model.step_units
             if j < J:
-                said = rule.decide_batch(j, gather_rows(lane_states, ask), lane_payoff[ask])
-                evals += ask.size * rule.eval_cost
+                # rows are independent: a watch of every live lane asks about them as they are
+                said = rule_b.decide_batch(j, *((lane_states, lane_payoff) if ask.size == rows.size
+                                                else (gather_rows(lane_states, ask), lane_payoff[ask])))
+                evals += ask.size * rule_b.eval_cost
+                meter[1] += ask.size * (rule.eval_cost + rule_b.eval_cost)
             else:
                 said = np.ones(ask.size, dtype=bool)
             hit = said | stop[ask]
             froze, lanes = ask[hit], rows[ask[hit]]
-            date[lanes], verdict[lanes], x[lanes] = j, said[hit], lane_payoff[froze]
+            date[lanes], sign[lanes], x[lanes] = j, said[hit].astype(np.int8) - stop[froze], lane_payoff[froze]
             scatter_rows(at, lanes, gather_rows(lane_states, froze))
             open_[lanes] = False
-        done = rows[stop]
-        tau[done] = j
-        for vote, said in zip(votes, says):
-            vote[done] = said[stop]
-        alive[done] = False
+        if until_frozen:
+            stop = ~np.any([open_[rows] for open_ in watching], axis=0)
+        alive[rows[stop]] = False
         if not alive.any():
             break
-    return tau, votes, steps, evals, frozen
+    return steps, evals, frozen
 
 
-def _sign(vote_first, vote_last):
-    """sign(tau_first - tau_last) from both rules' votes where the earlier one stopped."""
-    return np.where(vote_first & vote_last, 0, np.where(vote_first, -1, 1)).astype(np.int8)
+def _trunk_chunk(model, rule, watched, seed: int, p0: int, n: int, until_frozen=False):
+    """Stage one for paths [p0, p0+n): ``rule`` runs, watching each (rule B, N_B) of ``watched``.
 
-
-def _trunk_lanes(model, seed: int, p0: int, n: int):
-    """The lanes of paths [p0, p0+n) at date 0: (first, states, payoff, noise) for ``_run_lanes``.
-
-    Path p draws point p of each date's TRUNK stream.
+    Path p draws point p of each date's TRUNK stream, and B is asked about
+    the paths below N_B.  Returns (payoff, steps, evals, kept, work): each
+    path's payoff at its stop date, the run's counts, then per watch, in
+    flat lists, its pair's differing trunks (paths, tau, sign, x_wedge,
+    resume) and the (steps, evals) of the pair's own stage one.
     """
     states = model.init_states(n)
+    payoff = model.payoff_batch(0, states)
 
     def noise(j, rows):
         return gather_rows(model.draw(seed, NS_TESTING, TRUNK, 0, j, n, first_point=p0), rows)
 
-    return np.zeros(n, dtype=np.int64), states, model.payoff_batch(0, states), noise
-
-
-def _trunk_block(model, rules, seed: int, p0: int, n: int):
-    """Stage one for paths [p0, p0+n): runs to the earliest stopping date of ``rules``.
-
-    Path p consults each of ``rules`` (a tuple of one or two) from date 0.
-    The sign is that of tau_first - tau_last, from the first and last
-    rule's votes, so it is 0 on every path for one rule.  Returns (tau,
-    sign, x_wedge, resume_states, steps, evals), resume states in a row
-    buffer matching the model's state layout.
-    """
-    first, states, payoff, noise = _trunk_lanes(model, seed, p0, n)
-    tau, votes, steps, evals, _ = _run_lanes(model, rules, first, states, payoff, noise)
-    return tau, _sign(votes[0], votes[-1]), payoff, states, steps, evals
-
-
-def _trunk_work(model, rules, tau) -> tuple[int, int]:
-    """(steps, evals) that ``_run_lanes`` charges date-0 lanes asking ``rules`` and stopping at ``tau``.
-
-    A lane moves first at its ``_skip_to`` date s (date 1 when s is at most
-    1) and takes one step to each date from there to its stop, and it asks
-    every rule at each date from s (0 when s is at most 1) up to its stop,
-    short of J.
-    """
-    skip = _skip_to(model, rules)
-    s = skip if skip > 1 else 0
-    steps = int(np.sum(tau - max(s, 1) + 1)) * model.step_units
-    asks = int(np.sum(np.minimum(tau, model.J - 1) - s + 1))
-    return steps, asks * sum(rule.eval_cost for rule in rules)
+    steps, evals, frozen = _run_lanes(model, rule, np.zeros(n, dtype=np.int64), states, payoff, noise,
+                                      [(rule_b, min(max(n_b - p0, 0), n)) for rule_b, n_b in watched],
+                                      until_frozen)
+    kept, work = [], []
+    for date, sign, x, at, meter in frozen:
+        k = np.nonzero(sign)[0]
+        kept += [p0 + k, date[k], sign[k], x[k], gather_rows(at, k)]
+        work += meter
+    return payoff, steps, evals, kept, work
 
 
 def _sub_block(model, ruleA, ruleB, seed: int, paths, tau, sign, x_wedge, resume, R: int):
@@ -332,8 +314,8 @@ def _sub_block(model, ruleA, ruleB, seed: int, paths, tau, sign, x_wedge, resume
             base = np.repeat(offsets - k0 * R, R) + np.tile(np.arange(R), k.size)
             lane_xw = np.repeat(x_wedge[k], R)
             payoff = lane_xw.copy()
-            _, _, s_steps, s_evals, _ = _run_lanes(
-                model, (rule,), np.repeat(tau[k] + 1, R), np.repeat(resume[k], R, axis=0),
+            s_steps, s_evals, _ = _run_lanes(
+                model, rule, np.repeat(tau[k] + 1, R), np.repeat(resume[k], R, axis=0),
                 payoff, lambda j, rows: gather_rows(buf, base[rows] + j * R))
             vals = (s * (payoff - lane_xw)).reshape(k.size, R)
             means[k] = vals.mean(axis=1)
@@ -461,17 +443,16 @@ def estimate(model, ruleA, ruleB, N: int, R: int, seed: int, threads: int = 1,
 
     def task(start: int, n: int):
         if trunks is None:
-            tau, sign, xw, resume, t_steps, t_evals = _trunk_block(model, (ruleA, ruleB), seed, start, n)
-            k = np.nonzero(sign)[0]
-            rows = (start + k, tau[k], sign[k], xw[k], gather_rows(resume, k))
+            # rule A runs until the pair freezes: B watched on every lane
+            _, _, _, rows, work = _trunk_chunk(model, ruleA, ((ruleB, N),), seed, start, n, until_frozen=True)
         else:
             lo, hi = np.searchsorted(trunks.paths, (start, start + n))
             rows = tuple(a[lo:hi] for a in (trunks.paths, trunks.tau, trunks.sign, trunks.x_wedge, trunks.resume))
-            t_steps = t_evals = 0
+            work = [0, 0]
         m, v, s_steps, s_evals = _sub_block(model, ruleA, ruleB, seed, *rows, R)
         means, variances = np.zeros(n), np.zeros(n)
         means[rows[0] - start], variances[rows[0] - start] = m, v
-        return (means, variances), (t_steps, t_evals, s_steps, s_evals, m.size)
+        return (means, variances), (*work, s_steps, s_evals, m.size)
 
     (means, variances), (t_steps, t_evals, s_steps, s_evals, differ) = _run_chunked(task, N, threads)
     work_trunk = WorkMeter(t_steps, t_evals)
@@ -497,33 +478,24 @@ def estimate_value(model, rule, N: int, seed: int, threads: int = 1, against=())
 
     Runs stage one against that rule alone, so each path's x_wedge is its
     payoff at the rule's stopping date.  ``against`` holds (rule B, N_B)
-    pairs; the same pass then watches each rule B until it first stops or
-    the rule does, where the pair (rule, B) freezes in its own stage one.
-    So one pass serves every pair: ``pairs`` holds each one's ``Trunks``
-    over its first N_B paths, as its own stage one at this seed would find
-    them, for ``estimate(..., trunks=)``.  The pass runs max(N, every N_B)
-    paths and ``work`` counts all of it; the value reads the first N.
+    pairs; the same pass then watches each rule B on the first N_B paths,
+    each until B first stops or the rule does, where the pair (rule, B)
+    freezes in its own stage one.  So one pass serves every pair: ``pairs``
+    holds each one's ``Trunks`` over its first N_B paths, as its own stage
+    one at this seed would find them, for ``estimate(..., trunks=)``.  The
+    pass runs max(N, every N_B) paths and ``work`` counts all of it; the
+    value reads the first N.
     """
-    watched = tuple(rule_b for rule_b, _ in against)
     # _run_chunked checks only the longest, max(N, every N_B)
     if min((N, *(n_b for _, n_b in against))) < 2:
         raise ValueError("N must be >= 2")
     # a jump over a different span would move the value's bits and the pairs'
-    if max(_skip_to(model, (rule, *watched)), 1) != max(_skip_to(model, (rule,)), 1):
+    if max(_skip_to(model, (rule, *(rule_b for rule_b, _ in against))), 1) != max(_skip_to(model, (rule,)), 1):
         raise ValueError("a watched rule must not stop before the rule can")
 
     def task(start: int, n: int):
-        first, states, payoff, noise = _trunk_lanes(model, seed, start, n)
-        tau, _, steps, evals, frozen = _run_lanes(model, (rule,), first, states, payoff, noise, watched)
-        counts, kept = [steps, evals], []
-        for (rule_b, n_b), (date, said, x, at) in zip(against, frozen):
-            # the rule has stopped where a pair froze if that is the lane's stop date
-            date = date[:max(n_b - start, 0)]
-            sign = _sign(date == tau[:date.size], said[:date.size])
-            k = np.nonzero(sign)[0]
-            kept += [start + k, date[k], sign[k], x[k], gather_rows(at, k)]
-            counts += _trunk_work(model, (rule, rule_b), date)
-        return (payoff,), counts, kept
+        payoff, steps, evals, kept, work = _trunk_chunk(model, rule, against, seed, start, n)
+        return (payoff,), [steps, evals, *work], kept
 
     (values, *kept), (steps, evals, *work) = _run_chunked(task, max((N, *(n_b for _, n_b in against))), threads)
     mean, var_hat = _mean_var(values[:N])

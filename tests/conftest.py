@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from nccmc import nested_cmc
 from nccmc.nested_cmc import _run_lanes
 from nccmc.oracle import _branches, _check_size, _stop_table
-from nccmc.process_models import GbmParams, TreeModel, bundled_tree, simulate_training_paths
+from nccmc.process_models import GbmParams, TreeModel, bundled_tree, gather_rows, simulate_training_paths
 from nccmc.rng import NS_TESTING, NS_TRAINING, SUB, TRUNK
-from nccmc.stopping_rules import TreeRule, train_tvr
+from nccmc.stopping_rules import FixedDateRule, TreeRule, train_tvr
 
 
 @pytest.fixture(scope="session")
@@ -91,6 +92,35 @@ def random_calib_params(rng: np.random.Generator, n: int):
     return [CalibParams(v1=a, v2=b, rho1=c, rho2=d) for a, b, c, d in draws]
 
 
+def stage_one(model, A, B, seed, p0, n):
+    """Stage one of the pair (A, B) on paths [p0, p0+n), every path kept.
+
+    Rule A runs, watching B on every lane, until the pair freezes, as
+    ``estimate``'s own stage one does.  The testing namespace is read from
+    ``nested_cmc`` at each call, so a test may move it.  Returns (tau, sign,
+    x_wedge, resume, steps, evals), the last two the pair's own meter.
+    """
+    states = model.init_states(n)
+    payoff = model.payoff_batch(0, states)
+
+    def noise(j, rows):
+        return gather_rows(model.draw(seed, nested_cmc.NS_TESTING, TRUNK, 0, j, n, first_point=p0), rows)
+
+    _, _, ((tau, sign, x_wedge, resume, (steps, evals)),) = _run_lanes(
+        model, A, np.zeros(n, dtype=np.int64), states, payoff, noise, ((B, n),), until_frozen=True)
+    return tau, sign, x_wedge, resume, steps, evals
+
+
+def run_alone(model, rule, seed, p0, n):
+    """A rule's own stage one on paths [p0, p0+n): (tau, x_wedge, resume, steps, evals).
+
+    Its pair with holding to maturity, which costs nothing, freezes where
+    the rule stops.
+    """
+    tau, _, x_wedge, resume, steps, evals = stage_one(model, rule, FixedDateRule(model.J), seed, p0, n)
+    return tau, x_wedge, resume, steps, evals
+
+
 def continuations(model, A, B, seed, trunk_index, tau, sign, x_wedge, resume, R):
     """Stage two by hand: R continuations of each given trunk, through the lane kernel.
 
@@ -115,8 +145,8 @@ def continuations(model, A, B, seed, trunk_index, tau, sign, x_wedge, resume, R)
         if lanes.size == 0:
             continue
         group_payoff, group_states = payoff[lanes], states[lanes]
-        _, _, s_steps, s_evals, _ = _run_lanes(
-            model, (rule,), first[lanes], group_states, group_payoff,
+        s_steps, s_evals, _ = _run_lanes(
+            model, rule, first[lanes], group_states, group_payoff,
             lambda j, rows: dense[k[lanes[rows]], j - 1, r[lanes[rows]]])
         payoff[lanes] = group_payoff
         steps, evals = steps + s_steps, evals + s_evals

@@ -16,7 +16,6 @@ from nccmc import nested_cmc
 from nccmc.nested_cmc import (
     WorkMeter,
     _sub_block,
-    _trunk_block,
     estimate,
     estimate_value,
     floored,
@@ -27,12 +26,12 @@ from nccmc.oracle import exact_delta
 from nccmc.process_models import GbmModel, GbmParams, simulate_training_paths
 from nccmc.rng import NS_TESTING, SUB, TRUNK
 from nccmc.stopping_rules import FixedDateRule, TreeRule, train_committee, train_tvr
-from tests.conftest import continuations
+from tests.conftest import continuations, run_alone, stage_one
 
 
 def trunk(model, A, B, i, seed):
     """Stage one for path i alone: (tau, sign, x_wedge, resume, steps, evals)."""
-    tau, sign, xw, resume, steps, evals = _trunk_block(model, (A, B), seed, i, 1)
+    tau, sign, xw, resume, steps, evals = stage_one(model, A, B, seed, i, 1)
     return int(tau[0]), int(sign[0]), float(xw[0]), resume, steps, evals
 
 
@@ -70,10 +69,10 @@ def test_trunk_meter_counts_steps(tree2):
 def test_path_alone_equals_its_batch_row(tree2, tree2_rules, d2_params, small_rule_pair):
     p0, n = 37, 40
     for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
-        tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, p0, n)
+        tau, sign, xw, resume, _, _ = stage_one(model, A, B, 5, p0, n)
         assert np.count_nonzero(sign) > 0
         for k in range(n):
-            t, s, x, r, _, _ = _trunk_block(model, (A, B), 5, p0 + k, 1)
+            t, s, x, r, _, _ = stage_one(model, A, B, 5, p0 + k, 1)
             assert (t[0], s[0], x[0]) == (tau[k], sign[k], xw[k])
             assert np.array_equal(r[0], resume[k])
 
@@ -82,7 +81,7 @@ def test_path_alone_equals_its_batch_row(tree2, tree2_rules, d2_params, small_ru
 
 def test_coinciding_trunk_replicates_for_free(tree2):
     A = B = FixedDateRule(2)
-    tau, sign, xw, resume, _, _ = _trunk_block(tree2, (A, B), 1, 0, 1)
+    tau, sign, xw, resume, _, _ = stage_one(tree2, A, B, 1, 0, 1)
     means, variances, steps, evals = _sub_block(tree2, A, B, 1, np.arange(1), tau, sign, xw, resume, 8)
     assert np.array_equal(means, np.zeros(1)) and np.array_equal(variances, np.zeros(1))
     assert steps == 0 and evals == 0
@@ -90,7 +89,7 @@ def test_coinciding_trunk_replicates_for_free(tree2):
 
 def replication_values(model, A, B, n, R, seed):
     """Stage two's (trunk, replication) values for the differing trunks of paths [0, n)."""
-    tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), seed, 0, n)
+    tau, sign, xw, resume, _, _ = stage_one(model, A, B, seed, 0, n)
     diff = np.nonzero(sign)[0]
     vals, _, _ = continuations(model, A, B, seed, diff, tau[diff], sign[diff], xw[diff],
                                resume[diff], R)
@@ -137,7 +136,7 @@ def test_stage_two_reads_each_trunks_sub_stream(tree2, tree2_rules, d2_params, s
     # reading its trunk's SUB stream by hand
     R = 4
     for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
-        tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, 0, 300)
+        tau, sign, xw, resume, _, _ = stage_one(model, A, B, 5, 0, 300)
         means, variances, steps, evals = _sub_block(model, A, B, 5, np.arange(300), tau, sign, xw, resume, R)
         diff = np.nonzero(sign)[0]
         vals, by_hand_steps, by_hand_evals = continuations(
@@ -154,7 +153,7 @@ def test_stage_two_draws_once_per_sub_batch(monkeypatch, tree2, tree2_rules, d2_
     # where B does, each once
     p0, R = 40, 4
     for model, (A, B) in ((tree2, tree2_rules), (GbmModel(d2_params), small_rule_pair)):
-        tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, p0, 3000)
+        tau, sign, xw, resume, _, _ = stage_one(model, A, B, 5, p0, 3000)
         groups = [np.nonzero(sign > 0)[0], np.nonzero(sign < 0)[0]]
         assert all(g.size for g in groups)
         requests, sub_batches = [], []
@@ -368,7 +367,7 @@ def test_a_fixed_survivor_draws_only_the_dates_its_lanes_reach(monkeypatch, fixe
     # The regression rule's trunks still ask for dates tau + 1..J
     R, J = 4, 9
     for model, A, B in fixed_survivors:
-        tau, sign, xw, resume, _, _ = _trunk_block(model, (A, B), 5, 0, 3000)
+        tau, sign, xw, resume, _, _ = stage_one(model, A, B, 5, 0, 3000)
         requests = []
         draw = type(model).draw
 
@@ -395,7 +394,7 @@ def test_a_value_run_of_a_fixed_rule_jumps_from_date_0(d2_params):
     # holding to maturity, each trunk reaches J in one step on its date-J
     # TRUNK point, charged once
     model, n = GbmModel(d2_params), 500
-    _, _, xw, resume, steps, evals = _trunk_block(model, (FixedDateRule(model.J),), 4, 0, n)
+    _, xw, resume, steps, evals = run_alone(model, FixedDateRule(model.J), 4, 0, n)
     words = np.ascontiguousarray(model.draw(4, NS_TESTING, TRUNK, 0, model.J, n))
     at_J = model.step_batch(model.J, model.init_states(n), model.variates(words), model.J)
     assert np.array_equal(resume, at_J)
@@ -447,7 +446,7 @@ def test_estimate_matches_single_trunk_api(tree2, tree2_rules, d2_params, small_
         means, variances = np.empty(N), np.empty(N)
         t_steps = t_evals = s_steps = s_evals = 0
         for i in range(N):
-            tau, sign, xw, resume, steps, evals = _trunk_block(model, (A, B), 21, i, 1)
+            tau, sign, xw, resume, steps, evals = stage_one(model, A, B, 21, i, 1)
             t_steps, t_evals = t_steps + steps, t_evals + evals
             m, v, steps, evals = _sub_block(model, A, B, 21, np.array([i]), tau, sign, xw, resume, R)
             s_steps, s_evals = s_steps + steps, s_evals + evals
@@ -545,9 +544,10 @@ def test_a_value_run_asks_only_its_own_rule(monkeypatch, tree2, tree2_rules, d2_
     kernel_runs = []
     run_lanes = nested_cmc._run_lanes
 
-    def recorded(model, rules, first, *args):
-        kernel_runs.append((int(first.min()), len(rules)))
-        return run_lanes(model, rules, first, *args)
+    def recorded(model, rule, first, states, payoff, noise, watched=(), *args):
+        # the rules a run asks: its own and each one it watches
+        kernel_runs.append((int(first.min()), 1 + len(watched)))
+        return run_lanes(model, rule, first, states, payoff, noise, watched, *args)
 
     monkeypatch.setattr(nested_cmc, "_run_lanes", recorded)
     monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", 1000)
@@ -561,15 +561,16 @@ def test_a_value_run_asks_only_its_own_rule(monkeypatch, tree2, tree2_rules, d2_
         assert [n for first, n in kernel_runs if first == 0] == [2] * 4
         assert {n for first, n in kernel_runs if first > 0} == {1}
     monkeypatch.undo()
-    # one rule alone: sign 0 on every path, and the stops, payoffs, states
-    # and steps of the rule against itself (which counts its evaluations
-    # twice) or against holding to maturity (which costs nothing)
+    # one rule alone: the stops, payoffs, states and steps of the rule
+    # against itself (sign 0 on every path, its evaluations counted twice)
+    # or against holding to maturity (which costs nothing)
     for model, (A, _) in problems:
-        tau, sign, xw, resume, steps, evals = _trunk_block(model, (A,), 5, 0, 3000)
-        assert np.all(sign == 0)
+        tau, xw, resume, steps, evals = run_alone(model, A, 5, 0, 3000)
         assert 0 < np.count_nonzero(tau < model.J) < tau.size
-        for pair, times in (((A, A), 2), ((A, FixedDateRule(model.J)), 1)):
-            t, _, x, r, s, e = _trunk_block(model, pair, 5, 0, 3000)
+        for B, times in ((A, 2), (FixedDateRule(model.J), 1)):
+            t, sign, x, r, s, e = stage_one(model, A, B, 5, 0, 3000)
+            if B is A:
+                assert np.all(sign == 0)
             assert np.array_equal(t, tau) and np.array_equal(x, xw) and np.array_equal(r, resume)
             assert (s, e) == (steps, times * evals)
 
@@ -648,10 +649,13 @@ class Asked:
 def test_a_watched_rule_is_asked_only_until_its_pair_freezes(monkeypatch, d2_params, small_rule_pair):
     # GBM states tell lanes apart: at every date the pass asks each watched
     # rule about the very lanes the pair's own stage one asks it about, so
-    # never about a lane whose pair has frozen.  The pass's meter is every
-    # step it takes and every row each rule is asked, times the rule's cost
+    # never about a lane whose pair has frozen, nor about one past the
+    # pair's paths (2345 of 3000, cut inside a chunk of 1000).  The pass's
+    # meter is every step it takes and every row each rule is asked, times
+    # the rule's cost
     model, (A, B) = GbmModel(d2_params), small_rule_pair
-    in_pass = [Asked(A), Asked(B), Asked(A)]
+    in_pass = [Asked(A), Asked(B), Asked(A), Asked(B)]
+    sizes = (3000, 3000, 2345)
     steps = []
     step_batch = GbmModel.step_batch
 
@@ -660,18 +664,80 @@ def test_a_watched_rule_is_asked_only_until_its_pair_freezes(monkeypatch, d2_par
         return step_batch(self, j, states, *args)
 
     monkeypatch.setattr(GbmModel, "step_batch", counted)
-    val = estimate_value(model, in_pass[0], 3000, 5, against=[(in_pass[1], 3000), (in_pass[2], 3000)])
+    monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", 1000)
+    val = estimate_value(model, in_pass[0], 3000, 5, against=list(zip(in_pass[1:], sizes)))
     monkeypatch.undo()
     assert val.work == WorkMeter(sum(steps) * model.step_units,
                                  sum(len(r.rows(j)) * r.eval_cost for r in in_pass for j in r.asked))
-    for watched in in_pass[1:]:
+    for watched, n_b in zip(in_pass[1:], sizes):
         alone = Asked(watched.rule)
-        _trunk_block(model, (A, alone), 5, 0, 3000)
+        stage_one(model, A, alone, 5, 0, n_b)
         assert len(alone.asked) > 1
         for j in range(model.J):
             assert np.array_equal(watched.rows(j), alone.rows(j))
     # A against itself freezes where A stops: it is asked what A is
     assert all(np.array_equal(in_pass[2].rows(j), in_pass[0].rows(j)) for j in range(model.J))
+
+
+def stage_one_meter(monkeypatch, model, rules):
+    """[steps, evals] of the stage-one calls made from now on, as spies count them.
+
+    A spy on the model's ``step_batch`` adds the rows it steps times the
+    step units, and one on each rule class's ``decide_batch`` the rows it
+    asks times the rule's cost; calls inside stage two (``_sub_block``) do
+    not count.
+    """
+    meter, inside = [0, 0], []
+    step_batch, sub_block = type(model).step_batch, nested_cmc._sub_block
+
+    def stepped(self, j, states, *args):
+        meter[0] += 0 if inside else len(states) * self.step_units
+        return step_batch(self, j, states, *args)
+
+    def sub(*args):
+        inside.append(1)
+        try:
+            return sub_block(*args)
+        finally:
+            inside.pop()
+
+    def asked(decide):
+        def spy(self, j, states, payoffs):
+            meter[1] += 0 if inside else len(payoffs) * self.eval_cost
+            return decide(self, j, states, payoffs)
+        return spy
+
+    monkeypatch.setattr(type(model), "step_batch", stepped)
+    monkeypatch.setattr(nested_cmc, "_sub_block", sub)
+    # on the classes: a rule copied later (shift_rule) must not keep a spy
+    for cls in {type(rule) for rule in rules}:
+        monkeypatch.setattr(cls, "decide_batch", asked(cls.decide_batch))
+    return meter
+
+
+def test_stage_one_meters_the_rows_it_steps_and_asks(monkeypatch, tree2, tree2_rules, d2_params,
+                                                      small_rule_pair):
+    # a standalone estimate's trunk work, and each pass pair's, is the rows
+    # its stage one steps times the step units plus the rows it asks each
+    # rule about times the rule's cost: a regression pair, two fixed rules
+    # whose lanes jump, and a tree, in chunks of 1000 cut short.  A pass
+    # that watches B over 2345 and over all 3500 of its paths meters what
+    # it steps and asks too
+    monkeypatch.setattr(nested_cmc, "CHUNK_SIZE", 1000)
+    gbm = GbmModel(d2_params)
+    for model, A, B in ((gbm, *small_rule_pair), (gbm, FixedDateRule(5), FixedDateRule(7)), (tree2, *tree2_rules)):
+        with monkeypatch.context() as m:
+            meter = stage_one_meter(m, model, (A, B))
+            own = []
+            for n in (2345, 3500):
+                meter[:] = [0, 0]
+                own.append(estimate(model, A, B, n, 2, seed=9).work_trunk)
+                assert own[-1] == WorkMeter(*meter)
+            assert own[0].steps > 0
+            meter[:] = [0, 0]
+            val = estimate_value(model, A, 3500, 9, against=[(B, 2345), (B, 3500)])
+            assert val.work == WorkMeter(*meter)
+        assert [t.work for t in val.pairs] == own
 
 
 # --- worker processes ---------------------------------------------------------------------

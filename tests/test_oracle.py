@@ -7,7 +7,7 @@ import pytest
 
 import nccmc.oracle as oracle
 from nccmc import nested_cmc
-from nccmc.nested_cmc import estimate, estimate_value, pilot
+from nccmc.nested_cmc import WorkMeter, estimate, estimate_value, pilot
 from nccmc.oracle import TreeSizeError, exact_delta, exact_moments
 from nccmc.process_models import TreeModel
 from nccmc.stopping_rules import FixedDateRule, TreeRule
@@ -154,6 +154,23 @@ def test_random_trees_match_the_oracle(monkeypatch):
     assert tree.n_nodes == 3280
     _, v1, v2 = exact_moments(tree, A, B)
     assert v1 + v2 == pytest.approx(exact_total_variance(tree, A, B), rel=1e-12, abs=1e-12)
+
+
+def test_tree_bits_are_pinned(tree2, tree2_rules):
+    # a tree draws uniforms only, so its bits hold on any CPU: a standalone
+    # estimate on tree_2period, and one pair of a pass on a random tree,
+    # watched over fewer paths than the pass runs
+    A, B = tree2_rules
+    est = estimate(tree2, A, B, 20_000, 4, seed=5)
+    assert (est.delta_hat, est.v1_hat, est.v2_hat) == tuple(map(float.fromhex, (
+        "-0x1.099999999999ap-2", "0x1.5bdeac64df8f0p-4", "0x1.b0ca11bfd44f4p+0")))
+    assert (est.work_trunk, est.work_sub) == (WorkMeter(20_000, 80_000), WorkMeter(80_000, 0))
+    tree, A, B = random_tree_problem(4)
+    (trunks,) = estimate_value(tree, A, 10_000, seed=304, against=[(B, 7_000)]).pairs
+    est = estimate(tree, A, B, 7_000, 4, seed=304, trunks=trunks)
+    assert (est.delta_hat, est.v1_hat, est.v2_hat) == tuple(map(float.fromhex, (
+        "0x1.062ab4f6d4eefp+0", "0x1.54afdece597a8p+1", "0x1.c7ebd24c888ecp+0")))
+    assert (trunks.work, est.work_sub) == (WorkMeter(18_754, 50_254), WorkMeter(25_616, 8_996))
 
 
 def test_one_pass_prices_two_watched_tree_rules(monkeypatch):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nccmc import nested_cmc, rng
-from nccmc.nested_cmc import _trunk_block
 from nccmc.process_models import (
     GbmModel,
     GbmParams,
@@ -15,7 +14,7 @@ from nccmc.process_models import (
     simulate_training_paths,
 )
 from nccmc.stopping_rules import FixedDateRule
-from tests.conftest import continuations, full_paths
+from tests.conftest import continuations, full_paths, run_alone, stage_one
 
 
 def params(**kw):
@@ -190,7 +189,7 @@ def test_training_batch_matches_per_path_streams(monkeypatch):
     assets, payoffs = full_paths(simulate_training_paths(p, 7, 21))
     monkeypatch.setattr(nested_cmc, "NS_TESTING", rng.NS_TRAINING)
     for path in (0, 3, 6):
-        _, _, xw, resume, _, _ = _trunk_block(model, (hold,), 21, path, 1)
+        _, xw, resume, _, _ = run_alone(model, hold, 21, path, 1)
         assert np.array_equal(resume[0], assets[path, p.J])
         assert xw[0] == payoffs[path, p.J]
 
@@ -240,7 +239,7 @@ def test_continuation_from_maturity_rejected(d2_params, small_rule_pair):
     # both rules stop at J, so a trunk that reaches it always has S = 0 and
     # stage two never resumes a path there
     A, B = small_rule_pair
-    tau, sign, *_ = _trunk_block(GbmModel(d2_params), (A, B), 12, 0, 4000)
+    tau, sign, *_ = stage_one(GbmModel(d2_params), A, B, 12, 0, 4000)
     assert np.any(tau == d2_params.J)
     assert np.all(sign[tau == d2_params.J] == 0)
     assert np.count_nonzero(sign) > 0

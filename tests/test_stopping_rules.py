@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from nccmc import stopping_rules
-from nccmc.nested_cmc import _trunk_block
 from nccmc.process_models import GbmModel, GbmParams, simulate_training_paths
 from nccmc.rng import derive_seed
 from nccmc.stopping_rules import (
@@ -24,7 +23,7 @@ from nccmc.stopping_rules import (
     train_committee,
     train_tvr,
 )
-from tests.conftest import full_paths
+from tests.conftest import full_paths, run_alone
 
 
 def params(**kw):
@@ -104,7 +103,7 @@ def test_tree_rule_rejects_unknown_label(tree2):
 
 def stop_dates(rule, p, n, seed):
     """Each path's stopping date under rule, from stage one against it alone."""
-    return _trunk_block(GbmModel(p), (rule,), seed, 0, n)[0]
+    return run_alone(GbmModel(p), rule, seed, 0, n)[0]
 
 
 def test_evaluate_fixed_maturity_and_stop_everywhere():
@@ -1039,7 +1038,7 @@ def test_band_settles_most_rows_of_a_trained_committee():
         return decide_batch(j, states, payoffs)
 
     rule.decide_batch = spy
-    _trunk_block(GbmModel(p), (rule,), 1, 0, 8000)
+    run_alone(GbmModel(p), rule, 1, 0, 8000)
     rows = banded = settled = 0
     for j, states, payoffs in calls:
         want = by_definition(rule, j, states, payoffs)
