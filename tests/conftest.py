@@ -92,23 +92,38 @@ def random_calib_params(rng: np.random.Generator, n: int):
     return [CalibParams(v1=a, v2=b, rho1=c, rho2=d) for a, b, c, d in draws]
 
 
-def stage_one(model, A, B, seed, p0, n):
-    """Stage one of the pair (A, B) on paths [p0, p0+n), every path kept.
+def trunk_lanes(model, seed, p0, n):
+    """Date-0 lanes of paths [p0, p0+n): (first, states, payoff, noise).
 
-    Rule A runs, watching B on every lane, until the pair freezes, as
-    ``estimate``'s own stage one does.  The testing namespace is read from
-    ``nested_cmc`` at each call, so a test may move it.  Returns (tau, sign,
-    x_wedge, resume, steps, evals), the last two the pair's own meter.
+    Path p reads point p of each date's TRUNK stream.  The testing
+    namespace is read from ``nested_cmc`` at each draw, so a test may move it.
     """
     states = model.init_states(n)
-    payoff = model.payoff_batch(0, states)
 
     def noise(j, rows):
         return gather_rows(model.draw(seed, nested_cmc.NS_TESTING, TRUNK, 0, j, n, first_point=p0), rows)
 
+    return np.zeros(n, dtype=np.int64), states, model.payoff_batch(0, states), noise
+
+
+def stage_one(model, A, B, seed, p0, n):
+    """Stage one of the pair (A, B) on paths [p0, p0+n), every path kept.
+
+    Rule A runs, watching B on every lane, until the pair freezes, as
+    ``estimate``'s own stage one does.  Returns (tau, sign, x_wedge, resume,
+    steps, evals), the last two the pair's own meter.
+    """
     _, _, ((tau, sign, x_wedge, resume, (steps, evals)),) = _run_lanes(
-        model, A, np.zeros(n, dtype=np.int64), states, payoff, noise, ((B, n),), until_frozen=True)
+        model, A, *trunk_lanes(model, seed, p0, n), ((B, n),), until_frozen=True)
     return tau, sign, x_wedge, resume, steps, evals
+
+
+def value_run(model, rule, seed, p0, n):
+    """A rule's value run on paths [p0, p0+n), watching nothing, as
+    ``estimate_value``'s: (x_wedge, resume, steps, evals)."""
+    first, states, payoff, noise = trunk_lanes(model, seed, p0, n)
+    steps, evals, _ = _run_lanes(model, rule, first, states, payoff, noise)
+    return payoff, states, steps, evals
 
 
 def run_alone(model, rule, seed, p0, n):

@@ -26,7 +26,7 @@ from nccmc.oracle import exact_delta
 from nccmc.process_models import GbmModel, GbmParams, simulate_training_paths
 from nccmc.rng import NS_TESTING, SUB, TRUNK
 from nccmc.stopping_rules import FixedDateRule, TreeRule, train_committee, train_tvr
-from tests.conftest import continuations, run_alone, stage_one
+from tests.conftest import continuations, run_alone, stage_one, value_run
 
 
 def trunk(model, A, B, i, seed):
@@ -393,13 +393,18 @@ def test_a_fixed_survivor_draws_only_the_dates_its_lanes_reach(monkeypatch, fixe
 def test_a_value_run_of_a_fixed_rule_jumps_from_date_0(d2_params):
     # holding to maturity, each trunk reaches J in one step on its date-J
     # TRUNK point, charged once
+    # (the value run, watching nothing, and its pair with itself, watched)
     model, n = GbmModel(d2_params), 500
-    _, xw, resume, steps, evals = run_alone(model, FixedDateRule(model.J), 4, 0, n)
+    hold = FixedDateRule(model.J)
     words = np.ascontiguousarray(model.draw(4, NS_TESTING, TRUNK, 0, model.J, n))
     at_J = model.step_batch(model.J, model.init_states(n), model.variates(words), model.J)
-    assert np.array_equal(resume, at_J)
-    assert np.array_equal(xw, model.payoff_batch(model.J, at_J))
-    assert (steps, evals) == (n * model.step_units, 0)
+    for xw, resume, steps, evals in (value_run(model, hold, 4, 0, n), run_alone(model, hold, 4, 0, n)[1:]):
+        assert np.array_equal(resume, at_J)
+        assert np.array_equal(xw, model.payoff_batch(model.J, at_J))
+        assert (steps, evals) == (n * model.step_units, 0)
+    payoff, steps, evals, kept, work = nested_cmc._trunk_chunk(model, hold, (), 4, 0, n)
+    assert np.array_equal(payoff, model.payoff_batch(model.J, at_J))
+    assert (steps, evals, kept, work) == (n * model.step_units, 0, [], [])
 
 
 def test_tree_lanes_step_every_date(tree2):
@@ -561,11 +566,15 @@ def test_a_value_run_asks_only_its_own_rule(monkeypatch, tree2, tree2_rules, d2_
         assert [n for first, n in kernel_runs if first == 0] == [2] * 4
         assert {n for first, n in kernel_runs if first > 0} == {1}
     monkeypatch.undo()
-    # one rule alone: the stops, payoffs, states and steps of the rule
-    # against itself (sign 0 on every path, its evaluations counted twice)
-    # or against holding to maturity (which costs nothing)
+    # one rule alone, as its value run watching nothing runs it: the
+    # payoffs, states and steps of the rule against itself (sign 0 on every
+    # path, its evaluations counted twice) or against holding to maturity
+    # (which costs nothing), whose stops are the rule's
     for model, (A, _) in problems:
-        tau, xw, resume, steps, evals = run_alone(model, A, 5, 0, 3000)
+        xw, resume, steps, evals = value_run(model, A, 5, 0, 3000)
+        payoff, s, e, kept, work = nested_cmc._trunk_chunk(model, A, (), 5, 0, 3000)
+        assert np.array_equal(payoff, xw) and (s, e, kept, work) == (steps, evals, [], [])
+        tau = run_alone(model, A, 5, 0, 3000)[0]
         assert 0 < np.count_nonzero(tau < model.J) < tau.size
         for B, times in ((A, 2), (FixedDateRule(model.J), 1)):
             t, sign, x, r, s, e = stage_one(model, A, B, 5, 0, 3000)
